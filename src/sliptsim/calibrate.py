@@ -14,6 +14,10 @@ are recovered in two stages:
   the Gaussian spot radius, and one beam offset magnitude per configuration,
   fitted to the Pmp and Imp/Isc targets through the full string I-V model.
 
+Both stages assume the default read-out: the ``ReceiverChain`` load,
+amplifier input and AC load, and the ``TransmitterModel`` emitted power and
+wavelength.  ``calibrated_receiver`` refuses a result fitted for any other.
+
 The fit refuses (``CalibrationError``) when any relative residual exceeds
 25%, and raises ``UnderdeterminedError`` when fewer targets than free
 parameters are supplied.
@@ -28,24 +32,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import least_squares
 
-from .ppc import (
-    DiodeParams,
-    IlluminationProfile,
-    SegmentedDevice,
-    _golden_max,
-    sector_fractions,
-    short_circuit_current,
-    small_signal_bandwidth,
-    string_capacitance,
-    string_voltage,
-)
+from .ppc import DiodeParams, IlluminationProfile, harvest_figures
 from .link import NoiseModel, ReceiverChain
 from .presets import (
     MEASURED_BANDWIDTH_HZ,
     MEASURED_IMP_ISC,
     MEASURED_PMP_W,
     PRESET_NAMES,
-    device_preset,
+    default_receiver,
+    default_transmitter,
     preset_geometry,
 )
 
@@ -169,36 +164,35 @@ class CalibrationResult:
 # Forward models
 # ---------------------------------------------------------------------------
 
-def _bandwidth_model(name: str, cap_density: float, rs: float, ac_load: float) -> float:
-    geometry = preset_geometry(name)
+def _bandwidth_model(name: str, cap_density: float, rs: float) -> float:
+    """RC corner of one preset under the default read-out (no beam needed)."""
     diode = DiodeParams(capacitance_density_f_mm2=cap_density)
-    return small_signal_bandwidth(string_capacitance(geometry, diode), ac_load, rs)
+    return default_receiver(name, diode, effective_series_resistance_ohm=rs).f3db_hz()
 
 
-def _harvest_figures(
-    device: SegmentedDevice, beam: IlluminationProfile
-) -> tuple[float, float]:
-    """(Pmp, Imp/Isc) straight from the continuous string model.
-
-    Mismatched strings have a double-knee power profile, so a coarse scan
-    picks the knee before golden-section refinement.
-    """
-    fractions = sector_fractions(device.geometry, beam)
-    photocurrents = beam.responsivity_a_w * beam.total_power_w * fractions
-    i_sc = short_circuit_current(device, photocurrents)
-    if i_sc <= 0:
-        return 0.0, math.nan
-
-    def power(i):
-        return i * string_voltage(device, photocurrents, i)
-
-    grid = np.linspace(0.0, i_sc * (1.0 - 1e-12), 97)
-    values = np.array([power(i) for i in grid])
-    k = int(np.argmax(values))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    i_mp, p_mp = _golden_max(power, lo, hi)
-    return p_mp, i_mp / i_sc
+def _receiver(
+    name: str,
+    capacitance_density_f_mm2: float,
+    series_resistance_ohm: float,
+    responsivity_a_w: float,
+    beam_radius_mm: float,
+    beam_offset_mm: float,
+) -> ReceiverChain:
+    """Default read-out around one preset with the fitted parameters applied."""
+    tx = default_transmitter()
+    beam = IlluminationProfile(
+        total_power_w=tx.emitted_power_w,
+        beam_radius_mm=beam_radius_mm,
+        center_mm=(beam_offset_mm, 0.0),
+        responsivity_a_w=responsivity_a_w,
+        wavelength_nm=tx.wavelength_nm,
+    )
+    return default_receiver(
+        name,
+        DiodeParams(capacitance_density_f_mm2=capacitance_density_f_mm2),
+        beam=beam,
+        effective_series_resistance_ohm=series_resistance_ohm,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -249,23 +243,16 @@ def _solve_offset(ratio_of_offset, target: float, max_offset: float) -> float:
 
 def calibrate(
     targets: CalibrationTargets,
-    load_resistance_ohm: float = 950.0,
-    amplifier_input_ohm: float = 50.0,
-    emitted_power_w: float = 2.3e-3,
-    diode: DiodeParams | None = None,
-    quadrature_rel_tol: float = 1e-6,
     refuse_above: float = RESIDUAL_REFUSAL,
 ) -> CalibrationResult:
     """Least-squares fit of the free model parameters to measured targets.
 
+    The targets are taken under the default read-out (see the module
+    docstring), which the result records.
+
     Args:
         targets: bandwidth (required, >= number of free stage-A parameters),
             Pmp and Imp/Isc targets keyed by preset name.
-        load_resistance_ohm / amplifier_input_ohm: read-out assumed by the
-            small-signal model (AC load is their parallel combination).
-        emitted_power_w: transmitter power behind the Pmp targets.
-        diode: junction parameters other than the fitted capacitance density.
-        quadrature_rel_tol: beam-integral tolerance for stage B.
         refuse_above: relative-residual refusal bound.
 
     Returns:
@@ -291,13 +278,6 @@ def calibrate(
             f"free parameters ({len(sizes)} capacitance densities + "
             f"{len(free_counts)} excess series resistances)"
         )
-    ac_load = (
-        load_resistance_ohm * amplifier_input_ohm
-        / (load_resistance_ohm + amplifier_input_ohm)
-        if amplifier_input_ohm
-        else load_resistance_ohm
-    )
-    base_diode = diode if diode is not None else DiodeParams()
 
     # --- stage A: capacitance densities + series resistances --------------
     def unpack_a(x):
@@ -310,9 +290,7 @@ def calibrate(
         caps, rss = unpack_a(x)
         out = []
         for name in names:
-            model = _bandwidth_model(
-                name, caps[name[0]] * 1e-12, rss[int(name[1:])], ac_load
-            )
+            model = _bandwidth_model(name, caps[name[0]] * 1e-12, rss[int(name[1:])])
             out.append(model / targets.bandwidth_hz[name] - 1.0)
         return np.array(out)
 
@@ -351,25 +329,13 @@ def calibrate(
                 f"{n_params_b} free parameters"
             )
 
-        devices = {
-            name: device_preset(
-                name,
-                replace(base_diode, capacitance_density_f_mm2=caps[name[0]] * 1e-12),
-            )
-            for name in harvest_names
-        }
-
         harvest_sizes = sorted({n[0] for n in harvest_names})
 
         def figures(name, resp, radius, offset):
-            beam = IlluminationProfile(
-                total_power_w=emitted_power_w,
-                beam_radius_mm=radius,
-                center_mm=(offset, 0.0),
-                responsivity_a_w=resp,
-                wavelength_nm=847.0,
+            chain = _receiver(
+                name, caps[name[0]] * 1e-12, rss[int(name[1:])], resp, radius, offset
             )
-            return _harvest_figures(devices[name], beam)
+            return harvest_figures(chain.device, chain.beam)
 
         ratio_weight = 3.0
         n_resp = len(harvest_sizes)
@@ -438,8 +404,9 @@ def calibrate(
         bandwidth_residuals={k: float(v) for k, v in bw_resid.items()},
         pmp_residuals=pmp_resid,
         imp_isc_residuals=ii_resid,
-        ac_load_ohm=ac_load,
-        emitted_power_w=emitted_power_w,
+        # the read-out every chain of the fit shares
+        ac_load_ohm=default_receiver(names[0]).ac_load_ohm,
+        emitted_power_w=default_transmitter().emitted_power_w,
     )
     worst = result.max_residual()
     if worst > refuse_above:
@@ -457,66 +424,53 @@ def synthesize_targets(
     beam_radius_mm: float,
     beam_offset_mm: dict,
     names=PRESET_NAMES,
-    load_resistance_ohm: float = 950.0,
-    amplifier_input_ohm: float = 50.0,
-    emitted_power_w: float = 2.3e-3,
-    diode: DiodeParams | None = None,
 ) -> CalibrationTargets:
     """Forward-generate targets from known parameters (self-test support)."""
-    ac_load = (
-        load_resistance_ohm * amplifier_input_ohm
-        / (load_resistance_ohm + amplifier_input_ohm)
-        if amplifier_input_ohm
-        else load_resistance_ohm
-    )
-    base_diode = diode if diode is not None else DiodeParams()
     bw, pmp, ii = {}, {}, {}
     for name in names:
         size, n = name[0], int(name[1:])
-        cap = capacitance_density_f_mm2[size]
-        bw[name] = _bandwidth_model(name, cap, series_resistance_ohm[n], ac_load)
-        device = device_preset(
-            name, replace(base_diode, capacitance_density_f_mm2=cap)
+        chain = _receiver(
+            name, capacitance_density_f_mm2[size], series_resistance_ohm[n],
+            responsivity_a_w[size], beam_radius_mm, beam_offset_mm.get(name, 0.0),
         )
-        beam = IlluminationProfile(
-            total_power_w=emitted_power_w,
-            beam_radius_mm=beam_radius_mm,
-            center_mm=(beam_offset_mm.get(name, 0.0), 0.0),
-            responsivity_a_w=responsivity_a_w[size],
-        )
-        pmp[name], ii[name] = _harvest_figures(device, beam)
+        bw[name] = chain.f3db_hz()
+        pmp[name], ii[name] = harvest_figures(chain.device, chain.beam)
     return CalibrationTargets(bandwidth_hz=bw, pmp_w=pmp, imp_isc=ii)
 
 
 def calibrated_receiver(
     result: CalibrationResult,
     name: str,
-    diode: DiodeParams | None = None,
     noise: NoiseModel | None = None,
-    load_resistance_ohm: float = 950.0,
-    amplifier_input_ohm: float = 50.0,
 ) -> ReceiverChain:
-    """Receiver chain for one preset with the fitted parameters applied."""
-    size, n = name[0].upper(), int(name[1:])
-    base = diode if diode is not None else DiodeParams()
-    dev = device_preset(
+    """Receiver chain for one preset with the fitted parameters applied.
+
+    Raises:
+        ValueError: the result holds no fit for the preset's cell size, or
+            it was fitted for another read-out (AC load or emitted power)
+            than the default one this chain is built with.
+    """
+    name = name.upper()
+    size, n = name[0], int(name[1:])
+    if size not in result.capacitance_density_f_mm2 or size not in result.responsivity_a_w:
+        raise ValueError(
+            f"calibration holds no bandwidth and harvest fit for cell size "
+            f"{size!r} (preset {name})"
+        )
+    chain = _receiver(
         name,
-        replace(
-            base,
-            capacitance_density_f_mm2=result.capacitance_density_f_mm2[size],
-        ),
+        result.capacitance_density_f_mm2[size],
+        result.series_resistance_for(n),
+        result.responsivity_a_w[size],
+        result.beam_radius_mm,
+        result.beam_offset_mm.get(name, 0.0),
     )
-    beam = IlluminationProfile(
-        total_power_w=result.emitted_power_w,
-        beam_radius_mm=result.beam_radius_mm,
-        center_mm=(result.beam_offset_mm.get(name.upper(), 0.0), 0.0),
-        responsivity_a_w=result.responsivity_a_w[size],
-    )
-    return ReceiverChain(
-        device=dev,
-        beam=beam,
-        load_resistance_ohm=load_resistance_ohm,
-        amplifier_input_ohm=amplifier_input_ohm,
-        effective_series_resistance_ohm=result.series_resistance_for(n),
-        noise=noise if noise is not None else NoiseModel(),
-    )
+    if (result.ac_load_ohm, result.emitted_power_w) != (
+        chain.ac_load_ohm, chain.beam.total_power_w
+    ):
+        raise ValueError(
+            f"calibration was fitted for a {result.ac_load_ohm!r} ohm AC load "
+            f"and {result.emitted_power_w!r} W emitted; the default read-out "
+            f"has {chain.ac_load_ohm!r} ohm and {chain.beam.total_power_w!r} W"
+        )
+    return chain if noise is None else replace(chain, noise=noise)

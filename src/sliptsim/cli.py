@@ -6,7 +6,8 @@ Every artifact starts with a comment line carrying the schema version, the
 experiment kind, a hash of the effective parameters and the seed, so two
 invocations with the same inputs produce byte-identical files.
 
-Exit codes: 0 success, 1 run error, 2 malformed spec/arguments.
+Exit codes: 0 success, 1 run error, 2 malformed spec or arguments (an
+unknown kind or preset, a named file that does not exist).
 """
 
 from __future__ import annotations
@@ -26,14 +27,13 @@ from .calibrate import (
     CalibrationError,
     CalibrationResult,
     UnderdeterminedError,
-    _harvest_figures,
     calibrate,
     calibrated_receiver,
     measured_targets,
 )
 from .io import iv_curve_to_csv, plan_to_csv, spec_hash, write_csv
 from .link import run_link, mismatch_study
-from .ppc import find_mpp, sector_fractions, string_iv
+from .ppc import find_mpp, harvest_figures, sector_fractions, string_iv
 from .presets import (
     JUNCTION_AREA_MM2,
     MEASURED_BANDWIDTH_HZ,
@@ -58,6 +58,7 @@ EXPERIMENT_KINDS = (
     "sweep",
     "mismatch",
     "safety",
+    "calibrate",
     "reproduce-table1",
     "reproduce-fig6",
 )
@@ -69,6 +70,7 @@ _KIND_BY_COMMAND = {
     "sweep": "sweep",
     "mismatch": "mismatch",
     "safety": "safety",
+    "calibrate": "calibrate",
 }
 
 
@@ -127,6 +129,8 @@ def _load_calibration(spec: dict, out_dir: Path, required: bool):
     explicit = spec.get("calibration")
     candidates = []
     if explicit:
+        if not Path(explicit).exists():
+            raise SpecError(f"calibration file not found: {explicit}")
         candidates.append(Path(explicit))
     candidates.append(out_dir / "calibration.json")
     config_dir = os.environ.get(CONFIG_DIR_ENV)
@@ -154,14 +158,21 @@ def _receiver_for(spec: dict, name: str, calibration):
     return default_receiver(name, beam=beam)
 
 
+def _preset_name(value) -> str:
+    """Upper-cased name of a bundled preset; anything else is a spec error."""
+    name = str(value).upper()
+    if name not in PRESET_NAMES:
+        raise SpecError(
+            f"unknown preset {value!r}; expected one of {', '.join(PRESET_NAMES)}"
+        )
+    return name
+
+
 def _spec_presets(spec: dict) -> list[str]:
     presets = spec.get("presets", list(PRESET_NAMES))
     if isinstance(presets, str):
         presets = [p for p in presets.split(",") if p]
-    unknown = [p for p in presets if p.upper() not in PRESET_NAMES]
-    if unknown:
-        raise SpecError(f"unknown preset(s): {', '.join(unknown)}")
-    return [p.upper() for p in presets]
+    return [_preset_name(p) for p in presets]
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +180,11 @@ def _spec_presets(spec: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _handle_iv(spec: dict, out_dir: Path, seed: int) -> None:
-    name = spec.get("preset", "L6").upper()
+    name = _preset_name(spec.get("preset", "L6"))
     calibration = _load_calibration(spec, out_dir, required=False)
     chain = _receiver_for(spec, name, calibration)
-    beam = replace(chain.beam, total_power_w=spec.get("power_w", 2.3e-3))
+    power_w = spec.get("power_w", default_transmitter().emitted_power_w)
+    beam = replace(chain.beam, total_power_w=power_w)
     fractions = sector_fractions(chain.device.geometry, beam)
     photocurrents = beam.responsivity_a_w * beam.total_power_w * fractions
     curve = string_iv(chain.device, photocurrents, illumination_id=name)
@@ -237,7 +249,7 @@ def _emit_link_artifacts(report, out_dir: Path, header, suffix: str = "") -> Non
 
 
 def _handle_link(spec: dict, out_dir: Path, seed: int) -> None:
-    name = spec.get("preset", "L6").upper()
+    name = _preset_name(spec.get("preset", "L6"))
     calibration = _load_calibration(spec, out_dir, required=False)
     chain = _receiver_for(spec, name, calibration)
     report = run_link(
@@ -286,7 +298,7 @@ def _handle_sweep(spec: dict, out_dir: Path, seed: int) -> None:
 
 
 def _handle_mismatch(spec: dict, out_dir: Path, seed: int) -> None:
-    name = spec.get("preset", "L6").upper()
+    name = _preset_name(spec.get("preset", "L6"))
     calibration = _load_calibration(spec, out_dir, required=False)
     chain = _receiver_for(spec, name, calibration)
     max_offset = spec.get("max_offset_mm", 0.45 * chain.device.geometry.cell_diameter_mm)
@@ -364,7 +376,7 @@ def _handle_reproduce_table1(spec: dict, out_dir: Path, seed: int) -> None:
     rows = []
     for name in PRESET_NAMES:
         chain = calibrated_receiver(calibration, name)
-        pmp_sim, ratio_sim = _harvest_figures(chain.device, chain.beam)
+        pmp_sim, ratio_sim = harvest_figures(chain.device, chain.beam)
         pmp_measured = MEASURED_PMP_W[name]
         ratio_measured = MEASURED_IMP_ISC[name]
         f3_sim = chain.f3db_hz()
@@ -456,7 +468,7 @@ def _dispatch(spec: dict, out_dir, seed) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         _HANDLERS[kind](spec, out, effective_seed)
-    except (SpecError, KeyError) as exc:
+    except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
     except (CalibrationError, UnderdeterminedError, RuntimeError, ValueError) as exc:
@@ -538,8 +550,6 @@ def main(argv=None) -> int:
     else:
         if args.command == "reproduce":
             kind = f"reproduce-{args.target}"
-        elif args.command == "calibrate":
-            kind = "calibrate"
         else:
             kind = _KIND_BY_COMMAND[args.command]
         if spec and spec.get("kind") not in (None, kind):
@@ -560,16 +570,6 @@ def main(argv=None) -> int:
         value = getattr(args, key, None)
         if value is not None:
             spec[key] = value
-
-    if spec["kind"] == "calibrate":
-        out = Path(args.out if args.out else spec.get("out_dir", "out"))
-        out.mkdir(parents=True, exist_ok=True)
-        try:
-            _handle_calibrate(spec, out, int(args.seed or spec.get("seed", 0)))
-        except (CalibrationError, UnderdeterminedError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        return 0
 
     return _dispatch(spec, args.out, args.seed)
 

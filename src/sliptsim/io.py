@@ -1,4 +1,4 @@
-"""Artifact serialization: CSV and raw binary exchange formats.
+"""Artifact serialization: the CSV exchange format.
 
 All CSV emitters write deterministic bytes for identical inputs: floats are
 rendered with ``repr`` (shortest round-trip form), rows keep input order,
@@ -26,10 +26,6 @@ __all__ = [
     "spec_hash",
     "iv_curve_to_csv",
     "iv_curve_from_csv",
-    "samples_to_csv",
-    "samples_from_csv",
-    "samples_to_bin",
-    "samples_from_bin",
     "plan_to_csv",
     "plan_from_csv",
 ]
@@ -94,35 +90,6 @@ def iv_curve_from_csv(path) -> IVCurve:
         raise ValueError(f"{path}: expected header voltage_V,current_A")
     data = np.array([[float(r[0]), float(r[1])] for r in rows])
     return IVCurve(data[:, 0], data[:, 1])
-
-
-def samples_to_csv(samples, path, header_comments=()) -> None:
-    samples = np.asarray(samples, dtype=float)
-    write_csv(
-        path,
-        ["index", "value"],
-        zip(range(len(samples)), samples),
-        header_comments=header_comments,
-    )
-
-
-def samples_from_csv(path) -> np.ndarray:
-    columns, rows = read_csv(path)
-    if columns[:2] != ["index", "value"]:
-        raise ValueError(f"{path}: expected header index,value")
-    out = np.empty(len(rows))
-    for r in rows:
-        out[int(r[0])] = float(r[1])
-    return out
-
-
-def samples_to_bin(samples, path) -> None:
-    """Raw little-endian float64 stream."""
-    np.asarray(samples, dtype="<f8").tofile(path)
-
-
-def samples_from_bin(path) -> np.ndarray:
-    return np.fromfile(path, dtype="<f8")
 
 
 def plan_to_csv(plan: BitLoadingPlan, path, header_comments=()) -> None:

@@ -55,7 +55,6 @@ from .ppc import (
     OperatingPoint,
     SegmentedDevice,
     find_mpp,
-    imp_isc_ratio,
     sector_fractions,
     small_signal_bandwidth,
     string_capacitance,
@@ -414,7 +413,8 @@ def run_link(
     curve = string_iv(device, photocurrents, illumination_id=f"seed{seed}")
     mpp = find_mpp(curve)
     op = dc_operating_point(device, photocurrents, chain.load_resistance_ohm)
-    ratio = imp_isc_ratio(curve) if curve.short_circuit_current_a() > 0 else math.nan
+    i_sc = curve.short_circuit_current_a()
+    ratio = mpp.current_a / i_sc if i_sc > 0 else math.nan
 
     # --- measurement burst -------------------------------------------------
     f3db = chain.f3db_hz()
@@ -534,9 +534,10 @@ def mismatch_study(
             device.geometry, b
         )
         curve = string_iv(device, photocurrents, n_points=512)
-        if curve.short_circuit_current_a() <= 0:
+        i_sc = curve.short_circuit_current_a()
+        if i_sc <= 0:
             rows.append((float(off), math.nan, 0.0))
             continue
         mpp = find_mpp(curve)
-        rows.append((float(off), imp_isc_ratio(curve), mpp.power_w))
+        rows.append((float(off), mpp.current_a / i_sc, mpp.power_w))
     return rows

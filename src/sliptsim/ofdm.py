@@ -29,7 +29,6 @@ from .qam import VALID_ORDERS, qam_demodulate, qam_modulate
 
 __all__ = [
     "OfdmConfig",
-    "OfdmFrame",
     "SubcarrierSnr",
     "SyncError",
     "generate_bits",
@@ -121,16 +120,6 @@ class OfdmConfig:
 
     def carrier_frequencies_hz(self) -> np.ndarray:
         return (np.arange(self.data_subcarriers) + 1) * self.subcarrier_spacing_hz
-
-
-@dataclass
-class OfdmFrame:
-    """One transmitted block: bits, loaded symbols, shaped samples."""
-
-    payload_bits: np.ndarray
-    symbols: np.ndarray
-    samples: np.ndarray
-    is_pilot: bool = False
 
 
 @dataclass

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
@@ -48,6 +48,7 @@ __all__ = [
     "string_iv",
     "find_mpp",
     "imp_isc_ratio",
+    "harvest_figures",
     "pce",
     "series_capacitance",
     "string_capacitance",
@@ -222,14 +223,6 @@ class SegmentedDevice:
     @property
     def n_segments(self) -> int:
         return self.geometry.n_segments
-
-    def with_ideal_reverse(self) -> "SegmentedDevice":
-        """Copy with shunt and reverse conduction disabled."""
-        return replace(
-            self,
-            diode=replace(self.diode, shunt_resistance_ohm=math.inf),
-            reverse_breakdown_v=None,
-        )
 
 
 @dataclass(frozen=True)
@@ -783,6 +776,32 @@ def imp_isc_ratio(curve: IVCurve) -> float:
         raise UndefinedRatioError("short-circuit current is zero; ratio undefined")
     mpp = find_mpp(curve)
     return mpp.current_a / isc
+
+
+def harvest_figures(
+    device: SegmentedDevice, beam: IlluminationProfile
+) -> tuple[float, float]:
+    """(Pmp, Imp/Isc) straight from the continuous string model.
+
+    Mismatched strings have a double-knee power profile, so a coarse scan
+    picks the knee before golden-section refinement.
+    """
+    fractions = sector_fractions(device.geometry, beam)
+    photocurrents = beam.responsivity_a_w * beam.total_power_w * fractions
+    i_sc = short_circuit_current(device, photocurrents)
+    if i_sc <= 0:
+        return 0.0, math.nan
+
+    def power(i):
+        return i * string_voltage(device, photocurrents, i)
+
+    grid = np.linspace(0.0, i_sc * (1.0 - 1e-12), 97)
+    values = np.array([power(i) for i in grid])
+    k = int(np.argmax(values))
+    lo = grid[max(k - 1, 0)]
+    hi = grid[min(k + 1, len(grid) - 1)]
+    i_mp, p_mp = _golden_max(power, lo, hi)
+    return p_mp, i_mp / i_sc
 
 
 def pce(mpp: OperatingPoint, incident_power_w: float) -> float:

@@ -6,8 +6,9 @@ Per-segment junction areas exceed (circle area)/n because interconnect
 junction regions lie outside the circular active area; the illumination
 model still splits the circle into equal sectors.
 
-The same constants ship as ``data/presets.json``; loading that file must
-reproduce these values byte-for-byte.
+The constants are read once from ``data/presets.json``.  ``PRESET_NAMES``
+orders the configurations by cell diameter, then segment count, and every
+per-preset mapping below follows that order.
 """
 
 from __future__ import annotations
@@ -34,55 +35,54 @@ __all__ = [
     "default_transmitter",
     "default_beam",
     "default_receiver",
-    "bundled_preset_dict",
     "load_preset_file",
 ]
 
-CELL_DIAMETER_MM = {"S": 1.0, "M": 1.5, "L": 2.08}
+
+def load_preset_file(path=None) -> dict:
+    """Load a preset file (the bundled one when no path is given)."""
+    if path is None:
+        ref = resources.files("sliptsim").joinpath("data/presets.json")
+        return json.loads(ref.read_text())
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+_BUNDLED = load_preset_file()
+
+# cell diameter per size letter, mm
+CELL_DIAMETER_MM = dict(sorted(_BUNDLED["cell_diameter_mm"].items(), key=lambda kv: kv[1]))
+
+PRESET_NAMES = tuple(
+    sorted(
+        _BUNDLED["junction_area_mm2"],
+        key=lambda name: (CELL_DIAMETER_MM[name[0]], int(name[1:])),
+    )
+)
+
+
+def _per_preset(section: str) -> dict:
+    values = _BUNDLED[section]
+    return {name: values[name] for name in PRESET_NAMES}
+
 
 # per-segment junction area, mm^2
-JUNCTION_AREA_MM2 = {
-    "S2": 0.48, "S4": 0.25,
-    "M2": 1.11, "M4": 0.49,
-    "L2": 1.92, "L4": 0.93, "L6": 0.62,
-}
-
-PRESET_NAMES = tuple(JUNCTION_AREA_MM2)
+JUNCTION_AREA_MM2 = _per_preset("junction_area_mm2")
 
 # measured communication bandwidth (SNR > 0 dB extent), Hz
-MEASURED_BANDWIDTH_HZ = {
-    "S2": 0.88e9, "S4": 0.94e9,
-    "M2": 0.62e9, "M4": 0.93e9,
-    "L2": 0.49e9, "L4": 0.66e9, "L6": 0.96e9,
-}
+MEASURED_BANDWIDTH_HZ = _per_preset("measured_bandwidth_hz")
 
 # measured harvested power at the maximum power point, W
-MEASURED_PMP_W = {
-    "S2": 0.49e-3, "S4": 0.39e-3,
-    "M2": 0.89e-3, "M4": 0.59e-3,
-    "L2": 0.89e-3, "L4": 0.67e-3, "L6": 0.23e-3,
-}
+MEASURED_PMP_W = _per_preset("measured_pmp_w")
 
 # measured MPP-current to short-circuit-current ratio
-MEASURED_IMP_ISC = {
-    "S2": 0.962, "S4": 0.850,
-    "M2": 0.995, "M4": 0.901,
-    "L2": 0.972, "L4": 0.895, "L6": 0.661,
-}
+MEASURED_IMP_ISC = _per_preset("measured_imp_isc")
 
 # recorded data rate at the 4.7e-3 BER threshold, bits/s
-MEASURED_DATA_RATE_BPS = {
-    "S2": 2.44e9, "S4": 3.29e9,
-    "M2": 1.23e9, "M4": 2.56e9,
-    "L2": 0.761e9, "L4": 1.59e9, "L6": 3.8e9,
-}
+MEASURED_DATA_RATE_BPS = _per_preset("measured_data_rate_bps")
 
 # reported power conversion efficiency (against the 2.3 mW emitted power)
-MEASURED_PCE = {
-    "S2": 0.221, "S4": 0.198,
-    "M2": 0.387, "M4": 0.283,
-    "L2": 0.397, "L4": 0.325, "L6": 0.151,
-}
+MEASURED_PCE = _per_preset("measured_pce")
 
 
 def _split_name(name: str) -> tuple[str, int]:
@@ -125,7 +125,7 @@ def default_transmitter() -> TransmitterModel:
 def default_beam(
     responsivity_a_w: float = 0.42,
     beam_radius_mm: float = 0.8,
-    total_power_w: float = 2.3e-3,
+    total_power_w: float = TransmitterModel.emitted_power_w,
     center_mm: tuple[float, float] = (0.0, 0.0),
 ) -> IlluminationProfile:
     """Focused spot at the receiver plane; values are calibration defaults."""
@@ -149,41 +149,3 @@ def default_receiver(
         beam=beam if beam is not None else default_beam(),
         **chain_kwargs,
     )
-
-
-def bundled_preset_dict() -> dict:
-    """The documented constants as one serializable mapping."""
-    return {
-        "schema_version": 1,
-        "cell_diameter_mm": dict(CELL_DIAMETER_MM),
-        "junction_area_mm2": dict(JUNCTION_AREA_MM2),
-        "measured_bandwidth_hz": dict(MEASURED_BANDWIDTH_HZ),
-        "measured_pmp_w": dict(MEASURED_PMP_W),
-        "measured_imp_isc": dict(MEASURED_IMP_ISC),
-        "measured_data_rate_bps": dict(MEASURED_DATA_RATE_BPS),
-        "measured_pce": dict(MEASURED_PCE),
-        "transmitter": {
-            "bias_voltage_v": 1.78,
-            "bias_current_a": 6e-3,
-            "drive_vpp": 1.0,
-            "emitted_power_w": 2.3e-3,
-            "wavelength_nm": 847.0,
-        },
-        "modem": {
-            "fft_size": 1024,
-            "data_subcarriers": 511,
-            "cp_length": 5,
-            "clip_sigma": 3.2,
-            "max_qam_order": 1024,
-        },
-        "receiver": {"load_resistance_ohm": 950.0},
-    }
-
-
-def load_preset_file(path=None) -> dict:
-    """Load a preset file (the bundled one when no path is given)."""
-    if path is None:
-        ref = resources.files("sliptsim").joinpath("data/presets.json")
-        return json.loads(ref.read_text())
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)

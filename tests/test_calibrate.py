@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from sliptsim.calibrate import (
@@ -93,3 +95,21 @@ class TestFullCalibration:
         )
         # modeled corner frequency lands within 15% of the measured value
         assert chain.f3db_hz() == pytest.approx(0.96e9, rel=0.15)
+
+    def test_calibrated_receiver_refuses_another_readout(self, calibration):
+        other_load = replace(calibration, ac_load_ohm=calibration.ac_load_ohm * 1.5)
+        with pytest.raises(ValueError, match="AC load"):
+            calibrated_receiver(other_load, "S2")
+        other_power = replace(calibration, emitted_power_w=2 * calibration.emitted_power_w)
+        with pytest.raises(ValueError, match="emitted"):
+            calibrated_receiver(other_power, "S2")
+
+    def test_calibrated_receiver_needs_a_fit_for_the_cell_size(self, calibration):
+        s_only = replace(
+            calibration,
+            capacitance_density_f_mm2={"S": calibration.capacitance_density_f_mm2["S"]},
+            responsivity_a_w={"S": calibration.responsivity_a_w["S"]},
+        )
+        assert calibrated_receiver(s_only, "S4").device.n_segments == 4
+        with pytest.raises(ValueError, match="cell size 'L'"):
+            calibrated_receiver(s_only, "L6")

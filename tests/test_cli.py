@@ -1,7 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from sliptsim import cli
+from sliptsim.calibrate import CalibrationResult
 from sliptsim.cli import SpecError, load_spec, main, run_spec
 from sliptsim.io import iv_curve_from_csv, read_csv
 
@@ -132,3 +135,45 @@ class TestCommands:
         assert (out_a / "bandwidth.csv").read_bytes() == (
             out_b / "bandwidth.csv"
         ).read_bytes()
+
+
+class TestExitCodes:
+    def test_calibrate_spec_runs_through_dispatch(self, tmp_path, monkeypatch, calibration):
+        # the fit itself is covered elsewhere; this checks the routing only
+        monkeypatch.setattr(cli, "calibrate", lambda targets: calibration)
+        out = tmp_path / "o"
+        spec = write_spec(tmp_path, {"kind": "calibrate", "out_dir": str(out)})
+        assert run_spec(spec) == 0
+        saved = CalibrationResult.load(out / "calibration.json")
+        assert saved.to_dict() == calibration.to_dict()
+        cols, rows = read_csv(out / "calibration_residuals.csv")
+        assert cols[0] == "preset" and len(rows) == 7
+
+    def test_preset_missing_from_calibration_is_run_error(self, tmp_path, calibration, capsys):
+        s_only = replace(
+            calibration,
+            capacitance_density_f_mm2={"S": calibration.capacitance_density_f_mm2["S"]},
+            responsivity_a_w={"S": calibration.responsivity_a_w["S"]},
+        )
+        path = tmp_path / "calibration.json"
+        s_only.save(path)
+        code = main(["link", "--preset", "L6", "--calibration", str(path),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "spec error" not in err and "L6" in err
+
+    def test_missing_named_calibration_is_spec_error(self, tmp_path, capsys):
+        code = main(["link", "--preset", "L6", "--calibration",
+                     str(tmp_path / "absent.json"), "--out", str(tmp_path)])
+        assert code == 2
+        assert "absent.json" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_handler_bug_is_not_a_spec_error(self, tmp_path, monkeypatch):
+        def broken(spec, out_dir, seed):
+            raise KeyError("internal")
+
+        monkeypatch.setitem(cli._HANDLERS, "safety", broken)
+        with pytest.raises(KeyError):
+            main(["safety", "--out", str(tmp_path)])

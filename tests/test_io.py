@@ -7,10 +7,6 @@ from sliptsim.io import (
     plan_from_csv,
     plan_to_csv,
     read_csv,
-    samples_from_bin,
-    samples_from_csv,
-    samples_to_bin,
-    samples_to_csv,
     write_csv,
 )
 from sliptsim.loading import BitLoadingPlan
@@ -44,22 +40,6 @@ class TestDomainRoundTrips:
         back = iv_curve_from_csv(path)
         assert np.array_equal(back.voltages_v, curve.voltages_v)
         assert np.array_equal(back.currents_a, curve.currents_a)
-
-    def test_samples_csv(self, tmp_path, rng):
-        samples = rng.normal(size=257)
-        path = tmp_path / "s.csv"
-        samples_to_csv(samples, path)
-        assert np.array_equal(samples_from_csv(path), samples)
-
-    def test_samples_bin_little_endian(self, tmp_path, rng):
-        samples = rng.normal(size=512)
-        path = tmp_path / "s.f64"
-        samples_to_bin(samples, path)
-        assert path.stat().st_size == 512 * 8
-        assert np.array_equal(samples_from_bin(path), samples)
-        # explicit little-endian byte order
-        first = np.frombuffer(path.read_bytes()[:8], dtype="<f8")[0]
-        assert first == samples[0]
 
     def test_plan_csv(self, tmp_path):
         plan = BitLoadingPlan(np.array([0, 2, 4]), np.array([0.0, 1.25, 0.75]))

@@ -271,22 +271,6 @@ class TestRates:
         assert powers.mean() == pytest.approx(1.0, rel=0.1)
 
 
-class TestFrameContainer:
-    def test_frame_fields(self, rng):
-        from sliptsim.ofdm import OfdmFrame
-
-        symbols = rng.normal(size=SMALL.data_subcarriers) + 0j
-        samples = assemble_frame(symbols, SMALL)
-        frame = OfdmFrame(
-            payload_bits=generate_bits(1, 10),
-            symbols=symbols,
-            samples=samples,
-            is_pilot=False,
-        )
-        assert frame.samples.dtype == float
-        assert not frame.is_pilot
-
-
 class TestLoopback:
     @pytest.mark.parametrize("order", [2, 16, 1024])
     def test_noiseless_identity_channel(self, order):

@@ -6,9 +6,11 @@ from sliptsim.presets import (
     CELL_DIAMETER_MM,
     JUNCTION_AREA_MM2,
     MEASURED_BANDWIDTH_HZ,
+    MEASURED_DATA_RATE_BPS,
+    MEASURED_IMP_ISC,
+    MEASURED_PCE,
     MEASURED_PMP_W,
     PRESET_NAMES,
-    bundled_preset_dict,
     device_preset,
     default_modem,
     default_transmitter,
@@ -21,8 +23,29 @@ class TestPresets:
     def test_seven_fabricated_configurations(self):
         assert set(PRESET_NAMES) == {"S2", "S4", "M2", "M4", "L2", "L4", "L6"}
 
+    def test_preset_order_follows_diameter_then_segments(self):
+        assert PRESET_NAMES == ("S2", "S4", "M2", "M4", "L2", "L4", "L6")
+
     def test_bundled_file_identical_to_constants(self):
-        assert load_preset_file() == bundled_preset_dict()
+        data = load_preset_file()
+        assert set(data) == {
+            "schema_version", "cell_diameter_mm", "junction_area_mm2",
+            "measured_bandwidth_hz", "measured_pmp_w", "measured_imp_isc",
+            "measured_data_rate_bps", "measured_pce",
+        }
+        assert CELL_DIAMETER_MM == data["cell_diameter_mm"]
+        for section, constants in (
+            ("junction_area_mm2", JUNCTION_AREA_MM2),
+            ("measured_bandwidth_hz", MEASURED_BANDWIDTH_HZ),
+            ("measured_pmp_w", MEASURED_PMP_W),
+            ("measured_imp_isc", MEASURED_IMP_ISC),
+            ("measured_data_rate_bps", MEASURED_DATA_RATE_BPS),
+            ("measured_pce", MEASURED_PCE),
+        ):
+            assert constants == data[section], section
+            assert tuple(constants) == PRESET_NAMES, section
+        assert MEASURED_BANDWIDTH_HZ["L6"] == 0.96e9
+        assert MEASURED_PMP_W["S2"] == 0.49e-3
 
     def test_cell_areas_match_documented(self):
         # quoted cell sizes: 0.785 / 1.767 / 3.397 mm^2
