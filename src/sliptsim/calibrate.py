@@ -108,12 +108,15 @@ class CalibrationResult:
         return max(values) if values else 0.0
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; a fit without harvest targets has no beam
+        radius, written as None (JSON null) instead of NaN."""
+        radius = None if math.isnan(self.beam_radius_mm) else self.beam_radius_mm
         return {
             "schema_version": 1,
             "capacitance_density_f_mm2": dict(self.capacitance_density_f_mm2),
             "series_resistance_ohm": {str(k): v for k, v in self.series_resistance_ohm.items()},
             "responsivity_a_w": dict(self.responsivity_a_w),
-            "beam_radius_mm": self.beam_radius_mm,
+            "beam_radius_mm": radius,
             "beam_offset_mm": dict(self.beam_offset_mm),
             "bandwidth_residuals": dict(self.bandwidth_residuals),
             "pmp_residuals": dict(self.pmp_residuals),
@@ -128,7 +131,7 @@ class CalibrationResult:
             capacitance_density_f_mm2=dict(data["capacitance_density_f_mm2"]),
             series_resistance_ohm={int(k): v for k, v in data["series_resistance_ohm"].items()},
             responsivity_a_w=dict(data["responsivity_a_w"]),
-            beam_radius_mm=data["beam_radius_mm"],
+            beam_radius_mm=math.nan if data["beam_radius_mm"] is None else data["beam_radius_mm"],
             beam_offset_mm=dict(data["beam_offset_mm"]),
             bandwidth_residuals=dict(data["bandwidth_residuals"]),
             pmp_residuals=dict(data["pmp_residuals"]),
@@ -139,7 +142,7 @@ class CalibrationResult:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
     @classmethod

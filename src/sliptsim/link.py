@@ -334,21 +334,15 @@ def _pilot_symbols(config: OfdmConfig, seed) -> np.ndarray:
     return modulate_plan(generate_bits(seed, 2 * nd), plan, 1)[0]
 
 
-def _build_stream(config: OfdmConfig, frames: list[np.ndarray]) -> tuple[np.ndarray, int]:
-    """Preamble plus overlap-added frame segments; returns (stream, first block offset)."""
+def _build_stream(config: OfdmConfig, frames: np.ndarray) -> tuple[np.ndarray, int]:
+    """Preamble plus the shaped frame stack; returns (stream, first block offset)."""
     _, pre_seg = make_preamble(config)
     pre_stride = config.preamble_length * config.oversampling_factor
-    segs = [assemble_frame(f, config) for f in frames]
-    body = overlap_add(segs, config.block_stride)
-    total = pre_stride + len(body)
-    out = np.zeros(max(total, len(pre_seg)))
-    out[: len(pre_seg)] += pre_seg
-    out[pre_stride : pre_stride + len(body)] += body
-    return out, pre_stride
+    return overlap_add([pre_seg, assemble_frame(frames, config)], pre_stride), pre_stride
 
 
 def _run_burst(
-    frames: list[np.ndarray],
+    frames: np.ndarray,
     pilot: np.ndarray,
     n_pilot_frames: int,
     tx: TransmitterModel,
@@ -364,7 +358,7 @@ def _run_burst(
     burst carries its own pilot repetitions, so the equalizer always matches
     the burst's drive scaling.
     """
-    all_frames = [pilot] * n_pilot_frames + list(frames)
+    all_frames = np.vstack([np.tile(pilot, (n_pilot_frames, 1)), frames])
     stream, pre_stride = _build_stream(config, all_frames)
     rx_samples, clip_fraction = _apply_channel(
         stream, tx, chain, config, mean_fraction, operating_current_a, rng,
@@ -430,7 +424,7 @@ def run_link(
     measurement = modulate_plan(measurement_bits, qpsk_plan, n_measurement_frames)
 
     eq_measure, gains, clip_fraction = _run_burst(
-        list(measurement), pilot, n_pilot_frames, tx, chain, config,
+        measurement, pilot, n_pilot_frames, tx, chain, config,
         mean_fraction, op.current_a, rng,
     )
     snr = estimate_snr(eq_measure, measurement, ceiling_db=config.snr_ceiling_db)
@@ -445,7 +439,7 @@ def run_link(
         payload_bits = generate_bits([seed, 3], n_payload_frames * plan.total_bits)
         payload = modulate_plan(payload_bits, plan, n_payload_frames)
         eq_payload, _, _ = _run_burst(
-            list(payload), pilot, n_pilot_frames, tx, chain, config,
+            payload, pilot, n_pilot_frames, tx, chain, config,
             mean_fraction, op.current_a, rng,
         )
         rx_bits = demodulate_plan(eq_payload, plan)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,6 +79,7 @@ class BitLoadingPlan:
         return float(self.power[self.bits > 0].mean())
 
 
+@lru_cache(maxsize=32)
 def required_snr_table(
     ber_target: float,
     max_bits: int,
@@ -86,14 +88,18 @@ def required_snr_table(
     """Required SNR to carry b bits at the BER target, for b = 0..max_bits.
 
     Entry b is max(Gamma * (2^b - 1), exact Gray-QAM inverse) when
-    ``exact_floor`` is set; the table is forced non-decreasing.
+    ``exact_floor`` is set; the table is forced non-decreasing.  Tables are
+    cached per argument set and returned read-only, since every caller
+    shares the same array.
     """
     gamma = snr_gap(ber_target)
     table = np.array([gamma * (2.0**b - 1.0) for b in range(max_bits + 1)])
     if exact_floor:
         for b in range(1, max_bits + 1):
             table[b] = max(table[b], required_snr(2**b, ber_target))
-    return np.maximum.accumulate(table)
+    table = np.maximum.accumulate(table)
+    table.setflags(write=False)
+    return table
 
 
 def bit_power_loading(

@@ -2,13 +2,16 @@
 synchronization, channel estimation, one-tap equalization and SNR/BER/rate
 bookkeeping.
 
-The frame pipeline is block-based: each OFDM block (FFT core plus cyclic
-prefix) is zero-stuffed by the oversampling factor and shaped with a
-root-raised-cosine filter; whole-stream assembly overlap-adds the shaped
-segments, which is numerically identical to filtering the concatenated
-sample stream.  The receiver applies the matched filter, locates the
-preamble by cross-correlation, and samples the raised-cosine cascade at its
-zero-ISI instants before the FFT.
+The transmitter works on a stack of frames [n_frames, n_carriers]: one
+IFFT along the last axis gives every block's FFT core, the cyclic-prefixed
+blocks are laid end to end, zero-stuffed by the oversampling factor as one
+stream and shaped by one root-raised-cosine convolution.  A single frame is
+a stack of one.  Filtering the whole stream at once equals overlap-adding
+per-block shaped segments at the block stride in exact arithmetic; in
+floating point the two differ by rounding only (about 1e-15 of the peak
+sample).  The receiver applies the matched filter and locates the preamble
+by cross-correlation, both as overlap-add convolutions, then gathers every
+block's zero-ISI samples into one matrix and runs one FFT over it.
 
 DC bias is deliberately not applied here: biasing is a transmitter-side
 operation of the link layer, and the DC and Nyquist bins are always zero.
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.signal import oaconvolve
 
 from .loading import BitLoadingPlan
 from .qam import VALID_ORDERS, qam_demodulate, qam_modulate
@@ -176,16 +179,20 @@ def symbols_from_spectrum(spectrum) -> np.ndarray:
 
 
 def ofdm_core(symbols, config: OfdmConfig) -> np.ndarray:
-    """Real IFFT core of one block; verifies the Hermitian realness residue."""
+    """Real IFFT cores of a block or a stack of blocks [..., n_carriers].
+
+    The Hermitian realness residue is checked per block, so one bad block
+    in a stack is not diluted by the others.
+    """
     spectrum = hermitian_spectrum(symbols, config.fft_size)
     core = np.fft.ifft(spectrum, axis=-1)
-    rms = np.sqrt(np.mean(np.abs(core) ** 2))
-    if rms > 0:
-        residue = np.sqrt(np.mean(core.imag**2)) / rms
-        if residue > REALNESS_TOL:
-            raise AssertionError(
-                f"Hermitian construction left imaginary residue {residue:.3e}"
-            )
+    rms = np.sqrt(np.mean(np.abs(core) ** 2, axis=-1))
+    imag_rms = np.sqrt(np.mean(core.imag**2, axis=-1))
+    residue = np.divide(imag_rms, rms, out=np.zeros_like(rms), where=rms > 0)
+    if np.any(residue > REALNESS_TOL):
+        raise AssertionError(
+            f"Hermitian construction left imaginary residue {residue.max():.3e}"
+        )
     return core.real
 
 
@@ -229,23 +236,26 @@ def rrc_taps(config: OfdmConfig) -> np.ndarray:
     return _rrc_taps_cached(config.oversampling_factor, config.rolloff, config.rrc_span)
 
 
-def _shape(block_1x: np.ndarray, config: OfdmConfig) -> np.ndarray:
+def _shape(samples_1x: np.ndarray, config: OfdmConfig) -> np.ndarray:
     """Zero-stuff to the oversampled rate and apply the RRC filter (full)."""
     osf = config.oversampling_factor
-    up = np.zeros(len(block_1x) * osf)
-    up[::osf] = block_1x
-    return fftconvolve(up, rrc_taps(config))
+    up = np.zeros(len(samples_1x) * osf)
+    up[::osf] = samples_1x
+    return oaconvolve(up, rrc_taps(config))
 
 
 def assemble_frame(symbols, config: OfdmConfig) -> np.ndarray:
-    """Shaped real sample segment of one block: IFFT, CP, oversample, RRC.
+    """Shaped real sample stream of a frame or a stack of frames.
 
-    The returned segment is the full convolution; adjacent blocks are
-    combined with :func:`overlap_add` at ``config.block_stride`` spacing.
+    ``symbols`` is [n_carriers] or [n_frames, n_carriers].  Each block is
+    IFFT'd and cyclic-prefixed; the blocks are laid end to end at
+    ``config.block_length`` symbols each, so block b of the returned full
+    convolution starts at sample ``b * config.block_stride``.
     """
-    core = ofdm_core(symbols, config)
-    block = np.concatenate([core[-config.cp_length :], core]) if config.cp_length else core
-    return _shape(block, config)
+    core = np.atleast_2d(ofdm_core(symbols, config))
+    cp = config.cp_length
+    blocks = np.concatenate([core[:, -cp:], core], axis=1) if cp else core
+    return _shape(blocks.ravel(), config)
 
 
 def overlap_add(segments, stride: int, total_pad: int = 0) -> np.ndarray:
@@ -310,7 +320,7 @@ def synchronize(stream, reference, min_psl_db: float = 3.0) -> int:
     reference = np.asarray(reference, dtype=float)
     if len(stream) < len(reference):
         raise ValueError("stream shorter than the reference")
-    corr = fftconvolve(stream, reference[::-1], mode="valid")
+    corr = oaconvolve(stream, reference[::-1], mode="valid")
     mag = np.abs(corr)
     peak = int(np.argmax(mag))
     exclusion = max(len(reference) // 8, 4)
@@ -330,7 +340,7 @@ def synchronize(stream, reference, min_psl_db: float = 3.0) -> int:
 def matched_filter(stream, config: OfdmConfig) -> np.ndarray:
     """Receive RRC (matched to the transmit filter), unit passband gain."""
     taps = rrc_taps(config) / config.oversampling_factor
-    return fftconvolve(np.asarray(stream, dtype=float), taps)
+    return oaconvolve(np.asarray(stream, dtype=float), taps)
 
 
 def receive_blocks(
@@ -354,17 +364,15 @@ def receive_blocks(
     osf = config.oversampling_factor
     delay = 2 * group_delay(config)
     advance = config.cp_length // 2
-    out = np.empty((n_blocks, config.data_subcarriers), dtype=complex)
-    for b in range(n_blocks):
-        base = first_block_start + b * config.block_stride + delay
-        start = base + (config.cp_length - advance) * osf
-        idx = start + np.arange(config.fft_size) * osf
-        if idx[-1] >= len(mf_stream):
-            raise ValueError("stream too short for the requested block count")
-        core = mf_stream[idx]
-        spectrum = np.fft.fft(core)
-        out[b] = symbols_from_spectrum(spectrum)
-    return out
+    first = first_block_start + delay + (config.cp_length - advance) * osf
+    starts = first + np.arange(n_blocks) * config.block_stride
+    idx = starts[:, None] + np.arange(config.fft_size) * osf
+    if n_blocks > 0 and idx[0, 0] < 0:
+        raise ValueError("first FFT window starts before the stream")
+    if n_blocks > 0 and idx[-1, -1] >= len(mf_stream):
+        raise ValueError("stream too short for the requested block count")
+    spectrum = np.fft.fft(mf_stream[idx], axis=-1)
+    return symbols_from_spectrum(spectrum)
 
 
 # ---------------------------------------------------------------------------

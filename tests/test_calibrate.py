@@ -1,3 +1,5 @@
+import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -50,6 +52,21 @@ class TestBandwidthStage:
     def test_no_targets_rejected(self):
         with pytest.raises(UnderdeterminedError):
             calibrate(CalibrationTargets(bandwidth_hz={}))
+
+    def test_fit_without_harvest_targets_saves_strict_json(self, tmp_path):
+        result = calibrate(CalibrationTargets(bandwidth_hz=dict(MEASURED_BANDWIDTH_HZ)))
+        assert math.isnan(result.beam_radius_mm)
+        path = tmp_path / "calibration.json"
+        result.save(path)
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        data = json.loads(path.read_text(), parse_constant=refuse)
+        assert data["beam_radius_mm"] is None
+        loaded = CalibrationResult.load(path)
+        assert math.isnan(loaded.beam_radius_mm)
+        assert loaded.to_dict() == result.to_dict()
 
     def test_inconsistent_targets_refused(self):
         bad = dict(MEASURED_BANDWIDTH_HZ)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +129,22 @@ class TestCommands:
         for out in (out_a, out_b):
             assert main(["link", "--preset", "S2", "--out", str(out),
                          "--seed", "11"]) == 0
+        for name in ("report.csv", "snr_profile.csv", "loading.csv"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_link_artifacts_identical_in_a_fresh_interpreter(self, tmp_path):
+        # the RRC taps, preamble and SNR tables are cached: warm here, empty
+        # in a new process; the written bytes must not depend on that
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        args = ["link", "--preset", "S2", "--seed", "11", "--out"]
+        assert main([*args, str(out_a)]) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        subprocess.run(
+            [sys.executable, "-m", "sliptsim.cli", *args, str(out_b)],
+            env={**os.environ, "PYTHONPATH": path},
+            check=True, capture_output=True, timeout=300,
+        )
         for name in ("report.csv", "snr_profile.csv", "loading.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 

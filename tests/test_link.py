@@ -173,6 +173,58 @@ class TestRunLink:
         assert np.all(np.abs(delta - 3.0) <= 0.2)
 
 
+class TestGoldenLink:
+    """A small overdriven S2 link pinned to the figures recorded with the
+    per-block waveform path (one FFT convolution per block, full-length FFT
+    filters at the receiver).  The batched path sums in another order: the
+    discrete outcomes must not move and the SNR profile only by rounding."""
+
+    SNR = np.array([
+        9.533573850430141, 12.218123713833714, 8.87999257950886,
+        9.750997357692928, 11.539675028428112, 8.662453738960192,
+        12.723177721337562, 10.205675581173493, 10.584454496195592,
+        10.446903009486181, 10.848169145104194, 9.328287826353323,
+        8.67604081939035, 10.924436402402119, 9.26014304389128,
+        10.235863530987377, 10.094243173792687, 7.668435906735873,
+        7.262479738740504, 8.411537297525486, 8.849500174730064,
+        9.752492761040156, 10.446871844918045, 10.053289829688184,
+        7.822987675158025, 5.221444267091479, 7.885615815116182,
+        9.121290653945128, 6.341484647090926, 8.457442952706286,
+        8.491255995498006,
+    ])
+    BITS = [2, 3, 2, 2, 3, 2, 3, 2, 2, 2, 3, 2, 2, 3] + [2] * 17
+    POWER = np.array([
+        0.792250941428232, 1.5873272762220274, 0.8505618434420583,
+        0.7745856737639276, 1.6806505371638032, 0.8719218694592978,
+        1.5243173883123722, 0.740076714971414, 0.7135920760860799,
+        0.7229877458726727, 1.7877819543379874, 0.8096858714887571,
+        0.8705563995617058, 1.7753008320831039, 0.8156442964627202,
+        0.737894056062144, 0.7482465726393819, 0.9849443811018092,
+        1.0400005411221611, 0.8979313282484996, 0.8534925938242883,
+        0.7744669022828672, 0.7229899026523483, 0.751294649426527,
+        0.9654857161750908, 1.4465313564260491, 0.957817757707687,
+        0.8280607585848664, 1.1910433090212855, 0.8930574998158263,
+        0.8895012542530084,
+    ])
+
+    def test_small_link_matches_recorded_figures(self):
+        report = run_link(
+            replace(default_transmitter(), drive_vpp=1.5),
+            default_receiver("S2"),
+            OfdmConfig(fft_size=64, cp_length=5, sample_rate_hz=7.68e9),
+            seed=5,
+            n_measurement_frames=100,
+            n_payload_frames=16,
+        )
+        assert report.data_rate_bps == 1864347826.0869565
+        assert report.ber == 0.0009328358208955224
+        assert report.total_bits_per_frame == 67
+        assert report.clip_fraction == 0.007915133998949027
+        assert np.all(np.abs(report.snr.snr_linear - self.SNR) <= 1e-12 * self.SNR)
+        assert report.plan.bits.tolist() == self.BITS
+        assert np.all(np.abs(report.plan.power - self.POWER) <= 1e-12 * self.POWER)
+
+
 class TestSweep:
     def test_empty(self):
         assert sweep([], default_transmitter(), FAST_CFG) == []

@@ -55,6 +55,13 @@ class TestGap:
         for b in range(1, 11):
             assert exact_ber(2**b, table[b]) <= 4.7e-3 * (1 + 1e-9)
 
+    def test_table_is_shared_and_read_only(self):
+        table = required_snr_table(4.7e-3, 10)
+        assert required_snr_table(4.7e-3, 10) is table
+        assert required_snr_table(4.7e-3, 10, exact_floor=False) is not table
+        with pytest.raises(ValueError):
+            table[3] = 0.0
+
 
 class TestLoading:
     def test_zero_snr_gives_zero_plan(self):

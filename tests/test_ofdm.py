@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.signal import lfilter, welch
+from scipy.signal import fftconvolve, lfilter, welch
 from scipy.special import ndtr
 
-from chain import digital_loopback
+from chain import build_tx_stream, digital_loopback
+from sliptsim import ofdm
+from sliptsim.link import _build_stream
 from sliptsim.loading import BitLoadingPlan, bit_power_loading
 from sliptsim.ofdm import (
     OfdmConfig,
@@ -20,16 +22,25 @@ from sliptsim.ofdm import (
     generate_bits,
     hermitian_spectrum,
     make_preamble,
+    matched_filter,
     measure_ber,
     modulate_plan,
     ofdm_core,
     overlap_add,
+    receive_blocks,
+    rrc_taps,
     symbols_from_spectrum,
     synchronize,
 )
 
 CFG = OfdmConfig()
 SMALL = OfdmConfig(fft_size=64, cp_length=5, sample_rate_hz=1e9)
+
+# The batched waveform path and the per-block references sum in another
+# order, so they agree to rounding only.  The bound is fixed from float64
+# precision (a few hundred ulps of the peak sample), not from a measured
+# difference.
+BATCH_TOL = 1e-12
 
 
 class TestConfig:
@@ -283,3 +294,122 @@ class TestLoopback:
         channel = lambda x: lfilter([1 - a], [1.0, -a], x)
         ber, sync_err, *_ = digital_loopback(64, CFG, n_frames=2, channel=channel)
         assert ber == 0.0
+
+
+def random_stack(rng, n_frames, config):
+    """Unit-power QPSK frames [n_frames, data_subcarriers]."""
+    nd = config.data_subcarriers
+    plan = BitLoadingPlan(np.full(nd, 2), np.ones(nd))
+    bits = generate_bits(int(rng.integers(2**31)), 2 * nd * n_frames)
+    return modulate_plan(bits, plan, n_frames)
+
+
+def reference_segment(frame, config):
+    """One block built without the modem code: Hermitian IFFT, cyclic
+    prefix, zero-stuffing and a direct convolution with the RRC taps."""
+    n, osf = config.fft_size, config.oversampling_factor
+    spectrum = np.zeros(n, dtype=complex)
+    spectrum[1 : n // 2] = frame
+    spectrum[n // 2 + 1 :] = np.conj(frame[::-1])
+    core = np.fft.ifft(spectrum).real
+    block = np.concatenate([core[n - config.cp_length :], core])
+    up = np.zeros(len(block) * osf)
+    up[::osf] = block
+    return np.convolve(up, rrc_taps(config))
+
+
+def first_window_lead(config):
+    """Offset from a block's start to its first FFT sample after filtering:
+    both filter delays plus the CP samples ahead of the advanced window."""
+    osf = config.oversampling_factor
+    return len(rrc_taps(config)) - 1 + (config.cp_length - config.cp_length // 2) * osf
+
+
+def per_block_receive(mf_stream, first_block_start, n_blocks, config):
+    """Block-by-block down-sampling and FFT, one block per iteration."""
+    out = []
+    for b in range(n_blocks):
+        start = first_block_start + b * config.block_stride + first_window_lead(config)
+        core = mf_stream[start + np.arange(config.fft_size) * config.oversampling_factor]
+        out.append(np.fft.fft(core)[1 : config.fft_size // 2])
+    return np.array(out)
+
+
+class TestBatchedWaveform:
+    def test_stack_matches_per_block_segments(self, rng):
+        frames = random_stack(rng, 12, SMALL)
+        stream = assemble_frame(frames, SMALL)
+        per_frame = overlap_add(
+            [assemble_frame(f, SMALL) for f in frames], SMALL.block_stride
+        )
+        direct = overlap_add(
+            [reference_segment(f, SMALL) for f in frames], SMALL.block_stride
+        )
+        for ref in (per_frame, direct):
+            assert len(stream) == len(ref)
+            assert np.abs(stream - ref).max() <= BATCH_TOL * np.abs(ref).max()
+
+    def test_burst_stream_matches_per_frame_oracle(self, rng):
+        frames = random_stack(rng, 20, CFG)
+        stream, first = _build_stream(CFG, frames)
+        ref, _, ref_first = build_tx_stream(list(frames), CFG, tail_pad=0)
+        assert first == ref_first
+        assert len(stream) == len(ref)
+        assert np.abs(stream - ref).max() <= BATCH_TOL * np.abs(ref).max()
+
+    def test_single_frame_is_a_stack_of_one(self, rng):
+        frame = random_stack(rng, 1, SMALL)
+        assert np.array_equal(assemble_frame(frame[0], SMALL), assemble_frame(frame, SMALL))
+
+    def test_one_bad_block_in_a_stack_raises(self, rng, monkeypatch):
+        frames = random_stack(rng, 64, CFG)
+        # an imaginary DC term on one block: its residue is 3x the tolerance,
+        # but over the whole 64-block stack it would be 3/8 of it
+        eps = 3.0 * ofdm.REALNESS_TOL * math.sqrt(2 * CFG.data_subcarriers)
+        clean = ofdm.hermitian_spectrum
+
+        def corrupt(symbols, fft_size):
+            spectrum = clean(symbols, fft_size)
+            spectrum[17, 0] = 1j * eps
+            return spectrum
+
+        monkeypatch.setattr(ofdm, "hermitian_spectrum", corrupt)
+        with pytest.raises(AssertionError, match="imaginary residue"):
+            ofdm_core(frames, CFG)
+        with pytest.raises(AssertionError, match="imaginary residue"):
+            assemble_frame(frames, CFG)
+
+    def test_filters_match_fftconvolve(self, rng):
+        frames = random_stack(rng, 6, CFG)
+        stream, pre_start, _ = build_tx_stream(list(frames), CFG, lead_pad=333)
+        stream = stream + rng.normal(0.0, 0.3 * stream.std(), len(stream))
+        _, pre = make_preamble(CFG)
+        corr = fftconvolve(stream, pre[::-1], mode="valid")
+        assert synchronize(stream, pre) == int(np.argmax(np.abs(corr))) == pre_start
+        mf = matched_filter(stream, CFG)
+        ref = fftconvolve(stream, rrc_taps(CFG) / CFG.oversampling_factor)
+        assert len(mf) == len(ref)
+        assert np.abs(mf - ref).max() <= BATCH_TOL * np.abs(ref).max()
+
+    def test_receive_blocks_equals_per_block_loop(self, rng):
+        frames = random_stack(rng, 9, CFG)
+        stream, _, first = build_tx_stream(list(frames), CFG, lead_pad=100)
+        mf = matched_filter(stream + rng.normal(0.0, 0.01, len(stream)), CFG)
+        batched = receive_blocks(mf, first, len(frames), CFG)
+        assert np.array_equal(batched, per_block_receive(mf, first, len(frames), CFG))
+
+    def test_receive_window_bounds(self, rng):
+        n_blocks = 3
+        lead = first_window_lead(CFG)
+        last_offset = (n_blocks - 1) * CFG.block_stride + (CFG.fft_size - 1) * CFG.oversampling_factor
+        span = lead + last_offset
+        mf = rng.normal(size=span + 1)
+        # lowest start: the first window begins at sample 0
+        low = receive_blocks(mf, -lead, n_blocks, CFG)
+        assert np.array_equal(low, per_block_receive(mf, -lead, n_blocks, CFG))
+        with pytest.raises(ValueError, match="before the stream"):
+            receive_blocks(mf, -lead - 1, n_blocks, CFG)
+        # highest start: the last window ends on the last sample
+        receive_blocks(mf, 0, n_blocks, CFG)
+        with pytest.raises(ValueError, match="too short"):
+            receive_blocks(mf, 1, n_blocks, CFG)
