@@ -13,6 +13,10 @@ The simulated chain, per run:
    receive signal.
 3. Modem: preamble sync, pilot channel estimation, EVM-based SNR profile,
    adaptive bit/power loading, payload BER and the resulting data rate.
+   The preamble opens every burst, so the receiver searches only the burst
+   header (preamble, pilot blocks and one block of margin) for it; the
+   synchronizer's peak-to-sidelobe check is measured over that window and
+   does not depend on the payload length.
 
 The DC operating point and the small-signal model share the same load
 resistor; the AC path additionally sees the amplifier input impedance in
@@ -56,6 +60,7 @@ from .ppc import (
     SegmentedDevice,
     find_mpp,
     sector_fractions,
+    short_circuit_current,
     small_signal_bandwidth,
     string_capacitance,
     string_iv,
@@ -102,12 +107,19 @@ class TransmitterModel:
             raise ValueError("slope efficiency and transconductance must be positive")
 
     def optical_waveform(self, drive_v: np.ndarray) -> tuple[np.ndarray, float]:
-        """Optical power waveform and the fraction of clipped samples."""
-        swing = self.slope_efficiency_w_per_a * self.transconductance_a_per_v * drive_v
-        p = self.emitted_power_w + swing
+        """Optical power waveform and the fraction of clipped samples.
+
+        Allocates one array, the returned waveform; ``drive_v`` is not
+        modified.
+        """
+        gain = self.slope_efficiency_w_per_a * self.transconductance_a_per_v
+        p = np.multiply(drive_v, gain)
+        p += self.emitted_power_w
         lo, hi = 0.0, 2.0 * self.emitted_power_w
-        clipped = float(np.mean((p < lo) | (p > hi)))
-        return np.clip(p, lo, hi), clipped
+        n_clipped = int(np.count_nonzero(p < lo) + np.count_nonzero(p > hi))
+        if n_clipped:
+            np.clip(p, lo, hi, out=p)
+        return p, n_clipped / p.size
 
 
 @dataclass(frozen=True)
@@ -250,8 +262,6 @@ def dc_operating_point(
     device: SegmentedDevice, photocurrents, load_ohm: float
 ) -> OperatingPoint:
     """Intersection of the string I-V curve with the resistive load line."""
-    from .ppc import short_circuit_current
-
     i_sc = short_circuit_current(device, photocurrents)
     if i_sc <= 0:
         return OperatingPoint(0.0, 0.0)
@@ -305,22 +315,31 @@ def _apply_channel(
     rng: np.random.Generator,
     clip_sigma: float | None,
 ) -> tuple[np.ndarray, float]:
-    """Waveform -> optics -> photocurrent -> RC -> load voltage + noise."""
+    """Waveform -> optics -> photocurrent -> RC -> load voltage + noise.
+
+    Each physical step is one pass, in place where the step allows it;
+    ``stream`` is not modified.  The noise draw takes the same generator
+    values as ``rng.normal(0, sigma_v, n)``.
+    """
     sigma_x = stream.std()
-    if clip_sigma is not None and sigma_x > 0:
-        stream = clip(stream, clip_sigma)
-    scale_sigma = clip_sigma if clip_sigma is not None else 3.2
-    drive = stream * (tx.drive_vpp / (2.0 * scale_sigma * max(sigma_x, 1e-300)))
-    optical, clipped = tx.optical_waveform(drive)
-    at_device = chain.optical_transmission * optical
-    i_ac = chain.beam.responsivity_a_w * mean_fraction * (at_device - at_device.mean())
-    i_filtered = _one_pole(i_ac, chain.f3db_hz(), config.sample_rate_hz)
-    v_sig = i_filtered * chain.ac_load_ohm
+    if clip_sigma is None:
+        drive, scale_sigma = stream.copy(), 3.2
+    else:
+        drive, scale_sigma = clip(stream, clip_sigma, sigma=sigma_x), clip_sigma
+    drive *= tx.drive_vpp / (2.0 * scale_sigma * max(sigma_x, 1e-300))
+    i_ac, clipped = tx.optical_waveform(drive)
+    i_ac *= chain.optical_transmission
+    i_ac -= i_ac.mean()
+    i_ac *= chain.beam.responsivity_a_w * mean_fraction
+    v_sig = _one_pole(i_ac, chain.f3db_hz(), config.sample_rate_hz)
+    v_sig *= chain.ac_load_ohm
     psd = chain.noise.current_psd(chain.ac_load_ohm, operating_current_a)
     sigma_thermal = math.sqrt(psd * config.sample_rate_hz / 2.0) * chain.ac_load_ohm
     sigma_q = chain.noise.quantization_sigma(float(v_sig.std()))
-    sigma_v = math.hypot(sigma_thermal, sigma_q)
-    return v_sig + rng.normal(0.0, sigma_v, len(v_sig)), clipped
+    rx = rng.standard_normal(out=drive)  # the drive samples are spent
+    rx *= math.hypot(sigma_thermal, sigma_q)
+    rx += v_sig
+    return rx, clipped
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +353,30 @@ def _pilot_symbols(config: OfdmConfig, seed) -> np.ndarray:
     return modulate_plan(generate_bits(seed, 2 * nd), plan, 1)[0]
 
 
-def _build_stream(config: OfdmConfig, frames: np.ndarray) -> tuple[np.ndarray, int]:
-    """Preamble plus the shaped frame stack; returns (stream, first block offset)."""
+def _build_stream(
+    config: OfdmConfig, frames: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Preamble plus the shaped frame stack.
+
+    Returns (stream, shaped preamble segment, first block offset).
+    """
     _, pre_seg = make_preamble(config)
     pre_stride = config.preamble_length * config.oversampling_factor
-    return overlap_add([pre_seg, assemble_frame(frames, config)], pre_stride), pre_stride
+    stream = overlap_add([pre_seg, assemble_frame(frames, config)], pre_stride)
+    return stream, pre_seg, pre_stride
+
+
+def _header_length(
+    config: OfdmConfig, n_pilot_frames: int, pre_stride: int, preamble_samples: int
+) -> int:
+    """Samples at the head of a received burst searched for the preamble.
+
+    The header spans the preamble stride, the pilot blocks and one block of
+    margin, and at least two shaped preambles, so the correlation always has
+    lags beyond its main lobe to measure the sidelobe level on.
+    """
+    header = pre_stride + (n_pilot_frames + 1) * config.block_stride
+    return max(header, 2 * preamble_samples)
 
 
 def _run_burst(
@@ -356,16 +394,19 @@ def _run_burst(
 
     Returns (equalized frame symbols, estimated gains, clip fraction).  Each
     burst carries its own pilot repetitions, so the equalizer always matches
-    the burst's drive scaling.
+    the burst's drive scaling.  The preamble sits at the start of the burst,
+    so it is searched for only in the burst header (:func:`_header_length`),
+    and the synchronizer's peak-to-sidelobe check is measured over that
+    fixed window, whatever the payload length.
     """
     all_frames = np.vstack([np.tile(pilot, (n_pilot_frames, 1)), frames])
-    stream, pre_stride = _build_stream(config, all_frames)
+    stream, pre_seg, pre_stride = _build_stream(config, all_frames)
     rx_samples, clip_fraction = _apply_channel(
         stream, tx, chain, config, mean_fraction, operating_current_a, rng,
         config.clip_sigma,
     )
-    _, pre_seg = make_preamble(config)
-    start = synchronize(rx_samples, pre_seg)
+    header = _header_length(config, n_pilot_frames, pre_stride, len(pre_seg))
+    start = synchronize(rx_samples[:header], pre_seg)
     mf = matched_filter(rx_samples, config)
     blocks = receive_blocks(mf, start + pre_stride, len(all_frames), config)
     gains = estimate_channel(blocks[:n_pilot_frames], pilot)

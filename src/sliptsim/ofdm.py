@@ -10,8 +10,9 @@ a stack of one.  Filtering the whole stream at once equals overlap-adding
 per-block shaped segments at the block stride in exact arithmetic; in
 floating point the two differ by rounding only (about 1e-15 of the peak
 sample).  The receiver applies the matched filter and locates the preamble
-by cross-correlation, both as overlap-add convolutions, then gathers every
-block's zero-ISI samples into one matrix and runs one FFT over it.
+by cross-correlation (the link searches only the burst header), both as
+overlap-add convolutions, then gathers every block's zero-ISI samples into
+one matrix and runs one FFT over it.
 
 DC bias is deliberately not applied here: biasing is a transmitter-side
 operation of the link layer, and the DC and Nyquist bins are always zero.
@@ -258,12 +259,12 @@ def assemble_frame(symbols, config: OfdmConfig) -> np.ndarray:
     return _shape(blocks.ravel(), config)
 
 
-def overlap_add(segments, stride: int, total_pad: int = 0) -> np.ndarray:
+def overlap_add(segments, stride: int) -> np.ndarray:
     """Combine shaped segments at fixed stride (linearity of the filter)."""
     segments = list(segments)
     if not segments:
-        return np.zeros(total_pad)
-    length = stride * (len(segments) - 1) + len(segments[-1]) + total_pad
+        return np.zeros(0)
+    length = stride * (len(segments) - 1) + len(segments[-1])
     out = np.zeros(length)
     for i, seg in enumerate(segments):
         out[i * stride : i * stride + len(seg)] += seg
@@ -315,6 +316,10 @@ def synchronize(stream, reference, min_psl_db: float = 3.0) -> int:
     Returns the start index of the reference within the stream.  The peak
     must clear the largest sidelobe (outside the correlation main lobe) by
     ``min_psl_db`` dB in power, otherwise a :class:`SyncError` is raised.
+    The sidelobe level is taken over every lag of the given stream, so it
+    depends on how much of a burst is passed: ``link.run_link`` passes only
+    the burst header (preamble, pilot blocks and one block of margin), and
+    its check is measured over that fixed window, not over the payload.
     """
     stream = np.asarray(stream, dtype=float)
     reference = np.asarray(reference, dtype=float)
@@ -379,16 +384,18 @@ def receive_blocks(
 # Clipping
 # ---------------------------------------------------------------------------
 
-def clip(samples, sigma_multiple: float) -> np.ndarray:
+def clip(samples, sigma_multiple: float, sigma: float | None = None) -> np.ndarray:
     """Symmetric clipping at +/- sigma_multiple times the stream's std-dev.
 
-    A constant (zero-variance) stream is returned unchanged: there is no
-    scale to clip against.
+    ``sigma`` is the stream's std-dev when the caller has already computed
+    it.  A constant (zero-variance) stream is returned unchanged: there is
+    no scale to clip against.  Always returns a new array.
     """
     if sigma_multiple <= 0:
         raise ValueError("sigma_multiple must be positive")
     samples = np.asarray(samples, dtype=float)
-    sigma = samples.std()
+    if sigma is None:
+        sigma = samples.std()
     rms = math.sqrt(np.mean(samples**2)) if samples.size else 0.0
     # a (numerically) constant stream has no scale to clip against
     if sigma == 0.0 or sigma <= 1e-12 * rms:

@@ -1,6 +1,10 @@
-"""Shared modem-chain helper for tests: a configurable digital loopback."""
+"""Shared modem-chain helpers for tests: a configurable digital loopback
+and a plain reference of the link's optical/electrical channel."""
+
+import math
 
 import numpy as np
+from scipy.signal import lfilter
 
 from sliptsim.loading import BitLoadingPlan
 from sliptsim.ofdm import (
@@ -74,3 +78,38 @@ def digital_loopback(
     eq = equalize(blocks[1:], gains)
     rx_bits = demodulate_plan(eq, plan)
     return measure_ber(bits, rx_bits), sync_error, bits, rx_bits, eq, payload
+
+
+def reference_channel(
+    stream, tx, chain, config, mean_fraction, operating_current_a, rng, clip_sigma
+):
+    """The link channel written out step by step, one temporary per step.
+
+    Symmetric clipping of the stream at +/- clip_sigma std-devs (a
+    numerically constant stream passes unchanged), drive scaling, the
+    transmitter's clipped L-I line, optical transmission, AC coupling,
+    responsivity, the single-pole RC corner, the AC load and Gaussian noise.
+    Returns (received samples, fraction of samples outside the optical
+    window).
+    """
+    sigma_x = stream.std()
+    if clip_sigma is not None and sigma_x > 0:
+        rms = math.sqrt(np.mean(stream**2))
+        if not sigma_x <= 1e-12 * rms:
+            stream = np.clip(stream, -clip_sigma * sigma_x, clip_sigma * sigma_x)
+    scale_sigma = clip_sigma if clip_sigma is not None else 3.2
+    drive = stream * (tx.drive_vpp / (2.0 * scale_sigma * max(sigma_x, 1e-300)))
+    swing = tx.slope_efficiency_w_per_a * tx.transconductance_a_per_v * drive
+    p = tx.emitted_power_w + swing
+    lo, hi = 0.0, 2.0 * tx.emitted_power_w
+    clipped = float(np.mean((p < lo) | (p > hi)))
+    optical = np.clip(p, lo, hi)
+    at_device = chain.optical_transmission * optical
+    i_ac = chain.beam.responsivity_a_w * mean_fraction * (at_device - at_device.mean())
+    a = math.exp(-2.0 * math.pi * chain.f3db_hz() / config.sample_rate_hz)
+    v_sig = lfilter([1.0 - a], [1.0, -a], i_ac) * chain.ac_load_ohm
+    psd = chain.noise.current_psd(chain.ac_load_ohm, operating_current_a)
+    sigma_thermal = math.sqrt(psd * config.sample_rate_hz / 2.0) * chain.ac_load_ohm
+    sigma_q = chain.noise.quantization_sigma(float(v_sig.std()))
+    sigma_v = math.hypot(sigma_thermal, sigma_q)
+    return v_sig + rng.normal(0.0, sigma_v, len(v_sig)), clipped

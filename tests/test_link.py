@@ -4,8 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chain import reference_channel
 from sliptsim.link import (
     NoiseModel,
+    _apply_channel,
+    _build_stream,
+    _header_length,
+    _run_burst,
     channel_response,
     dc_operating_point,
     mismatch_study,
@@ -13,9 +18,22 @@ from sliptsim.link import (
     snr_crossing_bandwidth,
     sweep,
 )
-from sliptsim.loading import bit_power_loading
-from sliptsim.ofdm import OfdmConfig, SubcarrierSnr
-from sliptsim.ppc import DiodeParams, IlluminationProfile, SegmentGeometry, SegmentedDevice
+from sliptsim.loading import BitLoadingPlan, bit_power_loading
+from sliptsim.ofdm import (
+    OfdmConfig,
+    SubcarrierSnr,
+    SyncError,
+    generate_bits,
+    modulate_plan,
+    synchronize,
+)
+from sliptsim.ppc import (
+    DiodeParams,
+    IlluminationProfile,
+    SegmentGeometry,
+    SegmentedDevice,
+    sector_fractions,
+)
 from sliptsim.presets import default_beam, default_receiver, default_transmitter
 
 QUIET = NoiseModel(include_thermal=False, include_shot=False, quantization_snr_db=None)
@@ -223,6 +241,100 @@ class TestGoldenLink:
         assert np.all(np.abs(report.snr.snr_linear - self.SNR) <= 1e-12 * self.SNR)
         assert report.plan.bits.tolist() == self.BITS
         assert np.all(np.abs(report.plan.power - self.POWER) <= 1e-12 * self.POWER)
+
+
+def qpsk_frames(config, n_frames, seed):
+    nd = config.data_subcarriers
+    plan = BitLoadingPlan(np.full(nd, 2), np.ones(nd))
+    return modulate_plan(generate_bits(seed, 2 * nd * n_frames), plan, n_frames)
+
+
+def s2_channel_inputs(tx):
+    """S2 receiver, its mean sector fraction and its DC operating current."""
+    chain = default_receiver("S2")
+    fractions = sector_fractions(chain.device.geometry, chain.beam)
+    photocurrents = chain.beam.responsivity_a_w * tx.emitted_power_w * fractions
+    op = dc_operating_point(chain.device, photocurrents, chain.load_resistance_ohm)
+    return chain, float(fractions.mean()), op.current_a
+
+
+class TestChannelOracle:
+    """The in-place channel equals the step-by-step reference bit for bit."""
+
+    SMALL_CFG = OfdmConfig(fft_size=64, cp_length=5, sample_rate_hz=7.68e9)
+
+    @pytest.mark.parametrize("case", ["nominal", "overdriven", "constant", "unclipped"])
+    def test_matches_reference(self, case):
+        tx = default_transmitter()
+        config = self.SMALL_CFG
+        stream, _, _ = _build_stream(config, qpsk_frames(config, 40, 3))
+        if case == "overdriven":
+            tx = replace(tx, drive_vpp=1.5)
+        elif case == "constant":
+            stream = np.full(len(stream), 0.3)
+            # numerically constant: a rounding-level std that clip must not scale
+            assert 0.0 < stream.std() <= 1e-12 * 0.3
+        elif case == "unclipped":
+            config = replace(config, clip_sigma=None)
+        chain, mean_fraction, current = s2_channel_inputs(tx)
+        sent = stream.copy()
+        rx, clipped = _apply_channel(
+            stream, tx, chain, config, mean_fraction, current,
+            np.random.default_rng(17), config.clip_sigma,
+        )
+        ref, ref_clipped = reference_channel(
+            stream, tx, chain, config, mean_fraction, current,
+            np.random.default_rng(17), config.clip_sigma,
+        )
+        assert np.array_equal(stream, sent)
+        assert np.array_equal(rx, ref)
+        assert clipped == ref_clipped
+        assert type(clipped) is float
+        assert (clipped > 0.0) == (case in ("overdriven", "constant"))
+
+
+class TestHeaderSync:
+    """run_link searches only the burst header for the preamble."""
+
+    @pytest.mark.parametrize("config", [OfdmConfig(), FAST_CFG], ids=["default", "fast"])
+    def test_header_start_equals_whole_stream_start(self, config):
+        tx = default_transmitter()
+        chain, mean_fraction, current = s2_channel_inputs(tx)
+        n_pilot = 8
+        frames = np.vstack([qpsk_frames(config, n_pilot, 1), qpsk_frames(config, 100, 2)])
+        stream, pre_seg, pre_stride = _build_stream(config, frames)
+        rx, _ = _apply_channel(
+            stream, tx, chain, config, mean_fraction, current,
+            np.random.default_rng(4), config.clip_sigma,
+        )
+        header = _header_length(config, n_pilot, pre_stride, len(pre_seg))
+        assert header < len(rx)
+        assert synchronize(rx[:header], pre_seg) == synchronize(rx, pre_seg) == 0
+
+    def test_noise_only_burst_raises(self):
+        tx = default_transmitter()
+        chain, _, current = s2_channel_inputs(tx)
+        pilot = qpsk_frames(FAST_CFG, 1, 1)[0]
+        # no light reaches the device: the burst is receiver noise only
+        with pytest.raises(SyncError):
+            _run_burst(
+                qpsk_frames(FAST_CFG, 100, 2), pilot, 8, tx, chain, FAST_CFG,
+                0.0, current, np.random.default_rng(6),
+            )
+
+    @pytest.mark.parametrize("fft_size", [64, 32])
+    def test_header_holds_the_preamble_with_one_pilot(self, fft_size):
+        config = OfdmConfig(fft_size=fft_size, cp_length=5, sample_rate_hz=7.68e9)
+        _, pre_seg, pre_stride = _build_stream(config, qpsk_frames(config, 1, 0))
+        header = _header_length(config, 1, pre_stride, len(pre_seg))
+        # the preamble plus lags beyond the correlation main lobe
+        assert header > len(pre_seg) + len(pre_seg) // 8
+        report = run_link(
+            default_transmitter(), default_receiver("S2"), config,
+            seed=2, n_pilot_frames=1,
+        )
+        assert report.error == ""
+        assert report.total_bits_per_frame > 0
 
 
 class TestSweep:

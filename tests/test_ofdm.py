@@ -351,9 +351,10 @@ class TestBatchedWaveform:
 
     def test_burst_stream_matches_per_frame_oracle(self, rng):
         frames = random_stack(rng, 20, CFG)
-        stream, first = _build_stream(CFG, frames)
+        stream, pre_seg, first = _build_stream(CFG, frames)
         ref, _, ref_first = build_tx_stream(list(frames), CFG, tail_pad=0)
         assert first == ref_first
+        assert np.array_equal(pre_seg, make_preamble(CFG)[1])
         assert len(stream) == len(ref)
         assert np.abs(stream - ref).max() <= BATCH_TOL * np.abs(ref).max()
 
