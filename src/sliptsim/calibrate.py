@@ -333,12 +333,19 @@ def calibrate(
             )
 
         harvest_sizes = sorted({n[0] for n in harvest_names})
+        # Finite-difference columns that move one preset's offset or one
+        # size's responsivity leave every other preset at its last arguments;
+        # those repeats are served from this fit's memo.
+        memo: dict = {}
 
         def figures(name, resp, radius, offset):
-            chain = _receiver(
-                name, caps[name[0]] * 1e-12, rss[int(name[1:])], resp, radius, offset
-            )
-            return harvest_figures(chain.device, chain.beam)
+            key = (name, float(resp), float(radius), float(offset))
+            if key not in memo:
+                chain = _receiver(
+                    name, caps[name[0]] * 1e-12, rss[int(name[1:])], resp, radius, offset
+                )
+                memo[key] = harvest_figures(chain.device, chain.beam)
+            return memo[key]
 
         ratio_weight = 3.0
         n_resp = len(harvest_sizes)

@@ -41,9 +41,9 @@ __all__ = [
     "sector_beam_power",
     "sector_fractions",
     "segment_photocurrents",
-    "segment_current",
     "segment_voltage",
     "string_voltage",
+    "string_voltages",
     "short_circuit_current",
     "string_iv",
     "find_mpp",
@@ -59,6 +59,12 @@ PREFERRED_SEGMENT_COUNTS = (1, 2, 4, 6)
 
 # Exponent clamp keeping exp() finite during bracket searches.
 _EXP_MAX = 600.0
+
+# Segment-voltage root tolerance; the lockstep Brent port also copies
+# scipy brentq's default relative tolerance (4 eps) and iteration limit.
+_BRENT_XTOL = 1e-12
+_BRENT_RTOL = 4 * np.finfo(float).eps
+_BRENT_MAXITER = 100
 
 
 class QuadratureError(RuntimeError):
@@ -409,65 +415,6 @@ def segment_photocurrents(
 # Single-diode equation
 # ---------------------------------------------------------------------------
 
-def _diode_residual(diode: DiodeParams, i0: float, photocurrent: float,
-                    voltage: float, current: float) -> float:
-    """I_ph - I0*(exp((V+I*Rs)/(n*VT)) - 1) - (V+I*Rs)/Rsh - I."""
-    nvt = diode.ideality * diode.thermal_voltage_v
-    vj = voltage + current * diode.series_resistance_ohm
-    arg = min(vj / nvt, _EXP_MAX)
-    shunt = 0.0 if math.isinf(diode.shunt_resistance_ohm) else vj / diode.shunt_resistance_ohm
-    return photocurrent - i0 * math.expm1(arg) - shunt - current
-
-
-def segment_current(
-    diode: DiodeParams,
-    area_mm2: float,
-    photocurrent_a: float,
-    voltage_v: float,
-) -> float:
-    """Current through one segment at a given terminal voltage.
-
-    Solves the implicit single-diode equation by bracketed root finding
-    (1e-12 A absolute / 1e-9 relative).  Negative voltages are legal: a
-    shadowed segment in a string operates in reverse.
-
-    Raises:
-        BracketError: if no sign change is found in the expanding search.
-    """
-    if area_mm2 <= 0:
-        raise ValueError("area must be positive")
-    i0 = diode.saturation_current_density_a_mm2 * area_mm2
-    if diode.series_resistance_ohm == 0.0:
-        # explicit with Rs = 0
-        nvt = diode.ideality * diode.thermal_voltage_v
-        arg = min(voltage_v / nvt, _EXP_MAX)
-        shunt = 0.0 if math.isinf(diode.shunt_resistance_ohm) else voltage_v / diode.shunt_resistance_ohm
-        return photocurrent_a - i0 * math.expm1(arg) - shunt
-
-    def g(i):
-        return _diode_residual(diode, i0, photocurrent_a, voltage_v, i)
-
-    # g is strictly decreasing in I; expand a bracket around a crude estimate.
-    i_est = photocurrent_a
-    if not math.isinf(diode.shunt_resistance_ohm):
-        i_est -= voltage_v / diode.shunt_resistance_ohm
-    step = max(abs(i_est), i0, 1e-9)
-    lo, hi = i_est - step, i_est + step
-    for _ in range(200):
-        if g(lo) > 0.0 >= g(hi):
-            break
-        if g(lo) <= 0.0:
-            lo -= step
-        if g(hi) > 0.0:
-            hi += step
-        step *= 2.0
-    else:
-        raise BracketError(
-            f"no current bracket in [{lo:.6g}, {hi:.6g}] A for V={voltage_v:.6g} V"
-        )
-    return float(brentq(g, lo, hi, xtol=1e-12, rtol=1e-9))
-
-
 def segment_voltage(
     diode: DiodeParams,
     area_mm2: float,
@@ -476,16 +423,19 @@ def segment_voltage(
 ) -> float:
     """Terminal voltage of one segment carrying a given current.
 
-    Inverse of :func:`segment_current`.  With the shunt disabled the diode
-    cannot conduct more than I_ph + I0; such currents have no solution and
-    raise BracketError.
+    Solves the implicit single-diode equation
+    ``I = I_ph - I0*(exp((V+I*Rs)/(n*VT)) - 1) - (V+I*Rs)/Rsh`` for V by an
+    expanding bracket and ``brentq`` (1e-12 V).  With the shunt disabled the
+    equation is explicit, and the diode cannot conduct more than I_ph + I0;
+    such currents have no solution and raise BracketError.
     """
     if area_mm2 <= 0:
         raise ValueError("area must be positive")
     i0 = diode.saturation_current_density_a_mm2 * area_mm2
     nvt = diode.ideality * diode.thermal_voltage_v
-    rs = diode.series_resistance_ohm
-    if math.isinf(diode.shunt_resistance_ohm):
+    rsh = diode.shunt_resistance_ohm
+    i_rs = current_a * diode.series_resistance_ohm
+    if math.isinf(rsh):
         # closed form: I = I_ph - I0*(exp(Vj/nvt) - 1)
         headroom = photocurrent_a - current_a + i0
         if headroom <= 0:
@@ -493,28 +443,182 @@ def segment_voltage(
                 f"current {current_a:.6g} A exceeds I_ph + I0 = "
                 f"{photocurrent_a + i0:.6g} A with shunt disabled"
             )
-        return nvt * math.log(headroom / i0) - current_a * rs
+        return nvt * math.log(headroom / i0) - i_rs
 
     def h(v):
-        return _diode_residual(diode, i0, photocurrent_a, v, current_a)
+        vj = v + i_rs
+        return photocurrent_a - i0 * math.expm1(min(vj / nvt, _EXP_MAX)) - vj / rsh - current_a
 
     # h is strictly decreasing in V.
-    v_est = nvt * math.log1p(max(photocurrent_a - current_a, 0.0) / i0) - current_a * rs
+    v_est = nvt * math.log1p(max(photocurrent_a - current_a, 0.0) / i0) - i_rs
     step = max(abs(v_est), nvt, 1.0)
     lo, hi = v_est - step, v_est + step
+    h_lo, h_hi = h(lo), h(hi)
     for _ in range(200):
-        if h(lo) > 0.0 >= h(hi):
+        if h_lo > 0.0 >= h_hi:
             break
-        if h(lo) <= 0.0:
+        if h_lo <= 0.0:
             lo -= step
-        if h(hi) > 0.0:
+            h_lo = h(lo)
+        if h_hi > 0.0:
             hi += step
+            h_hi = h(hi)
         step *= 2.0
     else:
         raise BracketError(
             f"no voltage bracket in [{lo:.6g}, {hi:.6g}] V for I={current_a:.6g} A"
         )
-    return float(brentq(h, lo, hi, xtol=1e-12))
+    return float(brentq(h, lo, hi, xtol=_BRENT_XTOL))
+
+
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` of the ``math`` module applied to every element of ``x``.
+
+    ``np.expm1``/``np.log1p``/``np.log`` may differ from the ``math``
+    functions in the last ulp (SIMD builds), which would move the batched
+    solve off the scalar one; the ``math`` results keep the two identical.
+    """
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+
+
+def _brent_lockstep(h, xpre, xcur, fpre, fcur):
+    """Brent's root finder run on many brackets at once.
+
+    A line-by-line port of scipy's ``brentq.c`` (Brent 1973): every bracket
+    takes the same interpolation, bisection and step decisions as its
+    scalar run, so each root equals ``brentq(h_k, xpre[k], xcur[k],
+    xtol=1e-12)`` bit for bit.  ``h(x, k)`` evaluates the residuals of the
+    brackets ``k`` at ``x``; ``fpre``/``fcur`` are the residuals at the
+    bracket ends.  Finished brackets drop out of the evaluation set.
+
+    Raises:
+        ValueError: a bracket without a sign change, or a NaN residual.
+        RuntimeError: a bracket not converged after 100 iterations.
+    """
+    roots = np.empty_like(xcur)
+    at_pre, at_cur = fpre == 0, fcur == 0
+    roots[at_pre] = xpre[at_pre]
+    at_cur &= ~at_pre
+    roots[at_cur] = xcur[at_cur]
+    k = np.flatnonzero(~(at_pre | at_cur))
+    if not k.size:
+        return roots
+    xpre, xcur, fpre, fcur = xpre[k], xcur[k], fpre[k], fcur[k]
+    if np.any(np.signbit(fpre) == np.signbit(fcur)):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk, fblk = np.zeros_like(xcur), np.zeros_like(xcur)
+    spre, scur = np.zeros_like(xcur), np.zeros_like(xcur)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_BRENT_MAXITER):
+            flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+            xblk = np.where(flip, xpre, xblk)
+            fblk = np.where(flip, fpre, fblk)
+            spre = np.where(flip, xcur - xpre, spre)
+            scur = np.where(flip, xcur - xpre, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (
+                np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                np.where(swap, xcur, xblk),
+            )
+            fpre, fcur, fblk = (
+                np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                np.where(swap, fcur, fblk),
+            )
+
+            delta = (_BRENT_XTOL + _BRENT_RTOL * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0) | (np.abs(sbis) < delta)
+            if done.any():
+                roots[k[done]] = xcur[done]
+                live = ~done
+                k = k[live]
+                if not k.size:
+                    return roots
+                xpre, xcur, xblk = xpre[live], xcur[live], xblk[live]
+                fpre, fcur, fblk = fpre[live], fcur[live], fblk[live]
+                spre, scur = spre[live], scur[live]
+                delta, sbis = delta[live], sbis[live]
+
+            secant = xpre == xblk
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(
+                secant,
+                -fcur * (xcur - xpre) / (fcur - fpre),
+                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),
+            )
+            bound = 3 * np.abs(sbis) - delta
+            bound = np.where(np.abs(spre) < bound, np.abs(spre), bound)
+            good = (
+                (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                & (2 * np.abs(stry) < bound)
+            )
+            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(
+                np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta)
+            )
+            fcur = h(xcur, k)
+            if np.isnan(fcur).any():
+                x = xcur[np.isnan(fcur)][0]
+                raise ValueError(
+                    f"The function value at x={x} is NaN; solver cannot continue."
+                )
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+
+
+def _segment_voltages(diode: DiodeParams, area_mm2: float, photocurrents, currents):
+    """:func:`segment_voltage` of every (photocurrent, current) pair at once.
+
+    Returns the voltages, with -inf where the scalar solve raises
+    BracketError, and the index of those pairs.  Each finite voltage equals
+    the scalar one exactly: the same bracket walk and the same Brent
+    iteration (:func:`_brent_lockstep`) on the same residual arithmetic.
+    """
+    i0 = diode.saturation_current_density_a_mm2 * area_mm2
+    nvt = diode.ideality * diode.thermal_voltage_v
+    rsh = diode.shunt_resistance_ohm
+    i_rs = currents * diode.series_resistance_ohm
+    if math.isinf(rsh):
+        headroom = photocurrents - currents + i0
+        failed = np.flatnonzero(headroom <= 0)
+        safe = np.where(headroom <= 0, 1.0, headroom)
+        v = nvt * _elementwise(math.log, safe / i0) - i_rs
+        v[failed] = -math.inf
+        return v, failed
+
+    def h(v, k):
+        vj = v + i_rs[k]
+        arg = np.minimum(vj / nvt, _EXP_MAX)
+        return photocurrents[k] - i0 * _elementwise(math.expm1, arg) - vj / rsh - currents[k]
+
+    surplus = photocurrents - currents
+    surplus = np.where(0.0 > surplus, 0.0, surplus)
+    v_est = nvt * _elementwise(math.log1p, surplus / i0) - i_rs
+    step = np.maximum(np.maximum(np.abs(v_est), nvt), 1.0)
+    lo, hi = v_est - step, v_est + step
+    every = np.arange(v_est.size)
+    h_lo, h_hi = h(lo, every), h(hi, every)
+    pending = every
+    for _ in range(200):
+        pending = pending[~((h_lo[pending] > 0.0) & (0.0 >= h_hi[pending]))]
+        if not pending.size:
+            break
+        move = pending[h_lo[pending] <= 0.0]
+        lo[move] -= step[move]
+        h_lo[move] = h(lo[move], move)
+        move = pending[h_hi[pending] > 0.0]
+        hi[move] += step[move]
+        h_hi[move] = h(hi[move], move)
+        step[pending] *= 2.0
+    bracketed = np.setdiff1d(every, pending, assume_unique=True)
+    v = np.full(v_est.size, -math.inf)
+    v[bracketed] = _brent_lockstep(
+        lambda x, k: h(x, bracketed[k]),
+        lo[bracketed], hi[bracketed], h_lo[bracketed], h_hi[bracketed],
+    )
+    return v, pending
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +634,9 @@ def string_voltage(
     """String voltage at a given series current: sum of segment voltages.
 
     Each segment voltage is clamped at -reverse_breakdown_v (flagged) when
-    the clamp is enabled.
+    the clamp is enabled.  This is the one-current path of the sequential
+    searches (short-circuit current, load line, ``IVCurve`` model, golden
+    section); a grid of currents goes through :func:`string_voltages`.
     """
     area = device.geometry.sector_area_mm2
     clamped = False
@@ -549,6 +655,45 @@ def string_voltage(
     if with_clamp_flag:
         return total, clamped
     return total
+
+
+def string_voltages(device: SegmentedDevice, photocurrents, currents):
+    """String voltages and clamp flags at a grid of series currents.
+
+    Solves every (current x segment) pair in one batched, lockstep Brent
+    iteration and sums the segment columns in segment order, so that
+    ``voltages[k], clamped[k] == string_voltage(device, photocurrents,
+    currents[k], with_clamp_flag=True)`` exactly.  One call costs about ten
+    scalar solves of overhead, so single currents stay on
+    :func:`string_voltage`.
+
+    Raises:
+        BracketError: a segment has no solution and the reverse clamp is
+            disabled (the first such pair in current-major order).
+    """
+    photocurrents = np.asarray(photocurrents, dtype=float)
+    currents = np.asarray(currents, dtype=float)
+    n_seg = len(photocurrents)
+    pair_iph = np.tile(photocurrents, currents.size)
+    pair_i = np.repeat(currents, n_seg)
+    v, failed = _segment_voltages(
+        device.diode, device.geometry.sector_area_mm2, pair_iph, pair_i
+    )
+    if failed.size and device.reverse_breakdown_v is None:
+        # the scalar solve of the first failed pair raises its BracketError
+        first = failed.min()
+        segment_voltage(device.diode, device.geometry.sector_area_mm2,
+                        pair_iph[first], pair_i[first])
+    v = v.reshape(currents.size, n_seg)
+    clamped = np.zeros(currents.size, dtype=bool)
+    if device.reverse_breakdown_v is not None:
+        below = v < -device.reverse_breakdown_v
+        v[below] = -device.reverse_breakdown_v
+        clamped = below.any(axis=1)
+    total = np.zeros(currents.size)
+    for j in range(n_seg):
+        total += v[:, j]
+    return total, clamped
 
 
 def short_circuit_current(device: SegmentedDevice, photocurrents) -> float:
@@ -628,9 +773,14 @@ def string_iv(
 
     For each series current the string voltage is the sum of the individual
     segment voltages (each an independent inverse solve of the single-diode
-    equation).  The returned curve spans V = 0 (at the string short-circuit
-    current) up to V_oc (at zero current) and carries the continuous solver
-    as its ``model`` for later refinement.
+    equation).  The whole grid is solved in one batched call
+    (:func:`string_voltages`: every current x segment pair in lockstep
+    Brent iterations, each voltage identical to the scalar solve).  The
+    returned curve spans V = 0 (at the string short-circuit current) up to
+    V_oc (at zero current) and carries the continuous solver as its
+    ``model`` for later refinement; that model answers one voltage at a
+    time inside sequential searches, so it stays on the scalar
+    :func:`string_voltage`.
 
     Args:
         device: segment geometry, diode parameters and reverse clamp.
@@ -659,12 +809,7 @@ def string_iv(
         current_grid = default_current_grid(i_sc, n_points)
     currents = np.asarray(current_grid, dtype=float)
 
-    voltages = np.empty_like(currents)
-    clamp_flags = np.zeros(len(currents), dtype=bool)
-    for k, i in enumerate(currents):
-        voltages[k], clamp_flags[k] = string_voltage(
-            device, photocurrents, float(i), with_clamp_flag=True
-        )
+    voltages, clamp_flags = string_voltages(device, photocurrents, currents)
 
     order = np.argsort(voltages)
     voltages = voltages[order]
@@ -783,8 +928,12 @@ def harvest_figures(
 ) -> tuple[float, float]:
     """(Pmp, Imp/Isc) straight from the continuous string model.
 
-    Mismatched strings have a double-knee power profile, so a coarse scan
-    picks the knee before golden-section refinement.
+    Mismatched strings have a double-knee power profile, so a coarse
+    97-point scan picks the knee before golden-section refinement.  The scan
+    is one batched :func:`string_voltages` call; the short-circuit current
+    and the golden section are sequential searches, one current per step,
+    and use the scalar :func:`string_voltage`, which is about ten times
+    cheaper for a single current.  Both paths give identical voltages.
     """
     fractions = sector_fractions(device.geometry, beam)
     photocurrents = beam.responsivity_a_w * beam.total_power_w * fractions
@@ -796,7 +945,7 @@ def harvest_figures(
         return i * string_voltage(device, photocurrents, i)
 
     grid = np.linspace(0.0, i_sc * (1.0 - 1e-12), 97)
-    values = np.array([power(i) for i in grid])
+    values = grid * string_voltages(device, photocurrents, grid)[0]
     k = int(np.argmax(values))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]

@@ -1,9 +1,12 @@
-"""Shared modem-chain helpers for tests: a configurable digital loopback
-and a plain reference of the link's optical/electrical channel."""
+"""Shared helpers for tests: per-point references of the device solver
+(the forward single-diode solve, the string I-V and harvest loops), a
+configurable digital loopback and a plain reference of the link's
+optical/electrical channel."""
 
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.signal import lfilter
 
 from sliptsim.loading import BitLoadingPlan
@@ -22,6 +25,130 @@ from sliptsim.ofdm import (
     receive_blocks,
     synchronize,
 )
+from sliptsim.ppc import (
+    _EXP_MAX,
+    BracketError,
+    DiodeParams,
+    IVCurve,
+    _golden_max,
+    default_current_grid,
+    sector_fractions,
+    short_circuit_current,
+    string_voltage,
+)
+
+
+# ---------------------------------------------------------------------------
+# Device solver references
+# ---------------------------------------------------------------------------
+
+def _diode_residual(diode: DiodeParams, i0: float, photocurrent: float,
+                    voltage: float, current: float) -> float:
+    """I_ph - I0*(exp((V+I*Rs)/(n*VT)) - 1) - (V+I*Rs)/Rsh - I."""
+    nvt = diode.ideality * diode.thermal_voltage_v
+    vj = voltage + current * diode.series_resistance_ohm
+    arg = min(vj / nvt, _EXP_MAX)
+    shunt = 0.0 if math.isinf(diode.shunt_resistance_ohm) else vj / diode.shunt_resistance_ohm
+    return photocurrent - i0 * math.expm1(arg) - shunt - current
+
+
+def segment_current(
+    diode: DiodeParams,
+    area_mm2: float,
+    photocurrent_a: float,
+    voltage_v: float,
+) -> float:
+    """Current through one segment at a given terminal voltage.
+
+    The forward direction of the single-diode equation, solved by bracketed
+    root finding (1e-12 A absolute / 1e-9 relative) independently of the
+    library's voltage-domain solver; negative voltages are legal.
+
+    Raises:
+        BracketError: if no sign change is found in the expanding search.
+    """
+    if area_mm2 <= 0:
+        raise ValueError("area must be positive")
+    i0 = diode.saturation_current_density_a_mm2 * area_mm2
+    if diode.series_resistance_ohm == 0.0:
+        # explicit with Rs = 0
+        nvt = diode.ideality * diode.thermal_voltage_v
+        arg = min(voltage_v / nvt, _EXP_MAX)
+        shunt = 0.0 if math.isinf(diode.shunt_resistance_ohm) else voltage_v / diode.shunt_resistance_ohm
+        return photocurrent_a - i0 * math.expm1(arg) - shunt
+
+    def g(i):
+        return _diode_residual(diode, i0, photocurrent_a, voltage_v, i)
+
+    # g is strictly decreasing in I; expand a bracket around a crude estimate.
+    i_est = photocurrent_a
+    if not math.isinf(diode.shunt_resistance_ohm):
+        i_est -= voltage_v / diode.shunt_resistance_ohm
+    step = max(abs(i_est), i0, 1e-9)
+    lo, hi = i_est - step, i_est + step
+    for _ in range(200):
+        if g(lo) > 0.0 >= g(hi):
+            break
+        if g(lo) <= 0.0:
+            lo -= step
+        if g(hi) > 0.0:
+            hi += step
+        step *= 2.0
+    else:
+        raise BracketError(
+            f"no current bracket in [{lo:.6g}, {hi:.6g}] A for V={voltage_v:.6g} V"
+        )
+    return float(brentq(g, lo, hi, xtol=1e-12, rtol=1e-9))
+
+
+def per_point_string_voltages(device, photocurrents, currents):
+    """``string_voltage`` called once per current: (voltages, clamp flags)."""
+    voltages = np.empty(len(currents))
+    clamped = np.zeros(len(currents), dtype=bool)
+    for k, i in enumerate(currents):
+        voltages[k], clamped[k] = string_voltage(
+            device, photocurrents, float(i), with_clamp_flag=True
+        )
+    return voltages, clamped
+
+
+def reference_string_iv(device, photocurrents, n_points=2048) -> IVCurve:
+    """``string_iv`` on its default grid, one ``string_voltage`` per point,
+    without the continuous model."""
+    photocurrents = np.asarray(photocurrents, dtype=float)
+    i_sc = short_circuit_current(device, photocurrents)
+    currents = default_current_grid(i_sc, n_points)
+    voltages, clamped = per_point_string_voltages(device, photocurrents, currents)
+    order = np.argsort(voltages)
+    voltages, currents, clamped = voltages[order], currents[order], clamped[order]
+    keep = np.concatenate([[True], np.diff(voltages) > 0])
+    return IVCurve(voltages[keep], currents[keep], clamped=clamped[keep])
+
+
+def reference_harvest_figures(device, beam):
+    """``harvest_figures`` with its 97-point power scan one current at a
+    time, then the same golden-section refinement."""
+    fractions = sector_fractions(device.geometry, beam)
+    photocurrents = beam.responsivity_a_w * beam.total_power_w * fractions
+    i_sc = short_circuit_current(device, photocurrents)
+    if i_sc <= 0:
+        return 0.0, math.nan
+
+    def power(i):
+        return i * string_voltage(device, photocurrents, i)
+
+    grid = np.linspace(0.0, i_sc * (1.0 - 1e-12), 97)
+    values = np.array([power(i) for i in grid])
+    k = int(np.argmax(values))
+    lo = grid[max(k - 1, 0)]
+    hi = grid[min(k + 1, len(grid) - 1)]
+    i_mp, p_mp = _golden_max(power, lo, hi)
+    return p_mp, i_mp / i_sc
+
+
+# ---------------------------------------------------------------------------
+# Modem and channel references
+# ---------------------------------------------------------------------------
 
 
 def build_tx_stream(frames, config: OfdmConfig, lead_pad=0, tail_pad=256):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from sliptsim import calibrate as calibrate_module
 from sliptsim.calibrate import (
     CalibrationError,
     CalibrationResult,
@@ -11,12 +12,74 @@ from sliptsim.calibrate import (
     UnderdeterminedError,
     calibrate,
     calibrated_receiver,
+    measured_targets,
     synthesize_targets,
 )
 from sliptsim.presets import MEASURED_BANDWIDTH_HZ
 
 TRUE_CAPS = {"S": 12e-12, "M": 8e-12, "L": 5e-12}
 TRUE_RS = {2: 0.0, 4: 120.0, 6: 260.0}
+
+# calibrate(measured_targets()).to_dict(), recorded with the per-point string
+# solve (Python 3.11, numpy 2.4, scipy 1.17, x86-64 Linux); any change to the
+# solver or the fit that moves a digit of the fit shows here first
+GOLDEN_MEASURED_FIT = {
+    "schema_version": 1,
+    "capacitance_density_f_mm2": {
+        "L": 6.9604176017750405e-12,
+        "M": 9.450766369906337e-12,
+        "S": 1.6851754475765356e-11,
+    },
+    "series_resistance_ohm": {
+        "2": 0.0,
+        "4": 105.25246387867524,
+        "6": 183.0011851678697,
+    },
+    "responsivity_a_w": {
+        "L": 0.44295342884535216,
+        "M": 0.4581014100967036,
+        "S": 0.375505192317117,
+    },
+    "beam_radius_mm": 0.6026230918841244,
+    "beam_offset_mm": {
+        "L2": 0.0,
+        "L4": 0.13933122099571663,
+        "L6": 0.2580384406132925,
+        "M2": 0.0,
+        "M4": 0.11521677135140747,
+        "S2": 0.0,
+        "S4": 0.1477405386433702,
+    },
+    "bandwidth_residuals": {
+        "L2": 0.02334933654723903,
+        "L4": -0.024494509337444015,
+        "L6": 3.130817827212695e-10,
+        "M2": 0.030326386506321246,
+        "M4": -0.03228863151172545,
+        "S2": -0.058571188832494125,
+        "S4": 0.052395333371619834,
+    },
+    "pmp_residuals": {
+        "L2": 0.002061322585667158,
+        "L4": -0.12632810959356278,
+        "L6": 0.1687759618365463,
+        "M2": 0.01300799855974799,
+        "M4": 0.10853524794995328,
+        "S2": 0.18409079590360267,
+        "S4": -0.00500177893608611,
+    },
+    "imp_isc_residuals": {
+        "L2": -0.019077616233683092,
+        "L4": 1.2479590694169929e-09,
+        "L6": -1.3123343078902394e-08,
+        "M2": -0.041568254854800646,
+        "M4": 1.1749654582615676e-09,
+        "S2": -0.01706959239797956,
+        "S4": -2.271167698353338e-09,
+    },
+    "ac_load_ohm": 47.5,
+    "emitted_power_w": 0.0023,
+}
 
 
 class TestBandwidthStage:
@@ -76,6 +139,30 @@ class TestBandwidthStage:
 
 
 class TestFullCalibration:
+    def test_measured_fit_is_pinned(self, calibration):
+        assert calibration.to_dict() == GOLDEN_MEASURED_FIT
+
+    def test_harvest_memo_skips_repeated_evaluations(self, monkeypatch):
+        measured = measured_targets()
+        pick = lambda values: {k: values[k] for k in ("S2", "S4")}
+        targets = CalibrationTargets(
+            bandwidth_hz=pick(measured.bandwidth_hz),
+            pmp_w=pick(measured.pmp_w),
+            imp_isc=pick(measured.imp_isc),
+        )
+        unpatched = calibrate(targets).to_dict()
+
+        seen = []
+        harvest_figures = calibrate_module.harvest_figures
+
+        def recording(device, beam):
+            seen.append((device, beam))
+            return harvest_figures(device, beam)
+
+        monkeypatch.setattr(calibrate_module, "harvest_figures", recording)
+        assert calibrate(targets).to_dict() == unpatched
+        assert len(seen) == len(set(seen)) > 0
+
     def test_measured_fit_quality(self, calibration):
         assert max(abs(v) for v in calibration.bandwidth_residuals.values()) <= 0.15
         assert calibration.max_residual() <= 0.25

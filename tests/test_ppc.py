@@ -6,6 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chain import (
+    per_point_string_voltages,
+    reference_harvest_figures,
+    reference_string_iv,
+    segment_current,
+)
 from sliptsim.constants import thermal_voltage
 from sliptsim.ppc import (
     BracketError,
@@ -17,11 +23,11 @@ from sliptsim.ppc import (
     SegmentedDevice,
     UndefinedRatioError,
     find_mpp,
+    harvest_figures,
     imp_isc_ratio,
     pce,
     sector_beam_power,
     sector_fractions,
-    segment_current,
     segment_photocurrents,
     segment_voltage,
     series_capacitance,
@@ -30,7 +36,9 @@ from sliptsim.ppc import (
     string_capacitance,
     string_iv,
     string_voltage,
+    string_voltages,
 )
+from sliptsim.presets import PRESET_NAMES, default_beam, device_preset
 
 
 def ideal_diode(j0=1e-18, n=1.2, rs=0.0):
@@ -314,6 +322,107 @@ class TestStringIV:
             IVCurve(np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0, 0.0]))
 
 
+class TestBatchedStringSolve:
+    """``string_voltages`` against one ``string_voltage`` per current, ``==``
+    on every voltage and clamp flag."""
+
+    @staticmethod
+    def check(device, ph, currents):
+        voltages, clamped = string_voltages(device, ph, currents)
+        ref_v, ref_c = per_point_string_voltages(device, ph, currents)
+        assert np.array_equal(voltages, ref_v)
+        assert np.array_equal(clamped, ref_c)
+        return clamped
+
+    @staticmethod
+    def grid(ph, past_isc=1.3, n=64):
+        # reverse currents, the forward range and currents past every I_ph
+        return np.concatenate([
+            [-3e-5, 0.0], np.linspace(1e-7, past_isc * max(ph), n),
+        ])
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_preset(self, name):
+        device = device_preset(name, DiodeParams(series_resistance_ohm=20.0))
+        beam = default_beam(beam_radius_mm=0.6, center_mm=(0.15, 0.05))
+        ph = segment_photocurrents(device.geometry, beam)
+        assert self.check(device, ph, self.grid(ph)).any()
+
+    @pytest.mark.parametrize("rs", [0.0, 1.0, 50.0, 300.0])
+    def test_series_resistances(self, rs):
+        device = SegmentedDevice(
+            SegmentGeometry(2.08, 6),
+            DiodeParams(series_resistance_ohm=rs, shunt_resistance_ohm=1.2e5),
+        )
+        ph = np.array([2.1, 1.9, 1.5, 1.2, 0.9, 0.4]) * 1e-4
+        self.check(device, ph, self.grid(ph, n=97))
+
+    def test_random_diodes(self):
+        # wide parameter draws; the last-ulp differences of numpy's vector
+        # expm1/log1p would show here as moved roots
+        rng = np.random.default_rng(5)
+        for _ in range(150):
+            n = int(rng.choice([1, 2, 4, 6]))
+            diode = DiodeParams(
+                saturation_current_density_a_mm2=10 ** rng.uniform(-20, -14),
+                ideality=rng.uniform(1.0, 2.0),
+                series_resistance_ohm=rng.uniform(0.0, 300.0),
+                shunt_resistance_ohm=10 ** rng.uniform(3.5, 7.0),
+            )
+            device = SegmentedDevice(SegmentGeometry(rng.uniform(1.0, 2.1), n), diode)
+            ph = rng.uniform(0.0, 5e-4, n)
+            self.check(device, ph, rng.uniform(-1e-4, 1.2 * ph.max(), 40))
+
+    def test_dark_segment_clamps(self):
+        device = SegmentedDevice(
+            SegmentGeometry(1.5, 4), DiodeParams(series_resistance_ohm=5.0),
+            reverse_breakdown_v=3.0,
+        )
+        ph = np.array([2e-4, 1.5e-4, 0.0, 1e-4])
+        clamped = self.check(device, ph, self.grid(ph))
+        # the dark segment reverse-conducts through its shunt, then clamps
+        assert not clamped[:8].any() and clamped[-8:].all()
+
+    def test_ideal_shunt_with_clamp(self):
+        device = SegmentedDevice(SegmentGeometry(2.08, 4), ideal_diode(rs=2.0))
+        ph = np.array([2e-4, 1.8e-4, 1.2e-4, 0.0])
+        clamped = self.check(device, ph, self.grid(ph))
+        assert clamped.any() and not clamped.all()
+
+    def test_ideal_shunt_without_clamp_raises(self):
+        device = SegmentedDevice(
+            SegmentGeometry(2.08, 2), ideal_diode(rs=2.0), reverse_breakdown_v=None
+        )
+        ph = np.array([2e-4, 1e-4])
+        self.check(device, ph, np.linspace(0.0, 0.9e-4, 16))
+        with pytest.raises(BracketError, match="exceeds I_ph"):
+            string_voltage(device, ph, 1.5e-4)
+        with pytest.raises(BracketError, match="exceeds I_ph"):
+            string_voltages(device, ph, [0.0, 5e-5, 1.5e-4])
+
+    def test_empty_grid(self):
+        device = SegmentedDevice(SegmentGeometry(1.0, 2))
+        voltages, clamped = string_voltages(device, [1e-4, 1e-4], [])
+        assert voltages.shape == clamped.shape == (0,)
+
+    @pytest.mark.parametrize("name", ["S2", "M4", "L6"])
+    def test_string_iv_equals_per_point_loop(self, name):
+        device = device_preset(name, DiodeParams(series_resistance_ohm=40.0))
+        beam = default_beam(beam_radius_mm=0.6, center_mm=(0.2, 0.0))
+        ph = segment_photocurrents(device.geometry, beam)
+        curve = string_iv(device, ph, n_points=512)
+        ref = reference_string_iv(device, ph, n_points=512)
+        assert np.array_equal(curve.voltages_v, ref.voltages_v)
+        assert np.array_equal(curve.currents_a, ref.currents_a)
+        assert np.array_equal(curve.clamped, ref.clamped)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_harvest_figures_equal_per_point_scan(self, name):
+        device = device_preset(name, DiodeParams(series_resistance_ohm=60.0))
+        beam = default_beam(beam_radius_mm=0.6, center_mm=(0.12, 0.0))
+        assert harvest_figures(device, beam) == reference_harvest_figures(device, beam)
+
+
 # ---------------------------------------------------------------------------
 # MPP and curve figures
 # ---------------------------------------------------------------------------
@@ -394,7 +503,7 @@ class TestImpIscAndPce:
         ratio = imp_isc_ratio(curve)
         isc = curve.short_circuit_current_a()
         dense_i = np.linspace(0.0, isc, 200_001)
-        dense_p = np.array([i * string_voltage(device, ph, i) for i in dense_i])
+        dense_p = dense_i * string_voltages(device, ph, dense_i)[0]
         i_mp_oracle = dense_i[np.argmax(dense_p)]
         assert ratio == pytest.approx(i_mp_oracle / isc, rel=1e-4)
 
