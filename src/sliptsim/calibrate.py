@@ -13,6 +13,12 @@ are recovered in two stages:
 * Stage B (harvest): effective responsivity (which absorbs optics losses),
   the Gaussian spot radius, and one beam offset magnitude per configuration,
   fitted to the Pmp and Imp/Isc targets through the full string I-V model.
+  An Imp/Isc target at or above the aligned-beam ratio cannot be reached by
+  any offset; the fit holds that configuration's offset at 0.
+
+Every least-squares stage leaves a record on the result (``fit_record``):
+its evaluation count, status and cost, the singular values of its Jacobian
+and the parameters that end on a bound.
 
 Both stages assume the default read-out: the ``ReceiverChain`` load,
 amplifier input and AC load, and the ``TransmitterModel`` emitted power and
@@ -56,6 +62,8 @@ __all__ = [
 ]
 
 RESIDUAL_REFUSAL = 0.25
+
+SCHEMA_VERSION = 2
 
 
 class CalibrationError(RuntimeError):
@@ -101,6 +109,9 @@ class CalibrationResult:
     imp_isc_residuals: dict
     ac_load_ohm: float
     emitted_power_w: float
+    # per least-squares stage: nfev, status, cost, Jacobian singular values
+    # and the parameters at a bound (schema 2; empty when read from schema 1)
+    fit_record: dict = field(default_factory=dict)
 
     def max_residual(self) -> float:
         pools = [self.bandwidth_residuals, self.pmp_residuals, self.imp_isc_residuals]
@@ -112,7 +123,7 @@ class CalibrationResult:
         radius, written as None (JSON null) instead of NaN."""
         radius = None if math.isnan(self.beam_radius_mm) else self.beam_radius_mm
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "capacitance_density_f_mm2": dict(self.capacitance_density_f_mm2),
             "series_resistance_ohm": {str(k): v for k, v in self.series_resistance_ohm.items()},
             "responsivity_a_w": dict(self.responsivity_a_w),
@@ -123,10 +134,15 @@ class CalibrationResult:
             "imp_isc_residuals": dict(self.imp_isc_residuals),
             "ac_load_ohm": self.ac_load_ohm,
             "emitted_power_w": self.emitted_power_w,
+            "fit_record": self.fit_record,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "CalibrationResult":
+        """Read schema 2, or schema 1, which has no fit record."""
+        version = data.get("schema_version")
+        if version not in (1, SCHEMA_VERSION):
+            raise ValueError(f"unsupported calibration schema_version {version!r}")
         return cls(
             capacitance_density_f_mm2=dict(data["capacitance_density_f_mm2"]),
             series_resistance_ohm={int(k): v for k, v in data["series_resistance_ohm"].items()},
@@ -138,6 +154,7 @@ class CalibrationResult:
             imp_isc_residuals=dict(data["imp_isc_residuals"]),
             ac_load_ohm=data["ac_load_ohm"],
             emitted_power_w=data["emitted_power_w"],
+            fit_record=data.get("fit_record", {}),
         )
 
     def save(self, path) -> None:
@@ -206,6 +223,27 @@ def _parse_configs(names):
     sizes = sorted({n[0] for n in names})
     counts = sorted({int(n[1:]) for n in names})
     return sizes, counts
+
+
+def _stage_record(sol, names) -> dict:
+    """JSON-ready record of one ``least_squares`` stage with parameters ``names``.
+
+    Singular values of the final Jacobian at or below the numerical-rank
+    threshold (largest value x matrix dimension x machine epsilon) are
+    recorded as 0: those directions are flat to working precision.
+    """
+    sv = np.linalg.svd(sol.jac, compute_uv=False)
+    sv[sv <= sv.max(initial=0.0) * max(sol.jac.shape) * np.finfo(float).eps] = 0.0
+    return {
+        "nfev": int(sol.nfev),
+        "status": int(sol.status),
+        "cost": float(sol.cost),
+        "jacobian_singular_values": [float(v) for v in sv],
+        "active_bounds": {
+            name: "lower" if mask < 0 else "upper"
+            for name, mask in zip(names, sol.active_mask) if mask
+        },
+    }
 
 
 def _solve_offset(ratio_of_offset, target: float, max_offset: float) -> float:
@@ -308,13 +346,22 @@ def calibrate(
         raise CalibrationError(f"bandwidth fit did not converge: {sol_a.message}")
     caps, rss = unpack_a(sol_a.x)
     bw_resid = dict(zip(names, resid_a(sol_a.x)))
+    fit_record = {
+        "stage_a": _stage_record(
+            sol_a,
+            [f"capacitance_density_f_mm2.{k}" for k in sizes]
+            + [f"series_resistance_ohm.{k}" for k in free_counts],
+        )
+    }
 
     # --- stage B: responsivity, beam radius and offsets ---------------------
     # A joint least-squares over (responsivity, radius, per-config offsets)
     # finds the global balance (current-mismatch residuals weighted up, since
     # the Imp/Isc targets carry the alignment information), then each offset
-    # is refined so the modeled Imp/Isc meets its target exactly; targets
-    # above the aligned-beam value are unreachable and keep offset 0.
+    # is refined so the modeled Imp/Isc meets its target exactly.  A target
+    # at or above the aligned-beam ratio is unreachable: the least-squares
+    # already evaluates that configuration at offset 0, so its Pmp residual
+    # is the one the result reports.
     pmp_resid: dict = {}
     ii_resid: dict = {}
     responsivity: dict = {}
@@ -356,11 +403,22 @@ def calibrate(
             offs = dict(zip(harvest_names, x[n_resp + 1 :]))
             return resps, radius, offs
 
+        def held_offset(name, resp, radius, offset):
+            # an aligned ratio that is not above the target (or undefined)
+            # leaves the target unreachable: hold the offset at 0
+            target = targets.imp_isc.get(name)
+            if target is not None and not target < figures(name, resp, radius, 0.0)[1]:
+                return 0.0
+            return offset
+
         def resid_b(x):
             resps, radius, offs = unpack_b(x)
             out = []
             for name in harvest_names:
-                pmp, ratio = figures(name, resps[name[0]], radius, offs[name])
+                resp = resps[name[0]]
+                pmp, ratio = figures(
+                    name, resp, radius, held_offset(name, resp, radius, offs[name])
+                )
                 out.append(pmp / targets.pmp_w[name] - 1.0)
                 if name in targets.imp_isc:
                     out.append(
@@ -382,6 +440,12 @@ def calibrate(
         )
         if not sol_b.success:
             raise CalibrationError(f"harvest fit did not converge: {sol_b.message}")
+        fit_record["stage_b"] = _stage_record(
+            sol_b,
+            [f"responsivity_a_w.{k}" for k in harvest_sizes]
+            + ["beam_radius_mm"]
+            + [f"beam_offset_mm.{k}" for k in harvest_names],
+        )
         resps, beam_radius, offsets = unpack_b(sol_b.x)
         responsivity = {k: float(v) for k, v in resps.items()}
         beam_radius = float(beam_radius)
@@ -417,6 +481,7 @@ def calibrate(
         # the read-out every chain of the fit shares
         ac_load_ohm=default_receiver(names[0]).ac_load_ohm,
         emitted_power_w=default_transmitter().emitted_power_w,
+        fit_record=fit_record,
     )
     worst = result.max_residual()
     if worst > refuse_above:

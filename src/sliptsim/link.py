@@ -267,7 +267,7 @@ def dc_operating_point(
         return OperatingPoint(0.0, 0.0)
 
     def mismatch(i):
-        return string_voltage(device, photocurrents, i) - i * load_ohm
+        return string_voltage(device, photocurrents, i)[0] - i * load_ohm
 
     if mismatch(i_sc) >= 0.0:
         # load line crosses inside the (numerically) vertical knee at I_sc
@@ -305,6 +305,15 @@ def _one_pole(samples: np.ndarray, f3db_hz: float, fs_hz: float) -> np.ndarray:
     return lfilter([1.0 - a], [1.0, -a], samples)
 
 
+def _std(samples: np.ndarray, scratch: np.ndarray) -> float:
+    """``np.std(samples)`` by its own steps (mean, subtract, square in place,
+    sum, divide, square root), with ``x - mean`` written into ``scratch``, a
+    spent buffer of the same length, instead of a new temporary."""
+    np.subtract(samples, samples.mean(), out=scratch)
+    np.multiply(scratch, scratch, out=scratch)
+    return math.sqrt(scratch.sum() / samples.size)
+
+
 def _apply_channel(
     stream: np.ndarray,
     tx: TransmitterModel,
@@ -319,9 +328,12 @@ def _apply_channel(
 
     Each physical step is one pass, in place where the step allows it;
     ``stream`` is not modified.  The noise draw takes the same generator
-    values as ``rng.normal(0, sigma_v, n)``.
+    values as ``rng.normal(0, sigma_v, n)``.  The two standard deviations
+    reuse buffers: the received-sample buffer before the noise is drawn
+    into it, and the spent drive.
     """
-    sigma_x = stream.std()
+    rx = np.empty_like(stream)
+    sigma_x = _std(stream, rx)
     if clip_sigma is None:
         drive, scale_sigma = stream.copy(), 3.2
     else:
@@ -335,8 +347,8 @@ def _apply_channel(
     v_sig *= chain.ac_load_ohm
     psd = chain.noise.current_psd(chain.ac_load_ohm, operating_current_a)
     sigma_thermal = math.sqrt(psd * config.sample_rate_hz / 2.0) * chain.ac_load_ohm
-    sigma_q = chain.noise.quantization_sigma(float(v_sig.std()))
-    rx = rng.standard_normal(out=drive)  # the drive samples are spent
+    sigma_q = chain.noise.quantization_sigma(_std(v_sig, drive))  # drive is spent
+    rng.standard_normal(out=rx)
     rx *= math.hypot(sigma_thermal, sigma_q)
     rx += v_sig
     return rx, clipped

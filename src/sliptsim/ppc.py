@@ -5,9 +5,12 @@ A circular active area of diameter ``cell_diameter_mm`` is split into
 subcell; the subcells are series-connected on chip.  This module models
 
 * the per-sector photocurrent generated by a (possibly offset) Gaussian beam,
-* the single-diode I-V characteristic of each subcell,
-* the composed string I-V curve, short-circuit current and maximum power
-  point,
+* the single-diode I-V characteristic of each subcell, solved explicitly:
+  one vectorized string voltage V(I) with its slope dV/dI (Wright omega
+  form) serves every grid and every bracketed search,
+* the composed string I-V curve, the short-circuit current (a bracketed
+  root of V(I)) and the maximum power point (a bracketed root of
+  dP/dI = V + I*dV/dI),
 * the string capacitance (reciprocal sum of the subcell junction
   capacitances) and the resulting first-order RC bandwidth.
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import erfc
+from scipy.special import erfc, wrightomega
 
 from .constants import responsivity_quantum_limit, thermal_voltage
 
@@ -40,31 +43,18 @@ __all__ = [
     "UndefinedRatioError",
     "sector_beam_power",
     "sector_fractions",
-    "segment_photocurrents",
-    "segment_voltage",
     "string_voltage",
-    "string_voltages",
     "short_circuit_current",
     "string_iv",
     "find_mpp",
     "imp_isc_ratio",
     "harvest_figures",
-    "pce",
     "series_capacitance",
     "string_capacitance",
     "small_signal_bandwidth",
 ]
 
 PREFERRED_SEGMENT_COUNTS = (1, 2, 4, 6)
-
-# Exponent clamp keeping exp() finite during bracket searches.
-_EXP_MAX = 600.0
-
-# Segment-voltage root tolerance; the lockstep Brent port also copies
-# scipy brentq's default relative tolerance (4 eps) and iteration limit.
-_BRENT_XTOL = 1e-12
-_BRENT_RTOL = 4 * np.finfo(float).eps
-_BRENT_MAXITER = 100
 
 
 class QuadratureError(RuntimeError):
@@ -76,7 +66,7 @@ class QuadratureError(RuntimeError):
 
 
 class BracketError(RuntimeError):
-    """Root bracketing for the implicit diode equation failed."""
+    """The single-diode equation has no solution at the requested current."""
 
 
 class UndefinedRatioError(ValueError):
@@ -247,9 +237,10 @@ class OperatingPoint:
 class IVCurve:
     """Sampled I-V characteristic, voltage ascending / current non-increasing.
 
-    ``model`` is an optional continuous current-vs-voltage callable used by
-    :func:`find_mpp` for sub-grid refinement; curves built by
-    :func:`string_iv` carry the exact solver as their model.
+    ``model`` is an optional continuous model of the curve, a callable
+    current -> (voltage, dV/dI), used by :func:`find_mpp` for sub-grid
+    refinement; curves built by :func:`string_iv` carry the explicit string
+    voltage as their model.
     ``clamped`` marks points where at least one segment hit the reverse
     breakdown clamp.
     """
@@ -259,7 +250,7 @@ class IVCurve:
     device_id: str = ""
     illumination_id: str = ""
     clamped: np.ndarray | None = None
-    model: object = None  # callable voltage -> current
+    model: object = None  # callable current -> (voltage, dV/dI)
 
     MONOTONICITY_TOL = 1e-9
 
@@ -279,12 +270,6 @@ class IVCurve:
 
     def __len__(self):
         return len(self.voltages_v)
-
-    def current_at(self, voltage_v: float) -> float:
-        """Continuous-model current if available, else linear interpolation."""
-        if self.model is not None:
-            return float(self.model(voltage_v))
-        return float(np.interp(voltage_v, self.voltages_v, self.currents_a))
 
     def short_circuit_current_a(self) -> float:
         """Current at V = 0 (interpolated if 0 is not a grid point)."""
@@ -325,6 +310,23 @@ def _radial_profile(theta, beam: IlluminationProfile, radius_mm: float):
     return prefactor * np.exp(-a * transverse) * (gauss_part + erf_part)
 
 
+def _sector_powers(beam: IlluminationProfile, radius_mm: float, theta0, theta1, panels: int):
+    """Beam power (W) captured by each sector [theta0[k], theta1[k]].
+
+    Composite 16-point Gauss-Legendre over ``panels`` equal sub-intervals of
+    every sector, evaluated in one pass; each sector's sum is its own
+    ``np.dot``, so a sector's power does not depend on which others are
+    evaluated with it.
+    """
+    edges = np.linspace(theta0, theta1, panels + 1).T
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    half = 0.5 * (edges[:, 1] - edges[:, 0])
+    theta = mid[:, :, None] + (half[:, None] * _GL_X[None, :])[:, None, :]
+    vals = _radial_profile(theta.reshape(len(half), -1), beam, radius_mm)
+    weights = np.tile(half[:, None] * _GL_W[None, :], panels)
+    return np.array([np.dot(v, w) for v, w in zip(vals, weights)])
+
+
 def sector_beam_power(
     beam: IlluminationProfile,
     radius_mm: float,
@@ -338,13 +340,7 @@ def sector_beam_power(
     [theta0, theta1]; the radial direction is integrated in closed form, so
     arbitrarily narrow beams cost nothing extra radially.
     """
-    edges = np.linspace(theta0, theta1, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    theta = (mid[:, None] + half * _GL_X[None, :]).ravel()
-    vals = _radial_profile(theta, beam, radius_mm)
-    weights = np.tile(half * _GL_W, panels)
-    return float(np.dot(vals, weights))
+    return float(_sector_powers(beam, radius_mm, [theta0], [theta1], panels)[0])
 
 
 def sector_fractions(
@@ -360,7 +356,8 @@ def sector_fractions(
     relative per sector.  Sectors essentially in the dark sit at the
     floating-point cancellation floor of the radial closed form, so the
     comparison is floored at an absolute share of 1e-12 of the total power
-    (a femtowatt-scale power for the links modeled here).  With
+    (a femtowatt-scale power for the links modeled here).  All sectors
+    double in lockstep; a converged sector leaves the evaluation set.  With
     ``return_panels`` the terminal panel count per sector is returned
     alongside the fractions.
 
@@ -373,381 +370,150 @@ def sector_fractions(
         return (zeros, np.zeros(n, dtype=int)) if return_panels else zeros
     radius = geometry.cell_diameter_mm / 2.0
     bounds = np.linspace(0.0, 2.0 * math.pi, n + 1)
+    floor = 1e-12 * beam.total_power_w
+    prev = _sector_powers(beam, radius, bounds[:-1], bounds[1:], 4)
     fractions = np.empty(n)
     terminal = np.empty(n, dtype=int)
-    for i in range(n):
-        prev = sector_beam_power(beam, radius, bounds[i], bounds[i + 1], panels=4)
-        panels = 8
-        achieved = math.inf
-        while panels <= max_panels:
-            cur = sector_beam_power(beam, radius, bounds[i], bounds[i + 1], panels)
-            floor = 1e-12 * beam.total_power_w
-            achieved = abs(cur - prev) / max(abs(cur), floor)
-            if achieved <= rel_tol:
-                prev = cur
-                break
-            prev = cur
-            panels *= 2
-        else:
+    live = np.arange(n)
+    panels = 8
+    achieved = np.full(n, math.inf)
+    while live.size:
+        if panels > max_panels:
+            i = int(live[0])
             raise QuadratureError(
                 f"sector {i} quadrature did not reach rel_tol={rel_tol:g} "
-                f"within {max_panels} panels (achieved {achieved:.3g})",
-                achieved_tol=achieved,
+                f"within {max_panels} panels (achieved {achieved[i]:.3g})",
+                achieved_tol=float(achieved[i]),
             )
-        fractions[i] = max(prev, 0.0) / beam.total_power_w
-        terminal[i] = panels
+        cur = _sector_powers(beam, radius, bounds[live], bounds[live + 1], panels)
+        achieved[live] = np.abs(cur - prev[live]) / np.maximum(np.abs(cur), floor)
+        done = achieved[live] <= rel_tol
+        fractions[live[done]] = np.maximum(cur[done], 0.0) / beam.total_power_w
+        terminal[live[done]] = panels
+        prev[live] = cur
+        live = live[~done]
+        panels *= 2
     if return_panels:
         return fractions, terminal
     return fractions
 
 
-def segment_photocurrents(
-    geometry: SegmentGeometry,
-    beam: IlluminationProfile,
-    rel_tol: float = 1e-6,
-) -> np.ndarray:
-    """Photocurrent (A) generated in each sector: responsivity x sector power."""
-    fractions = sector_fractions(geometry, beam, rel_tol=rel_tol)
-    return beam.responsivity_a_w * beam.total_power_w * fractions
-
-
 # ---------------------------------------------------------------------------
-# Single-diode equation
+# Single-diode equation and series string
 # ---------------------------------------------------------------------------
 
-def segment_voltage(
-    diode: DiodeParams,
-    area_mm2: float,
-    photocurrent_a: float,
-    current_a: float,
-) -> float:
-    """Terminal voltage of one segment carrying a given current.
+# Below this Wright omega argument omega(z) ~ exp(z) nears the end of the
+# normal floating-point range (exp(-708)) and then underflows; the junction
+# voltage comes from the linear form there.
+_Z_DEEP_REVERSE = -700.0
 
-    Solves the implicit single-diode equation
-    ``I = I_ph - I0*(exp((V+I*Rs)/(n*VT)) - 1) - (V+I*Rs)/Rsh`` for V by an
-    expanding bracket and ``brentq`` (1e-12 V).  With the shunt disabled the
-    equation is explicit, and the diode cannot conduct more than I_ph + I0;
-    such currents have no solution and raise BracketError.
+# Tolerances of the bracketed current roots (short circuit, load line, MPP).
+_I_XTOL = 1e-15
+_I_RTOL = 8.9e-16
+
+
+def _segment_voltages(device: SegmentedDevice, photocurrents: np.ndarray, currents):
+    """Terminal voltage and slope dV/dI of each segment at each current.
+
+    The single-diode equation ``I = I_ph - I0*(exp(Vj/a) - 1) - Vj/Rsh``,
+    with ``Vj = V + I*Rs`` and ``a = n*kT/q``, has the explicit solution
+    ``Vj = a*ln(a*w/(I0*Rsh))`` (Jain & Kapoor 2004), where ``w`` is the
+    Wright omega function (Lawrence, Corless & Jeffrey 2012) of
+    ``z = ln(I0*Rsh/a) + Rsh*B/a`` and ``B = (I_ph - I) + I0``; no term of it
+    cancels.  The slope follows as ``dVj/dI = -Rsh/(1 + w)``.  In deep
+    reverse bias ``w`` underflows, and ``Vj = Rsh*B - a*w`` is used there.
+    With the shunt disabled ``Vj = a*ln(B/I0)``, which is -inf where
+    ``B <= 0``: the diode cannot carry that current.
+
+    ``photocurrents`` and ``currents`` broadcast against each other.
     """
-    if area_mm2 <= 0:
-        raise ValueError("area must be positive")
-    i0 = diode.saturation_current_density_a_mm2 * area_mm2
-    nvt = diode.ideality * diode.thermal_voltage_v
+    diode = device.diode
+    i0 = diode.saturation_current_density_a_mm2 * device.geometry.sector_area_mm2
+    a = diode.ideality * diode.thermal_voltage_v
     rsh = diode.shunt_resistance_ohm
-    i_rs = current_a * diode.series_resistance_ohm
+    # I_ph - I is exact near the knee, so I0 is not rounded away there
+    b = (photocurrents - currents) + i0
     if math.isinf(rsh):
-        # closed form: I = I_ph - I0*(exp(Vj/nvt) - 1)
-        headroom = photocurrent_a - current_a + i0
-        if headroom <= 0:
-            raise BracketError(
-                f"current {current_a:.6g} A exceeds I_ph + I0 = "
-                f"{photocurrent_a + i0:.6g} A with shunt disabled"
-            )
-        return nvt * math.log(headroom / i0) - i_rs
-
-    def h(v):
-        vj = v + i_rs
-        return photocurrent_a - i0 * math.expm1(min(vj / nvt, _EXP_MAX)) - vj / rsh - current_a
-
-    # h is strictly decreasing in V.
-    v_est = nvt * math.log1p(max(photocurrent_a - current_a, 0.0) / i0) - i_rs
-    step = max(abs(v_est), nvt, 1.0)
-    lo, hi = v_est - step, v_est + step
-    h_lo, h_hi = h(lo), h(hi)
-    for _ in range(200):
-        if h_lo > 0.0 >= h_hi:
-            break
-        if h_lo <= 0.0:
-            lo -= step
-            h_lo = h(lo)
-        if h_hi > 0.0:
-            hi += step
-            h_hi = h(hi)
-        step *= 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vj = np.where(b > 0.0, a * np.log(b / i0), -math.inf)
+            slope = -a / b
     else:
-        raise BracketError(
-            f"no voltage bracket in [{lo:.6g}, {hi:.6g}] V for I={current_a:.6g} A"
-        )
-    return float(brentq(h, lo, hi, xtol=_BRENT_XTOL))
+        z = b * (rsh / a) + math.log(i0 * rsh / a)
+        w = wrightomega(z)
+        # w underflows in deep reverse bias, where the linear form is exact
+        deep = z < _Z_DEEP_REVERSE
+        vj = a * np.log((a / (i0 * rsh)) * np.where(deep, 1.0, w))
+        if deep.any():
+            vj = np.where(deep, rsh * b - a * w, vj)
+        slope = -rsh / (1.0 + w)
+    rs = diode.series_resistance_ohm
+    return vj - currents * rs, slope - rs
 
 
-def _elementwise(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` of the ``math`` module applied to every element of ``x``.
+def string_voltage(device: SegmentedDevice, photocurrents, currents):
+    """String voltage, its slope dV/dI and the clamp flag at series currents.
 
-    ``np.expm1``/``np.log1p``/``np.log`` may differ from the ``math``
-    functions in the last ulp (SIMD builds), which would move the batched
-    solve off the scalar one; the ``math`` results keep the two identical.
-    """
-    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+    The string voltage is the sum of the explicit segment voltages
+    (:func:`_segment_voltages`).  With the reverse clamp enabled a segment
+    voltage below -reverse_breakdown_v is clamped there, adds nothing to the
+    slope and flags its current.  One call serves any shape of
+    ``currents``: a whole I-V grid as well as the single currents of the
+    bracketed searches (short circuit, load line, MPP).
 
-
-def _brent_lockstep(h, xpre, xcur, fpre, fcur):
-    """Brent's root finder run on many brackets at once.
-
-    A line-by-line port of scipy's ``brentq.c`` (Brent 1973): every bracket
-    takes the same interpolation, bisection and step decisions as its
-    scalar run, so each root equals ``brentq(h_k, xpre[k], xcur[k],
-    xtol=1e-12)`` bit for bit.  ``h(x, k)`` evaluates the residuals of the
-    brackets ``k`` at ``x``; ``fpre``/``fcur`` are the residuals at the
-    bracket ends.  Finished brackets drop out of the evaluation set.
-
-    Raises:
-        ValueError: a bracket without a sign change, or a NaN residual.
-        RuntimeError: a bracket not converged after 100 iterations.
-    """
-    roots = np.empty_like(xcur)
-    at_pre, at_cur = fpre == 0, fcur == 0
-    roots[at_pre] = xpre[at_pre]
-    at_cur &= ~at_pre
-    roots[at_cur] = xcur[at_cur]
-    k = np.flatnonzero(~(at_pre | at_cur))
-    if not k.size:
-        return roots
-    xpre, xcur, fpre, fcur = xpre[k], xcur[k], fpre[k], fcur[k]
-    if np.any(np.signbit(fpre) == np.signbit(fcur)):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk, fblk = np.zeros_like(xcur), np.zeros_like(xcur)
-    spre, scur = np.zeros_like(xcur), np.zeros_like(xcur)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_BRENT_MAXITER):
-            flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-            xblk = np.where(flip, xpre, xblk)
-            fblk = np.where(flip, fpre, fblk)
-            spre = np.where(flip, xcur - xpre, spre)
-            scur = np.where(flip, xcur - xpre, scur)
-            swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk = (
-                np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
-                np.where(swap, xcur, xblk),
-            )
-            fpre, fcur, fblk = (
-                np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
-                np.where(swap, fcur, fblk),
-            )
-
-            delta = (_BRENT_XTOL + _BRENT_RTOL * np.abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            done = (fcur == 0) | (np.abs(sbis) < delta)
-            if done.any():
-                roots[k[done]] = xcur[done]
-                live = ~done
-                k = k[live]
-                if not k.size:
-                    return roots
-                xpre, xcur, xblk = xpre[live], xcur[live], xblk[live]
-                fpre, fcur, fblk = fpre[live], fcur[live], fblk[live]
-                spre, scur = spre[live], scur[live]
-                delta, sbis = delta[live], sbis[live]
-
-            secant = xpre == xblk
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            stry = np.where(
-                secant,
-                -fcur * (xcur - xpre) / (fcur - fpre),
-                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),
-            )
-            bound = 3 * np.abs(sbis) - delta
-            bound = np.where(np.abs(spre) < bound, np.abs(spre), bound)
-            good = (
-                (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                & (2 * np.abs(stry) < bound)
-            )
-            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
-
-            xpre, fpre = xcur, fcur
-            xcur = xcur + np.where(
-                np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta)
-            )
-            fcur = h(xcur, k)
-            if np.isnan(fcur).any():
-                x = xcur[np.isnan(fcur)][0]
-                raise ValueError(
-                    f"The function value at x={x} is NaN; solver cannot continue."
-                )
-    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
-
-
-def _segment_voltages(diode: DiodeParams, area_mm2: float, photocurrents, currents):
-    """:func:`segment_voltage` of every (photocurrent, current) pair at once.
-
-    Returns the voltages, with -inf where the scalar solve raises
-    BracketError, and the index of those pairs.  Each finite voltage equals
-    the scalar one exactly: the same bracket walk and the same Brent
-    iteration (:func:`_brent_lockstep`) on the same residual arithmetic.
-    """
-    i0 = diode.saturation_current_density_a_mm2 * area_mm2
-    nvt = diode.ideality * diode.thermal_voltage_v
-    rsh = diode.shunt_resistance_ohm
-    i_rs = currents * diode.series_resistance_ohm
-    if math.isinf(rsh):
-        headroom = photocurrents - currents + i0
-        failed = np.flatnonzero(headroom <= 0)
-        safe = np.where(headroom <= 0, 1.0, headroom)
-        v = nvt * _elementwise(math.log, safe / i0) - i_rs
-        v[failed] = -math.inf
-        return v, failed
-
-    def h(v, k):
-        vj = v + i_rs[k]
-        arg = np.minimum(vj / nvt, _EXP_MAX)
-        return photocurrents[k] - i0 * _elementwise(math.expm1, arg) - vj / rsh - currents[k]
-
-    surplus = photocurrents - currents
-    surplus = np.where(0.0 > surplus, 0.0, surplus)
-    v_est = nvt * _elementwise(math.log1p, surplus / i0) - i_rs
-    step = np.maximum(np.maximum(np.abs(v_est), nvt), 1.0)
-    lo, hi = v_est - step, v_est + step
-    every = np.arange(v_est.size)
-    h_lo, h_hi = h(lo, every), h(hi, every)
-    pending = every
-    for _ in range(200):
-        pending = pending[~((h_lo[pending] > 0.0) & (0.0 >= h_hi[pending]))]
-        if not pending.size:
-            break
-        move = pending[h_lo[pending] <= 0.0]
-        lo[move] -= step[move]
-        h_lo[move] = h(lo[move], move)
-        move = pending[h_hi[pending] > 0.0]
-        hi[move] += step[move]
-        h_hi[move] = h(hi[move], move)
-        step[pending] *= 2.0
-    bracketed = np.setdiff1d(every, pending, assume_unique=True)
-    v = np.full(v_est.size, -math.inf)
-    v[bracketed] = _brent_lockstep(
-        lambda x, k: h(x, bracketed[k]),
-        lo[bracketed], hi[bracketed], h_lo[bracketed], h_hi[bracketed],
-    )
-    return v, pending
-
-
-# ---------------------------------------------------------------------------
-# Series string composition
-# ---------------------------------------------------------------------------
-
-def string_voltage(
-    device: SegmentedDevice,
-    photocurrents,
-    current_a: float,
-    with_clamp_flag: bool = False,
-):
-    """String voltage at a given series current: sum of segment voltages.
-
-    Each segment voltage is clamped at -reverse_breakdown_v (flagged) when
-    the clamp is enabled.  This is the one-current path of the sequential
-    searches (short-circuit current, load line, ``IVCurve`` model, golden
-    section); a grid of currents goes through :func:`string_voltages`.
-    """
-    area = device.geometry.sector_area_mm2
-    clamped = False
-    total = 0.0
-    for iph in photocurrents:
-        try:
-            v = segment_voltage(device.diode, area, float(iph), current_a)
-        except BracketError:
-            if device.reverse_breakdown_v is None:
-                raise
-            v = -math.inf
-        if device.reverse_breakdown_v is not None and v < -device.reverse_breakdown_v:
-            v = -device.reverse_breakdown_v
-            clamped = True
-        total += v
-    if with_clamp_flag:
-        return total, clamped
-    return total
-
-
-def string_voltages(device: SegmentedDevice, photocurrents, currents):
-    """String voltages and clamp flags at a grid of series currents.
-
-    Solves every (current x segment) pair in one batched, lockstep Brent
-    iteration and sums the segment columns in segment order, so that
-    ``voltages[k], clamped[k] == string_voltage(device, photocurrents,
-    currents[k], with_clamp_flag=True)`` exactly.  One call costs about ten
-    scalar solves of overhead, so single currents stay on
-    :func:`string_voltage`.
+    Returns:
+        (voltages, slopes, clamped), each shaped like ``currents``.
 
     Raises:
-        BracketError: a segment has no solution and the reverse clamp is
-            disabled (the first such pair in current-major order).
+        BracketError: a current exceeds I_ph + I0 of a segment while both the
+            shunt and the clamp are disabled; the diode has no solution.
     """
     photocurrents = np.asarray(photocurrents, dtype=float)
     currents = np.asarray(currents, dtype=float)
-    n_seg = len(photocurrents)
-    pair_iph = np.tile(photocurrents, currents.size)
-    pair_i = np.repeat(currents, n_seg)
-    v, failed = _segment_voltages(
-        device.diode, device.geometry.sector_area_mm2, pair_iph, pair_i
-    )
-    if failed.size and device.reverse_breakdown_v is None:
-        # the scalar solve of the first failed pair raises its BracketError
-        first = failed.min()
-        segment_voltage(device.diode, device.geometry.sector_area_mm2,
-                        pair_iph[first], pair_i[first])
-    v = v.reshape(currents.size, n_seg)
-    clamped = np.zeros(currents.size, dtype=bool)
-    if device.reverse_breakdown_v is not None:
-        below = v < -device.reverse_breakdown_v
-        v[below] = -device.reverse_breakdown_v
-        clamped = below.any(axis=1)
-    total = np.zeros(currents.size)
-    for j in range(n_seg):
-        total += v[:, j]
-    return total, clamped
+    v, slope = _segment_voltages(device, photocurrents, currents[..., None])
+    limit = device.reverse_breakdown_v
+    if limit is None:
+        if np.isneginf(v).any():
+            raise BracketError(
+                f"current {currents.max():.6g} A exceeds I_ph + I0 of the darkest "
+                f"segment ({photocurrents.min():.6g} A + I0) with shunt disabled"
+            )
+        clamped = np.zeros(currents.shape, dtype=bool)
+    else:
+        below = v < -limit
+        clamped = below.any(axis=-1)
+        if clamped.any():
+            v = np.where(below, -limit, v)
+            slope = np.where(below, 0.0, slope)
+    return v.sum(axis=-1), slope.sum(axis=-1), clamped
 
 
 def short_circuit_current(device: SegmentedDevice, photocurrents) -> float:
     """Series current at which the string voltage crosses zero.
 
-    With both shunt and reverse conduction disabled the string cannot carry
-    more than min(I_ph) + I0; the zero crossing then sits exponentially close
-    to that limit (well inside one double-precision ulp for realistic I0),
-    and the limit itself is returned.
+    A bracketed root of the explicit string voltage.  Above every
+    photocurrent (plus I0) each segment is reverse biased, so that current
+    closes the bracket.  With both shunt and reverse clamp disabled the
+    string cannot carry more than min(I_ph) + I0, and the bracket closes one
+    ulp below that limit; when the voltage there is still not negative, the
+    crossing lies closer to the limit than one ulp, and that ulp is returned.
     """
     photocurrents = np.asarray(photocurrents, dtype=float)
     if np.all(photocurrents <= 0):
         return 0.0
-    area = device.geometry.sector_area_mm2
-    i0 = device.diode.saturation_current_density_a_mm2 * area
 
     def v_of_i(i):
-        return string_voltage(device, photocurrents, i)
+        return string_voltage(device, photocurrents, i)[0]
 
     if v_of_i(0.0) <= 0.0:
         return 0.0
-
-    conduction_limited = (
-        math.isinf(device.diode.shunt_resistance_ohm)
-        and device.reverse_breakdown_v is None
-    )
-    if conduction_limited:
-        limit = float(photocurrents.min()) + i0
-        # approach the domain edge geometrically; stop at the ulp floor
-        gap = i0 * 0.5
-        hi = None
-        while True:
-            candidate = limit - gap
-            if candidate <= 0.0 or candidate == limit:
-                break
-            if v_of_i(candidate) < 0.0:
-                hi = candidate
-                break
-            gap *= 0.5
-        if hi is None:
-            # crossing is closer to the limit than one representable step
-            return np.nextafter(limit, 0.0)
-        return float(brentq(v_of_i, 0.0, hi, xtol=1e-15, rtol=8.9e-16))
-
-    hi = float(photocurrents.min())
-    step = max(hi * 1e-3, i0, 1e-15)
-    for _ in range(200):
-        if v_of_i(hi) < 0.0:
-            break
-        hi += step
-        step *= 2.0
+    i0 = device.diode.saturation_current_density_a_mm2 * device.geometry.sector_area_mm2
+    if math.isinf(device.diode.shunt_resistance_ohm) and device.reverse_breakdown_v is None:
+        hi = float(np.nextafter(float(photocurrents.min()) + i0, 0.0))
+        if v_of_i(hi) >= 0.0:
+            return hi
     else:
-        raise BracketError("short-circuit current bracket not found")
-    return float(brentq(v_of_i, 0.0, hi, xtol=1e-15, rtol=8.9e-16))
+        hi = float(photocurrents.max()) + i0
+    return float(brentq(v_of_i, 0.0, hi, xtol=_I_XTOL, rtol=_I_RTOL))
 
 
 def default_current_grid(i_sc: float, n_points: int = 2048, decades: float = 12.0) -> np.ndarray:
@@ -771,16 +537,11 @@ def string_iv(
 ) -> IVCurve:
     """I-V curve of the series string for the given per-segment photocurrents.
 
-    For each series current the string voltage is the sum of the individual
-    segment voltages (each an independent inverse solve of the single-diode
-    equation).  The whole grid is solved in one batched call
-    (:func:`string_voltages`: every current x segment pair in lockstep
-    Brent iterations, each voltage identical to the scalar solve).  The
-    returned curve spans V = 0 (at the string short-circuit current) up to
-    V_oc (at zero current) and carries the continuous solver as its
-    ``model`` for later refinement; that model answers one voltage at a
-    time inside sequential searches, so it stays on the scalar
-    :func:`string_voltage`.
+    For each series current the string voltage is the sum of the explicit
+    segment voltages; the whole grid is one :func:`string_voltage` call.
+    The returned curve spans V = 0 (at the string short-circuit current) up
+    to V_oc (at zero current) and carries the explicit string voltage and
+    its slope as its ``model``.
 
     Args:
         device: segment geometry, diode parameters and reverse clamp.
@@ -803,13 +564,13 @@ def string_iv(
         return IVCurve(
             np.array([0.0]), np.array([0.0]),
             device_id=device.device_id, illumination_id=illumination_id,
-            clamped=np.array([False]), model=lambda v: 0.0,
+            clamped=np.array([False]),
         )
     if current_grid is None:
         current_grid = default_current_grid(i_sc, n_points)
     currents = np.asarray(current_grid, dtype=float)
 
-    voltages, clamp_flags = string_voltages(device, photocurrents, currents)
+    voltages, _, clamp_flags = string_voltage(device, photocurrents, currents)
 
     order = np.argsort(voltages)
     voltages = voltages[order]
@@ -819,22 +580,11 @@ def string_iv(
     keep = np.concatenate([[True], np.diff(voltages) > 0])
     voltages, currents, clamp_flags = voltages[keep], currents[keep], clamp_flags[keep]
 
-    def current_at_voltage(v):
-        if v >= voltages[-1]:
-            return 0.0 if v > voltages[-1] else float(currents[-1])
-        if v <= voltages[0]:
-            # below the lowest sampled voltage the knee is effectively
-            # vertical (conduction-limited string); current pins at I_sc
-            return float(currents[0])
-        return float(
-            brentq(lambda i: string_voltage(device, photocurrents, i) - v,
-                   0.0, i_sc, xtol=1e-15, rtol=8.9e-16)
-        )
-
     return IVCurve(
         voltages, currents,
         device_id=device.device_id, illumination_id=illumination_id,
-        clamped=clamp_flags, model=current_at_voltage,
+        clamped=clamp_flags,
+        model=lambda i: string_voltage(device, photocurrents, i)[:2],
     )
 
 
@@ -842,36 +592,30 @@ def string_iv(
 # Curve analysis
 # ---------------------------------------------------------------------------
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def _power_maximum(model, lo: float, hi: float):
+    """(voltage, current) where ``dP/dI = V + I*dV/dI`` falls through zero
+    for a current in [lo, hi], or None if it does not change sign there.
 
+    ``model`` maps a current to (voltage, dV/dI).
+    """
+    def dp_di(i):
+        v, slope = model(i)
+        return v + i * slope
 
-def _golden_max(f, lo: float, hi: float, iterations: int = 90):
-    """Golden-section maximization of f over [lo, hi]."""
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iterations):
-        if b - a < 1e-15 * max(abs(a), abs(b), 1e-12):
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+    if not dp_di(lo) > 0.0 > dp_di(hi):
+        return None
+    i_mp = brentq(dp_di, lo, hi, xtol=_I_XTOL, rtol=_I_RTOL)
+    return float(model(i_mp)[0]), float(i_mp)
 
 
 def find_mpp(curve: IVCurve) -> OperatingPoint:
     """Maximum power point of an I-V curve.
 
-    Locates the best grid sample, then refines with golden-section search on
-    the continuous model between the bracketing grid points.  If the sampled
-    power profile is not unimodal (numerical noise, clamped regions) every
-    local maximum is refined and the best is returned, with a warning.
+    Locates the best grid sample, then refines it with the curve's model:
+    the root of ``dP/dI`` between the sample's grid neighbours.  If the
+    sampled power profile is not unimodal (numerical noise, clamped regions)
+    every local maximum is refined and the best is returned, with a
+    warning.  A curve without a model returns its best sample.
 
     The returned power is never below the best grid sample.
     """
@@ -880,8 +624,8 @@ def find_mpp(curve: IVCurve) -> OperatingPoint:
     if len(curve) < 8:
         raise ValueError("curve must have at least 8 points spanning V=0 to V_oc")
 
-    v = curve.voltages_v
-    p = curve.voltages_v * curve.currents_a
+    v, i = curve.voltages_v, curve.currents_a
+    p = v * i
     idx = int(np.argmax(p))
 
     # local maxima of the sampled power, with a noise floor
@@ -899,19 +643,15 @@ def find_mpp(curve: IVCurve) -> OperatingPoint:
         )
         candidates = sorted(set(interior[is_max]) | {idx})
 
-    def power_at(x):
-        return x * curve.current_at(x)
-
-    best_v, best_p = v[idx], power_at(v[idx])
+    best_v, best_i = float(v[idx]), float(i[idx])
+    if curve.model is None:
+        return OperatingPoint(best_v, best_i)
     for c in candidates:
-        lo = v[max(c - 1, 0)]
-        hi = v[min(c + 1, len(v) - 1)]
-        if hi <= lo:
-            continue
-        vx, px = _golden_max(power_at, lo, hi)
-        if px > best_p:
-            best_v, best_p = vx, px
-    return OperatingPoint(best_v, curve.current_at(best_v))
+        # the current falls as the voltage rises
+        found = _power_maximum(curve.model, i[min(c + 1, len(i) - 1)], i[max(c - 1, 0)])
+        if found is not None and found[0] * found[1] > best_v * best_i:
+            best_v, best_i = found
+    return OperatingPoint(best_v, best_i)
 
 
 def imp_isc_ratio(curve: IVCurve) -> float:
@@ -929,11 +669,9 @@ def harvest_figures(
     """(Pmp, Imp/Isc) straight from the continuous string model.
 
     Mismatched strings have a double-knee power profile, so a coarse
-    97-point scan picks the knee before golden-section refinement.  The scan
-    is one batched :func:`string_voltages` call; the short-circuit current
-    and the golden section are sequential searches, one current per step,
-    and use the scalar :func:`string_voltage`, which is about ten times
-    cheaper for a single current.  Both paths give identical voltages.
+    97-point scan picks the knee; the MPP is then the root of ``dP/dI``
+    between the scan's neighbours of the knee (the best scan point if
+    ``dP/dI`` does not change sign there).
     """
     fractions = sector_fractions(device.geometry, beam)
     photocurrents = beam.responsivity_a_w * beam.total_power_w * fractions
@@ -941,23 +679,17 @@ def harvest_figures(
     if i_sc <= 0:
         return 0.0, math.nan
 
-    def power(i):
-        return i * string_voltage(device, photocurrents, i)
+    def model(i):
+        return string_voltage(device, photocurrents, i)[:2]
 
     grid = np.linspace(0.0, i_sc * (1.0 - 1e-12), 97)
-    values = grid * string_voltages(device, photocurrents, grid)[0]
+    values = grid * model(grid)[0]
     k = int(np.argmax(values))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    i_mp, p_mp = _golden_max(power, lo, hi)
+    p_mp, i_mp = float(values[k]), float(grid[k])
+    found = _power_maximum(model, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
+    if found is not None:
+        p_mp, i_mp = found[0] * found[1], found[1]
     return p_mp, i_mp / i_sc
-
-
-def pce(mpp: OperatingPoint, incident_power_w: float) -> float:
-    """Power conversion efficiency: Pmp over incident optical power."""
-    if incident_power_w <= 0:
-        raise ValueError("incident power must be positive")
-    return mpp.power_w / incident_power_w
 
 
 # ---------------------------------------------------------------------------

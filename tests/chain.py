@@ -1,7 +1,7 @@
-"""Shared helpers for tests: per-point references of the device solver
-(the forward single-diode solve, the string I-V and harvest loops), a
-configurable digital loopback and a plain reference of the link's
-optical/electrical channel."""
+"""Shared helpers for tests: an independent oracle of the device solver
+(per-segment bracketed ``brentq`` solves of the implicit single-diode
+equation, the string I-V and a golden-section MPP), a configurable digital
+loopback and a plain reference of the link's optical/electrical channel."""
 
 import math
 
@@ -26,21 +26,25 @@ from sliptsim.ofdm import (
     synchronize,
 )
 from sliptsim.ppc import (
-    _EXP_MAX,
     BracketError,
     DiodeParams,
-    IVCurve,
-    _golden_max,
-    default_current_grid,
     sector_fractions,
-    short_circuit_current,
-    string_voltage,
 )
 
 
 # ---------------------------------------------------------------------------
-# Device solver references
+# Device solver oracle
 # ---------------------------------------------------------------------------
+
+# Exponent clamp keeping exp() finite during bracket searches.
+_EXP_MAX = 600.0
+
+
+def segment_photocurrents(geometry, beam, rel_tol=1e-6) -> np.ndarray:
+    """Photocurrent (A) generated in each sector: responsivity x sector power."""
+    fractions = sector_fractions(geometry, beam, rel_tol=rel_tol)
+    return beam.responsivity_a_w * beam.total_power_w * fractions
+
 
 def _diode_residual(diode: DiodeParams, i0: float, photocurrent: float,
                     voltage: float, current: float) -> float:
@@ -101,49 +105,173 @@ def segment_current(
     return float(brentq(g, lo, hi, xtol=1e-12, rtol=1e-9))
 
 
-def per_point_string_voltages(device, photocurrents, currents):
-    """``string_voltage`` called once per current: (voltages, clamp flags)."""
+def segment_voltage(
+    diode: DiodeParams,
+    area_mm2: float,
+    photocurrent_a: float,
+    current_a: float,
+) -> float:
+    """Terminal voltage of one segment carrying a given current.
+
+    Solves the implicit single-diode equation for V by an expanding bracket
+    and ``brentq`` (1e-12 V).  With the shunt disabled the equation is
+    explicit, and currents above I_ph + I0 raise BracketError.
+    """
+    i0 = diode.saturation_current_density_a_mm2 * area_mm2
+    nvt = diode.ideality * diode.thermal_voltage_v
+    rsh = diode.shunt_resistance_ohm
+    i_rs = current_a * diode.series_resistance_ohm
+    if math.isinf(rsh):
+        headroom = photocurrent_a - current_a + i0
+        if headroom <= 0:
+            raise BracketError(
+                f"current {current_a:.6g} A exceeds I_ph + I0 = "
+                f"{photocurrent_a + i0:.6g} A with shunt disabled"
+            )
+        return nvt * math.log(headroom / i0) - i_rs
+
+    def h(v):
+        return _diode_residual(diode, i0, photocurrent_a, v, current_a)
+
+    # h is strictly decreasing in V.
+    v_est = nvt * math.log1p(max(photocurrent_a - current_a, 0.0) / i0) - i_rs
+    step = max(abs(v_est), nvt, 1.0)
+    lo, hi = v_est - step, v_est + step
+    h_lo, h_hi = h(lo), h(hi)
+    for _ in range(200):
+        if h_lo > 0.0 >= h_hi:
+            break
+        if h_lo <= 0.0:
+            lo -= step
+            h_lo = h(lo)
+        if h_hi > 0.0:
+            hi += step
+            h_hi = h(hi)
+        step *= 2.0
+    else:
+        raise BracketError(
+            f"no voltage bracket in [{lo:.6g}, {hi:.6g}] V for I={current_a:.6g} A"
+        )
+    return float(brentq(h, lo, hi, xtol=1e-12))
+
+
+def string_voltage(device, photocurrents, current_a):
+    """(string voltage, clamp flag) at one series current: the sum of the
+    segment voltages, each clamped at -reverse_breakdown_v when enabled."""
+    area = device.geometry.sector_area_mm2
+    limit = device.reverse_breakdown_v
+    clamped = False
+    total = 0.0
+    for iph in photocurrents:
+        try:
+            v = segment_voltage(device.diode, area, float(iph), float(current_a))
+        except BracketError:
+            if limit is None:
+                raise
+            v = -math.inf
+        if limit is not None and v < -limit:
+            v = -limit
+            clamped = True
+        total += v
+    return total, clamped
+
+
+def string_voltages(device, photocurrents, currents):
+    """:func:`string_voltage` once per current: (voltages, clamp flags)."""
     voltages = np.empty(len(currents))
     clamped = np.zeros(len(currents), dtype=bool)
     for k, i in enumerate(currents):
-        voltages[k], clamped[k] = string_voltage(
-            device, photocurrents, float(i), with_clamp_flag=True
-        )
+        voltages[k], clamped[k] = string_voltage(device, photocurrents, i)
     return voltages, clamped
 
 
-def reference_string_iv(device, photocurrents, n_points=2048) -> IVCurve:
-    """``string_iv`` on its default grid, one ``string_voltage`` per point,
-    without the continuous model."""
+def short_circuit_current(device, photocurrents) -> float:
+    """Zero crossing of the string voltage: an expanding bracket (or, for a
+    conduction-limited string, a geometric approach to its current limit),
+    then ``brentq``."""
     photocurrents = np.asarray(photocurrents, dtype=float)
-    i_sc = short_circuit_current(device, photocurrents)
-    currents = default_current_grid(i_sc, n_points)
-    voltages, clamped = per_point_string_voltages(device, photocurrents, currents)
-    order = np.argsort(voltages)
-    voltages, currents, clamped = voltages[order], currents[order], clamped[order]
-    keep = np.concatenate([[True], np.diff(voltages) > 0])
-    return IVCurve(voltages[keep], currents[keep], clamped=clamped[keep])
+    if np.all(photocurrents <= 0):
+        return 0.0
+    i0 = device.diode.saturation_current_density_a_mm2 * device.geometry.sector_area_mm2
+
+    def v_of_i(i):
+        return string_voltage(device, photocurrents, i)[0]
+
+    if v_of_i(0.0) <= 0.0:
+        return 0.0
+    if math.isinf(device.diode.shunt_resistance_ohm) and device.reverse_breakdown_v is None:
+        limit = float(photocurrents.min()) + i0
+        gap, hi = i0 * 0.5, None
+        while True:
+            candidate = limit - gap
+            if candidate <= 0.0 or candidate == limit:
+                break
+            if v_of_i(candidate) < 0.0:
+                hi = candidate
+                break
+            gap *= 0.5
+        if hi is None:
+            return float(np.nextafter(limit, 0.0))
+        return float(brentq(v_of_i, 0.0, hi, xtol=1e-15, rtol=8.9e-16))
+    hi = float(photocurrents.min())
+    step = max(hi * 1e-3, i0, 1e-15)
+    for _ in range(200):
+        if v_of_i(hi) < 0.0:
+            break
+        hi += step
+        step *= 2.0
+    else:
+        raise BracketError("short-circuit current bracket not found")
+    return float(brentq(v_of_i, 0.0, hi, xtol=1e-15, rtol=8.9e-16))
 
 
-def reference_harvest_figures(device, beam):
-    """``harvest_figures`` with its 97-point power scan one current at a
-    time, then the same golden-section refinement."""
-    fractions = sector_fractions(device.geometry, beam)
-    photocurrents = beam.responsivity_a_w * beam.total_power_w * fractions
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(f, lo: float, hi: float, iterations: int = 90):
+    """Golden-section maximization of f over [lo, hi]: (x, f(x))."""
+    a, b = lo, hi
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iterations):
+        if b - a < 1e-15 * max(abs(a), abs(b), 1e-12):
+            break
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
+
+
+def reference_mpp(device, photocurrents):
+    """(Pmp, Imp/Isc) from the oracle: a 97-point power scan one current at a
+    time, then golden-section refinement between the neighbours of the best
+    scan point."""
+    photocurrents = np.asarray(photocurrents, dtype=float)
     i_sc = short_circuit_current(device, photocurrents)
     if i_sc <= 0:
         return 0.0, math.nan
 
     def power(i):
-        return i * string_voltage(device, photocurrents, i)
+        return i * string_voltage(device, photocurrents, i)[0]
 
     grid = np.linspace(0.0, i_sc * (1.0 - 1e-12), 97)
     values = np.array([power(i) for i in grid])
     k = int(np.argmax(values))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
-    i_mp, p_mp = _golden_max(power, lo, hi)
+    i_mp, p_mp = golden_max(power, lo, hi)
     return p_mp, i_mp / i_sc
+
+
+def reference_harvest_figures(device, beam):
+    """``harvest_figures`` from the oracle."""
+    return reference_mpp(device, segment_photocurrents(device.geometry, beam))
 
 
 # ---------------------------------------------------------------------------

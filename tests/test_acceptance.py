@@ -159,8 +159,21 @@ def test_criterion_04_mpp_dense_grid():
             else:
                 hi = mid
         voc = 0.5 * (lo + hi)
+
+        def model(i):
+            # the curve's voltage at current i by bisection, and its slope
+            lo, hi = 0.0, voc
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if current(mid) > i:
+                    lo = mid
+                else:
+                    hi = mid
+            v = 0.5 * (lo + hi)
+            return v, -1.0 / (j0 / nvt * math.exp(v / nvt) + 1.0 / rsh)
+
         grid_v = np.linspace(0.0, voc, 300)
-        curve = IVCurve(grid_v, current(grid_v), model=lambda v: float(current(v)))
+        curve = IVCurve(grid_v, current(grid_v), model=model)
         mpp = find_mpp(curve)
 
         dense = np.linspace(0.0, voc, 1_000_000)

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -17,14 +18,16 @@ from sliptsim.calibrate import (
 )
 from sliptsim.presets import MEASURED_BANDWIDTH_HZ
 
+FROZEN_FIT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "calibration.json"
+
 TRUE_CAPS = {"S": 12e-12, "M": 8e-12, "L": 5e-12}
 TRUE_RS = {2: 0.0, 4: 120.0, 6: 260.0}
 
-# calibrate(measured_targets()).to_dict(), recorded with the per-point string
+# calibrate(measured_targets()).to_dict(), recorded with the explicit string
 # solve (Python 3.11, numpy 2.4, scipy 1.17, x86-64 Linux); any change to the
 # solver or the fit that moves a digit of the fit shows here first
 GOLDEN_MEASURED_FIT = {
-    "schema_version": 1,
+    "schema_version": 2,
     "capacitance_density_f_mm2": {
         "L": 6.9604176017750405e-12,
         "M": 9.450766369906337e-12,
@@ -36,19 +39,19 @@ GOLDEN_MEASURED_FIT = {
         "6": 183.0011851678697,
     },
     "responsivity_a_w": {
-        "L": 0.44295342884535216,
-        "M": 0.4581014100967036,
-        "S": 0.375505192317117,
+        "L": 0.5136725724162068,
+        "M": 0.6799999999999999,
+        "S": 0.6629385525053593,
     },
-    "beam_radius_mm": 0.6026230918841244,
+    "beam_radius_mm": 1.0531236995936744,
     "beam_offset_mm": {
         "L2": 0.0,
-        "L4": 0.13933122099571663,
-        "L6": 0.2580384406132925,
+        "L4": 0.26358376843802944,
+        "L6": 0.4801520837492408,
         "M2": 0.0,
-        "M4": 0.11521677135140747,
+        "M4": 0.236940104220406,
         "S2": 0.0,
-        "S4": 0.1477405386433702,
+        "S4": 0.22872244450297782,
     },
     "bandwidth_residuals": {
         "L2": 0.02334933654723903,
@@ -60,25 +63,61 @@ GOLDEN_MEASURED_FIT = {
         "S4": 0.052395333371619834,
     },
     "pmp_residuals": {
-        "L2": 0.002061322585667158,
-        "L4": -0.12632810959356278,
-        "L6": 0.1687759618365463,
-        "M2": 0.01300799855974799,
-        "M4": 0.10853524794995328,
-        "S2": 0.18409079590360267,
-        "S4": -0.00500177893608611,
+        "L2": -0.0007504936718010224,
+        "L4": -0.12935947081943833,
+        "L6": 0.15893244701641418,
+        "M2": 0.003275101296283056,
+        "M4": 0.10214592395976196,
+        "S2": 0.005469090604341087,
+        "S4": -0.02881199257143441,
     },
     "imp_isc_residuals": {
-        "L2": -0.019077616233683092,
-        "L4": 1.2479590694169929e-09,
-        "L6": -1.3123343078902394e-08,
-        "M2": -0.041568254854800646,
-        "M4": 1.1749654582615676e-09,
-        "S2": -0.01706959239797956,
-        "S4": -2.271167698353338e-09,
+        "L2": -0.019118035968741953,
+        "L4": -2.853273173286652e-14,
+        "L6": -4.3953729544909947e-13,
+        "M2": -0.04170820234320771,
+        "M4": -7.105427357601002e-15,
+        "S2": -0.02106728274337133,
+        "S4": -9.492406860545088e-14,
     },
     "ac_load_ohm": 47.5,
     "emitted_power_w": 0.0023,
+    "fit_record": {
+        "stage_a": {
+            "active_bounds": {},
+            "cost": 0.0046416365343420005,
+            "jacobian_singular_values": [
+                0.24883411203396877,
+                0.1496298204180203,
+                0.08394971425899711,
+                0.008444200934370587,
+                0.0033418482594477577,
+            ],
+            "nfev": 13,
+            "status": 2,
+        },
+        "stage_b": {
+            "active_bounds": {
+                "responsivity_a_w.M": "upper",
+            },
+            "cost": 0.017907699459349745,
+            "jacobian_singular_values": [
+                6.793470378258038,
+                3.672742489285234,
+                2.8634960783780423,
+                2.8178917599519244,
+                1.4157947408538334,
+                1.1325164774877665,
+                1.012356405053775,
+                0.011863963535068389,
+                0.0,
+                0.0,
+                0.0,
+            ],
+            "nfev": 48,
+            "status": 2,
+        },
+    },
 }
 
 
@@ -138,6 +177,27 @@ class TestBandwidthStage:
             calibrate(CalibrationTargets(bandwidth_hz=bad))
 
 
+class TestSchema:
+    def test_schema_1_file_still_loads(self):
+        data = json.loads(FROZEN_FIT.read_text())
+        assert data["schema_version"] == 1 and "fit_record" not in data
+        loaded = CalibrationResult.load(FROZEN_FIT)
+        assert loaded.fit_record == {}
+        assert loaded.beam_radius_mm == data["beam_radius_mm"]
+        assert calibrated_receiver(loaded, "L6").device.n_segments == 6
+        # written back as schema 2, with every fitted value unchanged
+        rewritten = loaded.to_dict()
+        assert rewritten.pop("schema_version") == 2 and rewritten.pop("fit_record") == {}
+        data.pop("schema_version")
+        assert rewritten == data
+
+    def test_unknown_schema_refused(self):
+        data = json.loads(FROZEN_FIT.read_text())
+        data["schema_version"] = 3
+        with pytest.raises(ValueError, match="schema_version"):
+            CalibrationResult.from_dict(data)
+
+
 class TestFullCalibration:
     def test_measured_fit_is_pinned(self, calibration):
         assert calibration.to_dict() == GOLDEN_MEASURED_FIT
@@ -181,6 +241,25 @@ class TestFullCalibration:
         r3 = calibration.series_resistance_for(3)
         assert calibration.series_resistance_ohm[2] <= r3
         assert r3 <= calibration.series_resistance_ohm[4]
+
+    def test_fit_record_shows_the_stages(self, calibration):
+        record = calibration.fit_record
+        assert set(record) == {"stage_a", "stage_b"}
+        stage_b = record["stage_b"]
+        assert stage_b["status"] > 0 and stage_b["nfev"] > 0
+        # three responsivities, the radius and seven offsets
+        assert len(stage_b["jacobian_singular_values"]) == 11
+        # the M responsivity ends on the 0.68 A/W upper bound
+        assert stage_b["active_bounds"] == {"responsivity_a_w.M": "upper"}
+        assert calibration.responsivity_a_w["M"] == pytest.approx(0.68, rel=1e-12)
+
+    def test_unreachable_ratio_targets_hold_offset_zero(self, calibration):
+        # S2, M2 and L2 ask for more Imp/Isc than an aligned beam gives; their
+        # offsets never move, so their Jacobian columns are zero
+        for name in ("L2", "M2", "S2"):
+            assert calibration.beam_offset_mm[name] == 0.0
+            assert calibration.imp_isc_residuals[name] < 0.0
+        assert calibration.fit_record["stage_b"]["jacobian_singular_values"][-3:] == [0.0] * 3
 
     def test_round_trip_serialization(self, calibration, tmp_path):
         path = tmp_path / "calibration.json"

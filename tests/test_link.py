@@ -11,6 +11,7 @@ from sliptsim.link import (
     _build_stream,
     _header_length,
     _run_burst,
+    _std,
     channel_response,
     dc_operating_point,
     mismatch_study,
@@ -260,6 +261,12 @@ def s2_channel_inputs(tx):
 
 class TestChannelOracle:
     """The in-place channel equals the step-by-step reference bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 7, 1000, 100_003])
+    def test_std_through_a_spent_buffer_equals_np_std(self, n):
+        samples = np.random.default_rng(n).normal(0.3, 2.0, n)
+        scratch = np.full(n, np.nan)
+        assert _std(samples, scratch) == np.std(samples)
 
     SMALL_CFG = OfdmConfig(fft_size=64, cp_length=5, sample_rate_hz=7.68e9)
 
