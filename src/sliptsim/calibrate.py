@@ -282,10 +282,7 @@ def _solve_offset(ratio_of_offset, target: float, max_offset: float) -> float:
     return float(grid[int(np.argmin(vals))])
 
 
-def calibrate(
-    targets: CalibrationTargets,
-    refuse_above: float = RESIDUAL_REFUSAL,
-) -> CalibrationResult:
+def calibrate(targets: CalibrationTargets) -> CalibrationResult:
     """Least-squares fit of the free model parameters to measured targets.
 
     The targets are taken under the default read-out (see the module
@@ -294,7 +291,6 @@ def calibrate(
     Args:
         targets: bandwidth (required, >= number of free stage-A parameters),
             Pmp and Imp/Isc targets keyed by preset name.
-        refuse_above: relative-residual refusal bound.
 
     Returns:
         CalibrationResult with fitted values and per-target residuals.
@@ -302,7 +298,7 @@ def calibrate(
     Raises:
         UnderdeterminedError: fewer targets than free parameters.
         CalibrationError: a converged fit still misses a target by more than
-            the refusal bound, or the optimizer fails.
+            ``RESIDUAL_REFUSAL`` (25%), or the optimizer fails.
     """
     names = targets.configs()
     if not names:
@@ -484,10 +480,10 @@ def calibrate(
         fit_record=fit_record,
     )
     worst = result.max_residual()
-    if worst > refuse_above:
+    if worst > RESIDUAL_REFUSAL:
         raise CalibrationError(
             f"worst relative residual {worst:.1%} exceeds the "
-            f"{refuse_above:.0%} refusal bound"
+            f"{RESIDUAL_REFUSAL:.0%} refusal bound"
         )
     return result
 

@@ -32,7 +32,7 @@ from .calibrate import (
     measured_targets,
 )
 from .io import iv_curve_to_csv, plan_to_csv, spec_hash, write_csv
-from .link import run_link, mismatch_study
+from .link import BER_TARGET, LinkReport, mismatch_study, run_link, sweep
 from .ppc import find_mpp, harvest_figures, sector_fractions, string_iv
 from .presets import (
     JUNCTION_AREA_MM2,
@@ -50,18 +50,6 @@ from .safety import SafetyScenario, assess
 
 SCHEMA_VERSION = 1
 CONFIG_DIR_ENV = "SLIPTSIM_CONFIG_DIR"
-
-EXPERIMENT_KINDS = (
-    "iv",
-    "bandwidth-sweep",
-    "link",
-    "sweep",
-    "mismatch",
-    "safety",
-    "calibrate",
-    "reproduce-table1",
-    "reproduce-fig6",
-)
 
 _KIND_BY_COMMAND = {
     "iv": "iv",
@@ -151,10 +139,9 @@ def _load_calibration(spec: dict, out_dir: Path, required: bool):
 def _receiver_for(spec: dict, name: str, calibration):
     if calibration is not None:
         return calibrated_receiver(calibration, name)
-    beam = default_beam(
-        beam_radius_mm=spec.get("beam_radius_mm", 0.8),
-        center_mm=(spec.get("beam_offset_mm", 0.0), 0.0),
-    )
+    beam = default_beam(center_mm=(spec.get("beam_offset_mm", 0.0), 0.0))
+    if "beam_radius_mm" in spec:
+        beam = replace(beam, beam_radius_mm=spec["beam_radius_mm"])
     return default_receiver(name, beam=beam)
 
 
@@ -187,7 +174,7 @@ def _handle_iv(spec: dict, out_dir: Path, seed: int) -> None:
     beam = replace(chain.beam, total_power_w=power_w)
     fractions = sector_fractions(chain.device.geometry, beam)
     photocurrents = beam.responsivity_a_w * beam.total_power_w * fractions
-    curve = string_iv(chain.device, photocurrents, illumination_id=name)
+    curve = string_iv(chain.device, photocurrents)
     header = _header("iv", {**spec, "preset": name}, seed)
     iv_curve_to_csv(curve, out_dir / "iv.csv", header_comments=header)
     mpp = find_mpp(curve)
@@ -224,8 +211,6 @@ def _handle_bandwidth(spec: dict, out_dir: Path, seed: int) -> None:
 
 
 def _emit_link_artifacts(report, out_dir: Path, header, suffix: str = "") -> None:
-    from .link import LinkReport
-
     write_csv(
         out_dir / f"report{suffix}.csv",
         LinkReport.CSV_COLUMNS,
@@ -256,7 +241,7 @@ def _handle_link(spec: dict, out_dir: Path, seed: int) -> None:
         default_transmitter(),
         chain,
         default_modem(),
-        ber_target=spec.get("ber_target", 4.7e-3),
+        ber_target=spec.get("ber_target", BER_TARGET),
         seed=seed,
     )
     report.device_id = name
@@ -269,16 +254,14 @@ def _handle_link(spec: dict, out_dir: Path, seed: int) -> None:
 
 
 def _handle_sweep(spec: dict, out_dir: Path, seed: int) -> None:
-    from .link import LinkReport, sweep as run_sweep
-
     names = _spec_presets(spec)
     calibration = _load_calibration(spec, out_dir, required=False)
     entries = [(n, _receiver_for(spec, n, calibration)) for n in names]
-    reports = run_sweep(
+    reports = sweep(
         entries,
         default_transmitter(),
         default_modem(),
-        ber_target=spec.get("ber_target", 4.7e-3),
+        ber_target=spec.get("ber_target", BER_TARGET),
         seed=seed,
     )
     header = _header("sweep", {**spec, "presets": names}, seed)
@@ -416,7 +399,7 @@ def _handle_reproduce_fig6(spec: dict, out_dir: Path, seed: int) -> None:
         chain = calibrated_receiver(calibration, name)
         report = run_link(
             default_transmitter(), chain, default_modem(),
-            ber_target=spec.get("ber_target", 4.7e-3), seed=seed + i,
+            ber_target=spec.get("ber_target", BER_TARGET), seed=seed + i,
         )
         rows.append(
             (
@@ -447,18 +430,7 @@ _HANDLERS = {
     "reproduce-fig6": _handle_reproduce_fig6,
 }
 
-
-def run_spec(spec_path: str, out_dir=None, seed=None) -> int:
-    """Execute the experiment described by a spec file.
-
-    Returns the process exit code (0 ok, 1 run error, 2 spec error).
-    """
-    try:
-        spec = load_spec(spec_path)
-    except SpecError as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return 2
-    return _dispatch(spec, out_dir, seed)
+EXPERIMENT_KINDS = tuple(_HANDLERS)
 
 
 def _dispatch(spec: dict, out_dir, seed) -> int:
@@ -481,18 +453,29 @@ def _dispatch(spec: dict, out_dir, seed) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="experiment spec file (JSON)")
-    common.add_argument("--out", help="output directory (default: out)")
-    common.add_argument("--seed", type=int, help="run seed (default: 0)")
-    common.add_argument("--preset", help="device preset, e.g. L6")
+# parsed values that are not spec fields; every other flag overrides the
+# spec field of its destination name
+_RUN_ARGUMENTS = ("command", "target", "config", "out", "seed")
 
+
+def _add_global_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="experiment spec file (JSON)")
+    parser.add_argument("--out", help="output directory (default: out)")
+    parser.add_argument("--seed", type=int, help="run seed (default: 0)")
+    parser.add_argument("--preset", help="device preset, e.g. L6")
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sliptsim",
         description="Segmented photonic-power-converter SLIPT link simulator",
-        parents=[common],
     )
+    _add_global_flags(parser)
+    # The subcommands repeat the global flags, so they parse after the
+    # subcommand too.  Their copies have no default: a subcommand that is
+    # not given a flag leaves the value parsed before it in place.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    _add_global_flags(common)
     sub = parser.add_subparsers(dest="command")
 
     for cmd in ("iv", "link", "mismatch"):
@@ -562,13 +545,8 @@ def main(argv=None) -> int:
         spec["kind"] = kind
 
     # CLI flags override spec fields
-    for key in (
-        "preset", "calibration", "ber_target", "max_offset_mm", "points",
-        "presets", "wavelength_nm", "source_diameter_mm", "distance_mm",
-        "exposure_time_s", "received_power_w", "pupil_radius_mm",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
+    for key, value in vars(args).items():
+        if key not in _RUN_ARGUMENTS and value is not None:
             spec[key] = value
 
     return _dispatch(spec, args.out, args.seed)

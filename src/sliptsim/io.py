@@ -25,9 +25,7 @@ __all__ = [
     "read_csv",
     "spec_hash",
     "iv_curve_to_csv",
-    "iv_curve_from_csv",
     "plan_to_csv",
-    "plan_from_csv",
 ]
 
 
@@ -84,14 +82,6 @@ def iv_curve_to_csv(curve: IVCurve, path, header_comments=()) -> None:
     )
 
 
-def iv_curve_from_csv(path) -> IVCurve:
-    columns, rows = read_csv(path)
-    if columns[:2] != ["voltage_V", "current_A"]:
-        raise ValueError(f"{path}: expected header voltage_V,current_A")
-    data = np.array([[float(r[0]), float(r[1])] for r in rows])
-    return IVCurve(data[:, 0], data[:, 1])
-
-
 def plan_to_csv(plan: BitLoadingPlan, path, header_comments=()) -> None:
     write_csv(
         path,
@@ -100,16 +90,3 @@ def plan_to_csv(plan: BitLoadingPlan, path, header_comments=()) -> None:
         header_comments=header_comments,
     )
 
-
-def plan_from_csv(path) -> BitLoadingPlan:
-    columns, rows = read_csv(path)
-    if columns[:3] != ["carrier", "bits", "power_scale"]:
-        raise ValueError(f"{path}: expected header carrier,bits,power_scale")
-    n = len(rows)
-    bits = np.zeros(n, dtype=int)
-    power = np.zeros(n)
-    for r in rows:
-        k = int(r[0])
-        bits[k] = int(r[1])
-        power[k] = float(r[2])
-    return BitLoadingPlan(bits, power)

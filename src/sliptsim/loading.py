@@ -52,8 +52,6 @@ class BitLoadingPlan:
 
     bits: np.ndarray
     power: np.ndarray
-    ber_target: float = math.nan
-    snr_gap: float = math.nan
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=int)
@@ -73,30 +71,19 @@ class BitLoadingPlan:
     def n_active(self) -> int:
         return int(np.count_nonzero(self.bits))
 
-    def active_mean_power(self) -> float:
-        if self.n_active == 0:
-            return 0.0
-        return float(self.power[self.bits > 0].mean())
-
 
 @lru_cache(maxsize=32)
-def required_snr_table(
-    ber_target: float,
-    max_bits: int,
-    exact_floor: bool = True,
-) -> np.ndarray:
+def required_snr_table(ber_target: float, max_bits: int) -> np.ndarray:
     """Required SNR to carry b bits at the BER target, for b = 0..max_bits.
 
-    Entry b is max(Gamma * (2^b - 1), exact Gray-QAM inverse) when
-    ``exact_floor`` is set; the table is forced non-decreasing.  Tables are
-    cached per argument set and returned read-only, since every caller
-    shares the same array.
+    Entry b is max(Gamma * (2^b - 1), exact Gray-QAM inverse); the table is
+    forced non-decreasing.  Tables are cached per argument set and returned
+    read-only, since every caller shares the same array.
     """
     gamma = snr_gap(ber_target)
     table = np.array([gamma * (2.0**b - 1.0) for b in range(max_bits + 1)])
-    if exact_floor:
-        for b in range(1, max_bits + 1):
-            table[b] = max(table[b], required_snr(2**b, ber_target))
+    for b in range(1, max_bits + 1):
+        table[b] = max(table[b], required_snr(2**b, ber_target))
     table = np.maximum.accumulate(table)
     table.setflags(write=False)
     return table
@@ -106,7 +93,6 @@ def bit_power_loading(
     snr_linear,
     ber_target: float,
     max_qam_order: int = 1024,
-    exact_floor: bool = True,
     usable=None,
 ) -> BitLoadingPlan:
     """Greedy incremental bit/power allocation over measured subcarrier SNRs.
@@ -115,7 +101,6 @@ def bit_power_loading(
         snr_linear: measured SNR per data subcarrier at unit power scale.
         ber_target: per-carrier bit-error-rate ceiling, in (0, 0.5).
         max_qam_order: constellation cap (power of two up to 1024).
-        exact_floor: floor the gap table with the exact QAM inverse BER.
         usable: optional boolean mask; carriers marked False stay unloaded
             (dead or unmeasurable carriers).
 
@@ -133,7 +118,7 @@ def bit_power_loading(
     usable = np.asarray(usable, dtype=bool)
 
     max_bits = int(math.log2(max_qam_order))
-    table = required_snr_table(ber_target, max_bits, exact_floor=exact_floor)
+    table = required_snr_table(ber_target, max_bits)
 
     bits = np.zeros(snr.size, dtype=int)
     power = np.zeros(snr.size)
@@ -161,4 +146,4 @@ def bit_power_loading(
     if np.any(active):
         # the budget rule guarantees sum(power) <= n_active: scale-up only
         power *= np.count_nonzero(active) / power.sum()
-    return BitLoadingPlan(bits, power, ber_target=ber_target, snr_gap=snr_gap(ber_target))
+    return BitLoadingPlan(bits, power)

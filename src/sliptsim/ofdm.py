@@ -58,6 +58,15 @@ __all__ = [
 
 REALNESS_TOL = 1e-10
 
+# root-raised-cosine filter span in symbols, half on each side of the peak
+_RRC_SPAN = 96
+
+# reported SNR of an error-free carrier, dB
+_SNR_CEILING_DB = 60.0
+
+# smallest preamble peak-to-sidelobe ratio the synchronizer accepts, dB
+_MIN_PSL_DB = 3.0
+
 
 class SyncError(RuntimeError):
     """Preamble correlation produced no usable peak."""
@@ -74,8 +83,6 @@ class OfdmConfig:
     oversampling_factor: int = 4
     rolloff: float = 0.1
     sample_rate_hz: float = 7.68e9
-    rrc_span: int = 96
-    snr_ceiling_db: float = 60.0
 
     def __post_init__(self):
         if self.fft_size < 8 or self.fft_size & (self.fft_size - 1):
@@ -202,15 +209,15 @@ def ofdm_core(symbols, config: OfdmConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _rrc_taps_cached(osf: int, rolloff: float, span: int) -> np.ndarray:
+def _rrc_taps_cached(osf: int, rolloff: float) -> np.ndarray:
     """Windowed root-raised-cosine taps, passband gain = osf.
 
     The mild Kaiser window keeps truncation sidelobes below -80 dB while the
     transmit/receive cascade, sampled at the zero-ISI instants, leaves less
-    than -50 dB of energy outside the cyclic-prefix window (at the default
-    span); the one-tap equalizer removes everything inside it.
+    than -50 dB of energy outside the cyclic-prefix window; the one-tap
+    equalizer removes everything inside it.
     """
-    n = span * osf + 1
+    n = _RRC_SPAN * osf + 1
     t = (np.arange(n) - (n - 1) / 2) / osf
     beta = rolloff
     taps = np.empty(n)
@@ -234,7 +241,7 @@ def _rrc_taps_cached(osf: int, rolloff: float, span: int) -> np.ndarray:
 
 
 def rrc_taps(config: OfdmConfig) -> np.ndarray:
-    return _rrc_taps_cached(config.oversampling_factor, config.rolloff, config.rrc_span)
+    return _rrc_taps_cached(config.oversampling_factor, config.rolloff)
 
 
 def _shape(samples_1x: np.ndarray, config: OfdmConfig) -> np.ndarray:
@@ -310,12 +317,12 @@ def make_preamble(config: OfdmConfig) -> tuple[np.ndarray, np.ndarray]:
     return core, _shape(core, config)
 
 
-def synchronize(stream, reference, min_psl_db: float = 3.0) -> int:
+def synchronize(stream, reference) -> int:
     """Locate the reference waveform in the stream by cross-correlation.
 
     Returns the start index of the reference within the stream.  The peak
     must clear the largest sidelobe (outside the correlation main lobe) by
-    ``min_psl_db`` dB in power, otherwise a :class:`SyncError` is raised.
+    3 dB in power, otherwise a :class:`SyncError` is raised.
     The sidelobe level is taken over every lag of the given stream, so it
     depends on how much of a burst is passed: ``link.run_link`` passes only
     the burst header (preamble, pilot blocks and one block of margin), and
@@ -333,11 +340,11 @@ def synchronize(stream, reference, min_psl_db: float = 3.0) -> int:
     hi = min(peak + exclusion + 1, len(mag))
     sidelobes = np.concatenate([mag[:lo], mag[hi:]])
     sidelobe = sidelobes.max() if sidelobes.size else 0.0
-    if sidelobe > 0 and 20.0 * math.log10(mag[peak] / sidelobe) < min_psl_db:
+    if sidelobe > 0 and 20.0 * math.log10(mag[peak] / sidelobe) < _MIN_PSL_DB:
         raise SyncError(
             f"peak-to-sidelobe ratio "
             f"{20.0 * math.log10(mag[peak] / max(sidelobe, 1e-300)):.2f} dB "
-            f"below the {min_psl_db:.1f} dB threshold"
+            f"below the {_MIN_PSL_DB:.1f} dB threshold"
         )
     return peak
 
@@ -433,15 +440,11 @@ def equalize(symbols, gains) -> np.ndarray:
     return out
 
 
-def estimate_snr(
-    equalized_symbols,
-    reference_symbols,
-    ceiling_db: float = 60.0,
-) -> SubcarrierSnr:
+def estimate_snr(equalized_symbols, reference_symbols) -> SubcarrierSnr:
     """EVM-based per-carrier SNR: E[|ref|^2] / E[|eq - ref|^2].
 
     Carriers that never carried a symbol are flagged unmeasured (snr 0).
-    Error-free carriers report the configured ceiling.  Accuracy needs on
+    Error-free carriers report a 60 dB ceiling.  Accuracy needs on
     the order of a hundred symbols per carrier.
     """
     eq = np.atleast_2d(np.asarray(equalized_symbols, dtype=complex))
@@ -456,7 +459,7 @@ def estimate_snr(
         )
     sig = np.mean(np.abs(ref) ** 2, axis=0)
     err = np.mean(np.abs(eq - ref) ** 2, axis=0)
-    ceiling = 10.0 ** (ceiling_db / 10.0)
+    ceiling = 10.0 ** (_SNR_CEILING_DB / 10.0)
     measured = sig > 0
     snr = np.zeros(eq.shape[1])
     with np.errstate(divide="ignore", invalid="ignore"):

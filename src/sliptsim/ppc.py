@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import brentq
@@ -41,7 +41,6 @@ __all__ = [
     "QuadratureError",
     "BracketError",
     "UndefinedRatioError",
-    "sector_beam_power",
     "sector_fractions",
     "string_voltage",
     "short_circuit_current",
@@ -174,6 +173,10 @@ class IlluminationProfile:
     wavelength_nm: float = 847.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not all(map(math.isfinite, value if f.name == "center_mm" else (value,))):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.total_power_w < 0:
             raise ValueError("total_power_w must be non-negative")
         if self.beam_radius_mm <= 0:
@@ -247,8 +250,6 @@ class IVCurve:
 
     voltages_v: np.ndarray
     currents_a: np.ndarray
-    device_id: str = ""
-    illumination_id: str = ""
     clamped: np.ndarray | None = None
     model: object = None  # callable current -> (voltage, dV/dI)
 
@@ -282,6 +283,9 @@ class IVCurve:
 
 # 16-point Gauss-Legendre nodes/weights on [-1, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+
+# panel count per sector at which the adaptive doubling gives up
+_MAX_PANELS = 1 << 14
 
 
 def _radial_profile(theta, beam: IlluminationProfile, radius_mm: float):
@@ -327,27 +331,10 @@ def _sector_powers(beam: IlluminationProfile, radius_mm: float, theta0, theta1, 
     return np.array([np.dot(v, w) for v, w in zip(vals, weights)])
 
 
-def sector_beam_power(
-    beam: IlluminationProfile,
-    radius_mm: float,
-    theta0: float,
-    theta1: float,
-    panels: int = 8,
-) -> float:
-    """Beam power (W) captured by one angular sector, at fixed resolution.
-
-    Composite 16-point Gauss-Legendre over ``panels`` equal sub-intervals of
-    [theta0, theta1]; the radial direction is integrated in closed form, so
-    arbitrarily narrow beams cost nothing extra radially.
-    """
-    return float(_sector_powers(beam, radius_mm, [theta0], [theta1], panels)[0])
-
-
 def sector_fractions(
     geometry: SegmentGeometry,
     beam: IlluminationProfile,
     rel_tol: float = 1e-6,
-    max_panels: int = 1 << 14,
     return_panels: bool = False,
 ):
     """Fraction of the total beam power captured by each sector.
@@ -362,7 +349,7 @@ def sector_fractions(
     alongside the fractions.
 
     Raises:
-        QuadratureError: if doubling up to ``max_panels`` never converges.
+        QuadratureError: if doubling up to 16384 panels never converges.
     """
     n = geometry.n_segments
     if beam.total_power_w == 0.0:
@@ -378,11 +365,11 @@ def sector_fractions(
     panels = 8
     achieved = np.full(n, math.inf)
     while live.size:
-        if panels > max_panels:
+        if panels > _MAX_PANELS:
             i = int(live[0])
             raise QuadratureError(
                 f"sector {i} quadrature did not reach rel_tol={rel_tol:g} "
-                f"within {max_panels} panels (achieved {achieved[i]:.3g})",
+                f"within {_MAX_PANELS} panels (achieved {achieved[i]:.3g})",
                 achieved_tol=float(achieved[i]),
             )
         cur = _sector_powers(beam, radius, bounds[live], bounds[live + 1], panels)
@@ -516,25 +503,12 @@ def short_circuit_current(device: SegmentedDevice, photocurrents) -> float:
     return float(brentq(v_of_i, 0.0, hi, xtol=_I_XTOL, rtol=_I_RTOL))
 
 
-def default_current_grid(i_sc: float, n_points: int = 2048, decades: float = 12.0) -> np.ndarray:
-    """Current grid on [0, I_sc] logarithmically refined toward I_sc.
-
-    Most of the curve's voltage variation happens at the knee near I_sc, so
-    the grid clusters there.
-    """
-    if i_sc <= 0:
-        return np.array([0.0])
-    tail = 1.0 - np.logspace(0.0, -decades, n_points - 1)
-    return np.concatenate([i_sc * tail, [i_sc]])
+# The default I-V grid runs 12 decades toward I_sc: most of the curve's
+# voltage variation happens at the knee there.
+_GRID_DECADES = 12.0
 
 
-def string_iv(
-    device: SegmentedDevice,
-    photocurrents,
-    current_grid=None,
-    n_points: int = 2048,
-    illumination_id: str = "",
-) -> IVCurve:
+def string_iv(device: SegmentedDevice, photocurrents, n_points: int = 2048) -> IVCurve:
     """I-V curve of the series string for the given per-segment photocurrents.
 
     For each series current the string voltage is the sum of the explicit
@@ -546,10 +520,8 @@ def string_iv(
     Args:
         device: segment geometry, diode parameters and reverse clamp.
         photocurrents: one photocurrent (A) per segment.
-        current_grid: explicit series currents; default is a 2048-point grid
-            log-refined near I_sc.
-        n_points: grid size when ``current_grid`` is not given.
-        illumination_id: metadata tag for the curve.
+        n_points: size of the current grid on [0, I_sc], logarithmically
+            refined toward I_sc.
 
     Returns:
         IVCurve sorted by ascending voltage with per-point clamp flags.
@@ -561,14 +533,9 @@ def string_iv(
         )
     i_sc = short_circuit_current(device, photocurrents)
     if i_sc <= 0.0:
-        return IVCurve(
-            np.array([0.0]), np.array([0.0]),
-            device_id=device.device_id, illumination_id=illumination_id,
-            clamped=np.array([False]),
-        )
-    if current_grid is None:
-        current_grid = default_current_grid(i_sc, n_points)
-    currents = np.asarray(current_grid, dtype=float)
+        return IVCurve(np.array([0.0]), np.array([0.0]), clamped=np.array([False]))
+    tail = 1.0 - np.logspace(0.0, -_GRID_DECADES, n_points - 1)
+    currents = np.concatenate([i_sc * tail, [i_sc]])
 
     voltages, _, clamp_flags = string_voltage(device, photocurrents, currents)
 
@@ -582,7 +549,6 @@ def string_iv(
 
     return IVCurve(
         voltages, currents,
-        device_id=device.device_id, illumination_id=illumination_id,
         clamped=clamp_flags,
         model=lambda i: string_voltage(device, photocurrents, i)[:2],
     )

@@ -35,20 +35,9 @@ __all__ = [
     "default_transmitter",
     "default_beam",
     "default_receiver",
-    "load_preset_file",
 ]
 
-
-def load_preset_file(path=None) -> dict:
-    """Load a preset file (the bundled one when no path is given)."""
-    if path is None:
-        ref = resources.files("sliptsim").joinpath("data/presets.json")
-        return json.loads(ref.read_text())
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-_BUNDLED = load_preset_file()
+_BUNDLED = json.loads(resources.files("sliptsim").joinpath("data/presets.json").read_text())
 
 # cell diameter per size letter, mm
 CELL_DIAMETER_MM = dict(sorted(_BUNDLED["cell_diameter_mm"].items(), key=lambda kv: kv[1]))

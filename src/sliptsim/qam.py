@@ -20,7 +20,6 @@ from scipy.special import ndtr
 
 __all__ = [
     "VALID_ORDERS",
-    "bits_per_symbol",
     "constellation",
     "qam_modulate",
     "qam_demodulate",
@@ -35,10 +34,6 @@ def _check_order(order: int) -> int:
     if order not in VALID_ORDERS:
         raise ValueError(f"QAM order must be one of {VALID_ORDERS}, got {order}")
     return int(np.log2(order))
-
-
-def bits_per_symbol(order: int) -> int:
-    return _check_order(order)
 
 
 def _gray(n: np.ndarray | int):

@@ -12,7 +12,7 @@ Inputs use display units (mm, nm, s, W); all internal math is SI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "ALPHA_MIN_RAD",
@@ -51,6 +51,10 @@ class SafetyScenario:
     pupil_radius_mm: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         lo, hi = WAVELENGTH_RANGE_NM
         if not lo <= self.wavelength_nm <= hi:
             raise UnsupportedBranchError(
@@ -86,17 +90,18 @@ class SafetyReport:
 
 def angular_subtense(source_diameter_mm: float, distance_mm: float) -> float:
     """Apparent angular size of the source: 2*atan(D_s / (2*Z)), in rad."""
-    if distance_mm <= 0:
-        raise ValueError("distance must be positive")
-    if source_diameter_mm < 0:
-        raise ValueError("source diameter must be non-negative")
+    # written so that NaN fails them too
+    if not distance_mm > 0:
+        raise ValueError(f"distance must be positive, got {distance_mm!r}")
+    if not source_diameter_mm >= 0:
+        raise ValueError(f"source diameter must be non-negative, got {source_diameter_mm!r}")
     return 2.0 * math.atan(source_diameter_mm / (2.0 * distance_mm))
 
 
 def classify(alpha_rad: float) -> str:
     """Point / intermediate / large classification with half-open boundaries."""
-    if alpha_rad < 0:
-        raise ValueError("angular subtense must be non-negative")
+    if not alpha_rad >= 0:  # NaN fails too
+        raise ValueError(f"angular subtense must be non-negative, got {alpha_rad!r}")
     if alpha_rad < ALPHA_MIN_RAD:
         return "point"
     if alpha_rad < ALPHA_MAX_RAD:

@@ -28,6 +28,7 @@ from sliptsim.ofdm import (
 from sliptsim.ppc import (
     BracketError,
     DiodeParams,
+    _sector_powers,
     sector_fractions,
 )
 
@@ -44,6 +45,13 @@ def segment_photocurrents(geometry, beam, rel_tol=1e-6) -> np.ndarray:
     """Photocurrent (A) generated in each sector: responsivity x sector power."""
     fractions = sector_fractions(geometry, beam, rel_tol=rel_tol)
     return beam.responsivity_a_w * beam.total_power_w * fractions
+
+
+def sector_beam_power(beam, radius_mm, theta0, theta1, panels=8) -> float:
+    """Beam power (W) captured by one angular sector at a fixed resolution:
+    ``panels`` composite 16-point Gauss-Legendre panels over [theta0, theta1],
+    the quadrature the adaptive ``sector_fractions`` doubles."""
+    return float(_sector_powers(beam, radius_mm, [theta0], [theta1], panels)[0])
 
 
 def _diode_residual(diode: DiodeParams, i0: float, photocurrent: float,
@@ -342,7 +350,7 @@ def reference_channel(
 
     Symmetric clipping of the stream at +/- clip_sigma std-devs (a
     numerically constant stream passes unchanged), drive scaling, the
-    transmitter's clipped L-I line, optical transmission, AC coupling,
+    transmitter's clipped L-I line, AC coupling,
     responsivity, the single-pole RC corner, the AC load and Gaussian noise.
     Returns (received samples, fraction of samples outside the optical
     window).
@@ -359,8 +367,7 @@ def reference_channel(
     lo, hi = 0.0, 2.0 * tx.emitted_power_w
     clipped = float(np.mean((p < lo) | (p > hi)))
     optical = np.clip(p, lo, hi)
-    at_device = chain.optical_transmission * optical
-    i_ac = chain.beam.responsivity_a_w * mean_fraction * (at_device - at_device.mean())
+    i_ac = chain.beam.responsivity_a_w * mean_fraction * (optical - optical.mean())
     a = math.exp(-2.0 * math.pi * chain.f3db_hz() / config.sample_rate_hz)
     v_sig = lfilter([1.0 - a], [1.0, -a], i_ac) * chain.ac_load_ohm
     psd = chain.noise.current_psd(chain.ac_load_ohm, operating_current_a)

@@ -1,16 +1,19 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sliptsim import cli
 from sliptsim.calibrate import CalibrationResult
-from sliptsim.cli import SpecError, load_spec, main, run_spec
-from sliptsim.io import iv_curve_from_csv, read_csv
+from sliptsim.cli import SpecError, load_spec, main
+from sliptsim.io import read_csv, spec_hash
+from sliptsim.ppc import IVCurve
 
 
 def write_spec(tmp_path, payload, name="spec.json"):
@@ -43,7 +46,7 @@ class TestSpecParsing:
 
     def test_run_spec_exit_codes(self, tmp_path):
         bad = write_spec(tmp_path, {"schema_version": 1})
-        assert run_spec(bad) == 2
+        assert main(["--config", bad]) == 2
 
     def test_config_dir_environment(self, tmp_path, monkeypatch):
         cfg_dir = tmp_path / "configs"
@@ -108,7 +111,7 @@ class TestCommands:
         spec = write_spec(tmp_path, {
             "kind": "safety", "out_dir": str(tmp_path / "artifacts"),
         })
-        assert run_spec(spec) == 0
+        assert main(["--config", spec]) == 0
         cols, rows = read_csv(tmp_path / "artifacts" / "safety.csv")
         margin = float(dict(zip(cols, rows[0]))["safety_margin"])
         assert margin == pytest.approx(87.42, rel=1e-2)
@@ -120,7 +123,8 @@ class TestCommands:
 
     def test_iv_artifact_round_trips(self, tmp_path):
         assert main(["iv", "--preset", "M4", "--out", str(tmp_path)]) == 0
-        curve = iv_curve_from_csv(tmp_path / "iv.csv")
+        _, rows = read_csv(tmp_path / "iv.csv")
+        curve = IVCurve(*np.array(rows, dtype=float).T)
         assert len(curve) > 100
         assert curve.short_circuit_current_a() > 0
 
@@ -157,13 +161,69 @@ class TestCommands:
         ).read_bytes()
 
 
+class TestGlobalFlags:
+    """--config, --out, --seed and --preset work before and after the
+    subcommand."""
+
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_out_seed_and_preset(self, tmp_path, monkeypatch, capsys, before):
+        monkeypatch.chdir(tmp_path)
+        flags = ["--out", "d", "--preset", "S2", "--seed", "5"]
+        assert main([*flags, "iv"] if before else ["iv", *flags]) == 0
+        first = (tmp_path / "d" / "iv.csv").read_text().splitlines()[0]
+        assert f"spec_sha256={spec_hash({'kind': 'iv', 'preset': 'S2'})}" in first
+        assert first.endswith("seed=5")
+        assert capsys.readouterr().out.startswith("S2:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_config(self, tmp_path, before):
+        spec = write_spec(tmp_path, {"kind": "safety", "distance_mm": 50})
+        flags = ["--config", spec, "--out", str(tmp_path / "o")]
+        assert main([*flags, "safety"] if before else ["safety", *flags]) == 0
+        cols, rows = read_csv(tmp_path / "o" / "safety.csv")
+        row = dict(zip(cols, rows[0]))
+        assert float(row["distance_mm"]) == 50.0
+        assert float(row["alpha_mrad"]) == pytest.approx(
+            2e3 * math.atan(35.0 / 100.0), rel=1e-12
+        )
+
+    def test_flag_after_the_subcommand_wins(self, tmp_path):
+        assert main(["--seed", "1", "safety", "--seed", "2", "--out", str(tmp_path)]) == 0
+        first = (tmp_path / "safety.csv").read_text().splitlines()[0]
+        assert first.endswith("seed=2")
+
+
+class TestNonFiniteInputs:
+    def test_nan_distance_flag(self, tmp_path, capsys):
+        assert main(["safety", "--distance-mm", "nan", "--out", str(tmp_path)]) == 1
+        assert "evaluation_distance_mm" in capsys.readouterr().err
+        assert not (tmp_path / "safety.csv").exists()
+
+    def test_nan_source_diameter_in_spec(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"kind": "safety", "source_diameter_mm": math.nan})
+        assert main(["--config", spec, "--out", str(tmp_path)]) == 1
+        assert "source_diameter_mm" in capsys.readouterr().err
+
+    def test_nan_beam_radius_in_spec(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"kind": "iv", "beam_radius_mm": math.nan})
+        assert main(["--config", spec, "--out", str(tmp_path)]) == 1
+        assert "beam_radius_mm" in capsys.readouterr().err
+
+    def test_nan_max_offset_flag(self, tmp_path, capsys):
+        code = main(["mismatch", "--preset", "S2", "--max-offset-mm", "nan",
+                     "--points", "3", "--out", str(tmp_path)])
+        assert code == 1
+        assert "center_mm" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_calibrate_spec_runs_through_dispatch(self, tmp_path, monkeypatch, calibration):
         # the fit itself is covered elsewhere; this checks the routing only
         monkeypatch.setattr(cli, "calibrate", lambda targets: calibration)
         out = tmp_path / "o"
         spec = write_spec(tmp_path, {"kind": "calibrate", "out_dir": str(out)})
-        assert run_spec(spec) == 0
+        assert main(["--config", spec]) == 0
         saved = CalibrationResult.load(out / "calibration.json")
         assert saved.to_dict() == calibration.to_dict()
         cols, rows = read_csv(out / "calibration_residuals.csv")

@@ -287,7 +287,7 @@ class TestChannelOracle:
         sent = stream.copy()
         rx, clipped = _apply_channel(
             stream, tx, chain, config, mean_fraction, current,
-            np.random.default_rng(17), config.clip_sigma,
+            np.random.default_rng(17),
         )
         ref, ref_clipped = reference_channel(
             stream, tx, chain, config, mean_fraction, current,
@@ -312,7 +312,7 @@ class TestHeaderSync:
         stream, pre_seg, pre_stride = _build_stream(config, frames)
         rx, _ = _apply_channel(
             stream, tx, chain, config, mean_fraction, current,
-            np.random.default_rng(4), config.clip_sigma,
+            np.random.default_rng(4),
         )
         header = _header_length(config, n_pilot, pre_stride, len(pre_seg))
         assert header < len(rx)

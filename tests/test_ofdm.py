@@ -228,7 +228,7 @@ class TestChannelEstimation:
 class TestSnrEstimator:
     def test_perfect_symbols_hit_ceiling(self):
         ref = np.ones((200, 8), dtype=complex)
-        snr = estimate_snr(ref, ref, ceiling_db=60.0)
+        snr = estimate_snr(ref, ref)
         assert np.all(snr.snr_linear == pytest.approx(1e6))
 
     def test_known_awgn_variance(self, rng):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chain as oracle
-from chain import segment_current, segment_photocurrents
+from chain import sector_beam_power, segment_current, segment_photocurrents
 from sliptsim.constants import thermal_voltage
 from sliptsim.ppc import (
     BracketError,
@@ -21,7 +21,6 @@ from sliptsim.ppc import (
     find_mpp,
     harvest_figures,
     imp_isc_ratio,
-    sector_beam_power,
     sector_fractions,
     series_capacitance,
     short_circuit_current,
@@ -81,6 +80,21 @@ class TestIllumination:
     def test_upper_responsivity_warns(self):
         with pytest.warns(UserWarning):
             IlluminationProfile(1e-3, 0.5, responsivity_a_w=0.70, wavelength_nm=847)
+
+    @pytest.mark.parametrize("field, value", [
+        ("total_power_w", math.nan),
+        ("total_power_w", math.inf),
+        ("beam_radius_mm", math.nan),
+        ("beam_radius_mm", math.inf),
+        pytest.param("center_mm", (math.nan, 0.0), id="center_mm-nan"),
+        pytest.param("center_mm", (0.0, -math.inf), id="center_mm-inf"),
+        ("responsivity_a_w", math.nan),
+    ])
+    def test_non_finite_values_refused(self, field, value):
+        # refused at construction, not after the quadrature runs out of panels
+        kwargs = {"total_power_w": 1e-3, "beam_radius_mm": 0.5, field: value}
+        with pytest.raises(ValueError, match=field):
+            IlluminationProfile(**kwargs)
 
     def test_plane_integral_is_total_power(self):
         beam = IlluminationProfile(2.3e-3, 0.4, center_mm=(0.2, -0.1),
@@ -303,11 +317,11 @@ class TestStringIV:
         grid = np.concatenate(
             [np.linspace(-5e-5, 0, 8), np.linspace(1e-5, 2.6e-4, 24)]
         )
-        curve = string_iv(dev, ph, current_grid=grid)
+        voltages, _, clamped = string_voltage(dev, ph, grid)
         voc = string_voltage(dev, ph, 0.0)[0]
-        assert curve.voltages_v[-1] > voc          # boosted above Voc
-        assert curve.voltages_v[0] <= -4 * 5.99    # clamped reverse knee
-        assert curve.clamped.any()
+        assert voltages.max() > voc          # boosted above Voc
+        assert voltages.min() <= -4 * 5.99   # clamped reverse knee
+        assert clamped.any()
 
     def test_photocurrent_count_checked(self):
         device = SegmentedDevice(SegmentGeometry(1.0, 4))

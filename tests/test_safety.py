@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -41,6 +42,12 @@ class TestAngularSubtense:
         with pytest.raises(ValueError):
             angular_subtense(35.0, 0.0)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="distance"):
+            angular_subtense(35.0, math.nan)
+        with pytest.raises(ValueError, match="diameter"):
+            angular_subtense(math.nan, 100.0)
+
 
 class TestClassify:
     def test_point(self):
@@ -55,6 +62,10 @@ class TestClassify:
     def test_boundaries_half_open(self):
         assert classify(ALPHA_MIN_RAD) == "intermediate"
         assert classify(ALPHA_MAX_RAD) == "large"
+
+    def test_nan_is_not_a_large_source(self):
+        with pytest.raises(ValueError):
+            classify(math.nan)
 
 
 class TestMpe:
@@ -142,3 +153,12 @@ class TestAssess:
             SafetyScenario(600.0, 35.0, 100.0, 30000.0, 80e-6, 3.5)
         with pytest.raises(ValueError):
             SafetyScenario(850.0, -1.0, 100.0, 30000.0, 80e-6, 3.5)
+
+    @pytest.mark.parametrize("field", [
+        "wavelength_nm", "source_diameter_mm", "evaluation_distance_mm",
+        "exposure_time_s", "received_power_w", "pupil_radius_mm",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_scenario_refuses_non_finite_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(REFERENCE_SCENARIO, **{field: value})
