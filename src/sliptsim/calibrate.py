@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import least_squares
 
-from .ppc import DiodeParams, IlluminationProfile, harvest_figures
+from .ppc import DiodeParams, IlluminationProfile, harvest_figures, sector_fractions
 from .link import NoiseModel, ReceiverChain
 from .presets import (
     MEASURED_BANDWIDTH_HZ,
@@ -64,6 +64,12 @@ __all__ = [
 RESIDUAL_REFUSAL = 0.25
 
 SCHEMA_VERSION = 2
+
+# the per-key value dicts of a saved result
+_FITTED_DICTS = (
+    "capacitance_density_f_mm2", "series_resistance_ohm", "responsivity_a_w",
+    "beam_offset_mm", "bandwidth_residuals", "pmp_residuals", "imp_isc_residuals",
+)
 
 
 class CalibrationError(RuntimeError):
@@ -139,10 +145,26 @@ class CalibrationResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CalibrationResult":
-        """Read schema 2, or schema 1, which has no fit record."""
+        """Read schema 2, or schema 1, which has no fit record.
+
+        Raises:
+            ValueError: an unknown schema version, or a fitted value, residual
+                or read-out figure that is not a finite number (the beam
+                radius of a fit without harvest targets is null).
+        """
         version = data.get("schema_version")
         if version not in (1, SCHEMA_VERSION):
             raise ValueError(f"unsupported calibration schema_version {version!r}")
+        numbers = {
+            f"{name}.{key}": value
+            for name in _FITTED_DICTS for key, value in data[name].items()
+        }
+        numbers.update(ac_load_ohm=data["ac_load_ohm"], emitted_power_w=data["emitted_power_w"])
+        if data["beam_radius_mm"] is not None:
+            numbers["beam_radius_mm"] = data["beam_radius_mm"]
+        for name, value in numbers.items():
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ValueError(f"calibration {name} must be a finite number, got {value!r}")
         return cls(
             capacitance_density_f_mm2=dict(data["capacitance_density_f_mm2"]),
             series_resistance_ohm={int(k): v for k, v in data["series_resistance_ohm"].items()},
@@ -378,8 +400,11 @@ def calibrate(targets: CalibrationTargets) -> CalibrationResult:
         harvest_sizes = sorted({n[0] for n in harvest_names})
         # Finite-difference columns that move one preset's offset or one
         # size's responsivity leave every other preset at its last arguments;
-        # those repeats are served from this fit's memo.
+        # those repeats are served from this fit's memo.  The sector
+        # quadrature does not depend on the responsivity, so it is shared by
+        # every responsivity step at one (preset, radius, offset).
         memo: dict = {}
+        quadrature: dict = {}
 
         def figures(name, resp, radius, offset):
             key = (name, float(resp), float(radius), float(offset))
@@ -387,7 +412,14 @@ def calibrate(targets: CalibrationTargets) -> CalibrationResult:
                 chain = _receiver(
                     name, caps[name[0]] * 1e-12, rss[int(name[1:])], resp, radius, offset
                 )
-                memo[key] = harvest_figures(chain.device, chain.beam)
+                beam = chain.beam
+                where = (name, float(radius), float(offset))
+                if where not in quadrature:
+                    quadrature[where] = sector_fractions(chain.device.geometry, beam)
+                memo[key] = harvest_figures(
+                    chain.device,
+                    beam.responsivity_a_w * beam.total_power_w * quadrature[where],
+                )
             return memo[key]
 
         ratio_weight = 3.0
@@ -504,8 +536,13 @@ def synthesize_targets(
             name, capacitance_density_f_mm2[size], series_resistance_ohm[n],
             responsivity_a_w[size], beam_radius_mm, beam_offset_mm.get(name, 0.0),
         )
+        beam = chain.beam
         bw[name] = chain.f3db_hz()
-        pmp[name], ii[name] = harvest_figures(chain.device, chain.beam)
+        pmp[name], ii[name] = harvest_figures(
+            chain.device,
+            beam.responsivity_a_w * beam.total_power_w
+            * sector_fractions(chain.device.geometry, beam),
+        )
     return CalibrationTargets(bandwidth_hz=bw, pmp_w=pmp, imp_isc=ii)
 
 

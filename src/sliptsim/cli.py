@@ -106,6 +106,35 @@ def load_spec(path_str: str) -> dict:
     return spec
 
 
+def _spec_field(spec: dict, key: str, default, convert):
+    """``convert`` of the spec's ``key`` (``default`` when absent); a value
+    ``convert`` refuses is a malformed spec, wherever the field is read."""
+    value = spec.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"field {key!r}: {exc}") from exc
+
+
+def _number(value):
+    """A JSON number (int or float, not bool), returned unchanged."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def _count(value) -> int:
+    """A non-negative integer count."""
+    count = int(value)
+    if count < 0:
+        raise ValueError(f"expected a non-negative count, got {value!r}")
+    return count
+
+
+def _spec_number(spec: dict, key: str, default):
+    return _spec_field(spec, key, default, _number)
+
+
 def _header(kind: str, payload: dict, seed) -> list[str]:
     return [
         f"sliptsim v{__version__} schema_version={SCHEMA_VERSION} kind={kind} "
@@ -114,12 +143,12 @@ def _header(kind: str, payload: dict, seed) -> list[str]:
 
 
 def _load_calibration(spec: dict, out_dir: Path, required: bool):
-    explicit = spec.get("calibration")
+    explicit = _spec_field(spec, "calibration", None, lambda v: Path(v) if v else None)
     candidates = []
     if explicit:
-        if not Path(explicit).exists():
+        if not explicit.exists():
             raise SpecError(f"calibration file not found: {explicit}")
-        candidates.append(Path(explicit))
+        candidates.append(explicit)
     candidates.append(out_dir / "calibration.json")
     config_dir = os.environ.get(CONFIG_DIR_ENV)
     if config_dir:
@@ -139,9 +168,9 @@ def _load_calibration(spec: dict, out_dir: Path, required: bool):
 def _receiver_for(spec: dict, name: str, calibration):
     if calibration is not None:
         return calibrated_receiver(calibration, name)
-    beam = default_beam(center_mm=(spec.get("beam_offset_mm", 0.0), 0.0))
+    beam = default_beam(center_mm=(_spec_number(spec, "beam_offset_mm", 0.0), 0.0))
     if "beam_radius_mm" in spec:
-        beam = replace(beam, beam_radius_mm=spec["beam_radius_mm"])
+        beam = replace(beam, beam_radius_mm=_spec_number(spec, "beam_radius_mm", None))
     return default_receiver(name, beam=beam)
 
 
@@ -159,6 +188,8 @@ def _spec_presets(spec: dict) -> list[str]:
     presets = spec.get("presets", list(PRESET_NAMES))
     if isinstance(presets, str):
         presets = [p for p in presets.split(",") if p]
+    if not isinstance(presets, list):
+        raise SpecError(f"field 'presets': expected a list or a string, got {presets!r}")
     return [_preset_name(p) for p in presets]
 
 
@@ -170,7 +201,7 @@ def _handle_iv(spec: dict, out_dir: Path, seed: int) -> None:
     name = _preset_name(spec.get("preset", "L6"))
     calibration = _load_calibration(spec, out_dir, required=False)
     chain = _receiver_for(spec, name, calibration)
-    power_w = spec.get("power_w", default_transmitter().emitted_power_w)
+    power_w = _spec_number(spec, "power_w", default_transmitter().emitted_power_w)
     beam = replace(chain.beam, total_power_w=power_w)
     fractions = sector_fractions(chain.device.geometry, beam)
     photocurrents = beam.responsivity_a_w * beam.total_power_w * fractions
@@ -241,7 +272,7 @@ def _handle_link(spec: dict, out_dir: Path, seed: int) -> None:
         default_transmitter(),
         chain,
         default_modem(),
-        ber_target=spec.get("ber_target", BER_TARGET),
+        ber_target=_spec_number(spec, "ber_target", BER_TARGET),
         seed=seed,
     )
     report.device_id = name
@@ -261,7 +292,7 @@ def _handle_sweep(spec: dict, out_dir: Path, seed: int) -> None:
         entries,
         default_transmitter(),
         default_modem(),
-        ber_target=spec.get("ber_target", BER_TARGET),
+        ber_target=_spec_number(spec, "ber_target", BER_TARGET),
         seed=seed,
     )
     header = _header("sweep", {**spec, "presets": names}, seed)
@@ -284,8 +315,10 @@ def _handle_mismatch(spec: dict, out_dir: Path, seed: int) -> None:
     name = _preset_name(spec.get("preset", "L6"))
     calibration = _load_calibration(spec, out_dir, required=False)
     chain = _receiver_for(spec, name, calibration)
-    max_offset = spec.get("max_offset_mm", 0.45 * chain.device.geometry.cell_diameter_mm)
-    n_points = int(spec.get("points", 20))
+    max_offset = _spec_number(
+        spec, "max_offset_mm", 0.45 * chain.device.geometry.cell_diameter_mm
+    )
+    n_points = _spec_field(spec, "points", 20, _count)
     offsets = np.linspace(0.0, max_offset, n_points)
     rows = mismatch_study(chain.device, chain.beam, offsets)
     write_csv(
@@ -299,12 +332,12 @@ def _handle_mismatch(spec: dict, out_dir: Path, seed: int) -> None:
 
 def _handle_safety(spec: dict, out_dir: Path, seed: int) -> None:
     scenario = SafetyScenario(
-        wavelength_nm=spec.get("wavelength_nm", 850.0),
-        source_diameter_mm=spec.get("source_diameter_mm", 35.0),
-        evaluation_distance_mm=spec.get("distance_mm", 100.0),
-        exposure_time_s=spec.get("exposure_time_s", 30000.0),
-        received_power_w=spec.get("received_power_w", 80e-6),
-        pupil_radius_mm=spec.get("pupil_radius_mm", 3.5),
+        wavelength_nm=_spec_number(spec, "wavelength_nm", 850.0),
+        source_diameter_mm=_spec_number(spec, "source_diameter_mm", 35.0),
+        evaluation_distance_mm=_spec_number(spec, "distance_mm", 100.0),
+        exposure_time_s=_spec_number(spec, "exposure_time_s", 30000.0),
+        received_power_w=_spec_number(spec, "received_power_w", 80e-6),
+        pupil_radius_mm=_spec_number(spec, "pupil_radius_mm", 3.5),
     )
     report = assess(scenario)
     write_csv(
@@ -359,7 +392,12 @@ def _handle_reproduce_table1(spec: dict, out_dir: Path, seed: int) -> None:
     rows = []
     for name in PRESET_NAMES:
         chain = calibrated_receiver(calibration, name)
-        pmp_sim, ratio_sim = harvest_figures(chain.device, chain.beam)
+        beam = chain.beam
+        pmp_sim, ratio_sim = harvest_figures(
+            chain.device,
+            beam.responsivity_a_w * beam.total_power_w
+            * sector_fractions(chain.device.geometry, beam),
+        )
         pmp_measured = MEASURED_PMP_W[name]
         ratio_measured = MEASURED_IMP_ISC[name]
         f3_sim = chain.f3db_hz()
@@ -399,7 +437,7 @@ def _handle_reproduce_fig6(spec: dict, out_dir: Path, seed: int) -> None:
         chain = calibrated_receiver(calibration, name)
         report = run_link(
             default_transmitter(), chain, default_modem(),
-            ber_target=spec.get("ber_target", BER_TARGET), seed=seed + i,
+            ber_target=_spec_number(spec, "ber_target", BER_TARGET), seed=seed + i,
         )
         rows.append(
             (
@@ -435,10 +473,10 @@ EXPERIMENT_KINDS = tuple(_HANDLERS)
 
 def _dispatch(spec: dict, out_dir, seed) -> int:
     kind = spec["kind"]
-    out = Path(out_dir if out_dir is not None else spec.get("out_dir", "out"))
-    effective_seed = int(seed if seed is not None else spec.get("seed", 0))
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        out = Path(out_dir) if out_dir is not None else _spec_field(spec, "out_dir", "out", Path)
+        effective_seed = seed if seed is not None else _spec_field(spec, "seed", 0, int)
+        out.mkdir(parents=True, exist_ok=True)
         _HANDLERS[kind](spec, out, effective_seed)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)

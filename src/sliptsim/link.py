@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.signal import lfilter
 
 from .constants import BOLTZMANN_J_PER_K, ELEMENTARY_CHARGE_C
 from .loading import BitLoadingPlan, bit_power_loading
@@ -64,7 +63,7 @@ from .ppc import (
     small_signal_bandwidth,
     string_capacitance,
     string_iv,
-    string_voltage,
+    string_model,
 )
 
 __all__ = [
@@ -264,12 +263,13 @@ def dc_operating_point(
     device: SegmentedDevice, photocurrents, load_ohm: float
 ) -> OperatingPoint:
     """Intersection of the string I-V curve with the resistive load line."""
+    model = string_model(device, photocurrents)
     i_sc = short_circuit_current(device, photocurrents)
     if i_sc <= 0:
         return OperatingPoint(0.0, 0.0)
 
     def mismatch(i):
-        return string_voltage(device, photocurrents, i)[0] - i * load_ohm
+        return model(i)[0] - i * load_ohm
 
     if mismatch(i_sc) >= 0.0:
         # load line crosses inside the (numerically) vertical knee at I_sc
@@ -303,6 +303,9 @@ def snr_crossing_bandwidth(snr: SubcarrierSnr, freqs_hz) -> float:
 
 def _one_pole(samples: np.ndarray, f3db_hz: float, fs_hz: float) -> np.ndarray:
     """Impulse-invariant discrete single-pole low-pass, unit DC gain."""
+    # imported here: a harvest fit never filters, and scipy.signal is slow to load
+    from scipy.signal import lfilter
+
     a = math.exp(-2.0 * math.pi * f3db_hz / fs_hz)
     return lfilter([1.0 - a], [1.0, -a], samples)
 

@@ -26,7 +26,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import oaconvolve
+
+# scipy.signal (about half a second to load) is imported by the three
+# functions that convolve, not here: a harvest fit imports this module
+# through ``link`` but never modulates.
 
 from .loading import BitLoadingPlan
 from .qam import VALID_ORDERS, qam_demodulate, qam_modulate
@@ -246,6 +249,8 @@ def rrc_taps(config: OfdmConfig) -> np.ndarray:
 
 def _shape(samples_1x: np.ndarray, config: OfdmConfig) -> np.ndarray:
     """Zero-stuff to the oversampled rate and apply the RRC filter (full)."""
+    from scipy.signal import oaconvolve
+
     osf = config.oversampling_factor
     up = np.zeros(len(samples_1x) * osf)
     up[::osf] = samples_1x
@@ -328,6 +333,8 @@ def synchronize(stream, reference) -> int:
     the burst header (preamble, pilot blocks and one block of margin), and
     its check is measured over that fixed window, not over the payload.
     """
+    from scipy.signal import oaconvolve
+
     stream = np.asarray(stream, dtype=float)
     reference = np.asarray(reference, dtype=float)
     if len(stream) < len(reference):
@@ -351,6 +358,8 @@ def synchronize(stream, reference) -> int:
 
 def matched_filter(stream, config: OfdmConfig) -> np.ndarray:
     """Receive RRC (matched to the transmit filter), unit passband gain."""
+    from scipy.signal import oaconvolve
+
     taps = rrc_taps(config) / config.oversampling_factor
     return oaconvolve(np.asarray(stream, dtype=float), taps)
 

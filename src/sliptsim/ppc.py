@@ -42,6 +42,7 @@ __all__ = [
     "BracketError",
     "UndefinedRatioError",
     "sector_fractions",
+    "string_model",
     "string_voltage",
     "short_circuit_current",
     "string_iv",
@@ -92,6 +93,10 @@ class SegmentGeometry:
     junction_area_mm2: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.cell_diameter_mm <= 0:
             raise ValueError("cell_diameter_mm must be positive")
         if self.n_segments < 1:
@@ -139,6 +144,13 @@ class DiodeParams:
     temperature_k: float = 298.15
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # an infinite shunt resistance disables the shunt
+            if not math.isfinite(value) and not (
+                f.name == "shunt_resistance_ohm" and value == math.inf
+            ):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.saturation_current_density_a_mm2 <= 0:
             raise ValueError("saturation current density must be positive")
         if not 1.0 <= self.ideality <= 2.5:
@@ -216,8 +228,11 @@ class SegmentedDevice:
     device_id: str = ""
 
     def __post_init__(self):
-        if self.reverse_breakdown_v is not None and self.reverse_breakdown_v <= 0:
-            raise ValueError("reverse_breakdown_v is a magnitude; must be positive")
+        if self.reverse_breakdown_v is not None and not self.reverse_breakdown_v > 0:
+            raise ValueError(
+                f"reverse_breakdown_v is a magnitude; must be positive, "
+                f"got {self.reverse_breakdown_v!r}"
+            )
 
     @property
     def n_segments(self) -> int:
@@ -399,53 +414,103 @@ _I_XTOL = 1e-15
 _I_RTOL = 8.9e-16
 
 
-def _segment_voltages(device: SegmentedDevice, photocurrents: np.ndarray, currents):
-    """Terminal voltage and slope dV/dI of each segment at each current.
+def _least(values) -> float:
+    """Smallest value that is not NaN (inf for an empty array)."""
+    return np.fmin.reduce(values, axis=None, initial=math.inf)
 
-    The single-diode equation ``I = I_ph - I0*(exp(Vj/a) - 1) - Vj/Rsh``,
-    with ``Vj = V + I*Rs`` and ``a = n*kT/q``, has the explicit solution
-    ``Vj = a*ln(a*w/(I0*Rsh))`` (Jain & Kapoor 2004), where ``w`` is the
-    Wright omega function (Lawrence, Corless & Jeffrey 2012) of
-    ``z = ln(I0*Rsh/a) + Rsh*B/a`` and ``B = (I_ph - I) + I0``; no term of it
-    cancels.  The slope follows as ``dVj/dI = -Rsh/(1 + w)``.  In deep
-    reverse bias ``w`` underflows, and ``Vj = Rsh*B - a*w`` is used there.
-    With the shunt disabled ``Vj = a*ln(B/I0)``, which is -inf where
-    ``B <= 0``: the diode cannot carry that current.
 
-    ``photocurrents`` and ``currents`` broadcast against each other.
+def string_model(device: SegmentedDevice, photocurrents):
+    """The string voltage V(I) of ``device`` under ``photocurrents``, prepared
+    once: a callable ``currents -> (voltages, slopes, clamped)``.
+
+    Each segment obeys the single-diode equation
+    ``I = I_ph - I0*(exp(Vj/a) - 1) - Vj/Rsh``, with ``Vj = V + I*Rs`` and
+    ``a = n*kT/q``, whose explicit solution is ``Vj = a*ln(a*w/(I0*Rsh))``
+    (Jain & Kapoor 2004), where ``w`` is the Wright omega function
+    (Lawrence, Corless & Jeffrey 2012) of ``z = ln(I0*Rsh/a) + Rsh*B/a`` and
+    ``B = (I_ph - I) + I0``; no term of it cancels.  The slope follows as
+    ``dVj/dI = -Rsh/(1 + w)``.  In deep reverse bias ``w`` underflows, and
+    ``Vj = Rsh*B - a*w`` is used there.  With the shunt disabled
+    ``Vj = a*ln(B/I0)``, which is -inf where ``B <= 0``: the diode cannot
+    carry that current.  With the reverse clamp enabled a segment voltage
+    below -reverse_breakdown_v is clamped there, adds nothing to the slope
+    and flags its current.  The string voltage and slope are the sums over
+    the segments.
+
+    The device constants are read here, once, so a bracketed search pays
+    only for the arithmetic at each of its currents.  The returned callable
+    takes any shape of currents and returns arrays of that shape.
+
+    Raises:
+        ValueError: ``photocurrents`` does not hold one value per segment.
+        BracketError (from the callable): a current exceeds I_ph + I0 of a
+            segment while both the shunt and the clamp are disabled; the
+            diode has no solution.
     """
+    photocurrents = np.asarray(photocurrents, dtype=float)
+    if photocurrents.shape != (device.n_segments,):
+        raise ValueError(
+            f"expected {device.n_segments} photocurrents, got shape {photocurrents.shape}"
+        )
     diode = device.diode
     i0 = diode.saturation_current_density_a_mm2 * device.geometry.sector_area_mm2
     a = diode.ideality * diode.thermal_voltage_v
     rsh = diode.shunt_resistance_ohm
-    # I_ph - I is exact near the knee, so I0 is not rounded away there
-    b = (photocurrents - currents) + i0
-    if math.isinf(rsh):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vj = np.where(b > 0.0, a * np.log(b / i0), -math.inf)
-            slope = -a / b
-    else:
-        z = b * (rsh / a) + math.log(i0 * rsh / a)
-        w = wrightomega(z)
-        # w underflows in deep reverse bias, where the linear form is exact
-        deep = z < _Z_DEEP_REVERSE
-        vj = a * np.log((a / (i0 * rsh)) * np.where(deep, 1.0, w))
-        if deep.any():
-            vj = np.where(deep, rsh * b - a * w, vj)
-        slope = -rsh / (1.0 + w)
     rs = diode.series_resistance_ohm
-    return vj - currents * rs, slope - rs
+    limit = device.reverse_breakdown_v
+    shunted = not math.isinf(rsh)
+    if shunted:
+        rsh_over_a = rsh / a
+        z_offset = math.log(i0 * rsh / a)
+        w_scale = a / (i0 * rsh)
+
+    def model(currents):
+        currents = np.asarray(currents, dtype=float)
+        i = currents[..., None]
+        # I_ph - I is exact near the knee, so I0 is not rounded away there
+        b = (photocurrents - i) + i0
+        if shunted:
+            z = b * rsh_over_a + z_offset
+            w = wrightomega(z)
+            # w underflows in deep reverse bias, where the linear form is exact
+            if _least(z) < _Z_DEEP_REVERSE:
+                deep = z < _Z_DEEP_REVERSE
+                vj = np.where(
+                    deep, rsh * b - a * w, a * np.log(w_scale * np.where(deep, 1.0, w))
+                )
+            else:
+                vj = a * np.log(w_scale * w)
+            slope = -rsh / (1.0 + w)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vj = np.where(b > 0.0, a * np.log(b / i0), -math.inf)
+                slope = -a / b
+        v = vj - i * rs
+        slope = slope - rs
+        if limit is None:
+            if _least(v) == -math.inf:
+                raise BracketError(
+                    f"current {currents.max():.6g} A exceeds I_ph + I0 of the darkest "
+                    f"segment ({photocurrents.min():.6g} A + I0) with shunt disabled"
+                )
+            clamped = np.zeros(currents.shape, dtype=bool)
+        elif _least(v) < -limit:
+            below = v < -limit
+            clamped = below.any(axis=-1)
+            v = np.where(below, -limit, v)
+            slope = np.where(below, 0.0, slope)
+        else:
+            clamped = np.zeros(currents.shape, dtype=bool)
+        return v.sum(axis=-1), slope.sum(axis=-1), clamped
+
+    return model
 
 
 def string_voltage(device: SegmentedDevice, photocurrents, currents):
     """String voltage, its slope dV/dI and the clamp flag at series currents.
 
-    The string voltage is the sum of the explicit segment voltages
-    (:func:`_segment_voltages`).  With the reverse clamp enabled a segment
-    voltage below -reverse_breakdown_v is clamped there, adds nothing to the
-    slope and flags its current.  One call serves any shape of
-    ``currents``: a whole I-V grid as well as the single currents of the
-    bracketed searches (short circuit, load line, MPP).
+    The one V(I) of this module (:func:`string_model` prepares it; see there
+    for the model).  One call serves any shape of ``currents``.
 
     Returns:
         (voltages, slopes, clamped), each shaped like ``currents``.
@@ -454,24 +519,7 @@ def string_voltage(device: SegmentedDevice, photocurrents, currents):
         BracketError: a current exceeds I_ph + I0 of a segment while both the
             shunt and the clamp are disabled; the diode has no solution.
     """
-    photocurrents = np.asarray(photocurrents, dtype=float)
-    currents = np.asarray(currents, dtype=float)
-    v, slope = _segment_voltages(device, photocurrents, currents[..., None])
-    limit = device.reverse_breakdown_v
-    if limit is None:
-        if np.isneginf(v).any():
-            raise BracketError(
-                f"current {currents.max():.6g} A exceeds I_ph + I0 of the darkest "
-                f"segment ({photocurrents.min():.6g} A + I0) with shunt disabled"
-            )
-        clamped = np.zeros(currents.shape, dtype=bool)
-    else:
-        below = v < -limit
-        clamped = below.any(axis=-1)
-        if clamped.any():
-            v = np.where(below, -limit, v)
-            slope = np.where(below, 0.0, slope)
-    return v.sum(axis=-1), slope.sum(axis=-1), clamped
+    return string_model(device, photocurrents)(currents)
 
 
 def short_circuit_current(device: SegmentedDevice, photocurrents) -> float:
@@ -487,9 +535,10 @@ def short_circuit_current(device: SegmentedDevice, photocurrents) -> float:
     photocurrents = np.asarray(photocurrents, dtype=float)
     if np.all(photocurrents <= 0):
         return 0.0
+    model = string_model(device, photocurrents)
 
     def v_of_i(i):
-        return string_voltage(device, photocurrents, i)[0]
+        return model(i)[0]
 
     if v_of_i(0.0) <= 0.0:
         return 0.0
@@ -512,7 +561,8 @@ def string_iv(device: SegmentedDevice, photocurrents, n_points: int = 2048) -> I
     """I-V curve of the series string for the given per-segment photocurrents.
 
     For each series current the string voltage is the sum of the explicit
-    segment voltages; the whole grid is one :func:`string_voltage` call.
+    segment voltages; the whole grid is one call of the string's prepared
+    V(I) (:func:`string_model`).
     The returned curve spans V = 0 (at the string short-circuit current) up
     to V_oc (at zero current) and carries the explicit string voltage and
     its slope as its ``model``.
@@ -526,18 +576,14 @@ def string_iv(device: SegmentedDevice, photocurrents, n_points: int = 2048) -> I
     Returns:
         IVCurve sorted by ascending voltage with per-point clamp flags.
     """
-    photocurrents = np.asarray(photocurrents, dtype=float)
-    if len(photocurrents) != device.n_segments:
-        raise ValueError(
-            f"expected {device.n_segments} photocurrents, got {len(photocurrents)}"
-        )
+    model = string_model(device, photocurrents)
     i_sc = short_circuit_current(device, photocurrents)
     if i_sc <= 0.0:
         return IVCurve(np.array([0.0]), np.array([0.0]), clamped=np.array([False]))
     tail = 1.0 - np.logspace(0.0, -_GRID_DECADES, n_points - 1)
     currents = np.concatenate([i_sc * tail, [i_sc]])
 
-    voltages, _, clamp_flags = string_voltage(device, photocurrents, currents)
+    voltages, _, clamp_flags = model(currents)
 
     order = np.argsort(voltages)
     voltages = voltages[order]
@@ -550,7 +596,7 @@ def string_iv(device: SegmentedDevice, photocurrents, n_points: int = 2048) -> I
     return IVCurve(
         voltages, currents,
         clamped=clamp_flags,
-        model=lambda i: string_voltage(device, photocurrents, i)[:2],
+        model=lambda i: model(i)[:2],
     )
 
 
@@ -629,24 +675,22 @@ def imp_isc_ratio(curve: IVCurve) -> float:
     return mpp.current_a / isc
 
 
-def harvest_figures(
-    device: SegmentedDevice, beam: IlluminationProfile
-) -> tuple[float, float]:
-    """(Pmp, Imp/Isc) straight from the continuous string model.
+def harvest_figures(device: SegmentedDevice, photocurrents) -> tuple[float, float]:
+    """(Pmp, Imp/Isc) of the string under the given per-segment
+    photocurrents, straight from the continuous string model.
 
     Mismatched strings have a double-knee power profile, so a coarse
     97-point scan picks the knee; the MPP is then the root of ``dP/dI``
     between the scan's neighbours of the knee (the best scan point if
     ``dP/dI`` does not change sign there).
     """
-    fractions = sector_fractions(device.geometry, beam)
-    photocurrents = beam.responsivity_a_w * beam.total_power_w * fractions
+    v_of_i = string_model(device, photocurrents)
     i_sc = short_circuit_current(device, photocurrents)
     if i_sc <= 0:
         return 0.0, math.nan
 
     def model(i):
-        return string_voltage(device, photocurrents, i)[:2]
+        return v_of_i(i)[:2]
 
     grid = np.linspace(0.0, i_sc * (1.0 - 1e-12), 97)
     values = grid * model(grid)[0]

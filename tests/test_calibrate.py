@@ -1,8 +1,10 @@
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sliptsim import calibrate as calibrate_module
@@ -197,6 +199,26 @@ class TestSchema:
         with pytest.raises(ValueError, match="schema_version"):
             CalibrationResult.from_dict(data)
 
+    @pytest.mark.parametrize("name, value", [
+        ("capacitance_density_f_mm2.S", math.nan),
+        ("series_resistance_ohm.4", math.inf),
+        ("responsivity_a_w.L", -math.inf),
+        ("beam_offset_mm.L6", math.nan),
+        ("pmp_residuals.M4", math.nan),
+        ("beam_radius_mm", math.nan),
+        ("emitted_power_w", math.inf),
+        ("ac_load_ohm", "47.5"),
+    ])
+    def test_non_finite_values_refused(self, name, value):
+        data = json.loads(FROZEN_FIT.read_text())
+        *parents, key = name.split(".")
+        holder = data
+        for parent in parents:
+            holder = holder[parent]
+        holder[key] = value
+        with pytest.raises(ValueError, match=re.escape(name)):
+            CalibrationResult.from_dict(data)
+
 
 class TestFullCalibration:
     def test_measured_fit_is_pinned(self, calibration):
@@ -212,16 +234,41 @@ class TestFullCalibration:
         )
         unpatched = calibrate(targets).to_dict()
 
-        seen = []
+        receiver = calibrate_module._receiver
+        sector_fractions = calibrate_module.sector_fractions
         harvest_figures = calibrate_module.harvest_figures
+        chains, quadratures, evaluations = [], [], []
 
-        def recording(device, beam):
-            seen.append((device, beam))
-            return harvest_figures(device, beam)
+        def recording_receiver(*args):
+            chains.append(receiver(*args))
+            return chains[-1]
 
-        monkeypatch.setattr(calibrate_module, "harvest_figures", recording)
+        def recording_fractions(geometry, beam):
+            quadratures.append((geometry, beam.beam_radius_mm, beam.center_mm))
+            return sector_fractions(geometry, beam)
+
+        def recording_harvest(device, photocurrents):
+            # a shared quadrature gives the photocurrents an unshared one
+            # gives for the chain just built
+            chain = chains[-1]
+            assert device is chain.device
+            beam = chain.beam
+            unshared = beam.responsivity_a_w * beam.total_power_w * sector_fractions(
+                device.geometry, beam
+            )
+            assert np.array_equal(photocurrents, unshared)
+            evaluations.append((device, tuple(photocurrents)))
+            return harvest_figures(device, photocurrents)
+
+        monkeypatch.setattr(calibrate_module, "_receiver", recording_receiver)
+        monkeypatch.setattr(calibrate_module, "sector_fractions", recording_fractions)
+        monkeypatch.setattr(calibrate_module, "harvest_figures", recording_harvest)
         assert calibrate(targets).to_dict() == unpatched
-        assert len(seen) == len(set(seen)) > 0
+        assert len(evaluations) == len(set(evaluations)) > 0
+        # one quadrature per (preset, radius, offset), shared across the
+        # responsivity steps at that beam
+        assert len(quadratures) == len(set(quadratures)) > 0
+        assert len(quadratures) < len(evaluations)
 
     def test_measured_fit_quality(self, calibration):
         assert max(abs(v) for v in calibration.bandwidth_residuals.values()) <= 0.15

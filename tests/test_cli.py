@@ -161,6 +161,22 @@ class TestCommands:
         ).read_bytes()
 
 
+def test_fit_and_cli_imports_leave_out_the_signal_stack():
+    # scipy.signal, with the scipy.stats it loads, is about half a second of
+    # every fresh `sliptsim calibrate`; only the modem calls it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        "import sys, sliptsim.calibrate, sliptsim.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        check=True, capture_output=True, text=True, timeout=120,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 class TestGlobalFlags:
     """--config, --out, --seed and --preset work before and after the
     subcommand."""
@@ -249,6 +265,35 @@ class TestExitCodes:
         assert code == 2
         assert "absent.json" in capsys.readouterr().err
         assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "safety", "seed": "x"},
+        {"kind": "safety", "out_dir": 5},
+        {"kind": "mismatch", "preset": "S2", "points": "x"},
+        {"kind": "mismatch", "preset": "S2", "points": -1},
+        {"kind": "safety", "distance_mm": "far"},
+        {"kind": "iv", "preset": "S2", "beam_offset_mm": [0.1]},
+        {"kind": "bandwidth-sweep", "presets": 2},
+    ], ids=["seed", "out_dir", "points", "points-negative", "distance_mm", "beam_offset_mm",
+            "presets"])
+    def test_malformed_spec_field_is_spec_error(self, tmp_path, capsys, spec):
+        # whether dispatch or a handler reads the field
+        path = write_spec(tmp_path, {**spec, "out_dir": spec.get("out_dir", str(tmp_path / "o"))})
+        assert main(["--config", path]) == 2
+        err = capsys.readouterr().err
+        field = next(k for k in spec if k not in ("kind", "preset"))
+        assert err.startswith("spec error:") and repr(field) in err
+
+    def test_non_finite_calibration_value_is_run_error(self, tmp_path, capsys, calibration):
+        data = calibration.to_dict()
+        data["capacitance_density_f_mm2"]["S"] = math.nan
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = main(["bandwidth", "--presets", "S2", "--calibration", str(path),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "capacitance_density_f_mm2.S" in capsys.readouterr().err
+        assert not (tmp_path / "bandwidth.csv").exists()
 
     def test_handler_bug_is_not_a_spec_error(self, tmp_path, monkeypatch):
         def broken(spec, out_dir, seed):

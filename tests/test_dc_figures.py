@@ -97,7 +97,7 @@ def dc_figures(chain):
     mpp = find_mpp(curve)
     isc = curve.short_circuit_current_a()
     load = dc_operating_point(chain.device, photocurrents, chain.load_resistance_ohm)
-    pmp, ratio = harvest_figures(chain.device, beam)
+    pmp, ratio = harvest_figures(chain.device, photocurrents)
     return (
         mpp.power_w, isc, mpp.current_a / isc, load.voltage_v, load.current_a,
         pmp, ratio,

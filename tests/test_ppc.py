@@ -75,6 +75,40 @@ class TestGeometry:
         with pytest.raises(ValueError):
             SegmentGeometry(1.0, 2, junction_area_mm2=-0.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("cell_diameter_mm", math.nan),
+        ("cell_diameter_mm", math.inf),
+        ("junction_area_mm2", math.nan),
+        ("junction_area_mm2", math.inf),
+    ])
+    def test_non_finite_values_refused(self, field, value):
+        kwargs = {"cell_diameter_mm": 1.0, "n_segments": 2, field: value}
+        with pytest.raises(ValueError, match=field):
+            SegmentGeometry(**kwargs)
+
+
+class TestDiodeParams:
+    # an infinite shunt resistance is allowed: it disables the shunt
+    @pytest.mark.parametrize("field, value", [
+        (field, value)
+        for field in ("saturation_current_density_a_mm2", "ideality", "series_resistance_ohm",
+                      "shunt_resistance_ohm", "capacitance_density_f_mm2", "temperature_k")
+        for value in (math.nan, math.inf)
+        if (field, value) != ("shunt_resistance_ohm", math.inf)
+    ])
+    def test_non_finite_values_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DiodeParams(**{field: value})
+
+    def test_infinite_shunt_disables_it(self):
+        assert DiodeParams(shunt_resistance_ohm=math.inf).shunt_resistance_ohm == math.inf
+        with pytest.raises(ValueError, match="shunt"):
+            DiodeParams(shunt_resistance_ohm=-math.inf)
+
+    def test_nan_breakdown_voltage_refused(self):
+        with pytest.raises(ValueError, match="reverse_breakdown_v"):
+            SegmentedDevice(SegmentGeometry(1.0, 2), reverse_breakdown_v=math.nan)
+
 
 class TestIllumination:
     def test_upper_responsivity_warns(self):
@@ -484,7 +518,7 @@ class TestBatchedStringSolve:
     def test_harvest_figures_equal_per_point_scan(self, name):
         device = device_preset(name, DiodeParams(series_resistance_ohm=60.0))
         beam = default_beam(beam_radius_mm=0.6, center_mm=(0.12, 0.0))
-        pmp, ratio = harvest_figures(device, beam)
+        pmp, ratio = harvest_figures(device, segment_photocurrents(device.geometry, beam))
         ref_pmp, ref_ratio = oracle.reference_harvest_figures(device, beam)
         assert pmp == pytest.approx(ref_pmp, rel=self.PMP_REL, abs=0.0)
         assert ratio == pytest.approx(ref_ratio, rel=0.0, abs=self.RATIO_ABS)
