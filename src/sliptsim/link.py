@@ -27,12 +27,13 @@ frequencies at a 950-ohm bias load.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .constants import BOLTZMANN_J_PER_K, ELEMENTARY_CHARGE_C
+from .constants import (
+    BOLTZMANN_J_PER_K, DEFAULT_TEMPERATURE_K, DEFAULT_WAVELENGTH_NM, ELEMENTARY_CHARGE_C,
+)
 from .loading import BitLoadingPlan, bit_power_loading
 from .ofdm import (
     OfdmConfig,
@@ -55,15 +56,14 @@ from .ofdm import (
 )
 from .ppc import (
     IlluminationProfile,
-    OperatingPoint,
     SegmentedDevice,
+    dc_operating_point,
     find_mpp,
+    harvest_figures,
     sector_fractions,
-    short_circuit_current,
     small_signal_bandwidth,
     string_capacitance,
     string_iv,
-    string_model,
 )
 
 __all__ = [
@@ -73,7 +73,6 @@ __all__ = [
     "ReceiverChain",
     "LinkReport",
     "channel_response",
-    "dc_operating_point",
     "snr_crossing_bandwidth",
     "run_link",
     "sweep",
@@ -100,10 +99,14 @@ class TransmitterModel:
     drive_vpp: float = 1.0
     slope_efficiency_w_per_a: float = 0.46
     emitted_power_w: float = 2.3e-3
-    wavelength_nm: float = 847.0
+    wavelength_nm: float = DEFAULT_WAVELENGTH_NM
     transconductance_a_per_v: float = 8e-3
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.emitted_power_w <= 0 or self.drive_vpp <= 0:
             raise ValueError("emitted power and drive amplitude must be positive")
         if self.slope_efficiency_w_per_a <= 0 or self.transconductance_a_per_v <= 0:
@@ -133,7 +136,7 @@ class NoiseModel:
     noise keeps a fixed ratio to the signal RMS).  Current PSDs are
     input-referred densities (A^2/Hz)."""
 
-    temperature_k: float = 298.15
+    temperature_k: float = DEFAULT_TEMPERATURE_K
     noise_figure_db: float = 6.0
     include_thermal: bool = True
     include_shot: bool = True
@@ -141,6 +144,11 @@ class NoiseModel:
     quantization_snr_db: float | None = 4.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # None switches the digitizer term off
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.temperature_k <= 0:
             raise ValueError("temperature must be positive")
         if self.extra_current_psd_a2_hz < 0:
@@ -177,6 +185,12 @@ class ReceiverChain:
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self):
+        for name in (
+            "load_resistance_ohm", "amplifier_input_ohm", "effective_series_resistance_ohm"
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not 0.0 < self.load_resistance_ohm <= 10e3:
             raise ValueError("load resistance must lie in (0, 10 kOhm]")
         if self.amplifier_input_ohm <= 0:
@@ -257,25 +271,6 @@ def channel_response(chain: ReceiverChain, config: OfdmConfig):
     g = chain.beam.responsivity_a_w * chain.ac_load_ohm
     freqs = config.carrier_frequencies_hz()
     return g / (1.0 + 1j * freqs / f3db), f3db
-
-
-def dc_operating_point(
-    device: SegmentedDevice, photocurrents, load_ohm: float
-) -> OperatingPoint:
-    """Intersection of the string I-V curve with the resistive load line."""
-    model = string_model(device, photocurrents)
-    i_sc = short_circuit_current(device, photocurrents)
-    if i_sc <= 0:
-        return OperatingPoint(0.0, 0.0)
-
-    def mismatch(i):
-        return model(i)[0] - i * load_ohm
-
-    if mismatch(i_sc) >= 0.0:
-        # load line crosses inside the (numerically) vertical knee at I_sc
-        return OperatingPoint(i_sc * load_ohm, i_sc)
-    i_op = brentq(mismatch, 0.0, i_sc, xtol=1e-15, rtol=8.9e-16)
-    return OperatingPoint(i_op * load_ohm, i_op)
 
 
 def snr_crossing_bandwidth(snr: SubcarrierSnr, freqs_hz) -> float:
@@ -463,7 +458,7 @@ def run_link(
 
     curve = string_iv(device, photocurrents)
     mpp = find_mpp(curve)
-    op = dc_operating_point(device, photocurrents, chain.load_resistance_ohm)
+    op = dc_operating_point(curve, chain.load_resistance_ohm)
     i_sc = curve.short_circuit_current_a()
     ratio = mpp.current_a / i_sc if i_sc > 0 else math.nan
 
@@ -582,11 +577,6 @@ def mismatch_study(
         photocurrents = b.responsivity_a_w * b.total_power_w * sector_fractions(
             device.geometry, b
         )
-        curve = string_iv(device, photocurrents, n_points=512)
-        i_sc = curve.short_circuit_current_a()
-        if i_sc <= 0:
-            rows.append((float(off), math.nan, 0.0))
-            continue
-        mpp = find_mpp(curve)
-        rows.append((float(off), mpp.current_a / i_sc, mpp.power_w))
+        pmp, ratio = harvest_figures(device, photocurrents)
+        rows.append((float(off), ratio, pmp))
     return rows

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -88,6 +88,11 @@ class OfdmConfig:
     sample_rate_hz: float = 7.68e9
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # None switches clipping off
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.fft_size < 8 or self.fft_size & (self.fft_size - 1):
             raise ValueError("fft_size must be a power of two >= 8")
         if not 0 <= self.cp_length < self.fft_size:

@@ -9,8 +9,9 @@ subcell; the subcells are series-connected on chip.  This module models
   one vectorized string voltage V(I) with its slope dV/dI (Wright omega
   form) serves every grid and every bracketed search,
 * the composed string I-V curve, the short-circuit current (a bracketed
-  root of V(I)) and the maximum power point (a bracketed root of
-  dP/dI = V + I*dV/dI),
+  root of V(I), kept as the curve's first sample), the maximum power point
+  (one search: the best sample, then a bracketed root of
+  dP/dI = V + I*dV/dI) and the load-line operating point,
 * the string capacitance (reciprocal sum of the subcell junction
   capacitances) and the resulting first-order RC bandwidth.
 
@@ -29,7 +30,9 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erfc, wrightomega
 
-from .constants import responsivity_quantum_limit, thermal_voltage
+from .constants import (
+    DEFAULT_TEMPERATURE_K, DEFAULT_WAVELENGTH_NM, responsivity_quantum_limit, thermal_voltage,
+)
 
 __all__ = [
     "SegmentGeometry",
@@ -47,6 +50,7 @@ __all__ = [
     "short_circuit_current",
     "string_iv",
     "find_mpp",
+    "dc_operating_point",
     "imp_isc_ratio",
     "harvest_figures",
     "series_capacitance",
@@ -141,7 +145,7 @@ class DiodeParams:
     series_resistance_ohm: float = 1.0
     shunt_resistance_ohm: float = 1.2e5
     capacitance_density_f_mm2: float = 10e-12
-    temperature_k: float = 298.15
+    temperature_k: float = DEFAULT_TEMPERATURE_K
 
     def __post_init__(self):
         for f in fields(self):
@@ -182,7 +186,7 @@ class IlluminationProfile:
     beam_radius_mm: float
     center_mm: tuple[float, float] = (0.0, 0.0)
     responsivity_a_w: float = 0.6
-    wavelength_nm: float = 847.0
+    wavelength_nm: float = DEFAULT_WAVELENGTH_NM
 
     def __post_init__(self):
         for f in fields(self):
@@ -255,10 +259,10 @@ class OperatingPoint:
 class IVCurve:
     """Sampled I-V characteristic, voltage ascending / current non-increasing.
 
-    ``model`` is an optional continuous model of the curve, a callable
-    current -> (voltage, dV/dI), used by :func:`find_mpp` for sub-grid
-    refinement; curves built by :func:`string_iv` carry the explicit string
-    voltage as their model.
+    ``model`` is the continuous model of the curve, a callable
+    current -> (voltage, dV/dI), which :func:`find_mpp` and
+    :func:`dc_operating_point` search; curves built by :func:`string_iv`
+    carry the explicit string voltage as their model.
     ``clamped`` marks points where at least one segment hit the reverse
     breakdown clamp.
     """
@@ -288,8 +292,10 @@ class IVCurve:
         return len(self.voltages_v)
 
     def short_circuit_current_a(self) -> float:
-        """Current at V = 0 (interpolated if 0 is not a grid point)."""
-        return float(np.interp(0.0, self.voltages_v, self.currents_a))
+        """Current of the lowest-voltage sample: the solved I_sc on curves
+        from :func:`string_iv`, the current at V = 0 on curves that start
+        there."""
+        return float(self.currents_a[0])
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +569,9 @@ def string_iv(device: SegmentedDevice, photocurrents, n_points: int = 2048) -> I
     For each series current the string voltage is the sum of the explicit
     segment voltages; the whole grid is one call of the string's prepared
     V(I) (:func:`string_model`).
-    The returned curve spans V = 0 (at the string short-circuit current) up
-    to V_oc (at zero current) and carries the explicit string voltage and
-    its slope as its ``model``.
+    The returned curve spans V = 0 (its first sample is the solved string
+    short-circuit current) up to V_oc (at zero current) and carries the
+    explicit string voltage and its slope as its ``model``.
 
     Args:
         device: segment geometry, diode parameters and reverse clamp.
@@ -581,11 +587,12 @@ def string_iv(device: SegmentedDevice, photocurrents, n_points: int = 2048) -> I
     if i_sc <= 0.0:
         return IVCurve(np.array([0.0]), np.array([0.0]), clamped=np.array([False]))
     tail = 1.0 - np.logspace(0.0, -_GRID_DECADES, n_points - 1)
-    currents = np.concatenate([i_sc * tail, [i_sc]])
+    currents = np.concatenate([[i_sc], i_sc * tail])
 
     voltages, _, clamp_flags = model(currents)
 
-    order = np.argsort(voltages)
+    # a stable sort keeps I_sc ahead of any sample at the same voltage
+    order = np.argsort(voltages, kind="stable")
     voltages = voltages[order]
     currents = currents[order]
     clamp_flags = clamp_flags[order]
@@ -604,66 +611,57 @@ def string_iv(device: SegmentedDevice, photocurrents, n_points: int = 2048) -> I
 # Curve analysis
 # ---------------------------------------------------------------------------
 
-def _power_maximum(model, lo: float, hi: float):
-    """(voltage, current) where ``dP/dI = V + I*dV/dI`` falls through zero
-    for a current in [lo, hi], or None if it does not change sign there.
+def _power_maximum(model, currents, voltages) -> tuple[float, float]:
+    """(voltage, current) of the string's maximum power, searched from its
+    samples: the best sample, then the root of ``dP/dI = V + I*dV/dI``
+    between that sample's neighbours (the best sample itself if ``dP/dI``
+    does not change sign there).
 
-    ``model`` maps a current to (voltage, dV/dI).
+    ``model`` maps a current to (voltage, dV/dI); ``currents`` and
+    ``voltages`` are samples of it, in either order of current.
     """
+    k = int(np.argmax(currents * voltages))
+    lo, hi = sorted((currents[max(k - 1, 0)], currents[min(k + 1, len(currents) - 1)]))
+
     def dp_di(i):
         v, slope = model(i)
         return v + i * slope
 
     if not dp_di(lo) > 0.0 > dp_di(hi):
-        return None
+        return float(voltages[k]), float(currents[k])
     i_mp = brentq(dp_di, lo, hi, xtol=_I_XTOL, rtol=_I_RTOL)
     return float(model(i_mp)[0]), float(i_mp)
 
 
 def find_mpp(curve: IVCurve) -> OperatingPoint:
-    """Maximum power point of an I-V curve.
+    """Maximum power point of an I-V curve and its model.
 
-    Locates the best grid sample, then refines it with the curve's model:
-    the root of ``dP/dI`` between the sample's grid neighbours.  If the
-    sampled power profile is not unimodal (numerical noise, clamped regions)
-    every local maximum is refined and the best is returned, with a
-    warning.  A curve without a model returns its best sample.
-
-    The returned power is never below the best grid sample.
+    The search of :func:`harvest_figures`, run on the curve's samples: the
+    best sample, refined to the root of ``dP/dI`` between its neighbours
+    by the curve's ``model``, which the curve must carry.
     """
     if len(curve) == 1 and curve.voltages_v[0] == 0.0 and curve.currents_a[0] == 0.0:
         return OperatingPoint(0.0, 0.0)
     if len(curve) < 8:
         raise ValueError("curve must have at least 8 points spanning V=0 to V_oc")
+    return OperatingPoint(*_power_maximum(curve.model, curve.currents_a, curve.voltages_v))
 
-    v, i = curve.voltages_v, curve.currents_a
-    p = v * i
-    idx = int(np.argmax(p))
 
-    # local maxima of the sampled power, with a noise floor
-    tol = 1e-12 * max(p.max(), 1e-300)
-    interior = np.arange(1, len(p) - 1)
-    is_max = (p[interior] >= p[interior - 1] - tol) & (p[interior] >= p[interior + 1] - tol)
-    strict = (p[interior] > p[interior - 1] + tol) & (p[interior] > p[interior + 1] + tol)
-    n_strict = int(np.count_nonzero(strict))
-    candidates = [idx]
-    if n_strict > 1:
-        warnings.warn(
-            "sampled power is not unimodal; falling back to exhaustive grid "
-            "maximum with local refinement",
-            stacklevel=2,
-        )
-        candidates = sorted(set(interior[is_max]) | {idx})
+def dc_operating_point(curve: IVCurve, load_ohm: float) -> OperatingPoint:
+    """Intersection of an I-V curve with the resistive load line V = I*R:
+    a bracketed root of the curve's ``model`` on [0, I_sc]."""
+    i_sc = curve.short_circuit_current_a()
+    if i_sc <= 0:
+        return OperatingPoint(0.0, 0.0)
 
-    best_v, best_i = float(v[idx]), float(i[idx])
-    if curve.model is None:
-        return OperatingPoint(best_v, best_i)
-    for c in candidates:
-        # the current falls as the voltage rises
-        found = _power_maximum(curve.model, i[min(c + 1, len(i) - 1)], i[max(c - 1, 0)])
-        if found is not None and found[0] * found[1] > best_v * best_i:
-            best_v, best_i = found
-    return OperatingPoint(best_v, best_i)
+    def mismatch(i):
+        return curve.model(i)[0] - i * load_ohm
+
+    if mismatch(i_sc) >= 0.0:
+        # load line crosses inside the (numerically) vertical knee at I_sc
+        return OperatingPoint(i_sc * load_ohm, i_sc)
+    i_op = brentq(mismatch, 0.0, i_sc, xtol=_I_XTOL, rtol=_I_RTOL)
+    return OperatingPoint(i_op * load_ohm, i_op)
 
 
 def imp_isc_ratio(curve: IVCurve) -> float:
@@ -680,9 +678,8 @@ def harvest_figures(device: SegmentedDevice, photocurrents) -> tuple[float, floa
     photocurrents, straight from the continuous string model.
 
     Mismatched strings have a double-knee power profile, so a coarse
-    97-point scan picks the knee; the MPP is then the root of ``dP/dI``
-    between the scan's neighbours of the knee (the best scan point if
-    ``dP/dI`` does not change sign there).
+    97-point scan picks the knee, and the search of :func:`find_mpp` refines
+    it.
     """
     v_of_i = string_model(device, photocurrents)
     i_sc = short_circuit_current(device, photocurrents)
@@ -693,13 +690,8 @@ def harvest_figures(device: SegmentedDevice, photocurrents) -> tuple[float, floa
         return v_of_i(i)[:2]
 
     grid = np.linspace(0.0, i_sc * (1.0 - 1e-12), 97)
-    values = grid * model(grid)[0]
-    k = int(np.argmax(values))
-    p_mp, i_mp = float(values[k]), float(grid[k])
-    found = _power_maximum(model, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
-    if found is not None:
-        p_mp, i_mp = found[0] * found[1], found[1]
-    return p_mp, i_mp / i_sc
+    v_mp, i_mp = _power_maximum(model, grid, model(grid)[0])
+    return v_mp * i_mp, i_mp / i_sc
 
 
 # ---------------------------------------------------------------------------

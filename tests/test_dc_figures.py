@@ -9,13 +9,21 @@ held to 1e-8 absolute, because the golden section located the flat power
 maximum only to about 2.5e-9.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sliptsim.calibrate import CalibrationResult, calibrated_receiver
-from sliptsim.link import dc_operating_point
-from sliptsim.ppc import find_mpp, harvest_figures, sector_fractions, string_iv
+from sliptsim.ppc import (
+    dc_operating_point,
+    find_mpp,
+    harvest_figures,
+    sector_fractions,
+    short_circuit_current,
+    string_iv,
+)
 from sliptsim.presets import PRESET_NAMES, default_receiver
 
 FROZEN_FIT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "calibration.json"
@@ -96,7 +104,7 @@ def dc_figures(chain):
     curve = string_iv(chain.device, photocurrents)
     mpp = find_mpp(curve)
     isc = curve.short_circuit_current_a()
-    load = dc_operating_point(chain.device, photocurrents, chain.load_resistance_ohm)
+    load = dc_operating_point(curve, chain.load_resistance_ohm)
     pmp, ratio = harvest_figures(chain.device, photocurrents)
     return (
         mpp.power_w, isc, mpp.current_a / isc, load.voltage_v, load.current_a,
@@ -123,9 +131,35 @@ def test_dc_figures_are_pinned(key, chain):
     assert got[0] == pytest.approx(want[0], rel=REL_TOL, abs=v_mp * MPP_CURRENT_XTOL)
 
 
-@pytest.mark.parametrize("key,chain", list(receivers()), ids=lambda v: v if isinstance(v, str) else "")
+def offset_receivers():
+    """Every receiver with its beam moved along x, up to 0.45 of the cell
+    diameter: mismatched strings, whose power profile has two knees."""
+    for key, chain in receivers():
+        diameter = chain.device.geometry.cell_diameter_mm
+        for offset in np.linspace(0.0, 0.45 * diameter, 6)[1:]:
+            beam = replace(chain.beam, center_mm=(float(offset), 0.0))
+            yield f"{key}@{offset:.3f}mm", replace(chain, beam=beam)
+
+
+@pytest.mark.parametrize(
+    "key,chain", [*receivers(), *offset_receivers()],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
 def test_find_mpp_and_harvest_figures_agree(key, chain):
-    # both searches locate the maximum of the same continuous string model
+    # one search on two sample sets (the curve's, and a 97-point scan) of the
+    # same continuous string model
     got = dc_figures(chain)
     assert got[0] == pytest.approx(got[5], rel=REL_TOL, abs=0.0)
     assert got[2] == pytest.approx(got[6], rel=0.0, abs=RATIO_TOL)
+
+
+def test_curve_short_circuit_current_is_the_solved_one():
+    # a slightly offset beam: the curve's lowest-voltage sample sits a little
+    # off V = 0, where interpolating to V = 0 missed the solved I_sc
+    chain = default_receiver("S4")
+    beam = replace(chain.beam, center_mm=(0.45 / 19, 0.0))
+    photocurrents = beam.responsivity_a_w * beam.total_power_w * sector_fractions(
+        chain.device.geometry, beam
+    )
+    curve = string_iv(chain.device, photocurrents)
+    assert curve.short_circuit_current_a() == short_circuit_current(chain.device, photocurrents)

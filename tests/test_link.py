@@ -7,13 +7,13 @@ import pytest
 from chain import reference_channel
 from sliptsim.link import (
     NoiseModel,
+    TransmitterModel,
     _apply_channel,
     _build_stream,
     _header_length,
     _run_burst,
     _std,
     channel_response,
-    dc_operating_point,
     mismatch_study,
     run_link,
     snr_crossing_bandwidth,
@@ -33,7 +33,9 @@ from sliptsim.ppc import (
     IlluminationProfile,
     SegmentGeometry,
     SegmentedDevice,
+    dc_operating_point,
     sector_fractions,
+    string_iv,
 )
 from sliptsim.presets import default_beam, default_receiver, default_transmitter
 
@@ -69,6 +71,26 @@ class TestTransmitter:
         assert power.min() == 0.0
         assert power.max() == 2 * tx.emitted_power_w
 
+    @pytest.mark.parametrize("field, value", [
+        ("emitted_power_w", math.nan),
+        ("drive_vpp", math.inf),
+    ])
+    def test_non_finite_values_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TransmitterModel(**{field: value})
+
+
+class TestReadOutValidation:
+    @pytest.mark.parametrize("field", ["noise_figure_db", "temperature_k", "quantization_snr_db"])
+    def test_non_finite_noise_refused(self, field):
+        with pytest.raises(ValueError, match=field):
+            NoiseModel(**{field: math.nan})
+
+    @pytest.mark.parametrize("field", ["amplifier_input_ohm", "effective_series_resistance_ohm"])
+    def test_non_finite_read_out_refused(self, field):
+        with pytest.raises(ValueError, match=field):
+            default_receiver("S2", **{field: math.nan})
+
 
 class TestChannelResponse:
     def test_dc_gain_and_corner(self):
@@ -103,13 +125,13 @@ class TestDcOperatingPoint:
             SegmentGeometry(2.08, 4), DiodeParams(shunt_resistance_ohm=2e5)
         )
         ph = [2e-4] * 4
-        op = dc_operating_point(device, ph, 950.0)
+        op = dc_operating_point(string_iv(device, ph), 950.0)
         assert op.voltage_v == pytest.approx(op.current_a * 950.0, rel=1e-9)
         assert 0 < op.current_a <= 2e-4 + 5e-5
 
     def test_dark_device(self):
         device = SegmentedDevice(SegmentGeometry(1.0, 2))
-        op = dc_operating_point(device, [0.0, 0.0], 950.0)
+        op = dc_operating_point(string_iv(device, [0.0, 0.0]), 950.0)
         assert op.power_w == 0.0
 
 
@@ -255,7 +277,7 @@ def s2_channel_inputs(tx):
     chain = default_receiver("S2")
     fractions = sector_fractions(chain.device.geometry, chain.beam)
     photocurrents = chain.beam.responsivity_a_w * tx.emitted_power_w * fractions
-    op = dc_operating_point(chain.device, photocurrents, chain.load_resistance_ohm)
+    op = dc_operating_point(string_iv(chain.device, photocurrents), chain.load_resistance_ohm)
     return chain, float(fractions.mean()), op.current_a
 
 

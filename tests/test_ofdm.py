@@ -61,6 +61,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             OfdmConfig(rolloff=1.5)
 
+    @pytest.mark.parametrize("field", ["sample_rate_hz", "clip_sigma"])
+    def test_non_finite_values_refused(self, field):
+        with pytest.raises(ValueError, match=field):
+            OfdmConfig(**{field: math.nan})
+
 
 class TestBits:
     def test_empty(self):
