@@ -245,10 +245,14 @@ def _rrc_taps_cached(osf: int, rolloff: float) -> np.ndarray:
             den = math.pi * ti * (1.0 - (4.0 * beta * ti) ** 2)
             taps[i] = num / den
     taps *= np.kaiser(n, 5.0)
-    return taps * (osf / taps.sum())
+    taps = taps * (osf / taps.sum())
+    taps.setflags(write=False)
+    return taps
 
 
 def rrc_taps(config: OfdmConfig) -> np.ndarray:
+    """The RRC taps of ``config``: a cached array, read-only because every
+    caller shares it."""
     return _rrc_taps_cached(config.oversampling_factor, config.rolloff)
 
 
@@ -312,7 +316,9 @@ def _preamble_core_cached(n_p: int, rms: float) -> np.ndarray:
     spectrum[1 : n_bins + 1] = zc
     spectrum[n_p - 1 : n_p // 2 : -1] = np.conj(zc)
     core = np.fft.ifft(spectrum).real
-    return core * (rms / np.sqrt(np.mean(core**2)))
+    core = core * (rms / np.sqrt(np.mean(core**2)))
+    core.setflags(write=False)
+    return core
 
 
 def make_preamble(config: OfdmConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -320,7 +326,7 @@ def make_preamble(config: OfdmConfig) -> tuple[np.ndarray, np.ndarray]:
 
     The preamble RMS matches a fully loaded unit-energy frame so it neither
     stresses the transmitter's linear window nor skews the stream's
-    standard deviation.
+    standard deviation.  The core is cached and read-only.
     """
     frame_rms = math.sqrt(2.0 * config.data_subcarriers) / config.fft_size
     core = _preamble_core_cached(config.preamble_length, frame_rms)

@@ -4,10 +4,17 @@ A circular active area of diameter ``cell_diameter_mm`` is split into
 ``n_segments`` equal angular sectors ("pizza" layout), each a pn-junction
 subcell; the subcells are series-connected on chip.  This module models
 
-* the per-sector photocurrent generated by a (possibly offset) Gaussian beam,
+* the per-sector photocurrent generated by a (possibly offset) Gaussian beam
+  (composite Gauss-Legendre quadrature whose node tables are cached per
+  segment count and panel count),
 * the single-diode I-V characteristic of each subcell, solved explicitly:
-  one vectorized string voltage V(I) with its slope dV/dI (Wright omega
-  form) serves every grid and every bracketed search,
+  one string voltage V(I) with its slope dV/dI (Wright omega form),
+  prepared once per string, serves every grid and every bracketed search.
+  It has two kernels with the same bits, chosen by the type of the input:
+  a vector kernel for arrays of currents (the I-V grid, the harvest scan)
+  and a scalar kernel, a plain loop over the segments, for the one float
+  a root finder passes; the scalar kernel hands the rare current it cannot
+  reproduce exactly (a clamped or deep-reverse segment) to the vector one,
 * the composed string I-V curve, the short-circuit current (a bracketed
   root of V(I), kept as the curve's first sample), the maximum power point
   (one search: the best sample, then a bracketed root of
@@ -25,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -308,17 +316,22 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 # panel count per sector at which the adaptive doubling gives up
 _MAX_PANELS = 1 << 14
 
+# Node tables up to this many panels per sector are cached; every deeper
+# doubling builds its nodes per call, so the cache stays a few tables per
+# segment count.
+_CACHED_PANELS = 64
 
-def _radial_profile(theta, beam: IlluminationProfile, radius_mm: float):
+
+def _radial_profile(cos_t, sin_t, beam: IlluminationProfile, radius_mm: float):
     """Closed-form radial integral of the Gaussian over one ray.
 
-    For a fixed angle theta, integrates irradiance * r for r in [0, R].
-    Vectorized over theta.
+    For a fixed angle theta (given by its cosine and sine), integrates
+    irradiance * r for r in [0, R].  Vectorized over theta.
     """
     w2 = beam.beam_radius_mm**2
     a = 2.0 / w2
     x0, y0 = beam.center_mm
-    b = x0 * np.cos(theta) + y0 * np.sin(theta)
+    b = x0 * cos_t + y0 * sin_t
     r0sq = x0 * x0 + y0 * y0
     # perpendicular distance squared from the ray to the beam center; >= 0
     transverse = np.maximum(r0sq - b * b, 0.0)
@@ -335,21 +348,45 @@ def _radial_profile(theta, beam: IlluminationProfile, radius_mm: float):
     return prefactor * np.exp(-a * transverse) * (gauss_part + erf_part)
 
 
-def _sector_powers(beam: IlluminationProfile, radius_mm: float, theta0, theta1, panels: int):
-    """Beam power (W) captured by each sector [theta0[k], theta1[k]].
+def _sector_nodes(n_segments: int, panels: int):
+    """(cos theta, sin theta, weights) of the composite 16-point
+    Gauss-Legendre rule over ``panels`` equal sub-intervals of each of the
+    ``n_segments`` sectors: one read-only row per sector.
+
+    Every row depends only on its own sector's bounds, so a row picked from
+    the table equals the row built for that sector alone.
+    """
+    bounds = np.linspace(0.0, 2.0 * math.pi, n_segments + 1)
+    edges = np.linspace(bounds[:-1], bounds[1:], panels + 1).T
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    half = 0.5 * (edges[:, 1] - edges[:, 0])
+    theta = (mid[:, :, None] + (half[:, None] * _GL_X[None, :])[:, None, :]).reshape(
+        n_segments, -1
+    )
+    nodes = np.cos(theta), np.sin(theta), np.tile(half[:, None] * _GL_W[None, :], panels)
+    for table in nodes:
+        table.setflags(write=False)
+    return nodes
+
+
+_cached_sector_nodes = lru_cache(maxsize=32)(_sector_nodes)
+
+
+def _sector_powers(beam: IlluminationProfile, radius_mm: float, n_segments: int,
+                   sectors, panels: int):
+    """Beam power (W) captured by each of the given ``sectors`` (indices).
 
     Composite 16-point Gauss-Legendre over ``panels`` equal sub-intervals of
     every sector, evaluated in one pass; each sector's sum is its own
     ``np.dot``, so a sector's power does not depend on which others are
     evaluated with it.
     """
-    edges = np.linspace(theta0, theta1, panels + 1).T
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    half = 0.5 * (edges[:, 1] - edges[:, 0])
-    theta = mid[:, :, None] + (half[:, None] * _GL_X[None, :])[:, None, :]
-    vals = _radial_profile(theta.reshape(len(half), -1), beam, radius_mm)
-    weights = np.tile(half[:, None] * _GL_W[None, :], panels)
-    return np.array([np.dot(v, w) for v, w in zip(vals, weights)])
+    if panels <= _CACHED_PANELS:
+        cos_t, sin_t, weights = _cached_sector_nodes(n_segments, panels)
+    else:
+        cos_t, sin_t, weights = _sector_nodes(n_segments, panels)
+    vals = _radial_profile(cos_t[sectors], sin_t[sectors], beam, radius_mm)
+    return np.array([np.dot(v, w) for v, w in zip(vals, weights[sectors])])
 
 
 def sector_fractions(
@@ -370,19 +407,21 @@ def sector_fractions(
     alongside the fractions.
 
     Raises:
+        ValueError: if ``rel_tol`` is NaN or negative.
         QuadratureError: if doubling up to 16384 panels never converges.
     """
+    if not rel_tol >= 0.0:
+        raise ValueError(f"rel_tol must be a non-negative number, got {rel_tol!r}")
     n = geometry.n_segments
     if beam.total_power_w == 0.0:
         zeros = np.zeros(n)
         return (zeros, np.zeros(n, dtype=int)) if return_panels else zeros
     radius = geometry.cell_diameter_mm / 2.0
-    bounds = np.linspace(0.0, 2.0 * math.pi, n + 1)
     floor = 1e-12 * beam.total_power_w
-    prev = _sector_powers(beam, radius, bounds[:-1], bounds[1:], 4)
+    live = np.arange(n)
+    prev = _sector_powers(beam, radius, n, live, 4)
     fractions = np.empty(n)
     terminal = np.empty(n, dtype=int)
-    live = np.arange(n)
     panels = 8
     achieved = np.full(n, math.inf)
     while live.size:
@@ -393,7 +432,7 @@ def sector_fractions(
                 f"within {_MAX_PANELS} panels (achieved {achieved[i]:.3g})",
                 achieved_tol=float(achieved[i]),
             )
-        cur = _sector_powers(beam, radius, bounds[live], bounds[live + 1], panels)
+        cur = _sector_powers(beam, radius, n, live, panels)
         achieved[live] = np.abs(cur - prev[live]) / np.maximum(np.abs(cur), floor)
         done = achieved[live] <= rel_tol
         fractions[live[done]] = np.maximum(cur[done], 0.0) / beam.total_power_w
@@ -445,7 +484,17 @@ def string_model(device: SegmentedDevice, photocurrents):
 
     The device constants are read here, once, so a bracketed search pays
     only for the arithmetic at each of its currents.  The returned callable
-    takes any shape of currents and returns arrays of that shape.
+    has two kernels with the same bits:
+
+    * the vector kernel takes any shape of currents (a grid, an array) and
+      returns arrays of that shape;
+    * the scalar kernel takes one float, the current a root finder passes,
+      and returns Python floats and a bool.  It loops over the segments with
+      the vector kernel's operations in the same order and sums them
+      sequentially, as numpy sums fewer than 8 values.  A current at which a
+      segment is clamped or in deep reverse bias goes to the vector kernel,
+      and so does every current of a string with the shunt or the clamp
+      disabled or with 8 segments or more.
 
     Raises:
         ValueError: ``photocurrents`` does not hold one value per segment.
@@ -459,10 +508,10 @@ def string_model(device: SegmentedDevice, photocurrents):
             f"expected {device.n_segments} photocurrents, got shape {photocurrents.shape}"
         )
     diode = device.diode
-    i0 = diode.saturation_current_density_a_mm2 * device.geometry.sector_area_mm2
-    a = diode.ideality * diode.thermal_voltage_v
-    rsh = diode.shunt_resistance_ohm
-    rs = diode.series_resistance_ohm
+    i0 = float(diode.saturation_current_density_a_mm2 * device.geometry.sector_area_mm2)
+    a = float(diode.ideality * diode.thermal_voltage_v)
+    rsh = float(diode.shunt_resistance_ohm)
+    rs = float(diode.series_resistance_ohm)
     limit = device.reverse_breakdown_v
     shunted = not math.isinf(rsh)
     if shunted:
@@ -470,7 +519,7 @@ def string_model(device: SegmentedDevice, photocurrents):
         z_offset = math.log(i0 * rsh / a)
         w_scale = a / (i0 * rsh)
 
-    def model(currents):
+    def vector(currents):
         currents = np.asarray(currents, dtype=float)
         i = currents[..., None]
         # I_ph - I is exact near the knee, so I0 is not rounded away there
@@ -509,6 +558,35 @@ def string_model(device: SegmentedDevice, photocurrents):
             clamped = np.zeros(currents.shape, dtype=bool)
         return v.sum(axis=-1), slope.sum(axis=-1), clamped
 
+    if not (shunted and limit is not None and device.n_segments < 8):
+        return vector
+    segment_photocurrents = photocurrents.tolist()
+
+    def scalar(i):
+        # numpy's scalar log and Wright omega give the bits of its vector
+        # loops (math.log does not, in the last ulp).  -0.0 + x is x, so each
+        # sum starts from its first term, as numpy's does.
+        v_sum = slope_sum = -0.0
+        for i_ph in segment_photocurrents:
+            b = (i_ph - i) + i0
+            z = b * rsh_over_a + z_offset
+            if z < _Z_DEEP_REVERSE:
+                return None
+            w = float(wrightomega(z))
+            v = a * float(np.log(w_scale * w)) - i * rs
+            if v < -limit:
+                return None
+            v_sum += v
+            slope_sum += -rsh / (1.0 + w) - rs
+        return v_sum, slope_sum, False
+
+    def model(currents):
+        if isinstance(currents, float):
+            result = scalar(float(currents))
+            if result is not None:
+                return result
+        return vector(currents)
+
     return model
 
 
@@ -516,7 +594,8 @@ def string_voltage(device: SegmentedDevice, photocurrents, currents):
     """String voltage, its slope dV/dI and the clamp flag at series currents.
 
     The one V(I) of this module (:func:`string_model` prepares it; see there
-    for the model).  One call serves any shape of ``currents``.
+    for the model).  One call serves any shape of ``currents``, through the
+    vector kernel.
 
     Returns:
         (voltages, slopes, clamped), each shaped like ``currents``.
@@ -525,7 +604,7 @@ def string_voltage(device: SegmentedDevice, photocurrents, currents):
         BracketError: a current exceeds I_ph + I0 of a segment while both the
             shunt and the clamp are disabled; the diode has no solution.
     """
-    return string_model(device, photocurrents)(currents)
+    return string_model(device, photocurrents)(np.asarray(currents, dtype=float))
 
 
 def short_circuit_current(device: SegmentedDevice, photocurrents) -> float:
@@ -538,10 +617,14 @@ def short_circuit_current(device: SegmentedDevice, photocurrents) -> float:
     ulp below that limit; when the voltage there is still not negative, the
     crossing lies closer to the limit than one ulp, and that ulp is returned.
     """
+    return _short_circuit_current(device, photocurrents, string_model(device, photocurrents))
+
+
+def _short_circuit_current(device: SegmentedDevice, photocurrents, model) -> float:
+    """:func:`short_circuit_current` on the string's prepared ``model``."""
     photocurrents = np.asarray(photocurrents, dtype=float)
     if np.all(photocurrents <= 0):
         return 0.0
-    model = string_model(device, photocurrents)
 
     def v_of_i(i):
         return model(i)[0]
@@ -583,7 +666,7 @@ def string_iv(device: SegmentedDevice, photocurrents, n_points: int = 2048) -> I
         IVCurve sorted by ascending voltage with per-point clamp flags.
     """
     model = string_model(device, photocurrents)
-    i_sc = short_circuit_current(device, photocurrents)
+    i_sc = _short_circuit_current(device, photocurrents, model)
     if i_sc <= 0.0:
         return IVCurve(np.array([0.0]), np.array([0.0]), clamped=np.array([False]))
     tail = 1.0 - np.logspace(0.0, -_GRID_DECADES, n_points - 1)
@@ -682,7 +765,7 @@ def harvest_figures(device: SegmentedDevice, photocurrents) -> tuple[float, floa
     it.
     """
     v_of_i = string_model(device, photocurrents)
-    i_sc = short_circuit_current(device, photocurrents)
+    i_sc = _short_circuit_current(device, photocurrents, v_of_i)
     if i_sc <= 0:
         return 0.0, math.nan
 

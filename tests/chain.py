@@ -8,6 +8,7 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 from scipy.signal import lfilter
+from scipy.special import erfc
 
 from sliptsim.loading import BitLoadingPlan
 from sliptsim.ofdm import (
@@ -28,7 +29,6 @@ from sliptsim.ofdm import (
 from sliptsim.ppc import (
     BracketError,
     DiodeParams,
-    _sector_powers,
     sector_fractions,
 )
 
@@ -49,9 +49,28 @@ def segment_photocurrents(geometry, beam, rel_tol=1e-6) -> np.ndarray:
 
 def sector_beam_power(beam, radius_mm, theta0, theta1, panels=8) -> float:
     """Beam power (W) captured by one angular sector at a fixed resolution:
-    ``panels`` composite 16-point Gauss-Legendre panels over [theta0, theta1],
-    the quadrature the adaptive ``sector_fractions`` doubles."""
-    return float(_sector_powers(beam, radius_mm, [theta0], [theta1], panels)[0])
+    ``panels`` composite 16-point Gauss-Legendre panels over [theta0, theta1]
+    of the closed-form radial integral, the quadrature the adaptive
+    ``sector_fractions`` doubles."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(theta0, theta1, panels + 1)
+    half = 0.5 * np.diff(edges)
+    theta = ((edges[:-1] + half)[:, None] + half[:, None] * x).ravel()
+    weights = (half[:, None] * w).ravel()
+    # along the ray at theta, |r*u - c|^2 = (r - b)^2 + t with b = c.u and
+    # t = |c|^2 - b^2; the integral of exp(-k*((r - b)^2 + t))*r over [0, R]
+    # splits into an exact Gaussian term and b times an erf term
+    k = 2.0 / beam.beam_radius_mm**2
+    x0, y0 = beam.center_mm
+    b = x0 * np.cos(theta) + y0 * np.sin(theta)
+    t = np.maximum(x0**2 + y0**2 - b**2, 0.0)
+    gaussian = (np.exp(-k * b**2) - np.exp(-k * (radius_mm - b) ** 2)) / (2.0 * k)
+    # erf(sqrt(k)*b) + erf(sqrt(k)*(R - b)), free of cancellation for rays
+    # that miss the beam
+    erfs = erfc(-math.sqrt(k) * b) - erfc(math.sqrt(k) * (radius_mm - b))
+    along_ray = np.exp(-k * t) * (gaussian + b * 0.5 * math.sqrt(math.pi / k) * erfs)
+    peak = k * beam.total_power_w / math.pi
+    return float(peak * np.dot(along_ray, weights))
 
 
 def _diode_residual(diode: DiodeParams, i0: float, photocurrent: float,

@@ -177,6 +177,17 @@ class TestSync:
             synchronize(rng.normal(size=30_000), pre)
 
 
+def test_cached_taps_and_preamble_core_are_shared_and_read_only():
+    taps = rrc_taps(CFG)
+    core, _ = make_preamble(CFG)
+    assert rrc_taps(CFG) is taps and make_preamble(CFG)[0] is core
+    for cached in (taps, core):
+        before = cached.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            cached *= 2
+        assert np.array_equal(cached, before)
+
+
 class TestChannelEstimation:
     def test_flat_gain_recovered(self, rng):
         tx = rng.normal(size=64) + 1j * rng.normal(size=64)

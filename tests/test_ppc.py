@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import chain as oracle
 from chain import sector_beam_power, segment_current, segment_photocurrents
+from sliptsim import ppc
 from sliptsim.constants import thermal_voltage
 from sliptsim.ppc import (
     BracketError,
@@ -27,6 +28,7 @@ from sliptsim.ppc import (
     small_signal_bandwidth,
     string_capacitance,
     string_iv,
+    string_model,
     string_voltage,
 )
 from sliptsim.presets import PRESET_NAMES, default_beam, device_preset
@@ -155,6 +157,27 @@ class TestSectorPhotocurrents:
         g = SegmentGeometry(1.0, 4)
         beam = IlluminationProfile(0.0, 0.3, responsivity_a_w=0.42)
         assert np.all(segment_photocurrents(g, beam) == 0.0)
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, -1.0, -math.inf])
+    def test_bad_rel_tol_refused(self, rel_tol):
+        g = SegmentGeometry(2.08, 6)
+        beam = IlluminationProfile(2.3e-3, 0.6, center_mm=(0.2, 0.1))
+        with pytest.raises(ValueError, match="rel_tol"):
+            sector_fractions(g, beam, rel_tol=rel_tol)
+
+    def test_zero_rel_tol_converges(self):
+        # agreement to the last bit between two resolutions is reachable
+        g = SegmentGeometry(2.08, 6)
+        beam = IlluminationProfile(2.3e-3, 0.6, center_mm=(0.2, 0.1))
+        fractions = sector_fractions(g, beam, rel_tol=0.0)
+        assert fractions == pytest.approx(sector_fractions(g, beam), rel=1e-6)
+
+    def test_node_tables_are_read_only(self):
+        # the cached tables are shared by every later quadrature
+        sector_fractions(SegmentGeometry(2.08, 6), IlluminationProfile(2.3e-3, 0.6))
+        for table in ppc._cached_sector_nodes(6, 8):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
 
     def test_narrow_beam_inside_one_sector_riemann_oracle(self):
         # beam centered inside segment 0 of a two-segment cell, radius much
@@ -522,6 +545,85 @@ class TestBatchedStringSolve:
         ref_pmp, ref_ratio = oracle.reference_harvest_figures(device, beam)
         assert pmp == pytest.approx(ref_pmp, rel=self.PMP_REL, abs=0.0)
         assert ratio == pytest.approx(ref_ratio, rel=0.0, abs=self.RATIO_ABS)
+
+
+class TestScalarKernel:
+    """The prepared V(I) at one float (the scalar kernel a root finder
+    reaches) against the same V(I) at a 0-d array (the vector kernel), bit
+    for bit."""
+
+    @staticmethod
+    def vector_at(model, current):
+        voltage, slope, clamped = model(np.array(current))
+        return float(voltage), float(slope), bool(clamped)
+
+    def test_random_strings_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        scalar = clamped = 0
+        for _ in range(300):
+            n = int(rng.choice([1, 2, 4, 6]))
+            rsh = math.inf if rng.random() < 0.2 else 10 ** rng.uniform(3.0, 7.0)
+            device = SegmentedDevice(
+                SegmentGeometry(rng.uniform(1.0, 2.1), n),
+                DiodeParams(
+                    saturation_current_density_a_mm2=10 ** rng.uniform(-20, -14),
+                    ideality=rng.uniform(1.0, 2.0),
+                    series_resistance_ohm=rng.uniform(0.0, 300.0),
+                    shunt_resistance_ohm=rsh,
+                ),
+                reverse_breakdown_v=None if rng.random() < 0.3 else rng.uniform(1.0, 10.0),
+            )
+            ph = rng.uniform(0.0, 5e-4, n)
+            model = string_model(device, ph)
+            for current in rng.uniform(0.0, 1.2 * ph.max(), 30).tolist():
+                try:
+                    expected = self.vector_at(model, current)
+                except BracketError:
+                    with pytest.raises(BracketError):
+                        model(current)
+                    continue
+                voltage, slope, flag = model(current)
+                assert (float(voltage), float(slope), bool(flag)) == expected
+                scalar += type(voltage) is float
+                clamped += flag
+        # both kernels served currents: the clamp is the vector kernel's
+        assert scalar > 2000 and clamped > 1000
+
+    def test_a_float_takes_the_scalar_kernel(self):
+        device = device_preset("S4", DiodeParams(series_resistance_ohm=20.0))
+        ph = segment_photocurrents(device.geometry, default_beam(center_mm=(0.2, 0.0)))
+        model = string_model(device, ph)
+        voltage, slope, clamped = model(0.5 * ph.min())
+        assert type(voltage) is float and type(slope) is float and clamped is False
+        assert (voltage, slope, clamped) == self.vector_at(model, 0.5 * ph.min())
+        assert type(model(np.float64(0.5 * ph.min()))[0]) is float
+        # arrays, and a current that clamps a segment, take the vector kernel
+        assert isinstance(model(np.array(0.5 * ph.min()))[0], np.floating)
+        voltage, _, clamped = model(ph.max())
+        assert isinstance(voltage, np.floating) and clamped
+
+    def test_eight_segments_take_the_vector_kernel(self):
+        # numpy sums 8 or more values pairwise, not in sequence
+        with pytest.warns(UserWarning, match="fabricated set"):
+            geometry = SegmentGeometry(2.08, 8)
+        ph = np.linspace(1e-4, 2e-4, 8)
+        model = string_model(SegmentedDevice(geometry), ph)
+        assert isinstance(model(0.5e-4)[0], np.floating)
+
+    def test_each_dc_call_prepares_the_string_once(self, monkeypatch):
+        prepared = []
+
+        def counting_model(device, photocurrents):
+            prepared.append(device)
+            return string_model(device, photocurrents)
+
+        monkeypatch.setattr(ppc, "string_model", counting_model)
+        device = device_preset("S4")
+        ph = segment_photocurrents(device.geometry, default_beam(center_mm=(0.2, 0.0)))
+        harvest_figures(device, ph)
+        assert len(prepared) == 1
+        string_iv(device, ph)
+        assert len(prepared) == 2
 
 
 # ---------------------------------------------------------------------------
