@@ -47,7 +47,6 @@ from .ofdm import (
     estimate_snr,
     generate_bits,
     make_preamble,
-    matched_filter,
     measure_ber,
     modulate_plan,
     overlap_add,
@@ -418,8 +417,7 @@ def _run_burst(
     )
     header = _header_length(config, n_pilot_frames, pre_stride, len(pre_seg))
     start = synchronize(rx_samples[:header], pre_seg)
-    mf = matched_filter(rx_samples, config)
-    blocks = receive_blocks(mf, start + pre_stride, len(all_frames), config)
+    blocks = receive_blocks(rx_samples, start + pre_stride, len(all_frames), config)
     gains = estimate_channel(blocks[:n_pilot_frames], pilot)
     return equalize(blocks[n_pilot_frames:], gains), gains, clip_fraction
 

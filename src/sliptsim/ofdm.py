@@ -4,15 +4,18 @@ bookkeeping.
 
 The transmitter works on a stack of frames [n_frames, n_carriers]: one
 IFFT along the last axis gives every block's FFT core, the cyclic-prefixed
-blocks are laid end to end, zero-stuffed by the oversampling factor as one
-stream and shaped by one root-raised-cosine convolution.  A single frame is
-a stack of one.  Filtering the whole stream at once equals overlap-adding
-per-block shaped segments at the block stride in exact arithmetic; in
-floating point the two differ by rounding only (about 1e-15 of the peak
-sample).  The receiver applies the matched filter and locates the preamble
-by cross-correlation (the link searches only the burst header), both as
-overlap-add convolutions, then gathers every block's zero-ISI samples into
-one matrix and runs one FFT over it.
+blocks are laid end to end and shaped by one root-raised-cosine filter at
+the oversampled rate.  The filter runs in polyphase form: the symbol-rate
+stream is convolved with each of the ``osf`` tap phases (one broadcast
+overlap-add convolution) and the phases are interleaved, which equals
+zero-stuffing and filtering at the full rate without filtering the zeros.
+A single frame is a stack of one.  Filtering the whole stream at once
+equals overlap-adding per-block shaped segments at the block stride in
+exact arithmetic; in floating point the two differ by rounding only (about
+1e-15 of the peak sample).  The receiver locates the preamble by
+cross-correlation (the link searches only the burst header), computes the
+matched filter at the one oversampling phase its FFT windows read, gathers
+every block's zero-ISI samples into one matrix and runs one FFT over it.
 
 DC bias is deliberately not applied here: biasing is a transmitter-side
 operation of the link layer, and the DC and Nyquist bins are always zero.
@@ -26,6 +29,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # scipy.signal (about half a second to load) is imported by the three
 # functions that convolve, not here: a harvest fit imports this module
@@ -256,14 +260,34 @@ def rrc_taps(config: OfdmConfig) -> np.ndarray:
     return _rrc_taps_cached(config.oversampling_factor, config.rolloff)
 
 
+@lru_cache(maxsize=8)
+def _polyphase_taps_cached(osf: int, rolloff: float) -> np.ndarray:
+    """The RRC taps split into their ``osf`` phases: row p holds taps p,
+    p + osf, p + 2*osf, ..., zero-padded to ``ceil(len(taps) / osf)``."""
+    taps = _rrc_taps_cached(osf, rolloff)
+    n_phase = -(-len(taps) // osf)
+    table = np.zeros(n_phase * osf)
+    table[: len(taps)] = taps
+    table = np.ascontiguousarray(table.reshape(n_phase, osf).T)
+    table.setflags(write=False)
+    return table
+
+
 def _shape(samples_1x: np.ndarray, config: OfdmConfig) -> np.ndarray:
-    """Zero-stuff to the oversampled rate and apply the RRC filter (full)."""
+    """The RRC filter applied to the zero-stuffed oversampled stream (full
+    convolution), computed in polyphase form.
+
+    Output sample ``j*osf + p`` is the symbol-rate input convolved with tap
+    phase p, so one broadcast convolution of the input against the
+    ``[osf, ceil(T/osf)]`` phase table gives every output sample without
+    filtering the zeros; the phases share one forward transform of the
+    input.  Equals the full-rate convolution up to rounding.
+    """
     from scipy.signal import oaconvolve
 
-    osf = config.oversampling_factor
-    up = np.zeros(len(samples_1x) * osf)
-    up[::osf] = samples_1x
-    return oaconvolve(up, rrc_taps(config))
+    n = len(samples_1x) * config.oversampling_factor + len(rrc_taps(config)) - 1
+    phases = _polyphase_taps_cached(config.oversampling_factor, config.rolloff)
+    return oaconvolve(samples_1x[None, :], phases, axes=-1).T.ravel()[:n]
 
 
 def assemble_frame(symbols, config: OfdmConfig) -> np.ndarray:
@@ -368,43 +392,116 @@ def synchronize(stream, reference) -> int:
 
 
 def matched_filter(stream, config: OfdmConfig) -> np.ndarray:
-    """Receive RRC (matched to the transmit filter), unit passband gain."""
+    """Receive RRC (matched to the transmit filter), unit passband gain.
+
+    The full-rate reference: every sample of the full convolution, length
+    ``len(stream) + len(taps) - 1``.  The link does not call it:
+    :func:`receive_blocks` filters the one phase it reads.
+    """
     from scipy.signal import oaconvolve
 
     taps = rrc_taps(config) / config.oversampling_factor
     return oaconvolve(np.asarray(stream, dtype=float), taps)
 
 
+# overlap-save blocks transformed per chunk of the phase-only matched filter:
+# it bounds the working memory (about 2 MB at 4x oversampling) whatever the
+# stream length
+_MF_CHUNK_BLOCKS = 64
+
+
+def _window(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``x[lo:hi]`` with zeros where the range leaves ``x``."""
+    if 0 <= lo and hi <= len(x):
+        return x[lo:hi]
+    out = np.zeros(hi - lo)
+    a, b = max(lo, 0), min(hi, len(x))
+    if a < b:
+        out[a - lo : b - lo] = x[a:b]
+    return out
+
+
+def _matched_filter_phase(
+    stream: np.ndarray, start: int, count: int, config: OfdmConfig
+) -> np.ndarray:
+    """Samples ``start + k*osf``, ``k < count``, of :func:`matched_filter`'s
+    output, without computing the other phases.
+
+    Let ``first, q = divmod(start, osf)`` and ``s_r[i] = stream[osf*i + r]``
+    be the r-th polyphase component of the input.  Output sample
+    ``q + osf*j`` is ``sum_r (s_r * c_r)[j]``, where ``c_r`` is tap phase
+    ``(q - r) mod osf``, delayed one sample when ``r > q``.  Overlap-save
+    blocks of ``nfft`` input samples per component give ``nfft - K + 1``
+    outputs each (K taps per phase): per block the components' spectra are
+    weighted by their tap phases, summed, and inverted once.  Blocks are
+    transformed ``_MF_CHUNK_BLOCKS`` at a time.
+    """
+    osf = config.oversampling_factor
+    first, q = divmod(start, osf)
+    phases = _polyphase_taps_cached(osf, config.rolloff) / osf
+    n_taps = phases.shape[1] + 1
+    c = np.zeros((osf, n_taps))
+    for r in range(osf):
+        delay = int(r > q)
+        c[r, delay : delay + phases.shape[1]] = phases[(q - r) % osf]
+    # the smallest power of two of at least 8 * K: the overlap costs under
+    # an eighth of each transform
+    nfft = 1 << (8 * n_taps - 1).bit_length()
+    step = nfft - n_taps + 1
+    c_spec = np.fft.rfft(c, nfft)[:, None, :]
+    out = np.empty(count)
+    for j in range(0, count, step * _MF_CHUNK_BLOCKS):
+        n_out = min(step * _MF_CHUNK_BLOCKS, count - j)
+        n_blk = -(-n_out // step)
+        lo = first + j - (n_taps - 1)
+        hi = lo + (n_blk - 1) * step + nfft
+        comps = _window(stream, osf * lo, osf * hi).reshape(-1, osf).T
+        blocks = sliding_window_view(comps, nfft, axis=-1)[:, ::step]
+        spec = np.fft.rfft(blocks, axis=-1)
+        spec *= c_spec
+        y = np.fft.irfft(spec.sum(axis=0), nfft, axis=-1)[:, n_taps - 1 :]
+        out[j : j + n_out] = y.ravel()[:n_out]
+    return out
+
+
 def receive_blocks(
-    mf_stream,
+    stream,
     first_block_start: int,
     n_blocks: int,
     config: OfdmConfig,
 ) -> np.ndarray:
-    """Down-sample, strip CP and FFT a run of blocks from a matched-filtered
-    stream.
+    """Matched-filter, down-sample, strip CP and FFT a run of blocks of the
+    received (unfiltered) stream.
 
-    ``first_block_start`` is the index (in the *unfiltered* stream) where the
-    first shaped block segment begins; the two filter group delays are
-    compensated here.  The FFT window is advanced by half the cyclic prefix
-    so the symmetric filter-cascade tails (pre- and post-cursors) both land
-    inside the CP, where the one-tap equalizer removes them exactly.
+    ``first_block_start`` is the index in ``stream`` where the first shaped
+    block segment begins; the two filter group delays are compensated here.
+    The FFT window is advanced by half the cyclic prefix so the symmetric
+    filter-cascade tails (pre- and post-cursors) both land inside the CP,
+    where the one-tap equalizer removes them exactly.
+
+    Every sample read lies on one phase of the oversampled grid (the block
+    stride is a multiple of the oversampling factor), so only that phase of
+    the matched filter is computed, over the span the windows cover; it
+    equals :func:`matched_filter` at those samples up to rounding.  Window
+    bounds are checked against the full-rate filter output, of length
+    ``len(stream) + len(taps) - 1``.
 
     Returns data-carrier symbols [n_blocks, data_subcarriers].
     """
-    mf_stream = np.asarray(mf_stream)
+    stream = np.asarray(stream, dtype=float)
     osf = config.oversampling_factor
     delay = 2 * group_delay(config)
     advance = config.cp_length // 2
     first = first_block_start + delay + (config.cp_length - advance) * osf
-    starts = first + np.arange(n_blocks) * config.block_stride
-    idx = starts[:, None] + np.arange(config.fft_size) * osf
-    if n_blocks > 0 and idx[0, 0] < 0:
+    last = first + (n_blocks - 1) * config.block_stride + (config.fft_size - 1) * osf
+    if n_blocks > 0 and first < 0:
         raise ValueError("first FFT window starts before the stream")
-    if n_blocks > 0 and idx[-1, -1] >= len(mf_stream):
+    if n_blocks > 0 and last >= len(stream) + len(rrc_taps(config)) - 1:
         raise ValueError("stream too short for the requested block count")
-    spectrum = np.fft.fft(mf_stream[idx], axis=-1)
-    return symbols_from_spectrum(spectrum)
+    n_sym = config.block_length
+    y = _matched_filter_phase(stream, first, n_blocks * n_sym, config)
+    windows = y.reshape(n_blocks, n_sym)[:, : config.fft_size]
+    return np.fft.rfft(windows, axis=-1)[:, 1 : config.fft_size // 2]
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +520,7 @@ def clip(samples, sigma_multiple: float, sigma: float | None = None) -> np.ndarr
     samples = np.asarray(samples, dtype=float)
     if sigma is None:
         sigma = samples.std()
-    rms = math.sqrt(np.mean(samples**2)) if samples.size else 0.0
+    rms = math.sqrt(np.dot(samples, samples) / samples.size) if samples.size else 0.0
     # a (numerically) constant stream has no scale to clip against
     if sigma == 0.0 or sigma <= 1e-12 * rms:
         return samples.copy()

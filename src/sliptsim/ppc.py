@@ -638,6 +638,14 @@ def _short_circuit_current(device: SegmentedDevice, photocurrents, model) -> flo
             return hi
     else:
         hi = float(photocurrents.max()) + i0
+        if v_of_i(hi) >= 0.0:
+            # I0 below half an ulp of I_ph rounds away in that sum, leaving
+            # V(hi) zero up to rounding: step up to the first ulp where the
+            # string is reverse biased; the crossing lies within the last ulp
+            above = float(np.nextafter(hi, math.inf))
+            while v_of_i(above) >= 0.0:
+                hi, above = above, float(np.nextafter(above, math.inf))
+            return hi
     return float(brentq(v_of_i, 0.0, hi, xtol=_I_XTOL, rtol=_I_RTOL))
 
 

@@ -19,7 +19,6 @@ from sliptsim.ofdm import (
     estimate_channel,
     generate_bits,
     make_preamble,
-    matched_filter,
     measure_ber,
     modulate_plan,
     overlap_add,
@@ -353,9 +352,8 @@ def digital_loopback(
     found = synchronize(stream, pre_seg)
     sync_error = found - pre_start
 
-    mf = matched_filter(stream, config)
     first_block = found + config.preamble_length * config.oversampling_factor
-    blocks = receive_blocks(mf, first_block, len(frames), config)
+    blocks = receive_blocks(stream, first_block, len(frames), config)
     gains = estimate_channel(blocks[:1], pilot)
     eq = equalize(blocks[1:], gains)
     rx_bits = demodulate_plan(eq, plan)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,7 +343,8 @@ def first_window_lead(config):
 
 
 def per_block_receive(mf_stream, first_block_start, n_blocks, config):
-    """Block-by-block down-sampling and FFT, one block per iteration."""
+    """Block-by-block down-sampling and FFT of a full-rate matched-filtered
+    stream, one block per iteration."""
     out = []
     for b in range(n_blocks):
         start = first_block_start + b * config.block_stride + first_window_lead(config)
@@ -408,25 +410,89 @@ class TestBatchedWaveform:
         assert len(mf) == len(ref)
         assert np.abs(mf - ref).max() <= BATCH_TOL * np.abs(ref).max()
 
+    @pytest.mark.parametrize("osf", [1, 2, 3, 4])
+    def test_shaping_matches_zero_stuffed_fftconvolve(self, rng, osf):
+        config = OfdmConfig(fft_size=64, oversampling_factor=osf, sample_rate_hz=1e9)
+        n = config.fft_size
+        frames = random_stack(rng, 5, config)
+        spectrum = np.zeros((len(frames), n), dtype=complex)
+        spectrum[:, 1 : n // 2] = frames
+        spectrum[:, n // 2 + 1 :] = np.conj(frames[:, ::-1])
+        core = np.fft.ifft(spectrum).real
+        blocks = np.concatenate([core[:, n - config.cp_length :], core], axis=1)
+        # odd input lengths: 1, 7, 1001 samples and the 5 * 69-symbol stack
+        cases = [(x, ofdm._shape(x, config)) for x in (rng.normal(size=k) for k in (1, 7, 1001))]
+        cases.append((blocks.ravel(), assemble_frame(frames, config)))
+        for samples, shaped in cases:
+            up = np.zeros(len(samples) * osf)
+            up[::osf] = samples
+            ref = fftconvolve(up, rrc_taps(config))
+            assert len(shaped) == len(ref)
+            assert np.abs(shaped - ref).max() <= BATCH_TOL * np.abs(ref).max()
+
     def test_receive_blocks_equals_per_block_loop(self, rng):
-        frames = random_stack(rng, 9, CFG)
+        # 60 blocks read 61,740 phase samples: two chunks of the phase-only
+        # matched filter (64 overlap-save blocks of 1024 - 97 outputs each)
+        n_blocks = 60
+        frames = random_stack(rng, n_blocks, CFG)
         stream, _, first = build_tx_stream(list(frames), CFG, lead_pad=100)
-        mf = matched_filter(stream + rng.normal(0.0, 0.01, len(stream)), CFG)
-        batched = receive_blocks(mf, first, len(frames), CFG)
-        assert np.array_equal(batched, per_block_receive(mf, first, len(frames), CFG))
+        stream = stream + rng.normal(0.0, 0.01, len(stream))
+        batched = receive_blocks(stream, first, n_blocks, CFG)
+        mf = fftconvolve(stream, rrc_taps(CFG) / CFG.oversampling_factor)
+        ref = per_block_receive(mf, first, n_blocks, CFG)
+        assert batched.shape == ref.shape
+        assert np.abs(batched - ref).max() <= BATCH_TOL * np.abs(ref).max()
+
+    @pytest.mark.parametrize("osf, q", [(osf, q) for osf in (1, 2, 3, 4) for q in range(osf)])
+    def test_receive_blocks_at_every_read_phase(self, rng, monkeypatch, osf, q):
+        # one overlap-save block per chunk, so the run spans several chunks
+        monkeypatch.setattr(ofdm, "_MF_CHUNK_BLOCKS", 1)
+        config = OfdmConfig(fft_size=64, oversampling_factor=osf, sample_rate_hz=1e9)
+        n_blocks = 40
+        lead = first_window_lead(config)
+        frames = random_stack(rng, n_blocks, config)
+        stream, _, first = build_tx_stream(
+            list(frames), config, lead_pad=25 * osf + (q - lead) % osf
+        )
+        stream = stream + rng.normal(0.0, 0.01, len(stream))
+        assert (first + lead) % osf == q  # the phase the windows read
+        got = receive_blocks(stream, first, n_blocks, config)
+        mf = fftconvolve(stream, rrc_taps(config) / osf)
+        ref = per_block_receive(mf, first, n_blocks, config)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= BATCH_TOL * np.abs(ref).max()
 
     def test_receive_window_bounds(self, rng):
         n_blocks = 3
         lead = first_window_lead(CFG)
         last_offset = (n_blocks - 1) * CFG.block_stride + (CFG.fft_size - 1) * CFG.oversampling_factor
-        span = lead + last_offset
-        mf = rng.normal(size=span + 1)
-        # lowest start: the first window begins at sample 0
-        low = receive_blocks(mf, -lead, n_blocks, CFG)
-        assert np.array_equal(low, per_block_receive(mf, -lead, n_blocks, CFG))
+        n_taps = len(rrc_taps(CFG))
+        # the implied full-rate filter output is len(stream) + n_taps - 1 long
+        # and the FFT windows span lead + last_offset + 1 of its samples
+        stream = rng.normal(size=lead + last_offset + 2 - n_taps)
+        mf = fftconvolve(stream, rrc_taps(CFG) / CFG.oversampling_factor)
+        assert len(mf) == lead + last_offset + 1
+        # lowest start: the first window begins at filter output sample 0
+        # highest start: the last window ends on its last sample
+        for start in (-lead, 0):
+            got = receive_blocks(stream, start, n_blocks, CFG)
+            ref = per_block_receive(mf, start, n_blocks, CFG)
+            assert np.abs(got - ref).max() <= BATCH_TOL * np.abs(ref).max()
         with pytest.raises(ValueError, match="before the stream"):
-            receive_blocks(mf, -lead - 1, n_blocks, CFG)
-        # highest start: the last window ends on the last sample
-        receive_blocks(mf, 0, n_blocks, CFG)
+            receive_blocks(stream, -lead - 1, n_blocks, CFG)
         with pytest.raises(ValueError, match="too short"):
-            receive_blocks(mf, 1, n_blocks, CFG)
+            receive_blocks(stream, 1, n_blocks, CFG)
+
+    def test_receive_blocks_memory_is_bounded(self, rng):
+        # the matched filter works in chunks: its peak stays well under the
+        # stream's own size (about 0.85x at 1M samples), where one unchunked
+        # transform of every polyphase block would take about 1.9x
+        n_blocks = 1_000_000 // CFG.block_stride
+        stream = rng.normal(size=(n_blocks + 1) * CFG.block_stride)
+        tracemalloc.start()
+        try:
+            receive_blocks(stream, 0, n_blocks, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * stream.nbytes

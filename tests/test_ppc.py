@@ -323,6 +323,24 @@ class TestStringIV:
         isc = short_circuit_current(device, [1e-3, 0.5e-3])
         assert isc == pytest.approx(0.5e-3, abs=1e-12)
 
+    def test_isc_bracket_when_i0_rounds_away(self):
+        # I0 = 3.9e-21 A is below half an ulp of I_ph (2.7e-20 A), so the
+        # bracket end I_ph + I0 rounds to I_ph, where V is zero up to rounding
+        device = device_preset(
+            "S2",
+            DiodeParams(saturation_current_density_a_mm2=1e-20, series_resistance_ohm=0.0),
+        )
+        ph = [3.2e-4, 3.2e-4]
+        isc = short_circuit_current(device, ph)
+        above = np.nextafter(isc, math.inf)
+        assert 3.2e-4 <= isc < above <= 3.2e-4 + 2 * np.spacing(3.2e-4)
+        v, _, _ = string_voltage(device, ph, np.array([isc, above]))
+        assert v[0] >= 0.0 > v[1]
+        curve = string_iv(device, ph)
+        assert curve.short_circuit_current_a() == isc
+        pmp, ratio = harvest_figures(device, ph)
+        assert math.isfinite(pmp) and pmp > 0.0 and 0.0 < ratio < 1.0
+
     def test_random_string_against_per_point_oracle(self, rng):
         device = SegmentedDevice(
             SegmentGeometry(2.08, 6),
