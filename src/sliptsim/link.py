@@ -111,17 +111,27 @@ class TransmitterModel:
         if self.slope_efficiency_w_per_a <= 0 or self.transconductance_a_per_v <= 0:
             raise ValueError("slope efficiency and transconductance must be positive")
 
-    def optical_waveform(self, drive_v: np.ndarray) -> tuple[np.ndarray, float]:
+    def optical_waveform(
+        self, drive_v: np.ndarray, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, float]:
         """Optical power waveform and the fraction of clipped samples.
 
-        Allocates one array, the returned waveform; ``drive_v`` is not
-        modified.
+        The waveform is written into ``out`` when given (``drive_v`` itself
+        for an in-place pass), else into a new array; ``drive_v`` is modified
+        only when it is ``out``.  Samples at exactly 0 and 2 * emitted power
+        are not clipped.  The count reads the waveform's minimum and
+        maximum, and builds a side's comparison mask only when that side
+        leaves the window, so a waveform inside it allocates nothing more.
         """
         gain = self.slope_efficiency_w_per_a * self.transconductance_a_per_v
-        p = np.multiply(drive_v, gain)
+        p = np.multiply(drive_v, gain, out=out)
         p += self.emitted_power_w
         lo, hi = 0.0, 2.0 * self.emitted_power_w
-        n_clipped = int(np.count_nonzero(p < lo) + np.count_nonzero(p > hi))
+        n_clipped = 0
+        if p.min() < lo:
+            n_clipped += int(np.count_nonzero(p < lo))
+        if p.max() > hi:
+            n_clipped += int(np.count_nonzero(p > hi))
         if n_clipped:
             np.clip(p, lo, hi, out=p)
         return p, n_clipped / p.size
@@ -326,28 +336,33 @@ def _apply_channel(
 
     The stream is clipped at ``config.clip_sigma`` std-devs (not at all
     when it is None).  Each physical step is one pass, in place where the
-    step allows it; ``stream`` is not modified.  The noise draw takes the
-    same generator values as ``rng.normal(0, sigma_v, n)``.  The two
-    standard deviations reuse buffers: the received-sample buffer before the
-    noise is drawn into it, and the spent drive.
+    step allows it; ``stream`` is not modified.  One buffer of the stream's
+    length carries the clipped drive, the optical waveform and the AC
+    photocurrent, then the received samples; the single-pole filter's output
+    is the only other full-length array.  The two standard deviations use
+    that buffer as scratch: before the drive is written into it, and once
+    the filter has consumed the photocurrent.  The noise draw takes the same
+    generator values as ``rng.normal(0, sigma_v, n)``.
     """
-    rx = np.empty_like(stream)
-    sigma_x = _std(stream, rx)
+    buf = np.empty_like(stream)
+    sigma_x = _std(stream, buf)
     clip_sigma = config.clip_sigma
     if clip_sigma is None:
-        drive, scale_sigma = stream.copy(), 3.2
+        np.copyto(buf, stream)
+        scale_sigma = 3.2
     else:
-        drive, scale_sigma = clip(stream, clip_sigma, sigma=sigma_x), clip_sigma
-    drive *= tx.drive_vpp / (2.0 * scale_sigma * max(sigma_x, 1e-300))
-    i_ac, clipped = tx.optical_waveform(drive)
-    i_ac -= i_ac.mean()
-    i_ac *= chain.beam.responsivity_a_w * mean_fraction
-    v_sig = _one_pole(i_ac, chain.f3db_hz(), config.sample_rate_hz)
+        clip(stream, clip_sigma, sigma=sigma_x, out=buf)
+        scale_sigma = clip_sigma
+    buf *= tx.drive_vpp / (2.0 * scale_sigma * max(sigma_x, 1e-300))
+    _, clipped = tx.optical_waveform(buf, out=buf)
+    buf -= buf.mean()
+    buf *= chain.beam.responsivity_a_w * mean_fraction
+    v_sig = _one_pole(buf, chain.f3db_hz(), config.sample_rate_hz)
     v_sig *= chain.ac_load_ohm
     psd = chain.noise.current_psd(chain.ac_load_ohm, operating_current_a)
     sigma_thermal = math.sqrt(psd * config.sample_rate_hz / 2.0) * chain.ac_load_ohm
-    sigma_q = chain.noise.quantization_sigma(_std(v_sig, drive))  # drive is spent
-    rng.standard_normal(out=rx)
+    sigma_q = chain.noise.quantization_sigma(_std(v_sig, buf))  # buf is spent
+    rx = rng.standard_normal(out=buf)
     rx *= math.hypot(sigma_thermal, sigma_q)
     rx += v_sig
     return rx, clipped
@@ -415,6 +430,7 @@ def _run_burst(
     rx_samples, clip_fraction = _apply_channel(
         stream, tx, chain, config, mean_fraction, operating_current_a, rng
     )
+    del stream  # the receiver needs only the received samples
     header = _header_length(config, n_pilot_frames, pre_stride, len(pre_seg))
     start = synchronize(rx_samples[:header], pre_seg)
     blocks = receive_blocks(rx_samples, start + pre_stride, len(all_frames), config)

@@ -6,9 +6,10 @@ The transmitter works on a stack of frames [n_frames, n_carriers]: one
 IFFT along the last axis gives every block's FFT core, the cyclic-prefixed
 blocks are laid end to end and shaped by one root-raised-cosine filter at
 the oversampled rate.  The filter runs in polyphase form: the symbol-rate
-stream is convolved with each of the ``osf`` tap phases (one broadcast
-overlap-add convolution) and the phases are interleaved, which equals
-zero-stuffing and filtering at the full rate without filtering the zeros.
+stream is convolved with each of the ``osf`` tap phases (overlap-save
+blocks, one forward transform per block for all phases, in chunks) and the
+phases are interleaved into the result, which equals zero-stuffing and
+filtering at the full rate without filtering the zeros.
 A single frame is a stack of one.  Filtering the whole stream at once
 equals overlap-adding per-block shaped segments at the block stride in
 exact arithmetic; in floating point the two differ by rounding only (about
@@ -31,9 +32,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# scipy.signal (about half a second to load) is imported by the three
-# functions that convolve, not here: a harvest fit imports this module
-# through ``link`` but never modulates.
+# scipy.signal (about half a second to load) is imported by the two
+# functions that convolve with it, not here: a harvest fit imports this
+# module through ``link`` but never modulates.
 
 from .loading import BitLoadingPlan
 from .qam import VALID_ORDERS, qam_demodulate, qam_modulate
@@ -273,21 +274,70 @@ def _polyphase_taps_cached(osf: int, rolloff: float) -> np.ndarray:
     return table
 
 
+# overlap-save blocks transformed per chunk by both RRC filters (TX shaping
+# and the phase-only matched filter): it bounds their working memory (about
+# 2 MB at 4x oversampling) whatever the stream length
+_CHUNK_BLOCKS = 64
+
+
+def _fft_size(n_taps: int) -> int:
+    """Overlap-save transform length for ``n_taps`` taps: the smallest power
+    of two of at least ``8 * n_taps``, so the overlap costs under an eighth
+    of each transform."""
+    return 1 << (8 * n_taps - 1).bit_length()
+
+
+def _chunks(count: int, step: int):
+    """``(first output, outputs, blocks)`` of each chunk of ``_CHUNK_BLOCKS``
+    overlap-save blocks of ``step`` outputs, covering ``count`` outputs."""
+    for j in range(0, count, step * _CHUNK_BLOCKS):
+        n_out = min(step * _CHUNK_BLOCKS, count - j)
+        yield j, n_out, -(-n_out // step)
+
+
+def _window(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``x[lo:hi]`` with zeros where the range leaves ``x``."""
+    if 0 <= lo and hi <= len(x):
+        return x[lo:hi]
+    out = np.zeros(hi - lo)
+    a, b = max(lo, 0), min(hi, len(x))
+    if a < b:
+        out[a - lo : b - lo] = x[a:b]
+    return out
+
+
 def _shape(samples_1x: np.ndarray, config: OfdmConfig) -> np.ndarray:
     """The RRC filter applied to the zero-stuffed oversampled stream (full
     convolution), computed in polyphase form.
 
     Output sample ``j*osf + p`` is the symbol-rate input convolved with tap
-    phase p, so one broadcast convolution of the input against the
-    ``[osf, ceil(T/osf)]`` phase table gives every output sample without
-    filtering the zeros; the phases share one forward transform of the
-    input.  Equals the full-rate convolution up to rounding.
+    phase p (K taps each), so no zero is filtered.  Overlap-save blocks of
+    ``nfft`` input samples give ``nfft - K + 1`` outputs of every phase: one
+    forward transform of a block serves all phases, each phase is inverted
+    on its own, and the phases are written interleaved straight into the
+    result.  Blocks are transformed ``_CHUNK_BLOCKS`` at a time, so the
+    result is the only full-length array.  Equals the full-rate convolution
+    up to rounding; an empty input gives an empty output.
     """
-    from scipy.signal import oaconvolve
-
-    n = len(samples_1x) * config.oversampling_factor + len(rrc_taps(config)) - 1
-    phases = _polyphase_taps_cached(config.oversampling_factor, config.rolloff)
-    return oaconvolve(samples_1x[None, :], phases, axes=-1).T.ravel()[:n]
+    if len(samples_1x) == 0:
+        return np.zeros(0)
+    osf = config.oversampling_factor
+    n = len(samples_1x) * osf + len(rrc_taps(config)) - 1
+    phases = _polyphase_taps_cached(osf, config.rolloff)
+    n_taps = phases.shape[1]
+    nfft = _fft_size(n_taps)
+    step = nfft - n_taps + 1
+    p_spec = np.fft.rfft(phases, nfft)[:, None, :]
+    count = -(-n // osf)  # outputs per phase
+    out = np.empty(count * osf)
+    grid = out.reshape(count, osf)
+    for j, n_out, n_blk in _chunks(count, step):
+        lo = j - (n_taps - 1)
+        x = _window(samples_1x, lo, lo + (n_blk - 1) * step + nfft)
+        spec = np.fft.rfft(sliding_window_view(x, nfft)[::step], axis=-1)
+        y = np.fft.irfft(spec * p_spec, nfft, axis=-1)[..., n_taps - 1 :]
+        grid[j : j + n_out] = y.reshape(osf, -1)[:, :n_out].T
+    return out[:n]
 
 
 def assemble_frame(symbols, config: OfdmConfig) -> np.ndarray:
@@ -404,23 +454,6 @@ def matched_filter(stream, config: OfdmConfig) -> np.ndarray:
     return oaconvolve(np.asarray(stream, dtype=float), taps)
 
 
-# overlap-save blocks transformed per chunk of the phase-only matched filter:
-# it bounds the working memory (about 2 MB at 4x oversampling) whatever the
-# stream length
-_MF_CHUNK_BLOCKS = 64
-
-
-def _window(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """``x[lo:hi]`` with zeros where the range leaves ``x``."""
-    if 0 <= lo and hi <= len(x):
-        return x[lo:hi]
-    out = np.zeros(hi - lo)
-    a, b = max(lo, 0), min(hi, len(x))
-    if a < b:
-        out[a - lo : b - lo] = x[a:b]
-    return out
-
-
 def _matched_filter_phase(
     stream: np.ndarray, start: int, count: int, config: OfdmConfig
 ) -> np.ndarray:
@@ -434,7 +467,7 @@ def _matched_filter_phase(
     blocks of ``nfft`` input samples per component give ``nfft - K + 1``
     outputs each (K taps per phase): per block the components' spectra are
     weighted by their tap phases, summed, and inverted once.  Blocks are
-    transformed ``_MF_CHUNK_BLOCKS`` at a time.
+    transformed ``_CHUNK_BLOCKS`` at a time.
     """
     osf = config.oversampling_factor
     first, q = divmod(start, osf)
@@ -444,15 +477,11 @@ def _matched_filter_phase(
     for r in range(osf):
         delay = int(r > q)
         c[r, delay : delay + phases.shape[1]] = phases[(q - r) % osf]
-    # the smallest power of two of at least 8 * K: the overlap costs under
-    # an eighth of each transform
-    nfft = 1 << (8 * n_taps - 1).bit_length()
+    nfft = _fft_size(n_taps)
     step = nfft - n_taps + 1
     c_spec = np.fft.rfft(c, nfft)[:, None, :]
     out = np.empty(count)
-    for j in range(0, count, step * _MF_CHUNK_BLOCKS):
-        n_out = min(step * _MF_CHUNK_BLOCKS, count - j)
-        n_blk = -(-n_out // step)
+    for j, n_out, n_blk in _chunks(count, step):
         lo = first + j - (n_taps - 1)
         hi = lo + (n_blk - 1) * step + nfft
         comps = _window(stream, osf * lo, osf * hi).reshape(-1, osf).T
@@ -508,24 +537,34 @@ def receive_blocks(
 # Clipping
 # ---------------------------------------------------------------------------
 
-def clip(samples, sigma_multiple: float, sigma: float | None = None) -> np.ndarray:
+def clip(
+    samples,
+    sigma_multiple: float,
+    sigma: float | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Symmetric clipping at +/- sigma_multiple times the stream's std-dev.
 
     ``sigma`` is the stream's std-dev when the caller has already computed
     it.  A constant (zero-variance) stream is returned unchanged: there is
-    no scale to clip against.  Always returns a new array.
+    no scale to clip against.  The result is written into ``out`` (a float
+    array of the stream's length) when given, else into a new array; the
+    input is never modified unless it is ``out``.
     """
     if sigma_multiple <= 0:
         raise ValueError("sigma_multiple must be positive")
     samples = np.asarray(samples, dtype=float)
     if sigma is None:
         sigma = samples.std()
+    if out is None:
+        out = np.empty_like(samples)
     rms = math.sqrt(np.dot(samples, samples) / samples.size) if samples.size else 0.0
     # a (numerically) constant stream has no scale to clip against
     if sigma == 0.0 or sigma <= 1e-12 * rms:
-        return samples.copy()
+        out[...] = samples
+        return out
     limit = sigma_multiple * sigma
-    return np.clip(samples, -limit, limit)
+    return np.clip(samples, -limit, limit, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,9 @@ MEASURED_IMP_ISC = _per_preset("measured_imp_isc")
 # recorded data rate at the 4.7e-3 BER threshold, bits/s
 MEASURED_DATA_RATE_BPS = _per_preset("measured_data_rate_bps")
 
-# reported power conversion efficiency (against the 2.3 mW emitted power)
+# reported power conversion efficiency (against the 2.3 mW emitted power);
+# a consistency check, not an independent observable: PCE x 2.3 mW x Imp/Isc
+# equals Pmp to within the table's rounding on every preset
 MEASURED_PCE = _per_preset("measured_pce")
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -70,6 +71,30 @@ class TestTransmitter:
         assert clipped > 0
         assert power.min() == 0.0
         assert power.max() == 2 * tx.emitted_power_w
+
+    @pytest.mark.parametrize("side", ["below", "above", "both", "inside"])
+    def test_clip_count_equals_the_mask_count(self, side):
+        # gain 0.25 and a [0, 2] W window make the edges exact: drives of
+        # -4 and +4 V give 0 and 2 W, which are inside the window
+        tx = TransmitterModel(
+            slope_efficiency_w_per_a=0.5, transconductance_a_per_v=0.5, emitted_power_w=1.0
+        )
+        lo, hi = {"below": (-9.0, 4.0), "above": (-4.0, 9.0),
+                  "both": (-9.0, 9.0), "inside": (-4.0, 4.0)}[side]
+        drive = np.random.default_rng(len(side)).uniform(lo, hi, 50_000)
+        drive[:4] = [-4.0, 4.0, -4.0, 4.0]
+        p = drive * 0.25 + 1.0
+        assert p[0] == 0.0 and p[1] == 2.0
+        mask = (p < 0.0) | (p > 2.0)
+        assert mask.any() == (side != "inside")
+        power, clipped = tx.optical_waveform(drive)
+        assert clipped == np.count_nonzero(mask) / drive.size
+        assert np.array_equal(power, np.clip(p, 0.0, 2.0))
+        # in place: the drive buffer becomes the waveform
+        in_place, clipped_in_place = tx.optical_waveform(drive, out=drive)
+        assert in_place is drive
+        assert clipped_in_place == clipped
+        assert np.array_equal(drive, power)
 
     @pytest.mark.parametrize("field, value", [
         ("emitted_power_w", math.nan),
@@ -320,6 +345,28 @@ class TestChannelOracle:
         assert clipped == ref_clipped
         assert type(clipped) is float
         assert (clipped > 0.0) == (case in ("overdriven", "constant"))
+
+    def test_channel_memory_is_bounded(self):
+        """The channel of a 1000-frame burst allocates at most 2.2x the
+        stream's bytes above what is live at entry: one buffer for the
+        drive, the optical waveform, the AC photocurrent and then the
+        received samples, plus the single-pole filter's output (about 2.0x
+        measured; a new array per step takes about 4.0x)."""
+        config = OfdmConfig()
+        stream, _, _ = _build_stream(config, qpsk_frames(config, 1000, 5))
+        tx = default_transmitter()
+        chain, mean_fraction, current = s2_channel_inputs(tx)
+        rng = np.random.default_rng(3)
+        # scipy.signal is already loaded (by the reference channel), so its
+        # import inside the channel allocates nothing here
+        tracemalloc.start()
+        try:
+            rx, _ = _apply_channel(stream, tx, chain, config, mean_fraction, current, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rx) == len(stream)
+        assert peak <= 2.2 * stream.nbytes
 
 
 class TestHeaderSync:

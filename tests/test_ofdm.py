@@ -144,6 +144,15 @@ class TestClip:
         samples = np.full(100, 1.7)
         assert np.array_equal(clip(samples, 3.2), samples)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "constant"])
+    def test_out_buffer_receives_the_same_samples(self, rng, kind):
+        x = rng.normal(size=10_000) if kind == "gaussian" else np.full(10_000, 0.3)
+        sent = x.copy()
+        out = np.full_like(x, np.nan)
+        assert clip(x, 2.0, out=out) is out
+        assert np.array_equal(out, clip(x, 2.0))
+        assert np.array_equal(x, sent)
+
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):
             clip(np.zeros(4), 0.0)
@@ -430,6 +439,57 @@ class TestBatchedWaveform:
             assert len(shaped) == len(ref)
             assert np.abs(shaped - ref).max() <= BATCH_TOL * np.abs(ref).max()
 
+    @pytest.mark.parametrize("osf", [2, 4])
+    @pytest.mark.parametrize(
+        "length",
+        ["1", "K-1", "block-1", "block", "block+1", "out_block",
+         "chunk-1", "chunk", "chunk+1", "out_chunk", "3chunks+rem"],
+    )
+    def test_chunked_shaping_at_block_and_chunk_edges(self, rng, osf, length):
+        # the overlap-save layout of _shape: K taps per phase, blocks of
+        # nfft inputs giving nfft - K + 1 outputs, _CHUNK_BLOCKS blocks per
+        # chunk; "out_*" lengths put the per-phase output count (input
+        # length + K - 1) exactly on a block or chunk edge
+        config = OfdmConfig(fft_size=64, oversampling_factor=osf, sample_rate_hz=1e9)
+        k = ofdm._polyphase_taps_cached(osf, config.rolloff).shape[1]
+        block = ofdm._fft_size(k) - k + 1
+        chunk = block * ofdm._CHUNK_BLOCKS
+        n = {
+            "1": 1, "K-1": k - 1,
+            "block-1": block - 1, "block": block, "block+1": block + 1,
+            "out_block": block - k + 1,
+            "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1,
+            "out_chunk": chunk - k + 1, "3chunks+rem": 3 * chunk + 123,
+        }[length]
+        samples = rng.normal(size=n)
+        shaped = ofdm._shape(samples, config)
+        up = np.zeros(n * osf)
+        up[::osf] = samples
+        ref = fftconvolve(up, rrc_taps(config))
+        assert len(shaped) == len(ref)
+        assert np.abs(shaped - ref).max() <= BATCH_TOL * np.abs(ref).max()
+
+    def test_empty_stack_shapes_to_an_empty_stream(self):
+        shaped = assemble_frame(np.zeros((0, CFG.data_subcarriers), dtype=complex), CFG)
+        assert shaped.shape == (0,)
+        assert shaped.dtype == np.float64
+
+    def test_assemble_frame_memory_is_bounded(self, rng):
+        """Shaping a 1000-frame stack allocates at most 2.2x the shaped
+        stream's bytes above what is live at entry: the IFFT stage and the
+        cyclic-prefixed blocks, then the result and one chunk of
+        overlap-save blocks (about 1.96x measured; convolving every phase
+        at once and interleaving a copy takes about 4.7x)."""
+        frames = random_stack(rng, 1000, CFG)
+        tracemalloc.start()
+        try:
+            stream = assemble_frame(frames, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == 1000 * CFG.block_stride + len(rrc_taps(CFG)) - 1
+        assert peak <= 2.2 * stream.nbytes
+
     def test_receive_blocks_equals_per_block_loop(self, rng):
         # 60 blocks read 61,740 phase samples: two chunks of the phase-only
         # matched filter (64 overlap-save blocks of 1024 - 97 outputs each)
@@ -446,7 +506,7 @@ class TestBatchedWaveform:
     @pytest.mark.parametrize("osf, q", [(osf, q) for osf in (1, 2, 3, 4) for q in range(osf)])
     def test_receive_blocks_at_every_read_phase(self, rng, monkeypatch, osf, q):
         # one overlap-save block per chunk, so the run spans several chunks
-        monkeypatch.setattr(ofdm, "_MF_CHUNK_BLOCKS", 1)
+        monkeypatch.setattr(ofdm, "_CHUNK_BLOCKS", 1)
         config = OfdmConfig(fft_size=64, oversampling_factor=osf, sample_rate_hz=1e9)
         n_blocks = 40
         lead = first_window_lead(config)
