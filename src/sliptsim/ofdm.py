@@ -2,21 +2,26 @@
 synchronization, channel estimation, one-tap equalization and SNR/BER/rate
 bookkeeping.
 
-The transmitter works on a stack of frames [n_frames, n_carriers]: one
-IFFT along the last axis gives every block's FFT core, the cyclic-prefixed
-blocks are laid end to end and shaped by one root-raised-cosine filter at
-the oversampled rate.  The filter runs in polyphase form: the symbol-rate
-stream is convolved with each of the ``osf`` tap phases (overlap-save
-blocks, one forward transform per block for all phases, in chunks) and the
-phases are interleaved into the result, which equals zero-stuffing and
-filtering at the full rate without filtering the zeros.
-A single frame is a stack of one.  Filtering the whole stream at once
-equals overlap-adding per-block shaped segments at the block stride in
-exact arithmetic; in floating point the two differ by rounding only (about
-1e-15 of the peak sample).  The receiver locates the preamble by
-cross-correlation (the link searches only the burst header), computes the
-matched filter at the one oversampling phase its FFT windows read, gathers
-every block's zero-ISI samples into one matrix and runs one FFT over it.
+The transmitter works on a stack of frames [n_frames, n_carriers]: one real
+inverse FFT of the positive-frequency bins along the last axis gives every
+block's FFT core (the negative frequencies are their conjugate mirror, so
+the cores are real by construction), the cyclic-prefixed blocks are laid
+end to end and shaped by one root-raised-cosine filter at the oversampled
+rate.  A single frame is a stack of one.
+
+Both RRC filters run in polyphase form through one chunked overlap-save
+routine, so no zero of the oversampled grid is filtered and no output the
+modem does not use is computed.  TX shaping filters the symbol-rate stream
+with each of the ``osf`` tap phases and interleaves the phases into the
+result, which equals zero-stuffing and filtering at the full rate.  The
+receiver locates the preamble by cross-correlation (the link searches only
+the burst header), then filters the ``osf`` polyphase components of the
+received stream into the one oversampling phase its FFT windows read,
+gathers every block's zero-ISI samples into one matrix and runs one FFT
+over it.  Filtering the whole stream at once equals overlap-adding
+per-block shaped segments at the block stride in exact arithmetic; in
+floating point the two differ by rounding only (about 1e-15 of the peak
+sample).
 
 DC bias is deliberately not applied here: biasing is a transmitter-side
 operation of the link layer, and the DC and Nyquist bins are always zero.
@@ -44,8 +49,6 @@ __all__ = [
     "SubcarrierSnr",
     "SyncError",
     "generate_bits",
-    "hermitian_spectrum",
-    "symbols_from_spectrum",
     "ofdm_core",
     "assemble_frame",
     "overlap_add",
@@ -63,8 +66,6 @@ __all__ = [
     "modulate_plan",
     "demodulate_plan",
 ]
-
-REALNESS_TOL = 1e-10
 
 # root-raised-cosine filter span in symbols, half on each side of the peak
 _RRC_SPAN = 96
@@ -177,44 +178,26 @@ def generate_bits(seed, count: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Spectrum construction
+# Frame cores
 # ---------------------------------------------------------------------------
 
-def hermitian_spectrum(symbols, fft_size: int) -> np.ndarray:
-    """Full FFT bin vector with X[N-k] = conj(X[k]); DC and Nyquist zero."""
-    symbols = np.asarray(symbols, dtype=complex)
-    n_data = fft_size // 2 - 1
-    if symbols.shape[-1] != n_data:
-        raise ValueError(f"expected {n_data} data symbols, got {symbols.shape[-1]}")
-    spectrum = np.zeros(symbols.shape[:-1] + (fft_size,), dtype=complex)
-    spectrum[..., 1 : n_data + 1] = symbols
-    spectrum[..., fft_size - 1 : fft_size // 2 : -1] = np.conj(symbols)
-    return spectrum
-
-
-def symbols_from_spectrum(spectrum) -> np.ndarray:
-    """Data payload of a full bin vector (bins 1 .. N/2-1)."""
-    spectrum = np.asarray(spectrum)
-    fft_size = spectrum.shape[-1]
-    return spectrum[..., 1 : fft_size // 2]
+def _real_ifft(bins: np.ndarray, n: int) -> np.ndarray:
+    """Real length-``n`` inverse FFT of positive-frequency ``bins`` [..., n/2 - 1]
+    placed on bins 1 .. n/2 - 1, with DC and Nyquist zero.  The negative
+    frequencies are the conjugate mirror, so the signal is real by
+    construction."""
+    half = np.zeros(bins.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    half[..., 1 : n // 2] = bins
+    return np.fft.irfft(half, n, axis=-1)
 
 
 def ofdm_core(symbols, config: OfdmConfig) -> np.ndarray:
-    """Real IFFT cores of a block or a stack of blocks [..., n_carriers].
-
-    The Hermitian realness residue is checked per block, so one bad block
-    in a stack is not diluted by the others.
-    """
-    spectrum = hermitian_spectrum(symbols, config.fft_size)
-    core = np.fft.ifft(spectrum, axis=-1)
-    rms = np.sqrt(np.mean(np.abs(core) ** 2, axis=-1))
-    imag_rms = np.sqrt(np.mean(core.imag**2, axis=-1))
-    residue = np.divide(imag_rms, rms, out=np.zeros_like(rms), where=rms > 0)
-    if np.any(residue > REALNESS_TOL):
-        raise AssertionError(
-            f"Hermitian construction left imaginary residue {residue.max():.3e}"
-        )
-    return core.real
+    """Real IFFT cores of a block or a stack of blocks [..., n_carriers]."""
+    symbols = np.asarray(symbols, dtype=complex)
+    n_data = config.data_subcarriers
+    if symbols.shape[-1] != n_data:
+        raise ValueError(f"expected {n_data} data symbols, got {symbols.shape[-1]}")
+    return _real_ifft(symbols, config.fft_size)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +270,6 @@ def _fft_size(n_taps: int) -> int:
     return 1 << (8 * n_taps - 1).bit_length()
 
 
-def _chunks(count: int, step: int):
-    """``(first output, outputs, blocks)`` of each chunk of ``_CHUNK_BLOCKS``
-    overlap-save blocks of ``step`` outputs, covering ``count`` outputs."""
-    for j in range(0, count, step * _CHUNK_BLOCKS):
-        n_out = min(step * _CHUNK_BLOCKS, count - j)
-        yield j, n_out, -(-n_out // step)
-
-
 def _window(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """``x[lo:hi]`` with zeros where the range leaves ``x``."""
     if 0 <= lo and hi <= len(x):
@@ -306,38 +281,55 @@ def _window(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return out
 
 
+def _overlap_save(
+    x: np.ndarray, bank: np.ndarray, first: int, count: int
+) -> np.ndarray:
+    """A bank of multi-input FIR filters, by chunked overlap-save.
+
+    ``bank`` is [n_out, n_in, K].  The input ``x`` interleaves ``n_in``
+    components, ``x_r[i] = x[n_in*i + r]`` (zero outside ``x``), and the
+    result ``y`` [count, n_out] holds ``y[j, k] = sum_r (x_r * bank[k, r])
+    [first + j]``, indexing the full convolutions.  Overlap-save blocks of
+    ``nfft`` samples per component give ``nfft - K + 1`` outputs each: per
+    block the components are transformed once, weighted by every filter's
+    spectrum, summed over the components and inverted once per output.
+    Blocks are transformed ``_CHUNK_BLOCKS`` at a time, so the result is the
+    only array that grows with ``count``.
+    """
+    n_out, n_in, n_taps = bank.shape
+    nfft = _fft_size(n_taps)
+    step = nfft - n_taps + 1
+    b_spec = np.fft.rfft(bank, nfft)[:, :, None, :]
+    out = np.empty((count, n_out))
+    for j in range(0, count, step * _CHUNK_BLOCKS):
+        n = min(step * _CHUNK_BLOCKS, count - j)
+        n_blk = -(-n // step)
+        lo = first + j - (n_taps - 1)
+        hi = lo + (n_blk - 1) * step + nfft
+        comps = _window(x, n_in * lo, n_in * hi).reshape(-1, n_in).T
+        blocks = sliding_window_view(comps, nfft, axis=-1)[:, ::step]
+        spec = np.fft.rfft(blocks, axis=-1)
+        y = np.fft.irfft((spec * b_spec).sum(axis=1), nfft, axis=-1)
+        out[j : j + n] = y[..., n_taps - 1 :].reshape(n_out, -1)[:, :n].T
+    return out
+
+
 def _shape(samples_1x: np.ndarray, config: OfdmConfig) -> np.ndarray:
     """The RRC filter applied to the zero-stuffed oversampled stream (full
     convolution), computed in polyphase form.
 
     Output sample ``j*osf + p`` is the symbol-rate input convolved with tap
-    phase p (K taps each), so no zero is filtered.  Overlap-save blocks of
-    ``nfft`` input samples give ``nfft - K + 1`` outputs of every phase: one
-    forward transform of a block serves all phases, each phase is inverted
-    on its own, and the phases are written interleaved straight into the
-    result.  Blocks are transformed ``_CHUNK_BLOCKS`` at a time, so the
-    result is the only full-length array.  Equals the full-rate convolution
-    up to rounding; an empty input gives an empty output.
+    phase p, so no zero is filtered: one input, ``osf`` filters, written
+    phase-interleaved straight into the result.  Equals the full-rate
+    convolution up to rounding; an empty input gives an empty output.
     """
     if len(samples_1x) == 0:
         return np.zeros(0)
     osf = config.oversampling_factor
     n = len(samples_1x) * osf + len(rrc_taps(config)) - 1
     phases = _polyphase_taps_cached(osf, config.rolloff)
-    n_taps = phases.shape[1]
-    nfft = _fft_size(n_taps)
-    step = nfft - n_taps + 1
-    p_spec = np.fft.rfft(phases, nfft)[:, None, :]
     count = -(-n // osf)  # outputs per phase
-    out = np.empty(count * osf)
-    grid = out.reshape(count, osf)
-    for j, n_out, n_blk in _chunks(count, step):
-        lo = j - (n_taps - 1)
-        x = _window(samples_1x, lo, lo + (n_blk - 1) * step + nfft)
-        spec = np.fft.rfft(sliding_window_view(x, nfft)[::step], axis=-1)
-        y = np.fft.irfft(spec * p_spec, nfft, axis=-1)[..., n_taps - 1 :]
-        grid[j : j + n_out] = y.reshape(osf, -1)[:, :n_out].T
-    return out[:n]
+    return _overlap_save(samples_1x, phases[:, None, :], 0, count).ravel()[:n]
 
 
 def assemble_frame(symbols, config: OfdmConfig) -> np.ndarray:
@@ -351,6 +343,7 @@ def assemble_frame(symbols, config: OfdmConfig) -> np.ndarray:
     core = np.atleast_2d(ofdm_core(symbols, config))
     cp = config.cp_length
     blocks = np.concatenate([core[:, -cp:], core], axis=1) if cp else core
+    del core  # shaping holds the stream and its result, not the bare cores
     return _shape(blocks.ravel(), config)
 
 
@@ -379,17 +372,14 @@ def group_delay(config: OfdmConfig) -> int:
 def _preamble_core_cached(n_p: int, rms: float) -> np.ndarray:
     """Real constant-amplitude-spectrum preamble core of length n_p.
 
-    A Zadoff-Chu sequence fills the positive-frequency bins; Hermitian
-    symmetry makes the time signal real while keeping the flat magnitude
-    spectrum that gives the sharp correlation peak.
+    A Zadoff-Chu sequence fills the positive-frequency bins; their real
+    inverse FFT keeps the flat magnitude spectrum that gives the sharp
+    correlation peak.
     """
     n_bins = n_p // 2 - 1
     k = np.arange(n_bins)
     zc = np.exp(-1j * math.pi * 25 * k * (k + 1) / n_bins)
-    spectrum = np.zeros(n_p, dtype=complex)
-    spectrum[1 : n_bins + 1] = zc
-    spectrum[n_p - 1 : n_p // 2 : -1] = np.conj(zc)
-    core = np.fft.ifft(spectrum).real
+    core = _real_ifft(zc, n_p)
     core = core * (rms / np.sqrt(np.mean(core**2)))
     core.setflags(write=False)
     return core
@@ -412,7 +402,8 @@ def synchronize(stream, reference) -> int:
 
     Returns the start index of the reference within the stream.  The peak
     must clear the largest sidelobe (outside the correlation main lobe) by
-    3 dB in power, otherwise a :class:`SyncError` is raised.
+    3 dB in power, otherwise a :class:`SyncError` is raised; so is a stream
+    that does not correlate with the reference at all (a silent burst).
     The sidelobe level is taken over every lag of the given stream, so it
     depends on how much of a burst is passed: ``link.run_link`` passes only
     the burst header (preamble, pilot blocks and one block of margin), and
@@ -427,6 +418,8 @@ def synchronize(stream, reference) -> int:
     corr = oaconvolve(stream, reference[::-1], mode="valid")
     mag = np.abs(corr)
     peak = int(np.argmax(mag))
+    if mag[peak] == 0.0:
+        raise SyncError("the stream does not correlate with the reference")
     exclusion = max(len(reference) // 8, 4)
     lo = max(peak - exclusion, 0)
     hi = min(peak + exclusion + 1, len(mag))
@@ -463,34 +456,17 @@ def _matched_filter_phase(
     Let ``first, q = divmod(start, osf)`` and ``s_r[i] = stream[osf*i + r]``
     be the r-th polyphase component of the input.  Output sample
     ``q + osf*j`` is ``sum_r (s_r * c_r)[j]``, where ``c_r`` is tap phase
-    ``(q - r) mod osf``, delayed one sample when ``r > q``.  Overlap-save
-    blocks of ``nfft`` input samples per component give ``nfft - K + 1``
-    outputs each (K taps per phase): per block the components' spectra are
-    weighted by their tap phases, summed, and inverted once.  Blocks are
-    transformed ``_CHUNK_BLOCKS`` at a time.
+    ``(q - r) mod osf``, delayed one sample when ``r > q``: ``osf`` inputs,
+    one filter.
     """
     osf = config.oversampling_factor
     first, q = divmod(start, osf)
     phases = _polyphase_taps_cached(osf, config.rolloff) / osf
-    n_taps = phases.shape[1] + 1
-    c = np.zeros((osf, n_taps))
+    c = np.zeros((1, osf, phases.shape[1] + 1))
     for r in range(osf):
         delay = int(r > q)
-        c[r, delay : delay + phases.shape[1]] = phases[(q - r) % osf]
-    nfft = _fft_size(n_taps)
-    step = nfft - n_taps + 1
-    c_spec = np.fft.rfft(c, nfft)[:, None, :]
-    out = np.empty(count)
-    for j, n_out, n_blk in _chunks(count, step):
-        lo = first + j - (n_taps - 1)
-        hi = lo + (n_blk - 1) * step + nfft
-        comps = _window(stream, osf * lo, osf * hi).reshape(-1, osf).T
-        blocks = sliding_window_view(comps, nfft, axis=-1)[:, ::step]
-        spec = np.fft.rfft(blocks, axis=-1)
-        spec *= c_spec
-        y = np.fft.irfft(spec.sum(axis=0), nfft, axis=-1)[:, n_taps - 1 :]
-        out[j : j + n_out] = y.ravel()[:n_out]
-    return out
+        c[0, r, delay : delay + phases.shape[1]] = phases[(q - r) % osf]
+    return _overlap_save(stream, c, first, count)[:, 0]
 
 
 def receive_blocks(

@@ -1,6 +1,7 @@
 """Shared helpers for tests: an independent oracle of the device solver
 (per-segment bracketed ``brentq`` solves of the implicit single-diode
-equation, the string I-V and a golden-section MPP), a configurable digital
+equation, the string I-V and a golden-section MPP), the complex IFFT of a
+DCO-OFDM block's full Hermitian spectrum, a configurable digital
 loopback and a plain reference of the link's optical/electrical channel."""
 
 import math
@@ -303,6 +304,19 @@ def reference_harvest_figures(device, beam):
 # ---------------------------------------------------------------------------
 # Modem and channel references
 # ---------------------------------------------------------------------------
+
+
+def reference_core(symbols, fft_size: int) -> np.ndarray:
+    """Complex IFFT of the full Hermitian spectrum, X[N-k] = conj(X[k]) with
+    the data on bins 1 .. N/2-1 and DC and Nyquist zero: the DCO-OFDM block
+    core [..., fft_size] with its rounding-level imaginary part kept."""
+    symbols = np.asarray(symbols, dtype=complex)
+    n_data = fft_size // 2 - 1
+    assert symbols.shape[-1] == n_data
+    spectrum = np.zeros(symbols.shape[:-1] + (fft_size,), dtype=complex)
+    spectrum[..., 1 : n_data + 1] = symbols
+    spectrum[..., fft_size - 1 : fft_size // 2 : -1] = np.conj(symbols)
+    return np.fft.ifft(spectrum, axis=-1)
 
 
 def build_tx_stream(frames, config: OfdmConfig, lead_pad=0, tail_pad=256):

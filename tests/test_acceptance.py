@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from chain import digital_loopback
+from chain import digital_loopback, reference_core
 from sliptsim.calibrate import (
     CalibrationTargets,
     calibrate,
@@ -19,7 +19,7 @@ from sliptsim.cli import main as cli_main
 from sliptsim.constants import thermal_voltage
 from sliptsim.link import mismatch_study, run_link
 from sliptsim.loading import bit_power_loading, required_snr_table
-from sliptsim.ofdm import hermitian_spectrum
+from sliptsim.ofdm import ofdm_core
 from sliptsim.ppc import (
     DiodeParams,
     IVCurve,
@@ -195,12 +195,14 @@ def test_criterion_05_modem_loopback():
         assert bits.size >= 100_000
         assert sync_err == 0
         assert ber == 0.0, f"loopback errors at M={order}"
-        # Hermitian realness on freshly drawn frames
+        # Hermitian realness on freshly drawn frames: the real cores against
+        # the complex IFFT of the full Hermitian spectrum
         symbols = rng.normal(size=(2, cfg.data_subcarriers)) + 1j * rng.normal(
             size=(2, cfg.data_subcarriers)
         )
-        core = np.fft.ifft(hermitian_spectrum(symbols, cfg.fft_size), axis=-1)
-        residue = np.sqrt(np.mean(core.imag**2) / np.mean(np.abs(core) ** 2))
+        ref = reference_core(symbols, cfg.fft_size)
+        core = ofdm_core(symbols, cfg)
+        residue = np.sqrt(np.mean(np.abs(core - ref) ** 2) / np.mean(np.abs(ref) ** 2))
         assert residue < 1e-10
     report(5, t0, 120.0, "BER 0 for all 10 orders, >=1e5 bits each")
 

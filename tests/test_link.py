@@ -387,11 +387,15 @@ class TestHeaderSync:
         assert header < len(rx)
         assert synchronize(rx[:header], pre_seg) == synchronize(rx, pre_seg) == 0
 
-    def test_noise_only_burst_raises(self):
+    @pytest.mark.parametrize("noise", [NoiseModel(), QUIET], ids=["noise", "silent"])
+    def test_noise_only_burst_raises(self, noise):
         tx = default_transmitter()
         chain, _, current = s2_channel_inputs(tx)
+        chain = replace(chain, noise=noise)
         pilot = qpsk_frames(FAST_CFG, 1, 1)[0]
-        # no light reaches the device: the burst is receiver noise only
+        # no light reaches the device: the burst is receiver noise only, or
+        # with the noise switched off, all zeros, whose correlation has no
+        # peak at any lag
         with pytest.raises(SyncError):
             _run_burst(
                 qpsk_frames(FAST_CFG, 100, 2), pilot, 8, tx, chain, FAST_CFG,
