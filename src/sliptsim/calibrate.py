@@ -33,18 +33,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .ppc import DiodeParams, IlluminationProfile, harvest_figures, sector_fractions
-from .link import NoiseModel, ReceiverChain
+from .ppc import DiodeParams, harvest_figures, sector_fractions
+from .link import ReceiverChain
 from .presets import (
     MEASURED_BANDWIDTH_HZ,
     MEASURED_IMP_ISC,
     MEASURED_PMP_W,
-    PRESET_NAMES,
+    default_beam,
     default_receiver,
     default_transmitter,
     preset_geometry,
@@ -57,7 +57,6 @@ __all__ = [
     "UnderdeterminedError",
     "measured_targets",
     "calibrate",
-    "synthesize_targets",
     "calibrated_receiver",
 ]
 
@@ -221,18 +220,10 @@ def _receiver(
     beam_offset_mm: float,
 ) -> ReceiverChain:
     """Default read-out around one preset with the fitted parameters applied."""
-    tx = default_transmitter()
-    beam = IlluminationProfile(
-        total_power_w=tx.emitted_power_w,
-        beam_radius_mm=beam_radius_mm,
-        center_mm=(beam_offset_mm, 0.0),
-        responsivity_a_w=responsivity_a_w,
-        wavelength_nm=tx.wavelength_nm,
-    )
     return default_receiver(
         name,
         DiodeParams(capacitance_density_f_mm2=capacitance_density_f_mm2),
-        beam=beam,
+        beam=default_beam(responsivity_a_w, beam_radius_mm, center_mm=(beam_offset_mm, 0.0)),
         effective_series_resistance_ohm=series_resistance_ohm,
     )
 
@@ -520,37 +511,7 @@ def calibrate(targets: CalibrationTargets) -> CalibrationResult:
     return result
 
 
-def synthesize_targets(
-    capacitance_density_f_mm2: dict,
-    series_resistance_ohm: dict,
-    responsivity_a_w: dict,
-    beam_radius_mm: float,
-    beam_offset_mm: dict,
-    names=PRESET_NAMES,
-) -> CalibrationTargets:
-    """Forward-generate targets from known parameters (self-test support)."""
-    bw, pmp, ii = {}, {}, {}
-    for name in names:
-        size, n = name[0], int(name[1:])
-        chain = _receiver(
-            name, capacitance_density_f_mm2[size], series_resistance_ohm[n],
-            responsivity_a_w[size], beam_radius_mm, beam_offset_mm.get(name, 0.0),
-        )
-        beam = chain.beam
-        bw[name] = chain.f3db_hz()
-        pmp[name], ii[name] = harvest_figures(
-            chain.device,
-            beam.responsivity_a_w * beam.total_power_w
-            * sector_fractions(chain.device.geometry, beam),
-        )
-    return CalibrationTargets(bandwidth_hz=bw, pmp_w=pmp, imp_isc=ii)
-
-
-def calibrated_receiver(
-    result: CalibrationResult,
-    name: str,
-    noise: NoiseModel | None = None,
-) -> ReceiverChain:
+def calibrated_receiver(result: CalibrationResult, name: str) -> ReceiverChain:
     """Receiver chain for one preset with the fitted parameters applied.
 
     Raises:
@@ -581,4 +542,4 @@ def calibrated_receiver(
             f"and {result.emitted_power_w!r} W emitted; the default read-out "
             f"has {chain.ac_load_ohm!r} ohm and {chain.beam.total_power_w!r} W"
         )
-    return chain if noise is None else replace(chain, noise=noise)
+    return chain

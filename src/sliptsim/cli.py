@@ -32,7 +32,7 @@ from .calibrate import (
     measured_targets,
 )
 from .io import iv_curve_to_csv, plan_to_csv, spec_hash, write_csv
-from .link import BER_TARGET, LinkReport, mismatch_study, run_link, sweep
+from .link import BER_TARGET, LinkReport, ReceiverChain, mismatch_study, sweep
 from .ppc import find_mpp, harvest_figures, sector_fractions, string_iv
 from .presets import (
     JUNCTION_AREA_MM2,
@@ -41,7 +41,6 @@ from .presets import (
     MEASURED_IMP_ISC,
     MEASURED_PMP_W,
     PRESET_NAMES,
-    default_beam,
     default_modem,
     default_receiver,
     default_transmitter,
@@ -50,16 +49,6 @@ from .safety import SafetyScenario, assess
 
 SCHEMA_VERSION = 1
 CONFIG_DIR_ENV = "SLIPTSIM_CONFIG_DIR"
-
-_KIND_BY_COMMAND = {
-    "iv": "iv",
-    "bandwidth": "bandwidth-sweep",
-    "link": "link",
-    "sweep": "sweep",
-    "mismatch": "mismatch",
-    "safety": "safety",
-    "calibrate": "calibrate",
-}
 
 
 class SpecError(ValueError):
@@ -123,9 +112,16 @@ def _number(value):
     return value
 
 
+def _integer(value) -> int:
+    """A JSON integer (not bool), returned unchanged."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _count(value) -> int:
-    """A non-negative integer count."""
-    count = int(value)
+    """A non-negative JSON integer."""
+    count = _integer(value)
     if count < 0:
         raise ValueError(f"expected a non-negative count, got {value!r}")
     return count
@@ -165,13 +161,16 @@ def _load_calibration(spec: dict, out_dir: Path, required: bool):
     return None
 
 
-def _receiver_for(spec: dict, name: str, calibration):
-    if calibration is not None:
-        return calibrated_receiver(calibration, name)
-    beam = default_beam(center_mm=(_spec_number(spec, "beam_offset_mm", 0.0), 0.0))
+def _receiver_for(spec: dict, name: str, calibration) -> ReceiverChain:
+    """The preset's calibrated chain (the default chain without a
+    calibration), with the spec's beam offset and radius applied on top."""
+    chain = default_receiver(name) if calibration is None else calibrated_receiver(calibration, name)
+    beam = chain.beam
+    if "beam_offset_mm" in spec:
+        beam = replace(beam, center_mm=(_spec_number(spec, "beam_offset_mm", None), 0.0))
     if "beam_radius_mm" in spec:
         beam = replace(beam, beam_radius_mm=_spec_number(spec, "beam_radius_mm", None))
-    return default_receiver(name, beam=beam)
+    return replace(chain, beam=beam)
 
 
 def _preset_name(value) -> str:
@@ -193,14 +192,33 @@ def _spec_presets(spec: dict) -> list[str]:
     return [_preset_name(p) for p in presets]
 
 
+def _preset_chain(spec: dict, out_dir: Path) -> tuple[str, ReceiverChain]:
+    """The spec's single preset (default L6) and its receiver chain."""
+    name = _preset_name(spec.get("preset", "L6"))
+    calibration = _load_calibration(spec, out_dir, required=False)
+    return name, _receiver_for(spec, name, calibration)
+
+
+def _run_links(spec: dict, entries, seed: int) -> list[LinkReport]:
+    """One link report per (label, chain) entry, entry i run with seed
+    ``seed + i``; a failed entry's report carries its error."""
+    ber_target = _spec_number(spec, "ber_target", BER_TARGET)
+    return sweep(entries, default_transmitter(), default_modem(), ber_target=ber_target, seed=seed)
+
+
+def _raise_failures(reports) -> None:
+    """A run error naming each failed entry, if any failed."""
+    failed = [f"{r.device_id}: {r.error}" for r in reports if r.error]
+    if failed:
+        raise RuntimeError(f"{len(failed)} link run(s) failed: {'; '.join(failed)}")
+
+
 # ---------------------------------------------------------------------------
 # Handlers (one per experiment kind)
 # ---------------------------------------------------------------------------
 
 def _handle_iv(spec: dict, out_dir: Path, seed: int) -> None:
-    name = _preset_name(spec.get("preset", "L6"))
-    calibration = _load_calibration(spec, out_dir, required=False)
-    chain = _receiver_for(spec, name, calibration)
+    name, chain = _preset_chain(spec, out_dir)
     power_w = _spec_number(spec, "power_w", default_transmitter().emitted_power_w)
     beam = replace(chain.beam, total_power_w=power_w)
     fractions = sector_fractions(chain.device.geometry, beam)
@@ -265,17 +283,9 @@ def _emit_link_artifacts(report, out_dir: Path, header, suffix: str = "") -> Non
 
 
 def _handle_link(spec: dict, out_dir: Path, seed: int) -> None:
-    name = _preset_name(spec.get("preset", "L6"))
-    calibration = _load_calibration(spec, out_dir, required=False)
-    chain = _receiver_for(spec, name, calibration)
-    report = run_link(
-        default_transmitter(),
-        chain,
-        default_modem(),
-        ber_target=_spec_number(spec, "ber_target", BER_TARGET),
-        seed=seed,
-    )
-    report.device_id = name
+    [report] = _run_links(spec, [_preset_chain(spec, out_dir)], seed)
+    _raise_failures([report])
+    name = report.device_id
     _emit_link_artifacts(report, out_dir, _header("link", {**spec, "preset": name}, seed))
     print(
         f"{name}: rate {report.data_rate_bps / 1e9:.3f} Gbps, "
@@ -287,14 +297,7 @@ def _handle_link(spec: dict, out_dir: Path, seed: int) -> None:
 def _handle_sweep(spec: dict, out_dir: Path, seed: int) -> None:
     names = _spec_presets(spec)
     calibration = _load_calibration(spec, out_dir, required=False)
-    entries = [(n, _receiver_for(spec, n, calibration)) for n in names]
-    reports = sweep(
-        entries,
-        default_transmitter(),
-        default_modem(),
-        ber_target=_spec_number(spec, "ber_target", BER_TARGET),
-        seed=seed,
-    )
+    reports = _run_links(spec, [(n, _receiver_for(spec, n, calibration)) for n in names], seed)
     header = _header("sweep", {**spec, "presets": names}, seed)
     write_csv(
         out_dir / "report.csv",
@@ -307,14 +310,11 @@ def _handle_sweep(spec: dict, out_dir: Path, seed: int) -> None:
             _emit_link_artifacts(report, out_dir, header, suffix=f"_{report.device_id}")
     failures = sum(1 for r in reports if r.error)
     print(f"{len(reports)} runs ({failures} failed) -> {out_dir / 'report.csv'}")
-    if failures:
-        raise RuntimeError(f"{failures} sweep entr{'y' if failures == 1 else 'ies'} failed")
+    _raise_failures(reports)
 
 
 def _handle_mismatch(spec: dict, out_dir: Path, seed: int) -> None:
-    name = _preset_name(spec.get("preset", "L6"))
-    calibration = _load_calibration(spec, out_dir, required=False)
-    chain = _receiver_for(spec, name, calibration)
+    name, chain = _preset_chain(spec, out_dir)
     max_offset = _spec_number(
         spec, "max_offset_mm", 0.45 * chain.device.geometry.cell_diameter_mm
     )
@@ -432,21 +432,15 @@ def _handle_reproduce_table1(spec: dict, out_dir: Path, seed: int) -> None:
 
 def _handle_reproduce_fig6(spec: dict, out_dir: Path, seed: int) -> None:
     calibration = _load_calibration(spec, out_dir, required=True)
-    rows = []
-    for i, name in enumerate(PRESET_NAMES):
-        chain = calibrated_receiver(calibration, name)
-        report = run_link(
-            default_transmitter(), chain, default_modem(),
-            ber_target=_spec_number(spec, "ber_target", BER_TARGET), seed=seed + i,
-        )
-        rows.append(
-            (
-                name,
-                JUNCTION_AREA_MM2[name],
-                report.data_rate_bps,
-                MEASURED_DATA_RATE_BPS[name],
-            )
-        )
+    reports = _run_links(
+        spec, [(n, calibrated_receiver(calibration, n)) for n in PRESET_NAMES], seed
+    )
+    _raise_failures(reports)
+    rows = [
+        (r.device_id, JUNCTION_AREA_MM2[r.device_id], r.data_rate_bps,
+         MEASURED_DATA_RATE_BPS[r.device_id])
+        for r in reports
+    ]
     write_csv(
         out_dir / "fig6.csv",
         ["preset", "junction_area_mm2", "data_rate_bps", "measured_data_rate_bps"],
@@ -475,7 +469,7 @@ def _dispatch(spec: dict, out_dir, seed) -> int:
     kind = spec["kind"]
     try:
         out = Path(out_dir) if out_dir is not None else _spec_field(spec, "out_dir", "out", Path)
-        effective_seed = seed if seed is not None else _spec_field(spec, "seed", 0, int)
+        effective_seed = seed if seed is not None else _spec_field(spec, "seed", 0, _integer)
         out.mkdir(parents=True, exist_ok=True)
         _HANDLERS[kind](spec, out, effective_seed)
     except SpecError as exc:
@@ -494,6 +488,29 @@ def _dispatch(spec: dict, out_dir, seed) -> int:
 # parsed values that are not spec fields; every other flag overrides the
 # spec field of its destination name
 _RUN_ARGUMENTS = ("command", "target", "config", "out", "seed")
+
+_CALIBRATION = ("--calibration", str, "calibration.json path")
+_PRESETS = ("--presets", str, "comma-separated preset list (default: all)")
+_BER_TARGET = ("--ber-target", float, None)
+
+# subcommand -> (experiment kind, the subcommand's own flags as (flag, type,
+# help)); `reproduce <target>` runs the kind "reproduce-<target>"
+_COMMANDS = {
+    "iv": ("iv", (_CALIBRATION,)),
+    "link": ("link", (_CALIBRATION, _BER_TARGET)),
+    "mismatch": ("mismatch", (
+        _CALIBRATION, ("--max-offset-mm", float, None), ("--points", int, None),
+    )),
+    "bandwidth": ("bandwidth-sweep", (_CALIBRATION, _PRESETS)),
+    "sweep": ("sweep", (_CALIBRATION, _PRESETS, _BER_TARGET)),
+    "safety": ("safety", tuple(
+        (flag, float, None)
+        for flag in ("--wavelength-nm", "--source-diameter-mm", "--distance-mm",
+                     "--exposure-time-s", "--received-power-w", "--pupil-radius-mm")
+    )),
+    "calibrate": ("calibrate", ()),
+    "reproduce": ("reproduce", (_CALIBRATION,)),
+}
 
 
 def _add_global_flags(parser: argparse.ArgumentParser) -> None:
@@ -515,39 +532,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     _add_global_flags(common)
     sub = parser.add_subparsers(dest="command")
-
-    for cmd in ("iv", "link", "mismatch"):
-        p = sub.add_parser(cmd, parents=[common])
-        p.add_argument("--calibration", help="calibration.json path")
-        if cmd == "mismatch":
-            p.add_argument("--max-offset-mm", type=float, dest="max_offset_mm")
-            p.add_argument("--points", type=int)
-        if cmd == "link":
-            p.add_argument("--ber-target", type=float, dest="ber_target")
-
-    p = sub.add_parser("bandwidth", parents=[common])
-    p.add_argument("--calibration")
-    p.add_argument("--presets", help="comma-separated preset list (default: all)")
-
-    p = sub.add_parser("sweep", parents=[common])
-    p.add_argument("--calibration")
-    p.add_argument("--presets", help="comma-separated preset list (default: all)")
-    p.add_argument("--ber-target", type=float, dest="ber_target")
-
-    p = sub.add_parser("safety", parents=[common])
-    p.add_argument("--wavelength-nm", type=float, dest="wavelength_nm")
-    p.add_argument("--source-diameter-mm", type=float, dest="source_diameter_mm")
-    p.add_argument("--distance-mm", type=float, dest="distance_mm")
-    p.add_argument("--exposure-time-s", type=float, dest="exposure_time_s")
-    p.add_argument("--received-power-w", type=float, dest="received_power_w")
-    p.add_argument("--pupil-radius-mm", type=float, dest="pupil_radius_mm")
-
-    sub.add_parser("calibrate", parents=[common])
-
-    p = sub.add_parser("reproduce", parents=[common])
-    p.add_argument("target", choices=["table1", "fig6"])
-    p.add_argument("--calibration")
-
+    for command, (kind, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common])
+        if command == "reproduce":
+            targets = [k.removeprefix(f"{kind}-") for k in _HANDLERS if k.startswith(f"{kind}-")]
+            p.add_argument("target", choices=targets)
+        for flag, type_, help_ in flags:
+            p.add_argument(flag, type=type_, help=help_)
     return parser
 
 
@@ -569,10 +560,9 @@ def main(argv=None) -> int:
             return 2
         kind = spec["kind"]
     else:
+        kind = _COMMANDS[args.command][0]
         if args.command == "reproduce":
-            kind = f"reproduce-{args.target}"
-        else:
-            kind = _KIND_BY_COMMAND[args.command]
+            kind = f"{kind}-{args.target}"
         if spec and spec.get("kind") not in (None, kind):
             print(
                 f"spec error: config kind {spec['kind']!r} does not match "

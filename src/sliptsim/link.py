@@ -349,7 +349,8 @@ def _apply_channel(
     clip_sigma = config.clip_sigma
     if clip_sigma is None:
         np.copyto(buf, stream)
-        scale_sigma = 3.2
+        # unclipped: the drive is scaled as the default clip level would scale it
+        scale_sigma = OfdmConfig.clip_sigma
     else:
         clip(stream, clip_sigma, sigma=sigma_x, out=buf)
         scale_sigma = clip_sigma

@@ -136,10 +136,6 @@ class OfdmConfig:
         return max(self.fft_size // 4, 64)
 
     @property
-    def symbol_rate_hz(self) -> float:
-        return self.sample_rate_hz / self.block_stride
-
-    @property
     def subcarrier_spacing_hz(self) -> float:
         return self.sample_rate_hz / (self.fft_size * self.oversampling_factor)
 

@@ -1,8 +1,9 @@
 """Shared helpers for tests: an independent oracle of the device solver
 (per-segment bracketed ``brentq`` solves of the implicit single-diode
-equation, the string I-V and a golden-section MPP), the complex IFFT of a
-DCO-OFDM block's full Hermitian spectrum, a configurable digital
-loopback and a plain reference of the link's optical/electrical channel."""
+equation, the string I-V and a golden-section MPP), calibration targets
+generated from known fit parameters, the complex IFFT of a DCO-OFDM block's
+full Hermitian spectrum, a configurable digital loopback and a plain
+reference of the link's optical/electrical channel."""
 
 import math
 
@@ -11,6 +12,7 @@ from scipy.optimize import brentq
 from scipy.signal import lfilter
 from scipy.special import erfc
 
+from sliptsim.calibrate import CalibrationTargets
 from sliptsim.loading import BitLoadingPlan
 from sliptsim.ofdm import (
     OfdmConfig,
@@ -29,8 +31,10 @@ from sliptsim.ofdm import (
 from sliptsim.ppc import (
     BracketError,
     DiodeParams,
+    harvest_figures,
     sector_fractions,
 )
+from sliptsim.presets import PRESET_NAMES, default_beam, default_receiver
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +303,39 @@ def reference_mpp(device, photocurrents):
 def reference_harvest_figures(device, beam):
     """``harvest_figures`` from the oracle."""
     return reference_mpp(device, segment_photocurrents(device.geometry, beam))
+
+
+# ---------------------------------------------------------------------------
+# Calibration targets
+# ---------------------------------------------------------------------------
+
+
+def synthesize_targets(
+    capacitance_density_f_mm2: dict,
+    series_resistance_ohm: dict,
+    responsivity_a_w: dict,
+    beam_radius_mm: float,
+    beam_offset_mm: dict,
+) -> CalibrationTargets:
+    """Bandwidth, Pmp and Imp/Isc targets of every preset, forward-generated
+    from known fit parameters (keyed by cell size, segment count or preset
+    name) under the default read-out the fit assumes."""
+    bw, pmp, ii = {}, {}, {}
+    for name in PRESET_NAMES:
+        size, n = name[0], int(name[1:])
+        beam = default_beam(
+            responsivity_a_w[size], beam_radius_mm,
+            center_mm=(beam_offset_mm.get(name, 0.0), 0.0),
+        )
+        chain = default_receiver(
+            name, DiodeParams(capacitance_density_f_mm2=capacitance_density_f_mm2[size]),
+            beam=beam, effective_series_resistance_ohm=series_resistance_ohm[n],
+        )
+        bw[name] = chain.f3db_hz()
+        pmp[name], ii[name] = harvest_figures(
+            chain.device, segment_photocurrents(chain.device.geometry, beam)
+        )
+    return CalibrationTargets(bandwidth_hz=bw, pmp_w=pmp, imp_isc=ii)
 
 
 # ---------------------------------------------------------------------------

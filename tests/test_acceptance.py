@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from chain import digital_loopback, reference_core
+from chain import digital_loopback, reference_core, synthesize_targets
 from sliptsim.calibrate import (
     CalibrationTargets,
     calibrate,
     calibrated_receiver,
-    synthesize_targets,
 )
 from sliptsim.cli import main as cli_main
 from sliptsim.constants import thermal_voltage

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chain import synthesize_targets
 from sliptsim import calibrate as calibrate_module
 from sliptsim.calibrate import (
     CalibrationError,
@@ -16,7 +17,6 @@ from sliptsim.calibrate import (
     calibrate,
     calibrated_receiver,
     measured_targets,
-    synthesize_targets,
 )
 from sliptsim.presets import MEASURED_BANDWIDTH_HZ
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sliptsim import cli
+from sliptsim import cli, link
 from sliptsim.calibrate import CalibrationResult
 from sliptsim.cli import SpecError, load_spec, main
 from sliptsim.io import read_csv, spec_hash
 from sliptsim.ppc import IVCurve
+from sliptsim.presets import PRESET_NAMES
 
 
 def write_spec(tmp_path, payload, name="spec.json"):
@@ -152,6 +154,21 @@ class TestCommands:
         for name in ("report.csv", "snr_profile.csv", "loading.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    @pytest.mark.parametrize("field", ["beam_offset_mm", "beam_radius_mm"])
+    def test_spec_beam_field_applies_on_top_of_a_calibration(
+        self, tmp_path, calibration, field
+    ):
+        path = tmp_path / "calibration.json"
+        calibration.save(path)
+        bodies = []
+        for spec in ({"kind": "iv", "preset": "L6"}, {"kind": "iv", "preset": "L6", field: 0.3}):
+            out = tmp_path / str(len(bodies))
+            config = write_spec(tmp_path, spec)
+            assert main(["iv", "--config", config, "--calibration", str(path),
+                         "--out", str(out)]) == 0
+            bodies.append((out / "iv.csv").read_text().splitlines()[1:])
+        assert bodies[0] != bodies[1]
+
     def test_bandwidth_artifact_deterministic(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["bandwidth", "--out", str(out_a), "--seed", "3"]) == 0
@@ -175,6 +192,22 @@ def test_fit_and_cli_imports_leave_out_the_signal_stack():
         check=True, capture_output=True, text=True, timeout=120,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_command_table_parser_and_handlers_agree(capsys):
+    parser = cli._build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(cli._COMMANDS)
+    [target] = [a for a in commands.choices["reproduce"]._actions if a.dest == "target"]
+    kinds = [kind for command, (kind, _) in cli._COMMANDS.items() if command != "reproduce"]
+    kinds += [f"{cli._COMMANDS['reproduce'][0]}-{t}" for t in target.choices]
+    assert sorted(kinds) == sorted(cli._HANDLERS) == sorted(cli.EXPERIMENT_KINDS)
+    for command, (_, flags) in cli._COMMANDS.items():
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        usage = capsys.readouterr().out
+        assert all(flag in usage for flag, _, _ in flags)
 
 
 class TestGlobalFlags:
@@ -268,14 +301,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("spec", [
         {"kind": "safety", "seed": "x"},
+        {"kind": "safety", "seed": 7.9},
+        {"kind": "safety", "seed": True},
+        {"kind": "safety", "seed": "7"},
         {"kind": "safety", "out_dir": 5},
         {"kind": "mismatch", "preset": "S2", "points": "x"},
         {"kind": "mismatch", "preset": "S2", "points": -1},
+        {"kind": "mismatch", "preset": "S2", "points": 2.7},
         {"kind": "safety", "distance_mm": "far"},
         {"kind": "iv", "preset": "S2", "beam_offset_mm": [0.1]},
         {"kind": "bandwidth-sweep", "presets": 2},
-    ], ids=["seed", "out_dir", "points", "points-negative", "distance_mm", "beam_offset_mm",
-            "presets"])
+    ], ids=["seed", "seed-float", "seed-bool", "seed-string", "out_dir", "points",
+            "points-negative", "points-float", "distance_mm", "beam_offset_mm", "presets"])
     def test_malformed_spec_field_is_spec_error(self, tmp_path, capsys, spec):
         # whether dispatch or a handler reads the field
         path = write_spec(tmp_path, {**spec, "out_dir": spec.get("out_dir", str(tmp_path / "o"))})
@@ -294,6 +331,30 @@ class TestExitCodes:
         assert code == 1
         assert "capacitance_density_f_mm2.S" in capsys.readouterr().err
         assert not (tmp_path / "bandwidth.csv").exists()
+
+    def test_failed_link_is_run_error_naming_the_preset(self, tmp_path, monkeypatch, capsys):
+        def failing(tx, chain, config, **kwargs):
+            raise ValueError(f"no link on {chain.device.device_id}")
+
+        monkeypatch.setattr(link, "run_link", failing)
+        assert main(["link", "--preset", "S2", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "S2: ValueError: no link on S2" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_fig6_entries_are_named_before_any_artifact(
+        self, tmp_path, monkeypatch, capsys, calibration
+    ):
+        calibration.save(tmp_path / "calibration.json")
+
+        def failing(tx, chain, config, **kwargs):
+            raise ValueError("no link")
+
+        monkeypatch.setattr(link, "run_link", failing)
+        assert main(["reproduce", "fig6", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert all(f"{name}: ValueError: no link" in err for name in PRESET_NAMES)
+        assert not (tmp_path / "fig6.csv").exists()
 
     def test_handler_bug_is_not_a_spec_error(self, tmp_path, monkeypatch):
         def broken(spec, out_dir, seed):
