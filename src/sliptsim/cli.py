@@ -464,10 +464,22 @@ _HANDLERS = {
 
 EXPERIMENT_KINDS = tuple(_HANDLERS)
 
+# beam fields a kind would ignore, and so change only the artifact's spec
+# hash: refused as malformed.  The mismatch study scans the offset itself;
+# the reproductions run the calibrated beams.
+_IGNORED_FIELDS = {
+    "mismatch": ("beam_offset_mm",),
+    "reproduce-table1": ("beam_offset_mm", "beam_radius_mm"),
+    "reproduce-fig6": ("beam_offset_mm", "beam_radius_mm"),
+}
+
 
 def _dispatch(spec: dict, out_dir, seed) -> int:
     kind = spec["kind"]
     try:
+        for key in _IGNORED_FIELDS.get(kind, ()):
+            if key in spec:
+                raise SpecError(f"field {key!r} is not used by kind {kind!r}")
         out = Path(out_dir) if out_dir is not None else _spec_field(spec, "out_dir", "out", Path)
         effective_seed = seed if seed is not None else _spec_field(spec, "seed", 0, _integer)
         out.mkdir(parents=True, exist_ok=True)

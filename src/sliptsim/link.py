@@ -317,7 +317,8 @@ def _one_pole(samples: np.ndarray, f3db_hz: float, fs_hz: float) -> np.ndarray:
 def _std(samples: np.ndarray, scratch: np.ndarray) -> float:
     """``np.std(samples)`` by its own steps (mean, subtract, square in place,
     sum, divide, square root), with ``x - mean`` written into ``scratch``, a
-    spent buffer of the same length, instead of a new temporary."""
+    buffer of the same length whose contents are overwritten (a spent one
+    spares the new temporary)."""
     np.subtract(samples, samples.mean(), out=scratch)
     np.multiply(scratch, scratch, out=scratch)
     return math.sqrt(scratch.sum() / samples.size)
@@ -335,35 +336,34 @@ def _apply_channel(
     """Waveform -> optics -> photocurrent -> RC -> load voltage + noise.
 
     The stream is clipped at ``config.clip_sigma`` std-devs (not at all
-    when it is None).  Each physical step is one pass, in place where the
-    step allows it; ``stream`` is not modified.  One buffer of the stream's
-    length carries the clipped drive, the optical waveform and the AC
-    photocurrent, then the received samples; the single-pole filter's output
-    is the only other full-length array.  The two standard deviations use
-    that buffer as scratch: before the drive is written into it, and once
-    the filter has consumed the photocurrent.  The noise draw takes the same
-    generator values as ``rng.normal(0, sigma_v, n)``.
+    when it is None).  The stream is consumed: each physical step is one
+    pass in its buffer, which carries the clipped drive, the optical
+    waveform and the AC photocurrent, and then the received samples that
+    are returned.  The single-pole filter's output is the only other
+    full-length array held with it.  The drive's std-dev takes a scratch
+    array that is dropped at once; the received level's std-dev uses the
+    spent stream as scratch once the filter has consumed the photocurrent.
+    The noise draw takes the same generator values as
+    ``rng.normal(0, sigma_v, n)``.
     """
-    buf = np.empty_like(stream)
-    sigma_x = _std(stream, buf)
+    sigma_x = _std(stream, np.empty_like(stream))
     clip_sigma = config.clip_sigma
     if clip_sigma is None:
-        np.copyto(buf, stream)
         # unclipped: the drive is scaled as the default clip level would scale it
         scale_sigma = OfdmConfig.clip_sigma
     else:
-        clip(stream, clip_sigma, sigma=sigma_x, out=buf)
+        clip(stream, clip_sigma, sigma=sigma_x, out=stream)
         scale_sigma = clip_sigma
-    buf *= tx.drive_vpp / (2.0 * scale_sigma * max(sigma_x, 1e-300))
-    _, clipped = tx.optical_waveform(buf, out=buf)
-    buf -= buf.mean()
-    buf *= chain.beam.responsivity_a_w * mean_fraction
-    v_sig = _one_pole(buf, chain.f3db_hz(), config.sample_rate_hz)
+    stream *= tx.drive_vpp / (2.0 * scale_sigma * max(sigma_x, 1e-300))
+    _, clipped = tx.optical_waveform(stream, out=stream)
+    stream -= stream.mean()
+    stream *= chain.beam.responsivity_a_w * mean_fraction
+    v_sig = _one_pole(stream, chain.f3db_hz(), config.sample_rate_hz)
     v_sig *= chain.ac_load_ohm
     psd = chain.noise.current_psd(chain.ac_load_ohm, operating_current_a)
     sigma_thermal = math.sqrt(psd * config.sample_rate_hz / 2.0) * chain.ac_load_ohm
-    sigma_q = chain.noise.quantization_sigma(_std(v_sig, buf))  # buf is spent
-    rx = rng.standard_normal(out=buf)
+    sigma_q = chain.noise.quantization_sigma(_std(v_sig, stream))  # stream is spent
+    rx = rng.standard_normal(out=stream)
     rx *= math.hypot(sigma_thermal, sigma_q)
     rx += v_sig
     return rx, clipped
@@ -427,14 +427,16 @@ def _run_burst(
     fixed window, whatever the payload length.
     """
     all_frames = np.vstack([np.tile(pilot, (n_pilot_frames, 1)), frames])
+    n_blocks = len(all_frames)
     stream, pre_seg, pre_stride = _build_stream(config, all_frames)
+    del all_frames  # the stream carries the frames from here on
+    # the channel consumes the stream: its buffer returns the received samples
     rx_samples, clip_fraction = _apply_channel(
         stream, tx, chain, config, mean_fraction, operating_current_a, rng
     )
-    del stream  # the receiver needs only the received samples
     header = _header_length(config, n_pilot_frames, pre_stride, len(pre_seg))
     start = synchronize(rx_samples[:header], pre_seg)
-    blocks = receive_blocks(rx_samples, start + pre_stride, len(all_frames), config)
+    blocks = receive_blocks(rx_samples, start + pre_stride, n_blocks, config)
     gains = estimate_channel(blocks[:n_pilot_frames], pilot)
     return equalize(blocks[n_pilot_frames:], gains), gains, clip_fraction
 

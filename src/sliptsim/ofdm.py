@@ -562,10 +562,7 @@ def equalize(symbols, gains) -> np.ndarray:
     """One-tap division per carrier; zero-gain carriers equalize to zero."""
     symbols = np.asarray(symbols, dtype=complex)
     gains = np.asarray(gains, dtype=complex)
-    out = np.zeros_like(symbols)
-    nz = gains != 0
-    out[..., nz] = symbols[..., nz] / gains[nz]
-    return out
+    return np.divide(symbols, gains, out=np.zeros_like(symbols), where=gains != 0)
 
 
 def estimate_snr(equalized_symbols, reference_symbols) -> SubcarrierSnr:

@@ -640,12 +640,22 @@ def _short_circuit_current(device: SegmentedDevice, photocurrents, model) -> flo
         hi = float(photocurrents.max()) + i0
         if v_of_i(hi) >= 0.0:
             # I0 below half an ulp of I_ph rounds away in that sum, leaving
-            # V(hi) zero up to rounding: step up to the first ulp where the
-            # string is reverse biased; the crossing lies within the last ulp
-            above = float(np.nextafter(hi, math.inf))
-            while v_of_i(above) >= 0.0:
-                hi, above = above, float(np.nextafter(above, math.inf))
-            return hi
+            # V(hi) zero up to rounding, and on a (nearly) dark string V can
+            # read above zero by rounding far beyond it: step up, by steps
+            # that double from one ulp, to a current where the string is
+            # reverse biased, then bisect to the last ulp with V >= 0; the
+            # crossing lies within that ulp
+            lo, step = hi, float(np.spacing(hi))
+            hi = lo + step
+            while v_of_i(hi) >= 0.0:
+                lo, step = hi, 2.0 * step
+                hi = lo + step
+            while (mid := lo + 0.5 * (hi - lo)) not in (lo, hi):
+                if v_of_i(mid) >= 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            return lo
     return float(brentq(v_of_i, 0.0, hi, xtol=_I_XTOL, rtol=_I_RTOL))
 
 
@@ -729,12 +739,15 @@ def find_mpp(curve: IVCurve) -> OperatingPoint:
 
     The search of :func:`harvest_figures`, run on the curve's samples: the
     best sample, refined to the root of ``dP/dI`` between its neighbours
-    by the curve's ``model``, which the curve must carry.
+    by the curve's ``model``, which the curve must carry.  Any number of
+    samples serves: on a string so dimly lit that its voltages round to a
+    few values, :func:`string_iv` keeps only those few.  The dark string's
+    one-sample curve (0, 0) carries no model and is its own maximum.
     """
     if len(curve) == 1 and curve.voltages_v[0] == 0.0 and curve.currents_a[0] == 0.0:
         return OperatingPoint(0.0, 0.0)
-    if len(curve) < 8:
-        raise ValueError("curve must have at least 8 points spanning V=0 to V_oc")
+    if curve.model is None:
+        raise ValueError("curve must carry its model (the curves of string_iv do)")
     return OperatingPoint(*_power_maximum(curve.model, curve.currents_a, curve.voltages_v))
 
 

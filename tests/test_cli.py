@@ -311,8 +311,13 @@ class TestExitCodes:
         {"kind": "safety", "distance_mm": "far"},
         {"kind": "iv", "preset": "S2", "beam_offset_mm": [0.1]},
         {"kind": "bandwidth-sweep", "presets": 2},
+        # beam fields the job would ignore
+        {"kind": "mismatch", "preset": "S2", "beam_offset_mm": 0.1},
+        {"kind": "reproduce-table1", "beam_offset_mm": 0.1},
+        {"kind": "reproduce-fig6", "beam_radius_mm": 0.5},
     ], ids=["seed", "seed-float", "seed-bool", "seed-string", "out_dir", "points",
-            "points-negative", "points-float", "distance_mm", "beam_offset_mm", "presets"])
+            "points-negative", "points-float", "distance_mm", "beam_offset_mm", "presets",
+            "mismatch-beam_offset_mm", "table1-beam_offset_mm", "fig6-beam_radius_mm"])
     def test_malformed_spec_field_is_spec_error(self, tmp_path, capsys, spec):
         # whether dispatch or a handler reads the field
         path = write_spec(tmp_path, {**spec, "out_dir": spec.get("out_dir", str(tmp_path / "o"))})
@@ -320,6 +325,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         field = next(k for k in spec if k not in ("kind", "preset"))
         assert err.startswith("spec error:") and repr(field) in err
+        assert not any((tmp_path / "o").glob("*"))
 
     def test_non_finite_calibration_value_is_run_error(self, tmp_path, capsys, calibration):
         data = calibration.to_dict()

@@ -275,6 +275,18 @@ class TestChannelEstimation:
         eq = equalize(np.array([[1.0, 1.0, 1.0]], dtype=complex), gains)
         assert eq[0, 1] == 0.0
 
+    def test_zero_gains_equal_the_mask_gather_bytes(self, rng):
+        symbols = rng.normal(size=(64, 37)) + 1j * rng.normal(size=(64, 37))
+        gains = rng.normal(size=37) + 1j * rng.normal(size=37)
+        gains[[0, 20]] = 0.0
+        # the division gathered through a boolean mask of the non-zero gains
+        expected = np.zeros_like(symbols)
+        nz = gains != 0
+        expected[..., nz] = symbols[..., nz] / gains[nz]
+        eq = equalize(symbols, gains)
+        assert eq.dtype == expected.dtype and eq.shape == expected.shape
+        assert eq.tobytes() == expected.tobytes()
+
 
 class TestSnrEstimator:
     def test_perfect_symbols_hit_ceiling(self):

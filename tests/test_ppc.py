@@ -341,6 +341,34 @@ class TestStringIV:
         pmp, ratio = harvest_figures(device, ph)
         assert math.isfinite(pmp) and pmp > 0.0 and 0.0 < ratio < 1.0
 
+    # a dim 1-ohm-shunt string: its voltages near short circuit are at the
+    # model's rounding floor (a few 1e-16 V)
+    DIM_DIODE = DiodeParams(
+        saturation_current_density_a_mm2=1e-30, ideality=2.0872910875407324,
+        series_resistance_ohm=0.0, shunt_resistance_ohm=1.0,
+    )
+
+    def test_isc_when_rounding_holds_v_positive_far_above_i_ph(self):
+        # V reads +5.5e-16 V by rounding from 0 A to about 100 * I_ph; a
+        # search stepping one ulp at a time from I_ph + I0 never ended
+        device = SegmentedDevice(SegmentGeometry(2.0, 2), self.DIM_DIODE, reverse_breakdown_v=None)
+        ph = [4.2e-18, 5.2e-22]
+        isc = short_circuit_current(device, ph)
+        assert math.isfinite(isc) and isc > max(ph)
+        v, _, _ = string_voltage(device, ph, np.array([isc, np.nextafter(isc, math.inf)]))
+        assert v[0] >= 0.0 > v[1]
+
+    def test_mpp_of_a_curve_with_few_distinct_voltages(self):
+        # the grid's voltages round to 5 distinct values; find_mpp once
+        # refused any curve of fewer than 8 samples
+        device = SegmentedDevice(SegmentGeometry(2.0, 2), self.DIM_DIODE, reverse_breakdown_v=None)
+        ph = [3e-15, 3e-17]
+        curve = string_iv(device, ph)
+        assert 1 < len(curve) < 8
+        mpp = find_mpp(curve)
+        assert math.isfinite(mpp.power_w)
+        assert mpp.power_w >= (curve.voltages_v * curve.currents_a).max()
+
     def test_random_string_against_per_point_oracle(self, rng):
         device = SegmentedDevice(
             SegmentGeometry(2.08, 6),
