@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,6 @@ from .presets import (
     MEASURED_PMP_W,
     PRESET_NAMES,
     default_modem,
-    default_receiver,
     default_transmitter,
 )
 from .safety import SafetyScenario, assess
@@ -138,39 +138,31 @@ def _header(kind: str, payload: dict, seed) -> list[str]:
     ]
 
 
-def _load_calibration(spec: dict, out_dir: Path, required: bool):
-    explicit = _spec_field(spec, "calibration", None, lambda v: Path(v) if v else None)
-    candidates = []
-    if explicit:
-        if not explicit.exists():
-            raise SpecError(f"calibration file not found: {explicit}")
-        candidates.append(explicit)
-    candidates.append(out_dir / "calibration.json")
-    config_dir = os.environ.get(CONFIG_DIR_ENV)
-    if config_dir:
-        candidates.append(Path(config_dir) / "calibration.json")
-    for cand in candidates:
-        if cand.exists():
-            return CalibrationResult.load(cand)
-    if required:
-        searched = ", ".join(str(c) for c in candidates)
-        raise RuntimeError(
-            "calibration artifact not found (searched: "
-            f"{searched}); run `sliptsim calibrate --out <dir>` first"
-        )
-    return None
+def _load_calibration(spec: dict) -> CalibrationResult:
+    """The fit named by the spec's ``calibration`` field, or else the bundled
+    fit of the seven measured presets (``data/calibration.json``)."""
+    path = _spec_field(spec, "calibration", None, lambda v: Path(v) if v else None)
+    if path is None:
+        path = resources.files("sliptsim").joinpath("data/calibration.json")
+    elif not path.exists():
+        raise SpecError(f"calibration file not found: {path}")
+    return CalibrationResult.load(path)
 
 
-def _receiver_for(spec: dict, name: str, calibration) -> ReceiverChain:
-    """The preset's calibrated chain (the default chain without a
-    calibration), with the spec's beam offset and radius applied on top."""
-    chain = default_receiver(name) if calibration is None else calibrated_receiver(calibration, name)
-    beam = chain.beam
+def _receivers(spec: dict, names) -> list[tuple[str, ReceiverChain]]:
+    """(name, chain) per preset: its chain under the spec's calibration, with
+    the spec's beam offset and radius applied on top."""
+    calibration = _load_calibration(spec)
+    beam = {}
     if "beam_offset_mm" in spec:
-        beam = replace(beam, center_mm=(_spec_number(spec, "beam_offset_mm", None), 0.0))
+        beam["center_mm"] = (_spec_number(spec, "beam_offset_mm", None), 0.0)
     if "beam_radius_mm" in spec:
-        beam = replace(beam, beam_radius_mm=_spec_number(spec, "beam_radius_mm", None))
-    return replace(chain, beam=beam)
+        beam["beam_radius_mm"] = _spec_number(spec, "beam_radius_mm", None)
+    chains = []
+    for name in names:
+        chain = calibrated_receiver(calibration, name)
+        chains.append((name, replace(chain, beam=replace(chain.beam, **beam))))
+    return chains
 
 
 def _preset_name(value) -> str:
@@ -192,11 +184,9 @@ def _spec_presets(spec: dict) -> list[str]:
     return [_preset_name(p) for p in presets]
 
 
-def _preset_chain(spec: dict, out_dir: Path) -> tuple[str, ReceiverChain]:
+def _preset_chain(spec: dict) -> tuple[str, ReceiverChain]:
     """The spec's single preset (default L6) and its receiver chain."""
-    name = _preset_name(spec.get("preset", "L6"))
-    calibration = _load_calibration(spec, out_dir, required=False)
-    return name, _receiver_for(spec, name, calibration)
+    return _receivers(spec, [_preset_name(spec.get("preset", "L6"))])[0]
 
 
 def _run_links(spec: dict, entries, seed: int) -> list[LinkReport]:
@@ -218,7 +208,7 @@ def _raise_failures(reports) -> None:
 # ---------------------------------------------------------------------------
 
 def _handle_iv(spec: dict, out_dir: Path, seed: int) -> None:
-    name, chain = _preset_chain(spec, out_dir)
+    name, chain = _preset_chain(spec)
     power_w = _spec_number(spec, "power_w", default_transmitter().emitted_power_w)
     beam = replace(chain.beam, total_power_w=power_w)
     fractions = sector_fractions(chain.device.geometry, beam)
@@ -235,10 +225,8 @@ def _handle_iv(spec: dict, out_dir: Path, seed: int) -> None:
 
 
 def _handle_bandwidth(spec: dict, out_dir: Path, seed: int) -> None:
-    calibration = _load_calibration(spec, out_dir, required=False)
     rows = []
-    for name in _spec_presets(spec):
-        chain = _receiver_for(spec, name, calibration)
+    for name, chain in _receivers(spec, _spec_presets(spec)):
         rows.append(
             (
                 name,
@@ -283,7 +271,7 @@ def _emit_link_artifacts(report, out_dir: Path, header, suffix: str = "") -> Non
 
 
 def _handle_link(spec: dict, out_dir: Path, seed: int) -> None:
-    [report] = _run_links(spec, [_preset_chain(spec, out_dir)], seed)
+    [report] = _run_links(spec, [_preset_chain(spec)], seed)
     _raise_failures([report])
     name = report.device_id
     _emit_link_artifacts(report, out_dir, _header("link", {**spec, "preset": name}, seed))
@@ -296,8 +284,7 @@ def _handle_link(spec: dict, out_dir: Path, seed: int) -> None:
 
 def _handle_sweep(spec: dict, out_dir: Path, seed: int) -> None:
     names = _spec_presets(spec)
-    calibration = _load_calibration(spec, out_dir, required=False)
-    reports = _run_links(spec, [(n, _receiver_for(spec, n, calibration)) for n in names], seed)
+    reports = _run_links(spec, _receivers(spec, names), seed)
     header = _header("sweep", {**spec, "presets": names}, seed)
     write_csv(
         out_dir / "report.csv",
@@ -314,7 +301,7 @@ def _handle_sweep(spec: dict, out_dir: Path, seed: int) -> None:
 
 
 def _handle_mismatch(spec: dict, out_dir: Path, seed: int) -> None:
-    name, chain = _preset_chain(spec, out_dir)
+    name, chain = _preset_chain(spec)
     max_offset = _spec_number(
         spec, "max_offset_mm", 0.45 * chain.device.geometry.cell_diameter_mm
     )
@@ -388,10 +375,8 @@ def _handle_calibrate(spec: dict, out_dir: Path, seed: int) -> None:
 
 
 def _handle_reproduce_table1(spec: dict, out_dir: Path, seed: int) -> None:
-    calibration = _load_calibration(spec, out_dir, required=True)
     rows = []
-    for name in PRESET_NAMES:
-        chain = calibrated_receiver(calibration, name)
+    for name, chain in _receivers(spec, PRESET_NAMES):
         beam = chain.beam
         pmp_sim, ratio_sim = harvest_figures(
             chain.device,
@@ -431,10 +416,7 @@ def _handle_reproduce_table1(spec: dict, out_dir: Path, seed: int) -> None:
 
 
 def _handle_reproduce_fig6(spec: dict, out_dir: Path, seed: int) -> None:
-    calibration = _load_calibration(spec, out_dir, required=True)
-    reports = _run_links(
-        spec, [(n, calibrated_receiver(calibration, n)) for n in PRESET_NAMES], seed
-    )
+    reports = _run_links(spec, _receivers(spec, PRESET_NAMES), seed)
     _raise_failures(reports)
     rows = [
         (r.device_id, JUNCTION_AREA_MM2[r.device_id], r.data_rate_bps,
@@ -465,9 +447,11 @@ _HANDLERS = {
 EXPERIMENT_KINDS = tuple(_HANDLERS)
 
 # beam fields a kind would ignore, and so change only the artifact's spec
-# hash: refused as malformed.  The mismatch study scans the offset itself;
-# the reproductions run the calibrated beams.
+# hash: refused as malformed.  The bandwidth sweep reads no beam, the
+# mismatch study scans the offset itself, and the reproductions run the
+# calibrated beams.
 _IGNORED_FIELDS = {
+    "bandwidth-sweep": ("beam_offset_mm", "beam_radius_mm"),
     "mismatch": ("beam_offset_mm",),
     "reproduce-table1": ("beam_offset_mm", "beam_radius_mm"),
     "reproduce-fig6": ("beam_offset_mm", "beam_radius_mm"),
@@ -501,7 +485,7 @@ def _dispatch(spec: dict, out_dir, seed) -> int:
 # spec field of its destination name
 _RUN_ARGUMENTS = ("command", "target", "config", "out", "seed")
 
-_CALIBRATION = ("--calibration", str, "calibration.json path")
+_CALIBRATION = ("--calibration", str, "calibration.json to run (default: the bundled fit)")
 _PRESETS = ("--presets", str, "comma-separated preset list (default: all)")
 _BER_TARGET = ("--ber-target", float, None)
 

@@ -226,7 +226,10 @@ class ReceiverChain:
 
 @dataclass
 class LinkReport:
-    """Per-run record of the communication and harvesting figures."""
+    """Per-run record of the communication and harvesting figures.
+
+    ``imp_isc`` is NaN for a dark string (zero short-circuit current).
+    """
 
     device_id: str
     n_segments: int
@@ -587,6 +590,8 @@ def mismatch_study(
 
     Pmp is non-increasing in |offset| for a centered Gaussian on a symmetric
     device; Imp/Isc degrades as the least-illuminated sector loses share.
+    At an offset that leaves the string dark (zero short-circuit current)
+    Imp/Isc is NaN and Pmp 0.
     """
     rows = []
     for off in offsets_mm:

@@ -51,7 +51,6 @@ __all__ = [
     "OperatingPoint",
     "QuadratureError",
     "BracketError",
-    "UndefinedRatioError",
     "sector_fractions",
     "string_model",
     "string_voltage",
@@ -79,10 +78,6 @@ class QuadratureError(RuntimeError):
 
 class BracketError(RuntimeError):
     """The single-diode equation has no solution at the requested current."""
-
-
-class UndefinedRatioError(ValueError):
-    """Imp/Isc requested for a curve with zero short-circuit current."""
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +605,13 @@ def string_voltage(device: SegmentedDevice, photocurrents, currents):
 def short_circuit_current(device: SegmentedDevice, photocurrents) -> float:
     """Series current at which the string voltage crosses zero.
 
-    A bracketed root of the explicit string voltage.  Above every
-    photocurrent (plus I0) each segment is reverse biased, so that current
-    closes the bracket.  With both shunt and reverse clamp disabled the
-    string cannot carry more than min(I_ph) + I0, and the bracket closes one
-    ulp below that limit; when the voltage there is still not negative, the
-    crossing lies closer to the limit than one ulp, and that ulp is returned.
+    A bracketed root of the explicit string voltage.  Above max(I_ph) + I0
+    every segment is reverse biased, so that current closes the bracket, and
+    a voltage that still reads >= 0 there is rounding: that bound is
+    returned.  With both shunt and reverse clamp disabled the string cannot
+    carry more than min(I_ph) + I0, and the bracket closes one ulp below
+    that limit; when the voltage there is still not negative, the crossing
+    lies closer to the limit than one ulp, and that ulp is returned.
     """
     return _short_circuit_current(device, photocurrents, string_model(device, photocurrents))
 
@@ -634,28 +630,10 @@ def _short_circuit_current(device: SegmentedDevice, photocurrents, model) -> flo
     i0 = device.diode.saturation_current_density_a_mm2 * device.geometry.sector_area_mm2
     if math.isinf(device.diode.shunt_resistance_ohm) and device.reverse_breakdown_v is None:
         hi = float(np.nextafter(float(photocurrents.min()) + i0, 0.0))
-        if v_of_i(hi) >= 0.0:
-            return hi
     else:
         hi = float(photocurrents.max()) + i0
-        if v_of_i(hi) >= 0.0:
-            # I0 below half an ulp of I_ph rounds away in that sum, leaving
-            # V(hi) zero up to rounding, and on a (nearly) dark string V can
-            # read above zero by rounding far beyond it: step up, by steps
-            # that double from one ulp, to a current where the string is
-            # reverse biased, then bisect to the last ulp with V >= 0; the
-            # crossing lies within that ulp
-            lo, step = hi, float(np.spacing(hi))
-            hi = lo + step
-            while v_of_i(hi) >= 0.0:
-                lo, step = hi, 2.0 * step
-                hi = lo + step
-            while (mid := lo + 0.5 * (hi - lo)) not in (lo, hi):
-                if v_of_i(mid) >= 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            return lo
+    if v_of_i(hi) >= 0.0:
+        return hi
     return float(brentq(v_of_i, 0.0, hi, xtol=_I_XTOL, rtol=_I_RTOL))
 
 
@@ -769,10 +747,11 @@ def dc_operating_point(curve: IVCurve, load_ohm: float) -> OperatingPoint:
 
 
 def imp_isc_ratio(curve: IVCurve) -> float:
-    """Ratio of MPP current to short-circuit current, in (0, 1]."""
+    """Ratio of MPP current to short-circuit current, in (0, 1]; NaN for a
+    dark curve (zero short-circuit current), as :func:`harvest_figures`."""
     isc = curve.short_circuit_current_a()
     if isc <= 0:
-        raise UndefinedRatioError("short-circuit current is zero; ratio undefined")
+        return math.nan
     mpp = find_mpp(curve)
     return mpp.current_a / isc
 

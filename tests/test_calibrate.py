@@ -2,6 +2,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -24,103 +25,6 @@ FROZEN_FIT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "calib
 
 TRUE_CAPS = {"S": 12e-12, "M": 8e-12, "L": 5e-12}
 TRUE_RS = {2: 0.0, 4: 120.0, 6: 260.0}
-
-# calibrate(measured_targets()).to_dict(), recorded with the explicit string
-# solve (Python 3.11, numpy 2.4, scipy 1.17, x86-64 Linux); any change to the
-# solver or the fit that moves a digit of the fit shows here first
-GOLDEN_MEASURED_FIT = {
-    "schema_version": 2,
-    "capacitance_density_f_mm2": {
-        "L": 6.9604176017750405e-12,
-        "M": 9.450766369906337e-12,
-        "S": 1.6851754475765356e-11,
-    },
-    "series_resistance_ohm": {
-        "2": 0.0,
-        "4": 105.25246387867524,
-        "6": 183.0011851678697,
-    },
-    "responsivity_a_w": {
-        "L": 0.5136725724162068,
-        "M": 0.6799999999999999,
-        "S": 0.6629385525053593,
-    },
-    "beam_radius_mm": 1.0531236995936744,
-    "beam_offset_mm": {
-        "L2": 0.0,
-        "L4": 0.26358376843802944,
-        "L6": 0.4801520837492408,
-        "M2": 0.0,
-        "M4": 0.236940104220406,
-        "S2": 0.0,
-        "S4": 0.22872244450297782,
-    },
-    "bandwidth_residuals": {
-        "L2": 0.02334933654723903,
-        "L4": -0.024494509337444015,
-        "L6": 3.130817827212695e-10,
-        "M2": 0.030326386506321246,
-        "M4": -0.03228863151172545,
-        "S2": -0.058571188832494125,
-        "S4": 0.052395333371619834,
-    },
-    "pmp_residuals": {
-        "L2": -0.0007504936718010224,
-        "L4": -0.12935947081943833,
-        "L6": 0.15893244701641418,
-        "M2": 0.003275101296283056,
-        "M4": 0.10214592395976196,
-        "S2": 0.005469090604341087,
-        "S4": -0.02881199257143441,
-    },
-    "imp_isc_residuals": {
-        "L2": -0.019118035968741953,
-        "L4": -2.853273173286652e-14,
-        "L6": -4.3953729544909947e-13,
-        "M2": -0.04170820234320771,
-        "M4": -7.105427357601002e-15,
-        "S2": -0.02106728274337133,
-        "S4": -9.492406860545088e-14,
-    },
-    "ac_load_ohm": 47.5,
-    "emitted_power_w": 0.0023,
-    "fit_record": {
-        "stage_a": {
-            "active_bounds": {},
-            "cost": 0.0046416365343420005,
-            "jacobian_singular_values": [
-                0.24883411203396877,
-                0.1496298204180203,
-                0.08394971425899711,
-                0.008444200934370587,
-                0.0033418482594477577,
-            ],
-            "nfev": 13,
-            "status": 2,
-        },
-        "stage_b": {
-            "active_bounds": {
-                "responsivity_a_w.M": "upper",
-            },
-            "cost": 0.017907699459349745,
-            "jacobian_singular_values": [
-                6.793470378258038,
-                3.672742489285234,
-                2.8634960783780423,
-                2.8178917599519244,
-                1.4157947408538334,
-                1.1325164774877665,
-                1.012356405053775,
-                0.011863963535068389,
-                0.0,
-                0.0,
-                0.0,
-            ],
-            "nfev": 48,
-            "status": 2,
-        },
-    },
-}
 
 
 class TestBandwidthStage:
@@ -221,8 +125,13 @@ class TestSchema:
 
 
 class TestFullCalibration:
-    def test_measured_fit_is_pinned(self, calibration):
-        assert calibration.to_dict() == GOLDEN_MEASURED_FIT
+    def test_measured_fit_is_pinned(self, calibration, tmp_path):
+        # the bundled default fit is the saved seven-preset fit, byte for
+        # byte; any change to the solver or the fit that moves a digit of
+        # the fit shows here first (re-record data/calibration.json)
+        calibration.save(tmp_path / "calibration.json")
+        bundled = resources.files("sliptsim").joinpath("data/calibration.json")
+        assert (tmp_path / "calibration.json").read_bytes() == bundled.read_bytes()
 
     def test_harvest_memo_skips_repeated_evaluations(self, monkeypatch):
         measured = measured_targets()

@@ -90,11 +90,44 @@ class TestCommands:
         first = (tmp_path / "iv.csv").read_text().splitlines()[0]
         assert first.startswith("#") and "seed=" in first and "spec_sha256=" in first
 
-    def test_reproduce_without_calibration_is_instructive(self, tmp_path, capsys):
-        code = main(["reproduce", "table1", "--out", str(tmp_path)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "calibrate" in err
+    def test_reproduce_without_a_named_calibration_runs_the_bundled_fit(
+        self, tmp_path, calibration
+    ):
+        path = tmp_path / "fit.json"
+        calibration.save(path)
+        assert main(["reproduce", "table1", "--out", str(tmp_path / "bundled")]) == 0
+        assert main(["reproduce", "table1", "--calibration", str(path),
+                     "--out", str(tmp_path / "named")]) == 0
+        bundled, named = (
+            (tmp_path / d / "table1.csv").read_text().splitlines()[1:]
+            for d in ("bundled", "named")
+        )
+        assert bundled == named
+
+    @pytest.mark.parametrize("where", ["out", "config_dir"])
+    def test_stray_calibration_file_is_ignored(self, tmp_path, monkeypatch, calibration, where):
+        altered = replace(
+            calibration,
+            capacitance_density_f_mm2={
+                k: 2.0 * v for k, v in calibration.capacitance_density_f_mm2.items()
+            },
+            responsivity_a_w={k: 0.5 * v for k, v in calibration.responsivity_a_w.items()},
+        )
+        stray = tmp_path / where
+        stray.mkdir()
+        altered.save(stray / "calibration.json")
+        monkeypatch.setenv("SLIPTSIM_CONFIG_DIR", str(tmp_path / "config_dir"))
+        runs = {
+            "stray": ["--out", str(tmp_path / "out")],
+            "clean": ["--out", str(tmp_path / "clean")],
+            "altered": ["--calibration", str(stray / "calibration.json"),
+                        "--out", str(tmp_path / "altered")],
+        }
+        for args in runs.values():
+            assert main(["reproduce", "table1", *args]) == 0
+        table = {run: (Path(args[-1]) / "table1.csv").read_text() for run, args in runs.items()}
+        assert table["stray"] == table["clean"]
+        assert table["altered"].splitlines()[1:] != table["clean"].splitlines()[1:]
 
     def test_link_emits_profile_and_loading(self, tmp_path):
         assert main(["link", "--preset", "L6", "--out", str(tmp_path),
@@ -315,9 +348,12 @@ class TestExitCodes:
         {"kind": "mismatch", "preset": "S2", "beam_offset_mm": 0.1},
         {"kind": "reproduce-table1", "beam_offset_mm": 0.1},
         {"kind": "reproduce-fig6", "beam_radius_mm": 0.5},
+        {"kind": "bandwidth-sweep", "beam_offset_mm": 0.3},
+        {"kind": "bandwidth-sweep", "beam_radius_mm": 0.5},
     ], ids=["seed", "seed-float", "seed-bool", "seed-string", "out_dir", "points",
             "points-negative", "points-float", "distance_mm", "beam_offset_mm", "presets",
-            "mismatch-beam_offset_mm", "table1-beam_offset_mm", "fig6-beam_radius_mm"])
+            "mismatch-beam_offset_mm", "table1-beam_offset_mm", "fig6-beam_radius_mm",
+            "bandwidth-beam_offset_mm", "bandwidth-beam_radius_mm"])
     def test_malformed_spec_field_is_spec_error(self, tmp_path, capsys, spec):
         # whether dispatch or a handler reads the field
         path = write_spec(tmp_path, {**spec, "out_dir": spec.get("out_dir", str(tmp_path / "o"))})
@@ -349,10 +385,8 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_fig6_entries_are_named_before_any_artifact(
-        self, tmp_path, monkeypatch, capsys, calibration
+        self, tmp_path, monkeypatch, capsys
     ):
-        calibration.save(tmp_path / "calibration.json")
-
         def failing(tx, chain, config, **kwargs):
             raise ValueError("no link")
 

@@ -4,8 +4,10 @@ Over the legal boxes of the diode, the geometry and the beam (a 2-D beam
 centre; the reverse clamp on and off), the short-circuit current, the string
 I-V curve, its maximum power point and load-line point, and the harvest
 figures are finite, or the call raises one of the package's typed errors.
-The only non-finite value is the documented undefined ratio: a dark string
-(zero short-circuit current) has ``harvest_figures`` Imp/Isc NaN.
+The short-circuit current never exceeds max(I_ph) + I0, above which every
+segment is reverse biased.  The only non-finite value is the documented
+undefined ratio: a dark string (zero short-circuit current) has Imp/Isc NaN,
+from ``harvest_figures`` and from ``imp_isc_ratio`` of its curve alike.
 """
 
 import math
@@ -22,16 +24,16 @@ from sliptsim.ppc import (
     QuadratureError,
     SegmentedDevice,
     SegmentGeometry,
-    UndefinedRatioError,
     dc_operating_point,
     find_mpp,
     harvest_figures,
+    imp_isc_ratio,
     sector_fractions,
     short_circuit_current,
     string_iv,
 )
 
-TYPED_ERRORS = (QuadratureError, BracketError, UndefinedRatioError)
+TYPED_ERRORS = (QuadratureError, BracketError)
 
 
 def log_uniform(lo, hi):
@@ -84,13 +86,15 @@ def test_dc_entry_points_are_finite_or_typed(diode, geometry, beam, clamp, load_
         mpp = find_mpp(curve)
         op = dc_operating_point(curve, load_ohm)
         pmp, ratio = harvest_figures(device, photocurrents)
+        curve_ratio = imp_isc_ratio(curve)
     except TYPED_ERRORS:
         return
     assert finite(fractions, i_sc, curve.voltages_v, curve.currents_a)
     assert finite(mpp.voltage_v, mpp.current_a, op.voltage_v, op.current_a, pmp)
-    assert i_sc >= 0.0
+    i0 = diode.saturation_current_density_a_mm2 * geometry.sector_area_mm2
+    assert 0.0 <= i_sc <= float(np.max(photocurrents)) + i0
     assert curve.short_circuit_current_a() == i_sc
     if i_sc > 0.0:
-        assert math.isfinite(ratio)
+        assert math.isfinite(ratio) and math.isfinite(curve_ratio)
     else:
-        assert math.isnan(ratio)
+        assert math.isnan(ratio) and math.isnan(curve_ratio)
