@@ -446,15 +446,18 @@ _HANDLERS = {
 
 EXPERIMENT_KINDS = tuple(_HANDLERS)
 
-# beam fields a kind would ignore, and so change only the artifact's spec
-# hash: refused as malformed.  The bandwidth sweep reads no beam, the
-# mismatch study scans the offset itself, and the reproductions run the
-# calibrated beams.
+# fields a kind would ignore, and so change only the artifact's spec hash:
+# refused as malformed.  Only iv, link and mismatch run a single preset; the
+# bandwidth sweep reads no beam, the mismatch study scans the offset itself,
+# and the reproductions run the calibrated beams.
 _IGNORED_FIELDS = {
-    "bandwidth-sweep": ("beam_offset_mm", "beam_radius_mm"),
+    "bandwidth-sweep": ("preset", "beam_offset_mm", "beam_radius_mm"),
+    "sweep": ("preset",),
     "mismatch": ("beam_offset_mm",),
-    "reproduce-table1": ("beam_offset_mm", "beam_radius_mm"),
-    "reproduce-fig6": ("beam_offset_mm", "beam_radius_mm"),
+    "safety": ("preset",),
+    "calibrate": ("preset",),
+    "reproduce-table1": ("preset", "beam_offset_mm", "beam_radius_mm"),
+    "reproduce-fig6": ("preset", "beam_offset_mm", "beam_radius_mm"),
 }
 
 

@@ -308,13 +308,44 @@ def snr_crossing_bandwidth(snr: SubcarrierSnr, freqs_hz) -> float:
 # Discrete channel application
 # ---------------------------------------------------------------------------
 
-def _one_pole(samples: np.ndarray, f3db_hz: float, fs_hz: float) -> np.ndarray:
-    """Impulse-invariant discrete single-pole low-pass, unit DC gain."""
-    # imported here: a harvest fit never filters, and scipy.signal is slow to load
-    from scipy.signal import lfilter
+# samples per chunk of the single-pole filter (256 KB of float64, so each
+# doubling pass runs in cache); a pole whose taps outlast it takes longer chunks
+_POLE_CHUNK = 1 << 15
 
+
+def _one_pole(samples: np.ndarray, f3db_hz: float, fs_hz: float) -> np.ndarray:
+    """Impulse-invariant discrete single-pole low-pass, unit DC gain, from
+    zero state: ``y[n] = sum_k (1 - a) a**k x[n - k]``, with
+    ``a = exp(-2 pi f3db / fs)``.
+
+    The recurrence is evaluated by recursive doubling (Kogge & Stone 1973):
+    starting from ``w = (1 - a) x``, the step ``w[s:] += a**s * w[:-s]`` for
+    ``s = 1, 2, 4, ...`` below ``span`` sums the first ``span`` taps.
+    ``span`` is the smallest power of two past which the taps fall below
+    2**-60 of the first (under rounding), or past which no sample of the
+    stream lies.  The stream is filtered in chunks of at least
+    ``_POLE_CHUNK`` samples, each preceded by the ``span - 1`` samples of
+    history its first output reads, so the scratch is one such window and
+    its doubling product: 0.5 MB at GHz corners, never more than the
+    stream's length each as the corner falls to 0.  Equals
+    ``lfilter([1 - a], [1, -a], samples)`` up to rounding.
+    """
     a = math.exp(-2.0 * math.pi * f3db_hz / fs_hz)
-    return lfilter([1.0 - a], [1.0, -a], samples)
+    n = len(samples)
+    span = 1
+    while span < n and a**span >= 2.0**-60:
+        span *= 2
+    chunk = max(_POLE_CHUNK, span)
+    out = np.empty(n)
+    for start in range(0, n, chunk):
+        lo = max(start - (span - 1), 0)
+        w = (1.0 - a) * samples[lo : start + chunk]
+        step = 1
+        while step < span:
+            w[step:] += a**step * w[:-step]
+            step *= 2
+        out[start : start + chunk] = w[start - lo :]
+    return out
 
 
 def _std(samples: np.ndarray, scratch: np.ndarray) -> float:

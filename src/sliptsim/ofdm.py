@@ -14,8 +14,9 @@ routine, so no zero of the oversampled grid is filtered and no output the
 modem does not use is computed.  TX shaping filters the symbol-rate stream
 with each of the ``osf`` tap phases and interleaves the phases into the
 result, which equals zero-stuffing and filtering at the full rate.  The
-receiver locates the preamble by cross-correlation (the link searches only
-the burst header), then filters the ``osf`` polyphase components of the
+receiver locates the preamble by cross-correlation, through the same
+routine with the reversed preamble as its one filter (the link searches
+only the burst header), then filters the ``osf`` polyphase components of the
 received stream into the one oversampling phase its FFT windows read,
 gathers every block's zero-ISI samples into one matrix and runs one FFT
 over it.  Filtering the whole stream at once equals overlap-adding
@@ -36,10 +37,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-# scipy.signal (about half a second to load) is imported by the two
-# functions that convolve with it, not here: a harvest fit imports this
-# module through ``link`` but never modulates.
 
 from .loading import BitLoadingPlan
 from .qam import VALID_ORDERS, qam_demodulate, qam_modulate
@@ -253,9 +250,10 @@ def _polyphase_taps_cached(osf: int, rolloff: float) -> np.ndarray:
     return table
 
 
-# overlap-save blocks transformed per chunk by both RRC filters (TX shaping
-# and the phase-only matched filter): it bounds their working memory (about
-# 2 MB at 4x oversampling) whatever the stream length
+# overlap-save blocks transformed per chunk by every filter of the modem (TX
+# shaping, the matched filter and the preamble correlator): it bounds their
+# working memory (about 2 MB for the RRC at 4x oversampling) whatever the
+# stream length
 _CHUNK_BLOCKS = 64
 
 
@@ -405,13 +403,15 @@ def synchronize(stream, reference) -> int:
     the burst header (preamble, pilot blocks and one block of margin), and
     its check is measured over that fixed window, not over the payload.
     """
-    from scipy.signal import oaconvolve
-
     stream = np.asarray(stream, dtype=float)
     reference = np.asarray(reference, dtype=float)
-    if len(stream) < len(reference):
+    n_ref = len(reference)
+    if len(stream) < n_ref:
         raise ValueError("stream shorter than the reference")
-    corr = oaconvolve(stream, reference[::-1], mode="valid")
+    # lag j correlates stream[j : j + n_ref]: the full convolution with the
+    # reversed reference at j + n_ref - 1, over the lags inside the stream
+    bank = reference[::-1].reshape(1, 1, n_ref)
+    corr = _overlap_save(stream, bank, n_ref - 1, len(stream) - n_ref + 1)[:, 0]
     mag = np.abs(corr)
     peak = int(np.argmax(mag))
     if mag[peak] == 0.0:
@@ -434,13 +434,17 @@ def matched_filter(stream, config: OfdmConfig) -> np.ndarray:
     """Receive RRC (matched to the transmit filter), unit passband gain.
 
     The full-rate reference: every sample of the full convolution, length
-    ``len(stream) + len(taps) - 1``.  The link does not call it:
-    :func:`receive_blocks` filters the one phase it reads.
+    ``len(stream) + len(taps) - 1``, by the modem's overlap-save routine
+    with the taps as its one filter; an empty stream gives an empty output.
+    The link does not call it: :func:`receive_blocks` filters the one phase
+    it reads.
     """
-    from scipy.signal import oaconvolve
-
+    stream = np.asarray(stream, dtype=float)
+    if len(stream) == 0:
+        return np.zeros(0)
     taps = rrc_taps(config) / config.oversampling_factor
-    return oaconvolve(np.asarray(stream, dtype=float), taps)
+    count = len(stream) + len(taps) - 1
+    return _overlap_save(stream, taps.reshape(1, 1, -1), 0, count)[:, 0]
 
 
 def _matched_filter_phase(

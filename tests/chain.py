@@ -9,10 +9,10 @@ import math
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.signal import lfilter
 from scipy.special import erfc
 
 from sliptsim.calibrate import CalibrationTargets
+from sliptsim.link import _one_pole
 from sliptsim.loading import BitLoadingPlan
 from sliptsim.ofdm import (
     OfdmConfig,
@@ -420,6 +420,9 @@ def reference_channel(
     numerically constant stream passes unchanged), drive scaling, the
     transmitter's clipped L-I line, AC coupling,
     responsivity, the single-pole RC corner, the AC load and Gaussian noise.
+    The single-pole step is the production filter: this reference checks
+    the order of the channel's in-place steps, and the filter is checked
+    against ``lfilter`` on its own.
     Returns (received samples, fraction of samples outside the optical
     window).
     """
@@ -436,8 +439,7 @@ def reference_channel(
     clipped = float(np.mean((p < lo) | (p > hi)))
     optical = np.clip(p, lo, hi)
     i_ac = chain.beam.responsivity_a_w * mean_fraction * (optical - optical.mean())
-    a = math.exp(-2.0 * math.pi * chain.f3db_hz() / config.sample_rate_hz)
-    v_sig = lfilter([1.0 - a], [1.0, -a], i_ac) * chain.ac_load_ohm
+    v_sig = _one_pole(i_ac, chain.f3db_hz(), config.sample_rate_hz) * chain.ac_load_ohm
     psd = chain.noise.current_psd(chain.ac_load_ohm, operating_current_a)
     sigma_thermal = math.sqrt(psd * config.sample_rate_hz / 2.0) * chain.ac_load_ohm
     sigma_q = chain.noise.quantization_sigma(float(v_sig.std()))

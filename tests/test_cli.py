@@ -211,20 +211,35 @@ class TestCommands:
         ).read_bytes()
 
 
-def test_fit_and_cli_imports_leave_out_the_signal_stack():
-    # scipy.signal, with the scipy.stats it loads, is about half a second of
-    # every fresh `sliptsim calibrate`; only the modem calls it
+def test_fit_and_cli_imports_leave_out_the_signal_stack(tmp_path):
+    # loading scipy.signal, with the scipy.stats it pulls in, costs about
+    # 0.8 s CPU of every fresh process; the modem filters with numpy alone
     src = str(Path(cli.__file__).resolve().parents[1])
-    probe = (
-        "import sys, sliptsim.calibrate, sliptsim.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))"
-    )
+    probe = "\n".join([
+        "import sys, warnings",
+        "import sliptsim.calibrate, sliptsim.cli",
+        "from sliptsim.link import run_link",
+        "from sliptsim.ofdm import OfdmConfig",
+        "from sliptsim.presets import default_receiver, default_transmitter",
+        "def signal_stack():",
+        "    return sorted(m for m in sys.modules",
+        "                  if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats']))",
+        "loaded = [signal_stack()]",
+        "warnings.simplefilter('ignore')  # one frame is too few for the SNR estimate",
+        "run_link(default_transmitter(), default_receiver('S2'), OfdmConfig(),",
+        "         n_pilot_frames=1, n_measurement_frames=1, n_payload_frames=1)",
+        "loaded.append(signal_stack())",
+        "assert sliptsim.cli.main(['link', '--preset', 'S2', '--out', sys.argv[1]]) == 0",
+        "loaded.append(signal_stack())",
+        "print(loaded)",
+    ])
     done = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
-        check=True, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", probe, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src},
+        check=True, capture_output=True, text=True, timeout=300,
     )
-    assert done.stdout.strip() == "[]"
+    # after the imports, after run_link and after `sliptsim link`
+    assert done.stdout.splitlines()[-1] == "[[], [], []]"
 
 
 def test_command_table_parser_and_handlers_agree(capsys):
@@ -350,16 +365,25 @@ class TestExitCodes:
         {"kind": "reproduce-fig6", "beam_radius_mm": 0.5},
         {"kind": "bandwidth-sweep", "beam_offset_mm": 0.3},
         {"kind": "bandwidth-sweep", "beam_radius_mm": 0.5},
+        # a single preset where the kind runs none or a list
+        {"kind": "safety", "preset": "S2"},
+        {"kind": "bandwidth-sweep", "preset": "S2"},
+        {"kind": "sweep", "preset": "S2"},
+        {"kind": "calibrate", "preset": "S2"},
+        {"kind": "reproduce-table1", "preset": "S2"},
+        {"kind": "reproduce-fig6", "preset": "S2"},
     ], ids=["seed", "seed-float", "seed-bool", "seed-string", "out_dir", "points",
             "points-negative", "points-float", "distance_mm", "beam_offset_mm", "presets",
             "mismatch-beam_offset_mm", "table1-beam_offset_mm", "fig6-beam_radius_mm",
-            "bandwidth-beam_offset_mm", "bandwidth-beam_radius_mm"])
+            "bandwidth-beam_offset_mm", "bandwidth-beam_radius_mm", "safety-preset",
+            "bandwidth-preset", "sweep-preset", "calibrate-preset", "table1-preset",
+            "fig6-preset"])
     def test_malformed_spec_field_is_spec_error(self, tmp_path, capsys, spec):
-        # whether dispatch or a handler reads the field
+        # the malformed field is the last one given; dispatch or a handler reads it
         path = write_spec(tmp_path, {**spec, "out_dir": spec.get("out_dir", str(tmp_path / "o"))})
         assert main(["--config", path]) == 2
         err = capsys.readouterr().err
-        field = next(k for k in spec if k not in ("kind", "preset"))
+        field = list(spec)[-1]
         assert err.startswith("spec error:") and repr(field) in err
         assert not any((tmp_path / "o").glob("*"))
 

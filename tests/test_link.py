@@ -4,14 +4,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from chain import reference_channel
+from sliptsim.calibrate import calibrated_receiver
 from sliptsim.link import (
+    _POLE_CHUNK,
     NoiseModel,
     TransmitterModel,
     _apply_channel,
     _build_stream,
     _header_length,
+    _one_pole,
     _run_burst,
     _std,
     channel_response,
@@ -38,7 +42,9 @@ from sliptsim.ppc import (
     sector_fractions,
     string_iv,
 )
-from sliptsim.presets import default_beam, default_receiver, default_transmitter
+from sliptsim.presets import (
+    PRESET_NAMES, default_beam, default_receiver, default_transmitter,
+)
 
 QUIET = NoiseModel(include_thermal=False, include_shot=False, quantization_snr_db=None)
 
@@ -306,6 +312,70 @@ def s2_channel_inputs(tx):
     return chain, float(fractions.mean()), op.current_a
 
 
+class TestOnePole:
+    """The recursive-doubling pole equals ``lfilter``'s recurrence to within
+    8 eps of the output's largest sample."""
+
+    FS = OfdmConfig().sample_rate_hz
+
+    def assert_matches_lfilter(self, x, f3db_hz):
+        a = math.exp(-2.0 * math.pi * f3db_hz / self.FS)
+        ref = lfilter([1.0 - a], [1.0, -a], x)
+        y = _one_pole(x, f3db_hz, self.FS)
+        assert y.shape == ref.shape
+        err = np.abs(y - ref).max(initial=0.0)
+        assert err <= 8 * np.finfo(float).eps * np.abs(ref).max(initial=0.0)
+
+    def test_calibrated_presets(self, calibration):
+        # three full chunks and a partial one
+        x = np.random.default_rng(5).normal(size=3 * _POLE_CHUNK + 12_345)
+        for name in PRESET_NAMES:
+            self.assert_matches_lfilter(x, calibrated_receiver(calibration, name).f3db_hz())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_pole_and_length(self, seed):
+        rng = np.random.default_rng(seed)
+        # a from 0.994 (a span of 8192 taps) down to 5e-28
+        f3db_hz = self.FS * 10.0 ** rng.uniform(-3.0, 1.0)
+        self.assert_matches_lfilter(rng.normal(size=rng.integers(1, 100_000)), f3db_hz)
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 63, 64, 65])
+    def test_streams_shorter_than_the_history(self, n):
+        # a 0.9 GHz pole (S2's is 0.83 GHz) sums 64 taps
+        self.assert_matches_lfilter(np.random.default_rng(n).normal(size=n), 0.9e9)
+
+    def test_the_stream_length_caps_the_span(self):
+        # 8192 taps reach 2**-60; the 4096-sample stream holds fewer
+        self.assert_matches_lfilter(np.random.default_rng(1).normal(size=4096), 1e-3 * self.FS)
+
+    def test_a_pole_far_above_the_sample_rate_passes_the_stream(self):
+        x = np.random.default_rng(2).normal(size=1000)
+        assert math.exp(-2.0 * math.pi * 1e3) == 0.0
+        assert np.array_equal(_one_pole(x, 1e3 * self.FS, self.FS), x)
+
+    @pytest.mark.parametrize(
+        "f3db_hz, bound",
+        [
+            # S2's corner: the output plus a chunk and its doubling product
+            # (1.06x measured)
+            (0.83e9, 1.1),
+            # 2**33 taps to reach 2**-60, capped at the stream's length: the
+            # output, one stream-length chunk and its product (3.0x measured)
+            (7.68, 3.1),
+        ],
+    )
+    def test_scratch_is_bounded(self, f3db_hz, bound):
+        x = np.random.default_rng(3).normal(size=1 << 20)
+        tracemalloc.start()
+        try:
+            y = _one_pole(x, f3db_hz, self.FS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(y))
+        assert peak <= bound * x.nbytes
+
+
 class TestChannelOracle:
     """The in-place channel equals the step-by-step reference bit for bit."""
 
@@ -361,8 +431,6 @@ class TestChannelOracle:
         tx = default_transmitter()
         chain, mean_fraction, current = s2_channel_inputs(tx)
         rng = np.random.default_rng(3)
-        # scipy.signal is already loaded (by the reference channel), so its
-        # import inside the channel allocates nothing here
         tracemalloc.start()
         try:
             rx, _ = _apply_channel(stream, tx, chain, config, mean_fraction, current, rng)

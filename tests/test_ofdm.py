@@ -486,6 +486,8 @@ class TestBatchedWaveform:
         shaped = assemble_frame(np.zeros((0, CFG.data_subcarriers), dtype=complex), CFG)
         assert shaped.shape == (0,)
         assert shaped.dtype == np.float64
+        # and the full-rate matched filter gives it back empty, as fftconvolve does
+        assert matched_filter(shaped, CFG).shape == (0,)
 
     def test_assemble_frame_memory_is_bounded(self, rng):
         """Shaping a 1000-frame stack allocates at most 1.5x the shaped
