@@ -2,12 +2,18 @@
 eye-safety checks and table/figure reproduction, all emitting deterministic
 CSV artifacts.
 
+One table, ``_FIELDS``, declares each experiment kind's spec fields: name,
+default, converter and flag type. A spec key that is neither a field of its
+kind nor a global one (``kind``, ``schema_version``, ``seed``, ``out_dir``)
+is refused, and each subcommand's flags are its kinds' fields.
+
 Every artifact starts with a comment line carrying the schema version, the
-experiment kind, a hash of the effective parameters and the seed, so two
-invocations with the same inputs produce byte-identical files.
+experiment kind, a hash of the resolved fields (every field of the kind,
+defaults filled in) and the seed, so two invocations that run the same job
+produce byte-identical files.
 
 Exit codes: 0 success, 1 run error, 2 malformed spec or arguments (an
-unknown kind or preset, a named file that does not exist).
+unknown kind, field or preset, a named file that does not exist).
 """
 
 from __future__ import annotations
@@ -20,18 +26,12 @@ import sys
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .calibrate import (
-    CalibrationError,
-    CalibrationResult,
-    UnderdeterminedError,
-    calibrate,
-    calibrated_receiver,
-    measured_targets,
-)
+from .calibrate import CalibrationResult, calibrate, calibrated_receiver, measured_targets
 from .io import iv_curve_to_csv, plan_to_csv, spec_hash, write_csv
 from .link import BER_TARGET, LinkReport, ReceiverChain, mismatch_study, sweep
 from .ppc import find_mpp, harvest_figures, sector_fractions, string_iv
@@ -96,20 +96,23 @@ def load_spec(path_str: str) -> dict:
 
 
 def _spec_field(spec: dict, key: str, default, convert):
-    """``convert`` of the spec's ``key`` (``default`` when absent); a value
+    """``convert`` of the spec's ``key`` (``default`` when absent); a field
+    whose default is None stays None when absent or null.  A value
     ``convert`` refuses is a malformed spec, wherever the field is read."""
     value = spec.get(key, default)
+    if value is None and default is None:
+        return None
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"field {key!r}: {exc}") from exc
 
 
-def _number(value):
-    """A JSON number (int or float, not bool), returned unchanged."""
+def _number(value) -> float:
+    """A JSON number (int or float, not bool), as a float."""
     if type(value) not in (int, float):
         raise TypeError(f"expected a number, got {value!r}")
-    return value
+    return float(value)
 
 
 def _integer(value) -> int:
@@ -127,73 +130,129 @@ def _count(value) -> int:
     return count
 
 
-def _spec_number(spec: dict, key: str, default):
-    return _spec_field(spec, key, default, _number)
-
-
-def _header(kind: str, payload: dict, seed) -> list[str]:
-    return [
-        f"sliptsim v{__version__} schema_version={SCHEMA_VERSION} kind={kind} "
-        f"spec_sha256={spec_hash(payload)} seed={seed}"
-    ]
-
-
-def _load_calibration(spec: dict) -> CalibrationResult:
-    """The fit named by the spec's ``calibration`` field, or else the bundled
-    fit of the seven measured presets (``data/calibration.json``)."""
-    path = _spec_field(spec, "calibration", None, lambda v: Path(v) if v else None)
-    if path is None:
-        path = resources.files("sliptsim").joinpath("data/calibration.json")
-    elif not path.exists():
-        raise SpecError(f"calibration file not found: {path}")
-    return CalibrationResult.load(path)
-
-
-def _receivers(spec: dict, names) -> list[tuple[str, ReceiverChain]]:
-    """(name, chain) per preset: its chain under the spec's calibration, with
-    the spec's beam offset and radius applied on top."""
-    calibration = _load_calibration(spec)
-    beam = {}
-    if "beam_offset_mm" in spec:
-        beam["center_mm"] = (_spec_number(spec, "beam_offset_mm", None), 0.0)
-    if "beam_radius_mm" in spec:
-        beam["beam_radius_mm"] = _spec_number(spec, "beam_radius_mm", None)
-    chains = []
-    for name in names:
-        chain = calibrated_receiver(calibration, name)
-        chains.append((name, replace(chain, beam=replace(chain.beam, **beam))))
-    return chains
-
-
 def _preset_name(value) -> str:
-    """Upper-cased name of a bundled preset; anything else is a spec error."""
+    """Upper-cased name of a bundled preset."""
     name = str(value).upper()
     if name not in PRESET_NAMES:
-        raise SpecError(
+        raise ValueError(
             f"unknown preset {value!r}; expected one of {', '.join(PRESET_NAMES)}"
         )
     return name
 
 
-def _spec_presets(spec: dict) -> list[str]:
-    presets = spec.get("presets", list(PRESET_NAMES))
-    if isinstance(presets, str):
-        presets = [p for p in presets.split(",") if p]
-    if not isinstance(presets, list):
-        raise SpecError(f"field 'presets': expected a list or a string, got {presets!r}")
-    return [_preset_name(p) for p in presets]
+def _preset_list(value) -> list[str]:
+    """A list of preset names, or one comma-separated string of them."""
+    if isinstance(value, str):
+        value = [p for p in value.split(",") if p]
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list or a string, got {value!r}")
+    return [_preset_name(p) for p in value]
 
 
-def _preset_chain(spec: dict) -> tuple[str, ReceiverChain]:
-    """The spec's single preset (default L6) and its receiver chain."""
-    return _receivers(spec, [_preset_name(spec.get("preset", "L6"))])[0]
+def _fit_file(value) -> str | None:
+    """Path of a fit file that exists, as given; "" names the bundled fit."""
+    if type(value) is not str:
+        raise TypeError(f"expected a path, got {value!r}")
+    if value and not Path(value).is_file():
+        raise ValueError(f"calibration file not found: {value}")
+    return value or None
 
 
-def _run_links(spec: dict, entries, seed: int) -> list[LinkReport]:
-    """One link report per (label, chain) entry, entry i run with seed
-    ``seed + i``; a failed entry's report carries its error."""
-    ber_target = _spec_number(spec, "ber_target", BER_TARGET)
-    return sweep(entries, default_transmitter(), default_modem(), ber_target=ber_target, seed=seed)
+class _Field(NamedTuple):
+    """One spec field of a kind.  ``default`` stands in for an absent value
+    (and, when it is None, for null); ``flag_type`` parses the subcommand's
+    ``--name-with-dashes`` flag, None where a global flag sets the field."""
+
+    name: str
+    default: object
+    convert: Callable
+    flag_type: type | None
+    help: str | None = None
+
+
+_PRESET = _Field("preset", "L6", _preset_name, None)
+_PRESET_LIST = _Field("presets", list(PRESET_NAMES), _preset_list, str,
+                      "comma-separated preset list (default: all)")
+# the fit every preset chain is built from; None is the bundled seven-preset
+# fit (data/calibration.json)
+_FIT = _Field("calibration", None, _fit_file, str,
+              "calibration.json to run (default: the bundled fit)")
+# set on top of the calibrated beam; None keeps the calibrated value
+_BEAM_OFFSET = _Field("beam_offset_mm", None, _number, float)
+_BEAM_RADIUS = _Field("beam_radius_mm", None, _number, float)
+_BER = _Field("ber_target", BER_TARGET, _number, float)
+
+# experiment kind -> its spec fields.  Only iv, link and mismatch run a
+# single preset; the bandwidth sweep reads no beam, the mismatch study scans
+# the offset itself, and the reproductions run the calibrated beams.
+_FIELDS = {
+    "iv": (_PRESET, _FIT, _BEAM_OFFSET, _BEAM_RADIUS,
+           _Field("power_w", default_transmitter().emitted_power_w, _number, float)),
+    "bandwidth-sweep": (_FIT, _PRESET_LIST),
+    "link": (_PRESET, _FIT, _BEAM_OFFSET, _BEAM_RADIUS, _BER),
+    "sweep": (_FIT, _PRESET_LIST, _BEAM_OFFSET, _BEAM_RADIUS, _BER),
+    "mismatch": (_PRESET, _FIT, _BEAM_RADIUS,
+                 # None scans to 0.45 of the preset's cell diameter
+                 _Field("max_offset_mm", None, _number, float),
+                 _Field("points", 20, _count, int)),
+    "safety": (
+        # 850 nm, not the link's 847 nm (constants.DEFAULT_WAVELENGTH_NM):
+        # the documented eye-safety scenario and its margin are at 850 nm
+        _Field("wavelength_nm", 850.0, _number, float),
+        _Field("source_diameter_mm", 35.0, _number, float),
+        _Field("distance_mm", 100.0, _number, float),
+        _Field("exposure_time_s", 30000.0, _number, float),
+        _Field("received_power_w", 80e-6, _number, float),
+        _Field("pupil_radius_mm", 3.5, _number, float),
+    ),
+    "calibrate": (),
+    "reproduce-table1": (_FIT,),
+    "reproduce-fig6": (_FIT, _BER),
+}
+
+EXPERIMENT_KINDS = tuple(_FIELDS)
+
+# spec keys every kind accepts; none of them enters the spec hash (the
+# header carries the seed, and the output directory does not change the job)
+_GLOBAL_KEYS = ("kind", "schema_version", "seed", "out_dir")
+
+
+def _resolve(spec: dict) -> dict:
+    """The kind and every field of the spec's kind, converted or defaulted;
+    a key that is neither a field of the kind nor a global one is refused."""
+    kind = spec["kind"]
+    fields = _FIELDS[kind]
+    names = [f.name for f in fields]
+    for key in spec:
+        if key not in names and key not in _GLOBAL_KEYS:
+            raise SpecError(f"field {key!r} is not used by kind {kind!r}")
+    return {"kind": kind, **{
+        f.name: _spec_field(spec, f.name, f.default, f.convert) for f in fields
+    }}
+
+
+def _header(run: dict, seed: int) -> list[str]:
+    return [
+        f"sliptsim v{__version__} schema_version={SCHEMA_VERSION} kind={run['kind']} "
+        f"spec_sha256={spec_hash(run)} seed={seed}"
+    ]
+
+
+def _receivers(run: dict, names) -> list[tuple[str, ReceiverChain]]:
+    """(name, chain) per preset: its chain under the run's calibration, with
+    the run's beam offset and radius, where set, applied on top."""
+    fit = run["calibration"] or resources.files("sliptsim").joinpath("data/calibration.json")
+    calibration = CalibrationResult.load(fit)
+    beam = {}
+    if run.get("beam_offset_mm") is not None:
+        beam["center_mm"] = (run["beam_offset_mm"], 0.0)
+    if run.get("beam_radius_mm") is not None:
+        beam["beam_radius_mm"] = run["beam_radius_mm"]
+    chains = []
+    for name in names:
+        chain = calibrated_receiver(calibration, name)
+        chains.append((name, replace(chain, beam=replace(chain.beam, **beam))))
+    return chains
 
 
 def _raise_failures(reports) -> None:
@@ -207,15 +266,13 @@ def _raise_failures(reports) -> None:
 # Handlers (one per experiment kind)
 # ---------------------------------------------------------------------------
 
-def _handle_iv(spec: dict, out_dir: Path, seed: int) -> None:
-    name, chain = _preset_chain(spec)
-    power_w = _spec_number(spec, "power_w", default_transmitter().emitted_power_w)
-    beam = replace(chain.beam, total_power_w=power_w)
+def _handle_iv(run: dict, out_dir: Path, seed: int) -> None:
+    [(name, chain)] = _receivers(run, [run["preset"]])
+    beam = replace(chain.beam, total_power_w=run["power_w"])
     fractions = sector_fractions(chain.device.geometry, beam)
     photocurrents = beam.responsivity_a_w * beam.total_power_w * fractions
     curve = string_iv(chain.device, photocurrents)
-    header = _header("iv", {**spec, "preset": name}, seed)
-    iv_curve_to_csv(curve, out_dir / "iv.csv", header_comments=header)
+    iv_curve_to_csv(curve, out_dir / "iv.csv", header_comments=_header(run, seed))
     mpp = find_mpp(curve)
     print(
         f"{name}: Voc {curve.voltages_v[-1]:.4f} V, "
@@ -224,25 +281,18 @@ def _handle_iv(spec: dict, out_dir: Path, seed: int) -> None:
     )
 
 
-def _handle_bandwidth(spec: dict, out_dir: Path, seed: int) -> None:
-    rows = []
-    for name, chain in _receivers(spec, _spec_presets(spec)):
-        rows.append(
-            (
-                name,
-                chain.device.n_segments,
-                JUNCTION_AREA_MM2[name],
-                chain.string_capacitance_f(),
-                chain.f3db_hz(),
-                MEASURED_BANDWIDTH_HZ.get(name, math.nan),
-            )
-        )
+def _handle_bandwidth(run: dict, out_dir: Path, seed: int) -> None:
+    rows = [
+        (name, chain.device.n_segments, JUNCTION_AREA_MM2[name], chain.string_capacitance_f(),
+         chain.f3db_hz(), MEASURED_BANDWIDTH_HZ.get(name, math.nan))
+        for name, chain in _receivers(run, run["presets"])
+    ]
     write_csv(
         out_dir / "bandwidth.csv",
         ["preset", "n_segments", "junction_area_mm2", "string_capacitance_f",
          "f3db_hz", "measured_bandwidth_hz"],
         rows,
-        header_comments=_header("bandwidth-sweep", spec, seed),
+        header_comments=_header(run, seed),
     )
     print(f"{len(rows)} configurations -> {out_dir / 'bandwidth.csv'}")
 
@@ -270,22 +320,22 @@ def _emit_link_artifacts(report, out_dir: Path, header, suffix: str = "") -> Non
         plan_to_csv(report.plan, out_dir / f"loading{suffix}.csv", header_comments=header)
 
 
-def _handle_link(spec: dict, out_dir: Path, seed: int) -> None:
-    [report] = _run_links(spec, [_preset_chain(spec)], seed)
+def _handle_link(run: dict, out_dir: Path, seed: int) -> None:
+    [report] = sweep(_receivers(run, [run["preset"]]), default_transmitter(), default_modem(),
+                     ber_target=run["ber_target"], seed=seed)
     _raise_failures([report])
-    name = report.device_id
-    _emit_link_artifacts(report, out_dir, _header("link", {**spec, "preset": name}, seed))
+    _emit_link_artifacts(report, out_dir, _header(run, seed))
     print(
-        f"{name}: rate {report.data_rate_bps / 1e9:.3f} Gbps, "
+        f"{report.device_id}: rate {report.data_rate_bps / 1e9:.3f} Gbps, "
         f"BER {report.ber:.3e}, f3dB {report.f3db_hz / 1e9:.3f} GHz "
         f"-> {out_dir / 'report.csv'}"
     )
 
 
-def _handle_sweep(spec: dict, out_dir: Path, seed: int) -> None:
-    names = _spec_presets(spec)
-    reports = _run_links(spec, _receivers(spec, names), seed)
-    header = _header("sweep", {**spec, "presets": names}, seed)
+def _handle_sweep(run: dict, out_dir: Path, seed: int) -> None:
+    reports = sweep(_receivers(run, run["presets"]), default_transmitter(), default_modem(),
+                    ber_target=run["ber_target"], seed=seed)
+    header = _header(run, seed)
     write_csv(
         out_dir / "report.csv",
         LinkReport.CSV_COLUMNS,
@@ -300,31 +350,30 @@ def _handle_sweep(spec: dict, out_dir: Path, seed: int) -> None:
     _raise_failures(reports)
 
 
-def _handle_mismatch(spec: dict, out_dir: Path, seed: int) -> None:
-    name, chain = _preset_chain(spec)
-    max_offset = _spec_number(
-        spec, "max_offset_mm", 0.45 * chain.device.geometry.cell_diameter_mm
-    )
-    n_points = _spec_field(spec, "points", 20, _count)
-    offsets = np.linspace(0.0, max_offset, n_points)
+def _handle_mismatch(run: dict, out_dir: Path, seed: int) -> None:
+    [(name, chain)] = _receivers(run, [run["preset"]])
+    max_offset = run["max_offset_mm"]
+    if max_offset is None:
+        max_offset = 0.45 * chain.device.geometry.cell_diameter_mm
+    offsets = np.linspace(0.0, max_offset, run["points"])
     rows = mismatch_study(chain.device, chain.beam, offsets)
     write_csv(
         out_dir / "mismatch.csv",
         ["offset_mm", "imp_isc", "pmp_w"],
         rows,
-        header_comments=_header("mismatch", {**spec, "preset": name}, seed),
+        header_comments=_header(run, seed),
     )
-    print(f"{name}: {n_points} offsets -> {out_dir / 'mismatch.csv'}")
+    print(f"{name}: {run['points']} offsets -> {out_dir / 'mismatch.csv'}")
 
 
-def _handle_safety(spec: dict, out_dir: Path, seed: int) -> None:
+def _handle_safety(run: dict, out_dir: Path, seed: int) -> None:
     scenario = SafetyScenario(
-        wavelength_nm=_spec_number(spec, "wavelength_nm", 850.0),
-        source_diameter_mm=_spec_number(spec, "source_diameter_mm", 35.0),
-        evaluation_distance_mm=_spec_number(spec, "distance_mm", 100.0),
-        exposure_time_s=_spec_number(spec, "exposure_time_s", 30000.0),
-        received_power_w=_spec_number(spec, "received_power_w", 80e-6),
-        pupil_radius_mm=_spec_number(spec, "pupil_radius_mm", 3.5),
+        wavelength_nm=run["wavelength_nm"],
+        source_diameter_mm=run["source_diameter_mm"],
+        evaluation_distance_mm=run["distance_mm"],
+        exposure_time_s=run["exposure_time_s"],
+        received_power_w=run["received_power_w"],
+        pupil_radius_mm=run["pupil_radius_mm"],
     )
     report = assess(scenario)
     write_csv(
@@ -340,7 +389,7 @@ def _handle_safety(spec: dict, out_dir: Path, seed: int) -> None:
             report.c4, report.c6, report.mpe_w_m2, report.irradiance_w_m2,
             report.safety_margin, report.verdict,
         )],
-        header_comments=_header("safety", spec, seed),
+        header_comments=_header(run, seed),
     )
     print(
         f"{report.verdict}: margin {report.safety_margin:.4g} "
@@ -349,24 +398,19 @@ def _handle_safety(spec: dict, out_dir: Path, seed: int) -> None:
     )
 
 
-def _handle_calibrate(spec: dict, out_dir: Path, seed: int) -> None:
+def _handle_calibrate(run: dict, out_dir: Path, seed: int) -> None:
     result = calibrate(measured_targets())
     result.save(out_dir / "calibration.json")
-    rows = []
-    for name in PRESET_NAMES:
-        rows.append(
-            (
-                name,
-                result.bandwidth_residuals.get(name, math.nan),
-                result.pmp_residuals.get(name, math.nan),
-                result.imp_isc_residuals.get(name, math.nan),
-            )
-        )
+    rows = [
+        (name, result.bandwidth_residuals.get(name, math.nan),
+         result.pmp_residuals.get(name, math.nan), result.imp_isc_residuals.get(name, math.nan))
+        for name in PRESET_NAMES
+    ]
     write_csv(
         out_dir / "calibration_residuals.csv",
         ["preset", "bandwidth_residual", "pmp_residual", "imp_isc_residual"],
         rows,
-        header_comments=_header("calibrate", spec, seed),
+        header_comments=_header(run, seed),
     )
     print(
         f"calibrated (max residual {result.max_residual():.1%}) "
@@ -374,9 +418,9 @@ def _handle_calibrate(spec: dict, out_dir: Path, seed: int) -> None:
     )
 
 
-def _handle_reproduce_table1(spec: dict, out_dir: Path, seed: int) -> None:
+def _handle_reproduce_table1(run: dict, out_dir: Path, seed: int) -> None:
     rows = []
-    for name, chain in _receivers(spec, PRESET_NAMES):
+    for name, chain in _receivers(run, PRESET_NAMES):
         beam = chain.beam
         pmp_sim, ratio_sim = harvest_figures(
             chain.device,
@@ -387,22 +431,12 @@ def _handle_reproduce_table1(spec: dict, out_dir: Path, seed: int) -> None:
         ratio_measured = MEASURED_IMP_ISC[name]
         f3_sim = chain.f3db_hz()
         bw_measured = MEASURED_BANDWIDTH_HZ[name]
-        rows.append(
-            (
-                name,
-                chain.device.n_segments,
-                JUNCTION_AREA_MM2[name],
-                pmp_sim,
-                pmp_measured,
-                (pmp_sim - pmp_measured) / pmp_measured,
-                ratio_sim,
-                ratio_measured,
-                (ratio_sim - ratio_measured) / ratio_measured,
-                f3_sim,
-                bw_measured,
-                (f3_sim - bw_measured) / bw_measured,
-            )
-        )
+        rows.append((
+            name, chain.device.n_segments, JUNCTION_AREA_MM2[name],
+            pmp_sim, pmp_measured, (pmp_sim - pmp_measured) / pmp_measured,
+            ratio_sim, ratio_measured, (ratio_sim - ratio_measured) / ratio_measured,
+            f3_sim, bw_measured, (f3_sim - bw_measured) / bw_measured,
+        ))
     write_csv(
         out_dir / "table1.csv",
         ["preset", "n_segments", "junction_area_mm2",
@@ -410,13 +444,14 @@ def _handle_reproduce_table1(spec: dict, out_dir: Path, seed: int) -> None:
          "imp_isc_sim", "imp_isc_measured", "imp_isc_residual",
          "f3db_sim_hz", "bandwidth_measured_hz", "bandwidth_residual"],
         rows,
-        header_comments=_header("reproduce-table1", spec, seed),
+        header_comments=_header(run, seed),
     )
     print(f"{len(rows)} rows -> {out_dir / 'table1.csv'}")
 
 
-def _handle_reproduce_fig6(spec: dict, out_dir: Path, seed: int) -> None:
-    reports = _run_links(spec, _receivers(spec, PRESET_NAMES), seed)
+def _handle_reproduce_fig6(run: dict, out_dir: Path, seed: int) -> None:
+    reports = sweep(_receivers(run, PRESET_NAMES), default_transmitter(), default_modem(),
+                    ber_target=run["ber_target"], seed=seed)
     _raise_failures(reports)
     rows = [
         (r.device_id, JUNCTION_AREA_MM2[r.device_id], r.data_rate_bps,
@@ -427,7 +462,7 @@ def _handle_reproduce_fig6(spec: dict, out_dir: Path, seed: int) -> None:
         out_dir / "fig6.csv",
         ["preset", "junction_area_mm2", "data_rate_bps", "measured_data_rate_bps"],
         rows,
-        header_comments=_header("reproduce-fig6", spec, seed),
+        header_comments=_header(run, seed),
     )
     print(f"{len(rows)} points -> {out_dir / 'fig6.csv'}")
 
@@ -444,37 +479,19 @@ _HANDLERS = {
     "reproduce-fig6": _handle_reproduce_fig6,
 }
 
-EXPERIMENT_KINDS = tuple(_HANDLERS)
-
-# fields a kind would ignore, and so change only the artifact's spec hash:
-# refused as malformed.  Only iv, link and mismatch run a single preset; the
-# bandwidth sweep reads no beam, the mismatch study scans the offset itself,
-# and the reproductions run the calibrated beams.
-_IGNORED_FIELDS = {
-    "bandwidth-sweep": ("preset", "beam_offset_mm", "beam_radius_mm"),
-    "sweep": ("preset",),
-    "mismatch": ("beam_offset_mm",),
-    "safety": ("preset",),
-    "calibrate": ("preset",),
-    "reproduce-table1": ("preset", "beam_offset_mm", "beam_radius_mm"),
-    "reproduce-fig6": ("preset", "beam_offset_mm", "beam_radius_mm"),
-}
 
 
-def _dispatch(spec: dict, out_dir, seed) -> int:
-    kind = spec["kind"]
+def _dispatch(spec: dict) -> int:
     try:
-        for key in _IGNORED_FIELDS.get(kind, ()):
-            if key in spec:
-                raise SpecError(f"field {key!r} is not used by kind {kind!r}")
-        out = Path(out_dir) if out_dir is not None else _spec_field(spec, "out_dir", "out", Path)
-        effective_seed = seed if seed is not None else _spec_field(spec, "seed", 0, _integer)
+        run = _resolve(spec)
+        out = _spec_field(spec, "out_dir", "out", Path)
+        seed = _spec_field(spec, "seed", 0, _integer)
         out.mkdir(parents=True, exist_ok=True)
-        _HANDLERS[kind](spec, out, effective_seed)
+        _HANDLERS[run["kind"]](run, out, seed)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
-    except (CalibrationError, UnderdeterminedError, RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -484,37 +501,24 @@ def _dispatch(spec: dict, out_dir, seed) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-# parsed values that are not spec fields; every other flag overrides the
-# spec field of its destination name
-_RUN_ARGUMENTS = ("command", "target", "config", "out", "seed")
-
-_CALIBRATION = ("--calibration", str, "calibration.json to run (default: the bundled fit)")
-_PRESETS = ("--presets", str, "comma-separated preset list (default: all)")
-_BER_TARGET = ("--ber-target", float, None)
-
-# subcommand -> (experiment kind, the subcommand's own flags as (flag, type,
-# help)); `reproduce <target>` runs the kind "reproduce-<target>"
+# subcommand -> the experiment kinds it runs; `reproduce <target>` runs the
+# kind "reproduce-<target>".  A subcommand's flags are its kinds' fields.
 _COMMANDS = {
-    "iv": ("iv", (_CALIBRATION,)),
-    "link": ("link", (_CALIBRATION, _BER_TARGET)),
-    "mismatch": ("mismatch", (
-        _CALIBRATION, ("--max-offset-mm", float, None), ("--points", int, None),
-    )),
-    "bandwidth": ("bandwidth-sweep", (_CALIBRATION, _PRESETS)),
-    "sweep": ("sweep", (_CALIBRATION, _PRESETS, _BER_TARGET)),
-    "safety": ("safety", tuple(
-        (flag, float, None)
-        for flag in ("--wavelength-nm", "--source-diameter-mm", "--distance-mm",
-                     "--exposure-time-s", "--received-power-w", "--pupil-radius-mm")
-    )),
-    "calibrate": ("calibrate", ()),
-    "reproduce": ("reproduce", (_CALIBRATION,)),
+    "iv": ("iv",),
+    "link": ("link",),
+    "mismatch": ("mismatch",),
+    "bandwidth": ("bandwidth-sweep",),
+    "sweep": ("sweep",),
+    "safety": ("safety",),
+    "calibrate": ("calibrate",),
+    "reproduce": ("reproduce-table1", "reproduce-fig6"),
 }
 
 
 def _add_global_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="experiment spec file (JSON)")
-    parser.add_argument("--out", help="output directory (default: out)")
+    parser.add_argument("--out", dest="out_dir", metavar="OUT",
+                        help="output directory (default: out)")
     parser.add_argument("--seed", type=int, help="run seed (default: 0)")
     parser.add_argument("--preset", help="device preset, e.g. L6")
 
@@ -531,52 +535,47 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     _add_global_flags(common)
     sub = parser.add_subparsers(dest="command")
-    for command, (kind, flags) in _COMMANDS.items():
+    for command, kinds in _COMMANDS.items():
         p = sub.add_parser(command, parents=[common])
-        if command == "reproduce":
-            targets = [k.removeprefix(f"{kind}-") for k in _HANDLERS if k.startswith(f"{kind}-")]
-            p.add_argument("target", choices=targets)
-        for flag, type_, help_ in flags:
-            p.add_argument(flag, type=type_, help=help_)
+        if len(kinds) > 1:
+            p.add_argument("target", choices=[k.removeprefix(f"{command}-") for k in kinds])
+        fields = {f.name: f for kind in kinds for f in _FIELDS[kind] if f.flag_type}
+        for f in fields.values():
+            p.add_argument(f"--{f.name.replace('_', '-')}", type=f.flag_type, help=f.help)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    flags = vars(parser.parse_args(argv))
+    config, command, target = (flags.pop(k, None) for k in ("config", "command", "target"))
 
     spec: dict = {}
-    if args.config:
+    if config:
         try:
-            spec = load_spec(args.config)
+            spec = load_spec(config)
         except SpecError as exc:
             print(f"spec error: {exc}", file=sys.stderr)
             return 2
 
-    if args.command is None:
+    if command is None:
         if not spec:
             parser.print_help()
             return 2
-        kind = spec["kind"]
     else:
-        kind = _COMMANDS[args.command][0]
-        if args.command == "reproduce":
-            kind = f"{kind}-{args.target}"
+        kind = f"{command}-{target}" if target else _COMMANDS[command][0]
         if spec and spec.get("kind") not in (None, kind):
             print(
                 f"spec error: config kind {spec['kind']!r} does not match "
-                f"subcommand {args.command!r}",
+                f"subcommand {command!r}",
                 file=sys.stderr,
             )
             return 2
         spec["kind"] = kind
 
-    # CLI flags override spec fields
-    for key, value in vars(args).items():
-        if key not in _RUN_ARGUMENTS and value is not None:
-            spec[key] = value
-
-    return _dispatch(spec, args.out, args.seed)
+    # flags override spec fields; a field the kind lacks is refused
+    spec.update({key: value for key, value in flags.items() if value is not None})
+    return _dispatch(spec)
 
 
 if __name__ == "__main__":

@@ -247,15 +247,21 @@ def test_command_table_parser_and_handlers_agree(capsys):
     [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert list(commands.choices) == list(cli._COMMANDS)
     [target] = [a for a in commands.choices["reproduce"]._actions if a.dest == "target"]
-    kinds = [kind for command, (kind, _) in cli._COMMANDS.items() if command != "reproduce"]
-    kinds += [f"{cli._COMMANDS['reproduce'][0]}-{t}" for t in target.choices]
-    assert sorted(kinds) == sorted(cli._HANDLERS) == sorted(cli.EXPERIMENT_KINDS)
-    for command, (_, flags) in cli._COMMANDS.items():
+    assert [f"reproduce-{t}" for t in target.choices] == list(cli._COMMANDS["reproduce"])
+    kinds = [kind for kinds in cli._COMMANDS.values() for kind in kinds]
+    assert sorted(kinds) == sorted(cli._HANDLERS) == sorted(cli._FIELDS)
+    assert sorted(kinds) == sorted(cli.EXPERIMENT_KINDS)
+    for command, kinds in cli._COMMANDS.items():
         with pytest.raises(SystemExit) as done:
             main([command, "--help"])
         assert done.value.code == 0
         usage = capsys.readouterr().out
-        assert all(flag in usage for flag, _, _ in flags)
+        for field in (f for kind in kinds for f in cli._FIELDS[kind]):
+            assert f"--{field.name.replace('_', '-')} " in usage
+    for field in (f for fields in cli._FIELDS.values() for f in fields):
+        # a None default marks an optional field; its handler or the
+        # calibration supplies the value
+        assert field.default is None or field.convert(field.default) == field.default
 
 
 class TestGlobalFlags:
@@ -268,7 +274,9 @@ class TestGlobalFlags:
         flags = ["--out", "d", "--preset", "S2", "--seed", "5"]
         assert main([*flags, "iv"] if before else ["iv", *flags]) == 0
         first = (tmp_path / "d" / "iv.csv").read_text().splitlines()[0]
-        assert f"spec_sha256={spec_hash({'kind': 'iv', 'preset': 'S2'})}" in first
+        resolved = {"kind": "iv", "preset": "S2", "calibration": None, "beam_offset_mm": None,
+                    "beam_radius_mm": None, "power_w": 2.3e-3}
+        assert f"spec_sha256={spec_hash(resolved)}" in first
         assert first.endswith("seed=5")
         assert capsys.readouterr().out.startswith("S2:")
         assert not (tmp_path / "out").exists()
@@ -289,6 +297,45 @@ class TestGlobalFlags:
         assert main(["--seed", "1", "safety", "--seed", "2", "--out", str(tmp_path)]) == 0
         first = (tmp_path / "safety.csv").read_text().splitlines()[0]
         assert first.endswith("seed=2")
+
+
+class TestSameJobSameBytes:
+    """Two invocations that run the same job write the same bytes, headers
+    included: the hash covers the resolved fields, not how they were given."""
+
+    @pytest.mark.parametrize("jobs", [
+        ((["iv"], None),
+         (["iv"], {"kind": "iv", "preset": "L6", "power_w": 0.0023, "calibration": None,
+                   "beam_offset_mm": None, "beam_radius_mm": None})),
+        ((["mismatch", "--preset", "S2", "--points", "3"], None),
+         (["mismatch"], {"kind": "mismatch", "preset": "S2", "points": 3,
+                         "max_offset_mm": None, "beam_radius_mm": None})),
+        ((["safety", "--distance-mm", "50"], None),
+         (["safety"], {"kind": "safety", "distance_mm": 50})),
+        ((["bandwidth", "--presets", "s2,S4"], None),
+         (["bandwidth", "--presets", "S2,S4"], None)),
+        ((["iv", "--preset", "s2"], None),
+         (["iv"], {"kind": "iv", "preset": "S2"})),
+        ((["iv", "--seed", "5"], None),
+         (["iv"], {"kind": "iv", "seed": 5})),
+        ((["safety", "--out", "{out}"], None),
+         ([], {"kind": "safety", "out_dir": "{out}"})),
+    ], ids=["iv-defaults", "mismatch-defaults", "safety-integer", "presets-case",
+            "preset-case", "seed", "out_dir"])
+    def test_same_job_writes_the_same_bytes(self, tmp_path, jobs):
+        written = []
+        for i, (argv, spec) in enumerate(jobs):
+            out = str(tmp_path / str(i))
+            if "{out}" not in repr(jobs):
+                argv = [*argv, "--out", "{out}"]
+            argv = [a.replace("{out}", out) for a in argv]
+            if spec is not None:
+                spec = {k: v.replace("{out}", out) if isinstance(v, str) else v
+                        for k, v in spec.items()}
+                argv += ["--config", write_spec(tmp_path, spec, name=f"{i}.json")]
+            assert main(argv) == 0
+            written.append({p.name: p.read_bytes() for p in sorted(Path(out).iterdir())})
+        assert written[0] and written[0] == written[1]
 
 
 class TestNonFiniteInputs:
@@ -372,20 +419,40 @@ class TestExitCodes:
         {"kind": "calibrate", "preset": "S2"},
         {"kind": "reproduce-table1", "preset": "S2"},
         {"kind": "reproduce-fig6", "preset": "S2"},
+        # unknown or misspelled fields, and a fit where the kind runs no preset
+        {"kind": "iv", "preset": "L6", "beam_ofset_mm": 0.3},
+        {"kind": "link", "preset": "S2", "n_payload_frames": 5},
+        {"kind": "safety", "extra": 1},
+        {"kind": "safety", "calibration": "calibration.json"},
+        {"kind": "calibrate", "calibration": "calibration.json"},
+        {"kind": "iv", "calibration": "."},
     ], ids=["seed", "seed-float", "seed-bool", "seed-string", "out_dir", "points",
             "points-negative", "points-float", "distance_mm", "beam_offset_mm", "presets",
             "mismatch-beam_offset_mm", "table1-beam_offset_mm", "fig6-beam_radius_mm",
             "bandwidth-beam_offset_mm", "bandwidth-beam_radius_mm", "safety-preset",
             "bandwidth-preset", "sweep-preset", "calibrate-preset", "table1-preset",
-            "fig6-preset"])
+            "fig6-preset", "iv-beam_ofset_mm", "link-n_payload_frames", "safety-extra",
+            "safety-calibration", "calibrate-calibration", "calibration-directory"])
     def test_malformed_spec_field_is_spec_error(self, tmp_path, capsys, spec):
-        # the malformed field is the last one given; dispatch or a handler reads it
+        # the malformed field is the last one given; resolving the spec refuses it
         path = write_spec(tmp_path, {**spec, "out_dir": spec.get("out_dir", str(tmp_path / "o"))})
         assert main(["--config", path]) == 2
         err = capsys.readouterr().err
         field = list(spec)[-1]
         assert err.startswith("spec error:") and repr(field) in err
         assert not any((tmp_path / "o").glob("*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "table1", "--ber-target", "1e-3"],
+        ["safety", "--preset", "S2"],
+        ["bandwidth", "--preset", "S2"],
+    ], ids=["table1-ber-target", "safety-preset", "bandwidth-preset"])
+    def test_flag_the_kind_ignores_is_spec_error(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        field = argv[-2].removeprefix("--").replace("-", "_")
+        err = capsys.readouterr().err
+        assert err.startswith("spec error:") and repr(field) in err
+        assert not (tmp_path / "o").exists()
 
     def test_non_finite_calibration_value_is_run_error(self, tmp_path, capsys, calibration):
         data = calibration.to_dict()
