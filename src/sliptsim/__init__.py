@@ -9,6 +9,7 @@ calculator (:mod:`sliptsim.safety`), and the CLI harness
 (:mod:`sliptsim.cli`).
 """
 
+from .errors import ParameterError, SliptsimError
 from .ppc import (
     DiodeParams,
     IlluminationProfile,
@@ -41,5 +42,6 @@ __all__ = [
     "run_link",
     "SafetyScenario",
     "assess",
+    "SliptsimError", "ParameterError",
     "__version__",
 ]

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares
 
+from .errors import ParameterError, SliptsimError
 from .ppc import DiodeParams, harvest_figures, sector_fractions
 from .link import ReceiverChain
 from .presets import (
@@ -71,11 +72,11 @@ _FITTED_DICTS = (
 )
 
 
-class CalibrationError(RuntimeError):
+class CalibrationError(SliptsimError, RuntimeError):
     """A residual exceeded the refusal bound; the fit is not trustworthy."""
 
 
-class UnderdeterminedError(ValueError):
+class UnderdeterminedError(SliptsimError, ValueError):
     """Fewer targets than free parameters."""
 
 
@@ -147,13 +148,22 @@ class CalibrationResult:
         """Read schema 2, or schema 1, which has no fit record.
 
         Raises:
-            ValueError: an unknown schema version, or a fitted value, residual
-                or read-out figure that is not a finite number (the beam
-                radius of a fit without harvest targets is null).
+            ParameterError: a missing key, a non-object section, a series key
+                that is no count, an unknown schema version, or a non-finite
+                value (the beam radius of a fit without harvest targets is null).
         """
+        if not isinstance(data, dict):
+            raise ParameterError(f"calibration must be a JSON object, got {data!r}")
         version = data.get("schema_version")
         if version not in (1, SCHEMA_VERSION):
-            raise ValueError(f"unsupported calibration schema_version {version!r}")
+            raise ParameterError(f"unsupported calibration schema_version {version!r}")
+        for name in (*_FITTED_DICTS, "beam_radius_mm", "ac_load_ohm", "emitted_power_w"):
+            if name not in data:
+                raise ParameterError(f"calibration is missing {name!r}")
+            if name in _FITTED_DICTS and not isinstance(data[name], dict):
+                raise ParameterError(f"calibration {name} must be an object, got {data[name]!r}")
+        if not all(str(k).isdecimal() for k in data["series_resistance_ohm"]):
+            raise ParameterError("calibration series_resistance_ohm keys must be segment counts")
         numbers = {
             f"{name}.{key}": value
             for name in _FITTED_DICTS for key, value in data[name].items()
@@ -163,7 +173,7 @@ class CalibrationResult:
             numbers["beam_radius_mm"] = data["beam_radius_mm"]
         for name, value in numbers.items():
             if type(value) not in (int, float) or not math.isfinite(value):
-                raise ValueError(f"calibration {name} must be a finite number, got {value!r}")
+                raise ParameterError(f"calibration {name} must be a finite number, got {value!r}")
         return cls(
             capacitance_density_f_mm2=dict(data["capacitance_density_f_mm2"]),
             series_resistance_ohm={int(k): v for k, v in data["series_resistance_ohm"].items()},
@@ -185,8 +195,12 @@ class CalibrationResult:
 
     @classmethod
     def load(cls, path) -> "CalibrationResult":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ParameterError(f"{path}: not a calibration JSON file: {exc}") from exc
+        return cls.from_dict(data)
 
     def series_resistance_for(self, n_segments: int) -> float:
         """Fitted value, or a linear inter/extrapolation for other counts."""
@@ -522,7 +536,7 @@ def calibrated_receiver(result: CalibrationResult, name: str) -> ReceiverChain:
     name = name.upper()
     size, n = name[0], int(name[1:])
     if size not in result.capacitance_density_f_mm2 or size not in result.responsivity_a_w:
-        raise ValueError(
+        raise ParameterError(
             f"calibration holds no bandwidth and harvest fit for cell size "
             f"{size!r} (preset {name})"
         )
@@ -537,7 +551,7 @@ def calibrated_receiver(result: CalibrationResult, name: str) -> ReceiverChain:
     if (result.ac_load_ohm, result.emitted_power_w) != (
         chain.ac_load_ohm, chain.beam.total_power_w
     ):
-        raise ValueError(
+        raise ParameterError(
             f"calibration was fitted for a {result.ac_load_ohm!r} ohm AC load "
             f"and {result.emitted_power_w!r} W emitted; the default read-out "
             f"has {chain.ac_load_ohm!r} ohm and {chain.beam.total_power_w!r} W"

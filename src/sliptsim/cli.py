@@ -12,8 +12,9 @@ experiment kind, a hash of the resolved fields (every field of the kind,
 defaults filled in) and the seed, so two invocations that run the same job
 produce byte-identical files.
 
-Exit codes: 0 success, 1 run error, 2 malformed spec or arguments (an
-unknown kind, field or preset, a named file that does not exist).
+Exit codes: 0 success; 2 for a malformed spec or arguments (a ``SpecError``:
+an unknown kind, field or preset, a named file that does not exist); 1 for
+any other ``SliptsimError``.  Any other exception is a bug: it propagates.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 
 from . import __version__
 from .calibrate import CalibrationResult, calibrate, calibrated_receiver, measured_targets
+from .errors import ParameterError, SliptsimError
 from .io import iv_curve_to_csv, plan_to_csv, spec_hash, write_csv
 from .link import BER_TARGET, LinkReport, ReceiverChain, mismatch_study, sweep
 from .ppc import find_mpp, harvest_figures, sector_fractions, string_iv
@@ -51,7 +53,7 @@ SCHEMA_VERSION = 1
 CONFIG_DIR_ENV = "SLIPTSIM_CONFIG_DIR"
 
 
-class SpecError(ValueError):
+class SpecError(SliptsimError, ValueError):
     """Malformed experiment spec or command arguments."""
 
 
@@ -72,11 +74,8 @@ def load_spec(path_str: str) -> dict:
     path = _resolve_config_path(path_str)
     try:
         spec = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SpecError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}"
-        ) from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise SpecError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(spec, dict):
         raise SpecError(f"{path}: spec must be a JSON object")
     if "kind" not in spec:
@@ -111,30 +110,24 @@ def _spec_field(spec: dict, key: str, default, convert):
 def _number(value) -> float:
     """A JSON number (int or float, not bool), as a float."""
     if type(value) not in (int, float):
-        raise TypeError(f"expected a number, got {value!r}")
+        raise ParameterError(f"expected a number, got {value!r}")
     return float(value)
 
 
-def _integer(value) -> int:
-    """A JSON integer (not bool), returned unchanged."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
 def _count(value) -> int:
-    """A non-negative JSON integer."""
-    count = _integer(value)
-    if count < 0:
-        raise ValueError(f"expected a non-negative count, got {value!r}")
-    return count
+    """A non-negative JSON integer (not bool), returned unchanged."""
+    if type(value) is not int:
+        raise ParameterError(f"expected an integer, got {value!r}")
+    if value < 0:
+        raise ParameterError(f"expected a non-negative count, got {value!r}")
+    return value
 
 
 def _preset_name(value) -> str:
     """Upper-cased name of a bundled preset."""
     name = str(value).upper()
     if name not in PRESET_NAMES:
-        raise ValueError(
+        raise ParameterError(
             f"unknown preset {value!r}; expected one of {', '.join(PRESET_NAMES)}"
         )
     return name
@@ -145,16 +138,16 @@ def _preset_list(value) -> list[str]:
     if isinstance(value, str):
         value = [p for p in value.split(",") if p]
     if not isinstance(value, list):
-        raise TypeError(f"expected a list or a string, got {value!r}")
+        raise ParameterError(f"expected a list or a string, got {value!r}")
     return [_preset_name(p) for p in value]
 
 
 def _fit_file(value) -> str | None:
     """Path of a fit file that exists, as given; "" names the bundled fit."""
     if type(value) is not str:
-        raise TypeError(f"expected a path, got {value!r}")
+        raise ParameterError(f"expected a path, got {value!r}")
     if value and not Path(value).is_file():
-        raise ValueError(f"calibration file not found: {value}")
+        raise ParameterError(f"calibration file not found: {value}")
     return value or None
 
 
@@ -259,7 +252,7 @@ def _raise_failures(reports) -> None:
     """A run error naming each failed entry, if any failed."""
     failed = [f"{r.device_id}: {r.error}" for r in reports if r.error]
     if failed:
-        raise RuntimeError(f"{len(failed)} link run(s) failed: {'; '.join(failed)}")
+        raise SliptsimError(f"{len(failed)} link run(s) failed: {'; '.join(failed)}")
 
 
 # ---------------------------------------------------------------------------
@@ -480,18 +473,30 @@ _HANDLERS = {
 }
 
 
-
-def _dispatch(spec: dict) -> int:
+def _dispatch(flags: dict) -> int:
+    """Run the job of the ``--config`` file, the subcommand and the other
+    flags; the one place that maps errors to exit codes (module docstring)."""
+    config, command, target = (flags.pop(k, None) for k in ("config", "command", "target"))
     try:
+        spec = load_spec(config) if config else {}
+        if command is not None:
+            kind = f"{command}-{target}" if target else _COMMANDS[command][0]
+            if spec.get("kind", kind) != kind:
+                raise SpecError(
+                    f"config kind {spec['kind']!r} does not match subcommand {command!r}"
+                )
+            spec["kind"] = kind
+        # flags override spec fields; a field the kind lacks is refused
+        spec.update({key: value for key, value in flags.items() if value is not None})
         run = _resolve(spec)
         out = _spec_field(spec, "out_dir", "out", Path)
-        seed = _spec_field(spec, "seed", 0, _integer)
+        seed = _spec_field(spec, "seed", 0, _count)
         out.mkdir(parents=True, exist_ok=True)
         _HANDLERS[run["kind"]](run, out, seed)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ValueError) as exc:
+    except SliptsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -548,34 +553,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     flags = vars(parser.parse_args(argv))
-    config, command, target = (flags.pop(k, None) for k in ("config", "command", "target"))
-
-    spec: dict = {}
-    if config:
-        try:
-            spec = load_spec(config)
-        except SpecError as exc:
-            print(f"spec error: {exc}", file=sys.stderr)
-            return 2
-
-    if command is None:
-        if not spec:
-            parser.print_help()
-            return 2
-    else:
-        kind = f"{command}-{target}" if target else _COMMANDS[command][0]
-        if spec and spec.get("kind") not in (None, kind):
-            print(
-                f"spec error: config kind {spec['kind']!r} does not match "
-                f"subcommand {command!r}",
-                file=sys.stderr,
-            )
-            return 2
-        spec["kind"] = kind
-
-    # flags override spec fields; a field the kind lacks is refused
-    spec.update({key: value for key, value in flags.items() if value is not None})
-    return _dispatch(spec)
+    if not flags["config"] and flags["command"] is None:
+        parser.print_help()
+        return 2
+    return _dispatch(flags)
 
 
 if __name__ == "__main__":

@@ -1,0 +1,28 @@
+"""The package's errors: each one it raises on purpose is a SliptsimError
+with a builtin parent too; any other exception leaving it is a bug."""
+
+import math
+
+import numpy as np
+
+__all__ = ["SliptsimError", "ParameterError"]
+
+
+class SliptsimError(Exception):
+    """Base of every error the package raises on purpose."""
+
+
+class ParameterError(SliptsimError, ValueError):
+    """An argument or field outside its legal range."""
+
+    @staticmethod
+    def require_finite(obj, may_be_inf: str = "") -> None:
+        """Refuse a NaN or infinite float or tuple entry among the fields of
+        dataclass ``obj``; the field named ``may_be_inf`` may be +inf."""
+        for name, value in vars(obj).items():
+            if isinstance(value, (float, np.floating)):
+                if math.isfinite(value) or (name == may_be_inf and value == math.inf):
+                    continue
+            elif type(value) is not tuple or all(map(math.isfinite, value)):
+                continue
+            raise ParameterError(f"{name} must be finite, got {value!r}")

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ParameterError
 from .loading import BitLoadingPlan
 from .ppc import IVCurve
 
@@ -59,7 +60,7 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     reader = csv.reader(lines)
     rows = [row for row in reader if row]
     if not rows:
-        raise ValueError(f"{path}: no header row")
+        raise ParameterError(f"{path}: no header row")
     return rows[0], rows[1:]
 
 

@@ -27,13 +27,14 @@ frequencies at a 950-ohm bias load.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .constants import (
     BOLTZMANN_J_PER_K, DEFAULT_TEMPERATURE_K, DEFAULT_WAVELENGTH_NM, ELEMENTARY_CHARGE_C,
 )
+from .errors import ParameterError, SliptsimError
 from .loading import BitLoadingPlan, bit_power_loading
 from .ofdm import (
     OfdmConfig,
@@ -102,14 +103,11 @@ class TransmitterModel:
     transconductance_a_per_v: float = 8e-3
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        ParameterError.require_finite(self)
         if self.emitted_power_w <= 0 or self.drive_vpp <= 0:
-            raise ValueError("emitted power and drive amplitude must be positive")
+            raise ParameterError("emitted power and drive amplitude must be positive")
         if self.slope_efficiency_w_per_a <= 0 or self.transconductance_a_per_v <= 0:
-            raise ValueError("slope efficiency and transconductance must be positive")
+            raise ParameterError("slope efficiency and transconductance must be positive")
 
     def optical_waveform(
         self, drive_v: np.ndarray, out: np.ndarray | None = None
@@ -153,15 +151,11 @@ class NoiseModel:
     quantization_snr_db: float | None = 4.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # None switches the digitizer term off
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        ParameterError.require_finite(self)
         if self.temperature_k <= 0:
-            raise ValueError("temperature must be positive")
+            raise ParameterError("temperature must be positive")
         if self.extra_current_psd_a2_hz < 0:
-            raise ValueError("extra noise PSD must be non-negative")
+            raise ParameterError("extra noise PSD must be non-negative")
 
     def current_psd(self, load_ohm: float, mean_current_a: float) -> float:
         psd = self.extra_current_psd_a2_hz
@@ -194,18 +188,13 @@ class ReceiverChain:
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self):
-        for name in (
-            "load_resistance_ohm", "amplifier_input_ohm", "effective_series_resistance_ohm"
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        ParameterError.require_finite(self)
         if not 0.0 < self.load_resistance_ohm <= 10e3:
-            raise ValueError("load resistance must lie in (0, 10 kOhm]")
+            raise ParameterError("load resistance must lie in (0, 10 kOhm]")
         if self.amplifier_input_ohm <= 0:
-            raise ValueError("amplifier input impedance must be positive")
+            raise ParameterError("amplifier input impedance must be positive")
         if self.effective_series_resistance_ohm < 0:
-            raise ValueError("effective series resistance must be non-negative")
+            raise ParameterError("effective series resistance must be non-negative")
 
     @property
     def ac_load_ohm(self) -> float:
@@ -493,7 +482,7 @@ def run_link(
     burst then runs the loaded plan and measures the bit error rate.
     """
     if config.oversampling_factor < 2:
-        raise ValueError(
+        raise ParameterError(
             "oversampling_factor must be >= 2 so the shaped band fits below "
             "the stream Nyquist frequency"
         )
@@ -583,7 +572,8 @@ def sweep(
     ber_target: float = BER_TARGET,
     seed: int = 0,
 ) -> list[LinkReport]:
-    """Run a list of receiver chains; failures are recorded, not raised.
+    """Run a list of receiver chains; a ``SliptsimError`` is recorded in its
+    entry's row, not raised, and any other exception (a bug) propagates.
 
     Each entry is (label, ReceiverChain).  Entry i runs with seed ``seed + i``
     so results are deterministic and order-independent.
@@ -596,7 +586,7 @@ def sweep(
         try:
             report = run_link(tx, chain, config, ber_target=ber_target, seed=seed + i)
             report.device_id = label
-        except Exception as exc:  # recorded per row; the sweep continues
+        except SliptsimError as exc:  # recorded per row; the sweep continues
             report = LinkReport(
                 device_id=label, n_segments=chain.device.n_segments,
                 seed=seed + i, f3db_hz=math.nan, bandwidth_snr0_hz=math.nan,

@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ParameterError
 from .qam import required_snr
 
 __all__ = [
@@ -38,7 +39,7 @@ __all__ = [
 def snr_gap(ber_target: float) -> float:
     """SNR gap Gamma = -ln(5 * BER) / 1.5."""
     if not 0.0 < ber_target < 0.5:
-        raise ValueError("ber_target must lie in (0, 0.5)")
+        raise ParameterError("ber_target must lie in (0, 0.5)")
     return -math.log(5.0 * ber_target) / 1.5
 
 
@@ -57,11 +58,11 @@ class BitLoadingPlan:
         self.bits = np.asarray(self.bits, dtype=int)
         self.power = np.asarray(self.power, dtype=float)
         if self.bits.shape != self.power.shape:
-            raise ValueError("bits and power must have the same shape")
+            raise ParameterError("bits and power must have the same shape")
         if np.any(self.bits < 0) or np.any(self.power < 0):
-            raise ValueError("bits and power must be non-negative")
+            raise ParameterError("bits and power must be non-negative")
         if np.any((self.bits == 0) & (self.power != 0.0)):
-            raise ValueError("zero-bit carriers must carry zero power")
+            raise ParameterError("zero-bit carriers must carry zero power")
 
     @property
     def total_bits(self) -> int:
@@ -110,9 +111,9 @@ def bit_power_loading(
     """
     snr = np.asarray(snr_linear, dtype=float)
     if snr.ndim != 1:
-        raise ValueError("snr profile must be one-dimensional")
+        raise ParameterError("snr profile must be one-dimensional")
     if np.any(~np.isfinite(snr)) or np.any(snr < 0):
-        raise ValueError("snr values must be finite and non-negative")
+        raise ParameterError("snr values must be finite and non-negative")
     if usable is None:
         usable = np.ones(snr.size, dtype=bool)
     usable = np.asarray(usable, dtype=bool)

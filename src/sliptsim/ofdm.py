@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import ParameterError, SliptsimError
 from .loading import BitLoadingPlan
 from .qam import VALID_ORDERS, qam_demodulate, qam_modulate
 
@@ -74,7 +75,7 @@ _SNR_CEILING_DB = 60.0
 _MIN_PSL_DB = 3.0
 
 
-class SyncError(RuntimeError):
+class SyncError(SliptsimError, RuntimeError):
     """Preamble correlation produced no usable peak."""
 
 
@@ -91,25 +92,21 @@ class OfdmConfig:
     sample_rate_hz: float = 7.68e9
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # None switches clipping off
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        ParameterError.require_finite(self)
         if self.fft_size < 8 or self.fft_size & (self.fft_size - 1):
-            raise ValueError("fft_size must be a power of two >= 8")
+            raise ParameterError("fft_size must be a power of two >= 8")
         if not 0 <= self.cp_length < self.fft_size:
-            raise ValueError("cp_length must satisfy 0 <= cp < fft_size")
+            raise ParameterError("cp_length must satisfy 0 <= cp < fft_size")
         if self.max_qam_order not in VALID_ORDERS:
-            raise ValueError(f"max_qam_order must be one of {VALID_ORDERS}")
+            raise ParameterError(f"max_qam_order must be one of {VALID_ORDERS}")
         if self.oversampling_factor < 1:
-            raise ValueError("oversampling_factor must be >= 1")
+            raise ParameterError("oversampling_factor must be >= 1")
         if not 0.0 < self.rolloff < 1.0:
-            raise ValueError("rolloff must lie in (0, 1)")
+            raise ParameterError("rolloff must lie in (0, 1)")
         if self.clip_sigma is not None and self.clip_sigma <= 0:
-            raise ValueError("clip_sigma must be positive (None disables)")
+            raise ParameterError("clip_sigma must be positive (None disables)")
         if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+            raise ParameterError("sample_rate_hz must be positive")
 
     @property
     def data_subcarriers(self) -> int:
@@ -151,7 +148,7 @@ class SubcarrierSnr:
         self.snr_linear = np.asarray(self.snr_linear, dtype=float)
         self.measured = np.asarray(self.measured, dtype=bool)
         if np.any(~np.isfinite(self.snr_linear)) or np.any(self.snr_linear < 0):
-            raise ValueError("snr values must be finite and non-negative")
+            raise ParameterError("snr values must be finite and non-negative")
 
     def db(self) -> np.ndarray:
         with np.errstate(divide="ignore"):
@@ -165,7 +162,7 @@ class SubcarrierSnr:
 def generate_bits(seed, count: int) -> np.ndarray:
     """Deterministic pseudorandom bit sequence (uint8 zeros/ones)."""
     if count < 0:
-        raise ValueError("count must be non-negative")
+        raise ParameterError("count must be non-negative")
     rng = np.random.default_rng(seed)
     return rng.integers(0, 2, size=count, dtype=np.uint8)
 
@@ -189,7 +186,7 @@ def ofdm_core(symbols, config: OfdmConfig) -> np.ndarray:
     symbols = np.asarray(symbols, dtype=complex)
     n_data = config.data_subcarriers
     if symbols.shape[-1] != n_data:
-        raise ValueError(f"expected {n_data} data symbols, got {symbols.shape[-1]}")
+        raise ParameterError(f"expected {n_data} data symbols, got {symbols.shape[-1]}")
     return _real_ifft(symbols, config.fft_size)
 
 
@@ -407,7 +404,7 @@ def synchronize(stream, reference) -> int:
     reference = np.asarray(reference, dtype=float)
     n_ref = len(reference)
     if len(stream) < n_ref:
-        raise ValueError("stream shorter than the reference")
+        raise ParameterError("stream shorter than the reference")
     # lag j correlates stream[j : j + n_ref]: the full convolution with the
     # reversed reference at j + n_ref - 1, over the lags inside the stream
     bank = reference[::-1].reshape(1, 1, n_ref)
@@ -500,9 +497,9 @@ def receive_blocks(
     first = first_block_start + delay + (config.cp_length - advance) * osf
     last = first + (n_blocks - 1) * config.block_stride + (config.fft_size - 1) * osf
     if n_blocks > 0 and first < 0:
-        raise ValueError("first FFT window starts before the stream")
+        raise ParameterError("first FFT window starts before the stream")
     if n_blocks > 0 and last >= len(stream) + len(rrc_taps(config)) - 1:
-        raise ValueError("stream too short for the requested block count")
+        raise ParameterError("stream too short for the requested block count")
     n_sym = config.block_length
     y = _matched_filter_phase(stream, first, n_blocks * n_sym, config)
     windows = y.reshape(n_blocks, n_sym)[:, : config.fft_size]
@@ -528,7 +525,7 @@ def clip(
     input is never modified unless it is ``out``.
     """
     if sigma_multiple <= 0:
-        raise ValueError("sigma_multiple must be positive")
+        raise ParameterError("sigma_multiple must be positive")
     samples = np.asarray(samples, dtype=float)
     if sigma is None:
         sigma = samples.std()
@@ -555,7 +552,7 @@ def estimate_channel(rx_pilot_symbols, tx_pilot_symbols) -> np.ndarray:
     rx = np.atleast_2d(np.asarray(rx_pilot_symbols, dtype=complex))
     tx = np.asarray(tx_pilot_symbols, dtype=complex)
     if rx.shape[1] != tx.shape[0]:
-        raise ValueError("pilot shape mismatch")
+        raise ParameterError("pilot shape mismatch")
     gains = np.zeros(tx.shape[0], dtype=complex)
     nz = tx != 0
     gains[nz] = rx[:, nz].mean(axis=0) / tx[nz]
@@ -579,7 +576,7 @@ def estimate_snr(equalized_symbols, reference_symbols) -> SubcarrierSnr:
     eq = np.atleast_2d(np.asarray(equalized_symbols, dtype=complex))
     ref = np.atleast_2d(np.asarray(reference_symbols, dtype=complex))
     if eq.shape != ref.shape:
-        raise ValueError("equalized and reference symbol shapes differ")
+        raise ParameterError("equalized and reference symbol shapes differ")
     if eq.shape[0] < 100:
         warnings.warn(
             f"SNR estimated from only {eq.shape[0]} symbols per carrier; "
@@ -602,7 +599,7 @@ def measure_ber(tx_bits, rx_bits) -> float:
     tx = np.asarray(tx_bits).ravel()
     rx = np.asarray(rx_bits).ravel()
     if tx.shape != rx.shape:
-        raise ValueError(f"bit stream lengths differ: {tx.size} vs {rx.size}")
+        raise ParameterError(f"bit stream lengths differ: {tx.size} vs {rx.size}")
     if tx.size == 0:
         return 0.0
     return float(np.mean(tx != rx))
@@ -628,7 +625,7 @@ def modulate_plan(bits, plan: BitLoadingPlan, n_frames: int) -> np.ndarray:
     if bpf == 0:
         return np.zeros((n_frames, plan.bits.size), dtype=complex)
     if bits.size != n_frames * bpf:
-        raise ValueError(f"need {n_frames * bpf} bits, got {bits.size}")
+        raise ParameterError(f"need {n_frames * bpf} bits, got {bits.size}")
     frame_bits = bits.reshape(n_frames, bpf)
     offsets = np.concatenate([[0], np.cumsum(plan.bits)])
     out = np.zeros((n_frames, plan.bits.size), dtype=complex)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -41,6 +41,7 @@ from scipy.special import erfc, wrightomega
 from .constants import (
     DEFAULT_TEMPERATURE_K, DEFAULT_WAVELENGTH_NM, responsivity_quantum_limit, thermal_voltage,
 )
+from .errors import ParameterError, SliptsimError
 
 __all__ = [
     "SegmentGeometry",
@@ -68,7 +69,7 @@ __all__ = [
 PREFERRED_SEGMENT_COUNTS = (1, 2, 4, 6)
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(SliptsimError, RuntimeError):
     """Sector-power quadrature failed to reach the requested tolerance."""
 
     def __init__(self, message, achieved_tol=None):
@@ -76,7 +77,7 @@ class QuadratureError(RuntimeError):
         self.achieved_tol = achieved_tol
 
 
-class BracketError(RuntimeError):
+class BracketError(SliptsimError, RuntimeError):
     """The single-diode equation has no solution at the requested current."""
 
 
@@ -100,14 +101,11 @@ class SegmentGeometry:
     junction_area_mm2: float | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        ParameterError.require_finite(self)
         if self.cell_diameter_mm <= 0:
-            raise ValueError("cell_diameter_mm must be positive")
+            raise ParameterError("cell_diameter_mm must be positive")
         if self.n_segments < 1:
-            raise ValueError("n_segments must be a positive integer")
+            raise ParameterError("n_segments must be a positive integer")
         if self.n_segments not in PREFERRED_SEGMENT_COUNTS:
             warnings.warn(
                 f"n_segments={self.n_segments} is outside the fabricated set "
@@ -115,7 +113,7 @@ class SegmentGeometry:
                 stacklevel=2,
             )
         if self.junction_area_mm2 is not None and self.junction_area_mm2 <= 0:
-            raise ValueError("junction_area_mm2 override must be positive")
+            raise ParameterError("junction_area_mm2 override must be positive")
 
     @property
     def active_area_mm2(self) -> float:
@@ -151,25 +149,19 @@ class DiodeParams:
     temperature_k: float = DEFAULT_TEMPERATURE_K
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # an infinite shunt resistance disables the shunt
-            if not math.isfinite(value) and not (
-                f.name == "shunt_resistance_ohm" and value == math.inf
-            ):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        ParameterError.require_finite(self, may_be_inf="shunt_resistance_ohm")
         if self.saturation_current_density_a_mm2 <= 0:
-            raise ValueError("saturation current density must be positive")
+            raise ParameterError("saturation current density must be positive")
         if not 1.0 <= self.ideality <= 2.5:
-            raise ValueError("ideality factor must lie in [1, 2.5]")
+            raise ParameterError("ideality factor must lie in [1, 2.5]")
         if self.series_resistance_ohm < 0:
-            raise ValueError("series resistance must be non-negative")
+            raise ParameterError("series resistance must be non-negative")
         if self.shunt_resistance_ohm <= 0:
-            raise ValueError("shunt resistance must be positive (inf disables)")
+            raise ParameterError("shunt resistance must be positive (inf disables)")
         if self.capacitance_density_f_mm2 <= 0:
-            raise ValueError("capacitance density must be positive")
+            raise ParameterError("capacitance density must be positive")
         if self.temperature_k <= 0:
-            raise ValueError("temperature must be positive")
+            raise ParameterError("temperature must be positive")
 
     @property
     def thermal_voltage_v(self) -> float:
@@ -192,16 +184,13 @@ class IlluminationProfile:
     wavelength_nm: float = DEFAULT_WAVELENGTH_NM
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not all(map(math.isfinite, value if f.name == "center_mm" else (value,))):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        ParameterError.require_finite(self)
         if self.total_power_w < 0:
-            raise ValueError("total_power_w must be non-negative")
+            raise ParameterError("total_power_w must be non-negative")
         if self.beam_radius_mm <= 0:
-            raise ValueError("beam_radius_mm must be positive")
+            raise ParameterError("beam_radius_mm must be positive")
         if self.responsivity_a_w <= 0:
-            raise ValueError("responsivity must be positive")
+            raise ParameterError("responsivity must be positive")
         limit = responsivity_quantum_limit(self.wavelength_nm)
         if self.responsivity_a_w > limit:
             warnings.warn(
@@ -236,7 +225,7 @@ class SegmentedDevice:
 
     def __post_init__(self):
         if self.reverse_breakdown_v is not None and not self.reverse_breakdown_v > 0:
-            raise ValueError(
+            raise ParameterError(
                 f"reverse_breakdown_v is a magnitude; must be positive, "
                 f"got {self.reverse_breakdown_v!r}"
             )
@@ -281,15 +270,15 @@ class IVCurve:
         self.voltages_v = np.asarray(self.voltages_v, dtype=float)
         self.currents_a = np.asarray(self.currents_a, dtype=float)
         if self.voltages_v.shape != self.currents_a.shape:
-            raise ValueError("voltage and current arrays must match in shape")
+            raise ParameterError("voltage and current arrays must match in shape")
         if len(self.voltages_v) > 1:
             dv = np.diff(self.voltages_v)
             if np.any(dv <= 0):
-                raise ValueError("voltages must be strictly increasing")
+                raise ParameterError("voltages must be strictly increasing")
             di = np.diff(self.currents_a)
             scale = max(abs(self.currents_a).max(), 1.0)
             if np.any(di > self.MONOTONICITY_TOL * scale):
-                raise ValueError("current must be non-increasing with voltage")
+                raise ParameterError("current must be non-increasing with voltage")
 
     def __len__(self):
         return len(self.voltages_v)
@@ -406,7 +395,7 @@ def sector_fractions(
         QuadratureError: if doubling up to 16384 panels never converges.
     """
     if not rel_tol >= 0.0:
-        raise ValueError(f"rel_tol must be a non-negative number, got {rel_tol!r}")
+        raise ParameterError(f"rel_tol must be a non-negative number, got {rel_tol!r}")
     n = geometry.n_segments
     if beam.total_power_w == 0.0:
         zeros = np.zeros(n)
@@ -499,7 +488,7 @@ def string_model(device: SegmentedDevice, photocurrents):
     """
     photocurrents = np.asarray(photocurrents, dtype=float)
     if photocurrents.shape != (device.n_segments,):
-        raise ValueError(
+        raise ParameterError(
             f"expected {device.n_segments} photocurrents, got shape {photocurrents.shape}"
         )
     diode = device.diode
@@ -725,7 +714,7 @@ def find_mpp(curve: IVCurve) -> OperatingPoint:
     if len(curve) == 1 and curve.voltages_v[0] == 0.0 and curve.currents_a[0] == 0.0:
         return OperatingPoint(0.0, 0.0)
     if curve.model is None:
-        raise ValueError("curve must carry its model (the curves of string_iv do)")
+        raise ParameterError("curve must carry its model (the curves of string_iv do)")
     return OperatingPoint(*_power_maximum(curve.model, curve.currents_a, curve.voltages_v))
 
 
@@ -785,7 +774,7 @@ def series_capacitance(capacitances_f) -> float:
     """Reciprocal-sum composition of series capacitances."""
     caps = np.asarray(capacitances_f, dtype=float)
     if np.any(caps <= 0):
-        raise ValueError("capacitances must be positive")
+        raise ParameterError("capacitances must be positive")
     return float(1.0 / np.sum(1.0 / caps))
 
 
@@ -802,8 +791,8 @@ def small_signal_bandwidth(
 ) -> float:
     """First-order RC 3-dB frequency: 1 / (2*pi*(R_load + R_s)*C)."""
     if c_string_f <= 0 or load_resistance_ohm <= 0:
-        raise ValueError("capacitance and load resistance must be positive")
+        raise ParameterError("capacitance and load resistance must be positive")
     if effective_series_resistance_ohm < 0:
-        raise ValueError("series resistance must be non-negative")
+        raise ParameterError("series resistance must be non-negative")
     r_total = load_resistance_ohm + effective_series_resistance_ohm
     return 1.0 / (2.0 * math.pi * r_total * c_string_f)

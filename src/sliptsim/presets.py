@@ -16,12 +16,14 @@ from __future__ import annotations
 import json
 from importlib import resources
 
+from .errors import SliptsimError
 from .link import ReceiverChain, TransmitterModel
 from .ofdm import OfdmConfig
 from .ppc import DiodeParams, IlluminationProfile, SegmentGeometry, SegmentedDevice
 
 __all__ = [
     "PRESET_NAMES",
+    "UnknownPresetError",
     "CELL_DIAMETER_MM",
     "JUNCTION_AREA_MM2",
     "MEASURED_BANDWIDTH_HZ",
@@ -76,10 +78,14 @@ MEASURED_DATA_RATE_BPS = _per_preset("measured_data_rate_bps")
 MEASURED_PCE = _per_preset("measured_pce")
 
 
+class UnknownPresetError(SliptsimError, KeyError):
+    """A preset name that is not bundled."""
+
+
 def _split_name(name: str) -> tuple[str, int]:
     name = name.upper()
     if name not in JUNCTION_AREA_MM2:
-        raise KeyError(
+        raise UnknownPresetError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         )
     return name[0], int(name[1:])

@@ -18,6 +18,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
+from .errors import ParameterError
+
 __all__ = [
     "VALID_ORDERS",
     "constellation",
@@ -32,7 +34,7 @@ VALID_ORDERS = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 def _check_order(order: int) -> int:
     if order not in VALID_ORDERS:
-        raise ValueError(f"QAM order must be one of {VALID_ORDERS}, got {order}")
+        raise ParameterError(f"QAM order must be one of {VALID_ORDERS}, got {order}")
     return int(np.log2(order))
 
 
@@ -82,7 +84,7 @@ def qam_modulate(bits, order: int) -> np.ndarray:
     b = _check_order(order)
     bits = np.asarray(bits, dtype=np.int64).ravel()
     if bits.size % b != 0:
-        raise ValueError(f"bit count {bits.size} not divisible by log2(M)={b}")
+        raise ParameterError(f"bit count {bits.size} not divisible by log2(M)={b}")
     if bits.size == 0:
         return np.zeros(0, dtype=complex)
     words = bits.reshape(-1, b) @ (1 << np.arange(b - 1, -1, -1, dtype=np.int64))
@@ -149,7 +151,7 @@ def exact_ber(order: int, snr_linear: float) -> float:
 def required_snr(order: int, ber_target: float) -> float:
     """Smallest SNR at which the exact BER meets the target."""
     if not 0.0 < ber_target < 0.5:
-        raise ValueError("ber_target must lie in (0, 0.5)")
+        raise ParameterError("ber_target must lie in (0, 0.5)")
 
     def f(log_snr):
         return exact_ber(order, 10.0**log_snr) - ber_target

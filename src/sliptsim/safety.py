@@ -12,7 +12,9 @@ Inputs use display units (mm, nm, s, W); all internal math is SI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+
+from .errors import ParameterError, SliptsimError
 
 __all__ = [
     "ALPHA_MIN_RAD",
@@ -35,7 +37,7 @@ WAVELENGTH_RANGE_NM = (700.0, 1050.0)
 MM_PER_M = 1e3
 
 
-class UnsupportedBranchError(ValueError):
+class UnsupportedBranchError(SliptsimError, ValueError):
     """Requested a branch of the standard outside the implemented family."""
 
 
@@ -51,10 +53,7 @@ class SafetyScenario:
     pupil_radius_mm: float
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        ParameterError.require_finite(self)
         lo, hi = WAVELENGTH_RANGE_NM
         if not lo <= self.wavelength_nm <= hi:
             raise UnsupportedBranchError(
@@ -64,7 +63,7 @@ class SafetyScenario:
         for name in ("source_diameter_mm", "evaluation_distance_mm",
                      "exposure_time_s", "received_power_w", "pupil_radius_mm"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ParameterError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -92,16 +91,16 @@ def angular_subtense(source_diameter_mm: float, distance_mm: float) -> float:
     """Apparent angular size of the source: 2*atan(D_s / (2*Z)), in rad."""
     # written so that NaN fails them too
     if not distance_mm > 0:
-        raise ValueError(f"distance must be positive, got {distance_mm!r}")
+        raise ParameterError(f"distance must be positive, got {distance_mm!r}")
     if not source_diameter_mm >= 0:
-        raise ValueError(f"source diameter must be non-negative, got {source_diameter_mm!r}")
+        raise ParameterError(f"source diameter must be non-negative, got {source_diameter_mm!r}")
     return 2.0 * math.atan(source_diameter_mm / (2.0 * distance_mm))
 
 
 def classify(alpha_rad: float) -> str:
     """Point / intermediate / large classification with half-open boundaries."""
     if not alpha_rad >= 0:  # NaN fails too
-        raise ValueError(f"angular subtense must be non-negative, got {alpha_rad!r}")
+        raise ParameterError(f"angular subtense must be non-negative, got {alpha_rad!r}")
     if alpha_rad < ALPHA_MIN_RAD:
         return "point"
     if alpha_rad < ALPHA_MAX_RAD:
@@ -132,7 +131,7 @@ def mpe_extended(wavelength_nm: float, alpha_rad: float, exposure_time_s: float)
             f"branch (requires alpha > {ALPHA_MAX_RAD * 1e3:.0f} mrad)"
         )
     if exposure_time_s <= 0:
-        raise ValueError("exposure time must be positive")
+        raise ParameterError("exposure time must be positive")
     c4 = wavelength_correction(wavelength_nm)
     c6 = ALPHA_MAX_RAD / ALPHA_MIN_RAD
     return 18.0 * c4 * c6 * exposure_time_s**-0.25
@@ -141,9 +140,9 @@ def mpe_extended(wavelength_nm: float, alpha_rad: float, exposure_time_s: float)
 def pupil_irradiance(received_power_w: float, pupil_radius_mm: float) -> float:
     """Irradiance at the pupil: E = P_r / (pi * r_p^2), in W/m^2."""
     if pupil_radius_mm <= 0:
-        raise ValueError("pupil radius must be positive")
+        raise ParameterError("pupil radius must be positive")
     if received_power_w < 0:
-        raise ValueError("received power must be non-negative")
+        raise ParameterError("received power must be non-negative")
     r_m = pupil_radius_mm / MM_PER_M
     return received_power_w / (math.pi * r_m**2)
 

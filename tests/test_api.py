@@ -1,11 +1,16 @@
-"""The package's declared public API: every name a module exports exists."""
+"""The package's declared public API: every name a module exports exists,
+and every error the package raises on purpose is a ``SliptsimError``."""
 
+import ast
+import builtins
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import sliptsim
+from sliptsim import SliptsimError
 
 MODULES = ["sliptsim"] + [
     f"sliptsim.{info.name}" for info in pkgutil.iter_modules(sliptsim.__path__)
@@ -19,3 +24,36 @@ def test_every_exported_name_resolves(name):
     assert len(exported) == len(set(exported)), f"{name}.__all__ repeats a name"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def raised_class_names(source: str):
+    """(line, name) of each raise statement's class; a bare re-raise has none."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield node.lineno, ast.unparse(exc)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_raise_names_a_package_error(name):
+    module = importlib.import_module(name)
+    wrong = [
+        f"line {line}: raise {cls}"
+        for line, cls in raised_class_names(inspect.getsource(module))
+        if not (inspect.isclass(getattr(module, cls, None))
+                and issubclass(getattr(module, cls), SliptsimError))
+    ]
+    assert not wrong, f"{name} raises errors outside the package family: {wrong}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exported_errors_are_package_errors_with_a_builtin_parent(name):
+    module = importlib.import_module(name)
+    for attr in getattr(module, "__all__", []):
+        cls = getattr(module, attr)
+        if inspect.isclass(cls) and issubclass(cls, BaseException):
+            assert issubclass(cls, SliptsimError), f"{name}.{attr}"
+            assert any(
+                base is getattr(builtins, base.__name__, None) and base is not BaseException
+                for base in cls.__mro__
+            ), f"{name}.{attr} has no builtin parent"

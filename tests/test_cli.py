@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sliptsim import cli, link
+from sliptsim import ParameterError, cli, link
 from sliptsim.calibrate import CalibrationResult
 from sliptsim.cli import SpecError, load_spec, main
 from sliptsim.io import read_csv, spec_hash
+from sliptsim.ofdm import SyncError
 from sliptsim.ppc import IVCurve
 from sliptsim.presets import PRESET_NAMES
 
@@ -40,6 +41,12 @@ class TestSpecParsing:
         path.write_text('{"kind": "link",,}')
         with pytest.raises(SpecError, match="line"):
             load_spec(str(path))
+
+    def test_spec_that_is_not_utf8_is_spec_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"kind": "safety", "note": "\u00e9"}'.encode("latin-1"))
+        assert main(["--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("spec error:")
 
     def test_wrong_schema_version(self, tmp_path):
         path = write_spec(tmp_path, {"kind": "link", "schema_version": 99})
@@ -467,25 +474,70 @@ class TestExitCodes:
 
     def test_failed_link_is_run_error_naming_the_preset(self, tmp_path, monkeypatch, capsys):
         def failing(tx, chain, config, **kwargs):
-            raise ValueError(f"no link on {chain.device.device_id}")
+            raise SyncError(f"no link on {chain.device.device_id}")
 
         monkeypatch.setattr(link, "run_link", failing)
         assert main(["link", "--preset", "S2", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "S2: ValueError: no link on S2" in err
+        assert err.startswith("error:") and "S2: SyncError: no link on S2" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_fig6_entries_are_named_before_any_artifact(
         self, tmp_path, monkeypatch, capsys
     ):
         def failing(tx, chain, config, **kwargs):
-            raise ValueError("no link")
+            raise SyncError("no link")
 
         monkeypatch.setattr(link, "run_link", failing)
         assert main(["reproduce", "fig6", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert all(f"{name}: ValueError: no link" in err for name in PRESET_NAMES)
+        assert all(f"{name}: SyncError: no link" in err for name in PRESET_NAMES)
         assert not (tmp_path / "fig6.csv").exists()
+
+    @pytest.mark.parametrize("command", [["link", "--preset", "S2"], ["sweep", "--presets", "S2"]])
+    def test_bug_in_a_link_stage_propagates(self, tmp_path, monkeypatch, command):
+        # a builtin exception is a bug: a traceback, not an exit code or a row
+        def broken(*args):
+            raise TypeError("injected bug")
+
+        monkeypatch.setattr(link, "estimate_snr", broken)
+        with pytest.raises(TypeError, match="injected bug"):
+            main([*command, "--out", str(tmp_path)])
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("command", [["link", "--preset", "S2"], ["iv"], ["safety"]])
+    def test_negative_seed_is_spec_error(self, tmp_path, capsys, command):
+        assert main([*command, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spec error:") and "'seed'" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, problem", [
+        ('{"schema_version": 2}', "missing 'capacitance_density_f_mm2'"),
+        ("{", "not a calibration JSON file"),
+        ('{"schema_version": 2, "capacitance_density_f_mm2": 1}',
+         "capacitance_density_f_mm2 must be an object"),
+        ("[2]", "must be a JSON object"),
+    ], ids=["missing-key", "invalid-json", "section-not-object", "not-an-object"])
+    def test_malformed_calibration_file_is_run_error(self, tmp_path, capsys, text, problem):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match=problem):
+            CalibrationResult.load(path)
+        assert main(["iv", "--calibration", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and problem in err
+        assert not (tmp_path / "o" / "iv.csv").exists()
+
+    def test_series_resistance_key_that_is_no_count_is_run_error(
+        self, tmp_path, capsys, calibration
+    ):
+        data = calibration.to_dict()
+        data["series_resistance_ohm"]["four"] = 1.0
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))
+        assert main(["iv", "--calibration", str(path), "--out", str(tmp_path)]) == 1
+        assert "series_resistance_ohm keys" in capsys.readouterr().err
 
     def test_handler_bug_is_not_a_spec_error(self, tmp_path, monkeypatch):
         def broken(spec, out_dir, seed):

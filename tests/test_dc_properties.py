@@ -17,11 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliptsim import SliptsimError
 from sliptsim.ppc import (
-    BracketError,
     DiodeParams,
     IlluminationProfile,
-    QuadratureError,
     SegmentedDevice,
     SegmentGeometry,
     dc_operating_point,
@@ -33,7 +32,7 @@ from sliptsim.ppc import (
     string_iv,
 )
 
-TYPED_ERRORS = (QuadratureError, BracketError)
+TYPED_ERRORS = SliptsimError
 
 
 def log_uniform(lo, hi):

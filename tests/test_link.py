@@ -7,6 +7,7 @@ import pytest
 from scipy.signal import lfilter
 
 from chain import reference_channel
+from sliptsim import link
 from sliptsim.calibrate import calibrated_receiver
 from sliptsim.link import (
     _POLE_CHUNK,
@@ -543,6 +544,15 @@ class TestSweep:
                         default_transmitter(), FAST_CFG, seed=1)
         assert reports[0].error == ""
         assert "Sync" in reports[1].error
+
+    def test_bug_in_a_stage_propagates(self, monkeypatch):
+        # only a SliptsimError is a refused row; any other exception is a bug
+        def broken(*args):
+            raise TypeError("injected bug")
+
+        monkeypatch.setattr(link, "estimate_snr", broken)
+        with pytest.raises(TypeError, match="injected bug"):
+            sweep([("L4", quiet_receiver())], default_transmitter(), FAST_CFG)
 
 
 class TestMismatch:
