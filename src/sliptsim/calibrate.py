@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ParameterError, SliptsimError
 from .ppc import DiodeParams, harvest_figures, sector_fractions
@@ -70,6 +69,15 @@ _FITTED_DICTS = (
     "capacitance_density_f_mm2", "series_resistance_ohm", "responsivity_a_w",
     "beam_offset_mm", "bandwidth_residuals", "pmp_residuals", "imp_isc_residuals",
 )
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported by the first fit, so that
+    no other job loads ``scipy.optimize``.  Stages A and B call it through
+    this module global."""
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    return scipy_least_squares(*args, **kwargs)
 
 
 class CalibrationError(SliptsimError, RuntimeError):
@@ -529,12 +537,14 @@ def calibrated_receiver(result: CalibrationResult, name: str) -> ReceiverChain:
     """Receiver chain for one preset with the fitted parameters applied.
 
     Raises:
-        ValueError: the result holds no fit for the preset's cell size, or
-            it was fitted for another read-out (AC load or emitted power)
+        UnknownPresetError: ``name`` is not a bundled preset.
+        ParameterError: the result holds no fit for the preset's cell size,
+            or it was fitted for another read-out (AC load or emitted power)
             than the default one this chain is built with.
     """
+    n = preset_geometry(name).n_segments  # refuses a name that is not bundled
     name = name.upper()
-    size, n = name[0], int(name[1:])
+    size = name[0]
     if size not in result.capacitance_density_f_mm2 or size not in result.responsivity_a_w:
         raise ParameterError(
             f"calibration holds no bandwidth and harvest fit for cell size "

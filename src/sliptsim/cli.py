@@ -74,6 +74,8 @@ def load_spec(path_str: str) -> dict:
     path = _resolve_config_path(path_str)
     try:
         spec = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # a directory, or unreadable
+        raise SpecError(f"{path}: cannot read the spec: {exc.strerror}") from exc
     except ValueError as exc:  # not JSON, or not UTF-8
         raise SpecError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(spec, dict):
@@ -491,7 +493,10 @@ def _dispatch(flags: dict) -> int:
         run = _resolve(spec)
         out = _spec_field(spec, "out_dir", "out", Path)
         seed = _spec_field(spec, "seed", 0, _count)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in the way, or no permission
+            raise SpecError(f"out_dir {str(out)!r}: {exc.strerror}") from exc
         _HANDLERS[run["kind"]](run, out, seed)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)

@@ -13,12 +13,13 @@ subcell; the subcells are series-connected on chip.  This module models
   It has two kernels with the same bits, chosen by the type of the input:
   a vector kernel for arrays of currents (the I-V grid, the harvest scan)
   and a scalar kernel, a plain loop over the segments, for the one float
-  a root finder passes; the scalar kernel hands the rare current it cannot
+  the root finder passes; the scalar kernel hands the rare current it cannot
   reproduce exactly (a clamped or deep-reverse segment) to the vector one,
 * the composed string I-V curve, the short-circuit current (a bracketed
   root of V(I), kept as the curve's first sample), the maximum power point
   (one search: the best sample, then a bracketed root of
-  dP/dI = V + I*dV/dI) and the load-line operating point,
+  dP/dI = V + I*dV/dI) and the load-line operating point; every bracketed
+  root is the package's one Brent root finder, ``roots.brent_root``,
 * the string capacitance (reciprocal sum of the subcell junction
   capacitances) and the resulting first-order RC bandwidth.
 
@@ -35,13 +36,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import erfc, wrightomega
 
 from .constants import (
     DEFAULT_TEMPERATURE_K, DEFAULT_WAVELENGTH_NM, responsivity_quantum_limit, thermal_voltage,
 )
 from .errors import ParameterError, SliptsimError
+from .roots import brent_root
 
 __all__ = [
     "SegmentGeometry",
@@ -472,8 +473,9 @@ def string_model(device: SegmentedDevice, photocurrents):
 
     * the vector kernel takes any shape of currents (a grid, an array) and
       returns arrays of that shape;
-    * the scalar kernel takes one float, the current a root finder passes,
-      and returns Python floats and a bool.  It loops over the segments with
+    * the scalar kernel takes one float, the current the bracketed searches'
+      root finder (``roots.brent_root``) passes, and returns Python floats
+      and a bool.  It loops over the segments with
       the vector kernel's operations in the same order and sums them
       sequentially, as numpy sums fewer than 8 values.  A current at which a
       segment is clamped or in deep reverse bias goes to the vector kernel,
@@ -623,7 +625,7 @@ def _short_circuit_current(device: SegmentedDevice, photocurrents, model) -> flo
         hi = float(photocurrents.max()) + i0
     if v_of_i(hi) >= 0.0:
         return hi
-    return float(brentq(v_of_i, 0.0, hi, xtol=_I_XTOL, rtol=_I_RTOL))
+    return brent_root(v_of_i, 0.0, hi, _I_XTOL, _I_RTOL)
 
 
 # The default I-V grid runs 12 decades toward I_sc: most of the curve's
@@ -697,7 +699,7 @@ def _power_maximum(model, currents, voltages) -> tuple[float, float]:
 
     if not dp_di(lo) > 0.0 > dp_di(hi):
         return float(voltages[k]), float(currents[k])
-    i_mp = brentq(dp_di, lo, hi, xtol=_I_XTOL, rtol=_I_RTOL)
+    i_mp = brent_root(dp_di, lo, hi, _I_XTOL, _I_RTOL)
     return float(model(i_mp)[0]), float(i_mp)
 
 
@@ -731,7 +733,7 @@ def dc_operating_point(curve: IVCurve, load_ohm: float) -> OperatingPoint:
     if mismatch(i_sc) >= 0.0:
         # load line crosses inside the (numerically) vertical knee at I_sc
         return OperatingPoint(i_sc * load_ohm, i_sc)
-    i_op = brentq(mismatch, 0.0, i_sc, xtol=_I_XTOL, rtol=_I_RTOL)
+    i_op = brent_root(mismatch, 0.0, i_sc, _I_XTOL, _I_RTOL)
     return OperatingPoint(i_op * load_ohm, i_op)
 
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .errors import ParameterError
+from .roots import MIN_RTOL, brent_root
 
 __all__ = [
     "VALID_ORDERS",
@@ -159,4 +159,4 @@ def required_snr(order: int, ber_target: float) -> float:
     lo, hi = -6.0, 12.0
     if f(lo) < 0:
         return 10.0**lo
-    return 10.0 ** brentq(f, lo, hi, xtol=1e-12)
+    return 10.0 ** brent_root(f, lo, hi, 1e-12, MIN_RTOL)

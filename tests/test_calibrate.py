@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -19,8 +22,9 @@ from sliptsim.calibrate import (
     calibrated_receiver,
     measured_targets,
 )
-from sliptsim.presets import MEASURED_BANDWIDTH_HZ
+from sliptsim.presets import MEASURED_BANDWIDTH_HZ, UnknownPresetError
 
+SRC = Path(calibrate_module.__file__).resolve().parents[1]
 FROZEN_FIT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "calibration.json"
 
 TRUE_CAPS = {"S": 12e-12, "M": 8e-12, "L": 5e-12}
@@ -243,6 +247,13 @@ class TestFullCalibration:
         with pytest.raises(ValueError, match="emitted"):
             calibrated_receiver(other_power, "S2")
 
+    @pytest.mark.parametrize("name", ["XYZ", "", "L8"])
+    def test_calibrated_receiver_refuses_an_unknown_preset(self, name):
+        # refused before the name is parsed into a size and a segment count
+        fit = CalibrationResult.load(resources.files("sliptsim").joinpath("data/calibration.json"))
+        with pytest.raises(UnknownPresetError, match="unknown preset"):
+            calibrated_receiver(fit, name)
+
     def test_calibrated_receiver_needs_a_fit_for_the_cell_size(self, calibration):
         s_only = replace(
             calibration,
@@ -252,3 +263,55 @@ class TestFullCalibration:
         assert calibrated_receiver(s_only, "S4").device.n_segments == 4
         with pytest.raises(ValueError, match="cell size 'L'"):
             calibrated_receiver(s_only, "L6")
+
+
+def _run_fresh(probe: str) -> str:
+    """The last line ``probe`` prints in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        check=True, capture_output=True, text=True, timeout=300,
+    )
+    return done.stdout.splitlines()[-1]
+
+
+class TestOptimizerImport:
+    # scipy.optimize costs 0.2-0.3 s CPU of a fresh process; only a fit needs it
+
+    def test_calibrated_chain_and_link_load_no_optimizer(self):
+        probe = "\n".join([
+            "import sys, warnings",
+            "from importlib import resources",
+            "from sliptsim.calibrate import CalibrationResult, calibrated_receiver",
+            "from sliptsim.link import run_link",
+            "from sliptsim.ofdm import OfdmConfig",
+            "from sliptsim.presets import default_transmitter",
+            "fit = CalibrationResult.load(",
+            "    resources.files('sliptsim').joinpath('data/calibration.json'))",
+            "warnings.simplefilter('ignore')  # one frame is too few for the SNR estimate",
+            "run_link(default_transmitter(), calibrated_receiver(fit, 'S2'), OfdmConfig(),",
+            "         n_pilot_frames=1, n_measurement_frames=1, n_payload_frames=1)",
+            "print('scipy.optimize' in sys.modules)",
+        ])
+        assert _run_fresh(probe) == "False"
+
+    def test_the_fit_loads_it_and_its_stages_call_the_module_global(self):
+        probe = "\n".join([
+            "import sys",
+            "import sliptsim.calibrate as module",
+            "loaded = ['scipy.optimize' in sys.modules]",
+            "forward, stages = module.least_squares, []",
+            "def recording(*args, **kwargs):",
+            "    stages.append(len(args[1]))",
+            "    return forward(*args, **kwargs)",
+            "module.least_squares = recording",
+            "measured = module.measured_targets()",
+            "pick = lambda values: {k: values[k] for k in ('S2', 'S4')}",
+            "module.calibrate(module.CalibrationTargets(",
+            "    pick(measured.bandwidth_hz), pick(measured.pmp_w), pick(measured.imp_isc)))",
+            "loaded.append('scipy.optimize' in sys.modules)",
+            "print(loaded, stages)",
+        ])
+        # stage A fits one capacitance and the 4-segment excess resistance,
+        # stage B one responsivity, the radius and two offsets
+        assert _run_fresh(probe) == "[False, True] [2, 4]"

@@ -57,6 +57,11 @@ class TestSpecParsing:
         bad = write_spec(tmp_path, {"schema_version": 1})
         assert main(["--config", bad]) == 2
 
+    def test_config_that_is_a_directory_is_spec_error(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("spec error:")
+        assert not (tmp_path / "o").exists()
+
     def test_config_dir_environment(self, tmp_path, monkeypatch):
         cfg_dir = tmp_path / "configs"
         cfg_dir.mkdir()
@@ -247,6 +252,22 @@ def test_fit_and_cli_imports_leave_out_the_signal_stack(tmp_path):
     )
     # after the imports, after run_link and after `sliptsim link`
     assert done.stdout.splitlines()[-1] == "[[], [], []]"
+
+
+def test_iv_job_loads_no_optimizer(tmp_path):
+    # scipy.optimize costs 0.2-0.3 s CPU of a fresh process; only a fit needs it
+    probe = "\n".join([
+        "import sys, sliptsim.cli",
+        "assert sliptsim.cli.main(['iv', '--preset', 'L6', '--out', sys.argv[1]]) == 0",
+        "print('scipy.optimize' in sys.modules)",
+    ])
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        check=True, capture_output=True, text=True, timeout=300,
+    )
+    assert done.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "iv.csv").exists()
 
 
 def test_command_table_parser_and_handlers_agree(capsys):
@@ -511,6 +532,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("spec error:") and "'seed'" in err
         assert not (tmp_path / "o").exists()
+
+    def test_out_that_is_an_existing_file_is_spec_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        assert main(["safety", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spec error:") and "out_dir" in err
+        assert out.read_text() == "keep" and os.listdir(tmp_path) == ["taken"]
 
     @pytest.mark.parametrize("text, problem", [
         ('{"schema_version": 2}', "missing 'capacitance_density_f_mm2'"),
