@@ -39,7 +39,7 @@ from .loading import BitLoadingPlan, bit_power_loading
 from .ofdm import (
     OfdmConfig,
     SubcarrierSnr,
-    assemble_frame,
+    assemble_burst,
     clip,
     data_rate,
     demodulate_plan,
@@ -47,10 +47,8 @@ from .ofdm import (
     equalize,
     estimate_snr,
     generate_bits,
-    make_preamble,
     measure_ber,
     modulate_plan,
-    overlap_add,
     receive_blocks,
     synchronize,
 )
@@ -301,11 +299,16 @@ def snr_crossing_bandwidth(snr: SubcarrierSnr, freqs_hz) -> float:
 # doubling pass runs in cache); a pole whose taps outlast it takes longer chunks
 _POLE_CHUNK = 1 << 15
 
+# samples per chunk of the channel's other passes (the std-dev's leaves and
+# the noise draw): the length of its one scratch, 512 KB of float64
+_CHANNEL_CHUNK = 1 << 16
+
 
 def _one_pole(samples: np.ndarray, f3db_hz: float, fs_hz: float) -> np.ndarray:
     """Impulse-invariant discrete single-pole low-pass, unit DC gain, from
     zero state: ``y[n] = sum_k (1 - a) a**k x[n - k]``, with
-    ``a = exp(-2 pi f3db / fs)``.
+    ``a = exp(-2 pi f3db / fs)``, written into ``samples``, which is
+    returned.
 
     The recurrence is evaluated by recursive doubling (Kogge & Stone 1973):
     starting from ``w = (1 - a) x``, the step ``w[s:] += a**s * w[:-s]`` for
@@ -313,11 +316,13 @@ def _one_pole(samples: np.ndarray, f3db_hz: float, fs_hz: float) -> np.ndarray:
     ``span`` is the smallest power of two past which the taps fall below
     2**-60 of the first (under rounding), or past which no sample of the
     stream lies.  The stream is filtered in chunks of at least
-    ``_POLE_CHUNK`` samples, each preceded by the ``span - 1`` samples of
-    history its first output reads, so the scratch is one such window and
-    its doubling product: 0.5 MB at GHz corners, never more than the
-    stream's length each as the corner falls to 0.  Equals
-    ``lfilter([1 - a], [1, -a], samples)`` up to rounding.
+    ``_POLE_CHUNK`` samples, last to first, each in place over its window:
+    the ``span - 1`` samples of history its first output reads, then the
+    chunk.  The history's input samples are saved before the doubling
+    overwrites them and put back after, for the chunk before to read, so
+    the scratch is that history and one doubling product: 0.3 MB at GHz
+    corners, never more than the stream's length as the corner falls to 0.
+    Equals ``lfilter([1 - a], [1, -a], samples)`` up to rounding.
     """
     a = math.exp(-2.0 * math.pi * f3db_hz / fs_hz)
     n = len(samples)
@@ -325,26 +330,52 @@ def _one_pole(samples: np.ndarray, f3db_hz: float, fs_hz: float) -> np.ndarray:
     while span < n and a**span >= 2.0**-60:
         span *= 2
     chunk = max(_POLE_CHUNK, span)
-    out = np.empty(n)
-    for start in range(0, n, chunk):
+    for start in reversed(range(0, n, chunk)):
         lo = max(start - (span - 1), 0)
-        w = (1.0 - a) * samples[lo : start + chunk]
+        w = samples[lo : start + chunk]
+        history = w[: start - lo].copy()
+        w *= 1.0 - a
         step = 1
         while step < span:
             w[step:] += a**step * w[:-step]
             step *= 2
-        out[start : start + chunk] = w[start - lo :]
-    return out
+        w[: start - lo] = history
+    return samples
 
 
 def _std(samples: np.ndarray, scratch: np.ndarray) -> float:
-    """``np.std(samples)`` by its own steps (mean, subtract, square in place,
-    sum, divide, square root), with ``x - mean`` written into ``scratch``, a
-    buffer of the same length whose contents are overwritten (a spent one
-    spares the new temporary)."""
-    np.subtract(samples, samples.mean(), out=scratch)
-    np.multiply(scratch, scratch, out=scratch)
-    return math.sqrt(scratch.sum() / samples.size)
+    """``np.std(samples)``, bit for bit, with ``x - mean`` squared a leaf at
+    a time in ``scratch`` (at least ``min(len(samples), _CHANNEL_CHUNK)``
+    samples, whose contents are overwritten): numpy's steps (mean, subtract,
+    square, sum, divide, square root), with the sum taken by
+    :func:`_sum_of_squares`."""
+    total = _sum_of_squares(samples, samples.mean(), scratch, 0, samples.size)
+    return math.sqrt(total / samples.size)
+
+
+def _sum_of_squares(
+    samples: np.ndarray, mean: float, scratch: np.ndarray, lo: int, hi: int
+) -> float:
+    """``np.sum((samples[lo:hi] - mean) ** 2)``, bit for bit, without the
+    full-length squares.
+
+    numpy sums a float64 array along one fixed pairwise tree (Higham 1993):
+    a range of more than 128 samples splits after half its length rounded
+    down to a multiple of 8, and the two halves' sums are added.  This walks
+    that tree down to ranges of at most ``_CHANNEL_CHUNK`` samples, whose
+    squares are formed in ``scratch`` and summed by numpy along the same
+    tree.
+    """
+    n = hi - lo
+    if n > _CHANNEL_CHUNK:
+        mid = lo + n // 2 - n // 2 % 8
+        return _sum_of_squares(samples, mean, scratch, lo, mid) + _sum_of_squares(
+            samples, mean, scratch, mid, hi
+        )
+    leaf = scratch[:n]
+    np.subtract(samples[lo:hi], mean, out=leaf)
+    np.multiply(leaf, leaf, out=leaf)
+    return leaf.sum()
 
 
 def _apply_channel(
@@ -361,15 +392,15 @@ def _apply_channel(
     The stream is clipped at ``config.clip_sigma`` std-devs (not at all
     when it is None).  The stream is consumed: each physical step is one
     pass in its buffer, which carries the clipped drive, the optical
-    waveform and the AC photocurrent, and then the received samples that
-    are returned.  The single-pole filter's output is the only other
-    full-length array held with it.  The drive's std-dev takes a scratch
-    array that is dropped at once; the received level's std-dev uses the
-    spent stream as scratch once the filter has consumed the photocurrent.
-    The noise draw takes the same generator values as
-    ``rng.normal(0, sigma_v, n)``.
+    waveform, the AC photocurrent, the filtered load voltage and then the
+    received samples that are returned.  Both std-devs and the noise draw
+    work through one scratch of ``_CHANNEL_CHUNK`` samples, so no other
+    array of the stream's length exists.  The noise is drawn a chunk at a
+    time and added in place: the generator values of
+    ``rng.normal(0, sigma_v, n)``, in the same order.
     """
-    sigma_x = _std(stream, np.empty_like(stream))
+    scratch = np.empty(min(len(stream), _CHANNEL_CHUNK))
+    sigma_x = _std(stream, scratch)
     clip_sigma = config.clip_sigma
     if clip_sigma is None:
         # unclipped: the drive is scaled as the default clip level would scale it
@@ -381,15 +412,18 @@ def _apply_channel(
     _, clipped = tx.optical_waveform(stream, out=stream)
     stream -= stream.mean()
     stream *= chain.beam.responsivity_a_w * mean_fraction
-    v_sig = _one_pole(stream, chain.f3db_hz(), config.sample_rate_hz)
-    v_sig *= chain.ac_load_ohm
+    _one_pole(stream, chain.f3db_hz(), config.sample_rate_hz)
+    stream *= chain.ac_load_ohm
     psd = chain.noise.current_psd(chain.ac_load_ohm, operating_current_a)
     sigma_thermal = math.sqrt(psd * config.sample_rate_hz / 2.0) * chain.ac_load_ohm
-    sigma_q = chain.noise.quantization_sigma(_std(v_sig, stream))  # stream is spent
-    rx = rng.standard_normal(out=stream)
-    rx *= math.hypot(sigma_thermal, sigma_q)
-    rx += v_sig
-    return rx, clipped
+    sigma_q = chain.noise.quantization_sigma(_std(stream, scratch))
+    sigma_v = math.hypot(sigma_thermal, sigma_q)
+    for lo in range(0, len(stream), _CHANNEL_CHUNK):
+        rx = stream[lo : lo + _CHANNEL_CHUNK]
+        noise = rng.standard_normal(out=scratch[: len(rx)])
+        noise *= sigma_v
+        rx += noise
+    return stream, clipped
 
 
 # ---------------------------------------------------------------------------
@@ -401,19 +435,6 @@ def _pilot_symbols(config: OfdmConfig, seed) -> np.ndarray:
     nd = config.data_subcarriers
     plan = BitLoadingPlan(np.full(nd, 2), np.ones(nd))
     return modulate_plan(generate_bits(seed, 2 * nd), plan, 1)[0]
-
-
-def _build_stream(
-    config: OfdmConfig, frames: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Preamble plus the shaped frame stack.
-
-    Returns (stream, shaped preamble segment, first block offset).
-    """
-    _, pre_seg = make_preamble(config)
-    pre_stride = config.preamble_length * config.oversampling_factor
-    stream = overlap_add([pre_seg, assemble_frame(frames, config)], pre_stride)
-    return stream, pre_seg, pre_stride
 
 
 def _header_length(
@@ -447,12 +468,15 @@ def _run_burst(
     the burst's drive scaling.  The preamble sits at the start of the burst,
     so it is searched for only in the burst header (:func:`_header_length`),
     and the synchronizer's peak-to-sidelobe check is measured over that
-    fixed window, whatever the payload length.
+    fixed window, whatever the payload length.  The frames are released
+    once the stream carries them, so a caller that passes them without
+    keeping a reference frees them there.
     """
-    all_frames = np.vstack([np.tile(pilot, (n_pilot_frames, 1)), frames])
-    n_blocks = len(all_frames)
-    stream, pre_seg, pre_stride = _build_stream(config, all_frames)
-    del all_frames  # the stream carries the frames from here on
+    n_blocks = n_pilot_frames + len(frames)
+    stream, pre_seg, pre_stride = assemble_burst(
+        [np.tile(pilot, (n_pilot_frames, 1)), frames], config
+    )
+    del frames
     # the channel consumes the stream: its buffer returns the received samples
     rx_samples, clip_fraction = _apply_channel(
         stream, tx, chain, config, mean_fraction, operating_current_a, rng
@@ -529,10 +553,11 @@ def run_link(
     # --- payload burst ------------------------------------------------------
     if plan.total_bits > 0:
         payload_bits = generate_bits([seed, 3], n_payload_frames * plan.total_bits)
-        payload = modulate_plan(payload_bits, plan, n_payload_frames)
+        # handed over without a reference here, so the burst frees the
+        # symbols once its stream carries them
         eq_payload, _, _ = _run_burst(
-            payload, pilot, n_pilot_frames, tx, chain, config,
-            mean_fraction, op.current_a, rng,
+            modulate_plan(payload_bits, plan, n_payload_frames), pilot,
+            n_pilot_frames, tx, chain, config, mean_fraction, op.current_a, rng,
         )
         rx_bits = demodulate_plan(eq_payload, plan)
         ber = measure_ber(payload_bits, rx_bits)

@@ -2,12 +2,16 @@
 synchronization, channel estimation, one-tap equalization and SNR/BER/rate
 bookkeeping.
 
-The transmitter works on a stack of frames [n_frames, n_carriers]: one real
-inverse FFT of the positive-frequency bins along the last axis gives every
+The transmitter works on stacks of frames [n_frames, n_carriers]: a real
+inverse FFT of the positive-frequency bins along the last axis gives each
 block's FFT core (the negative frequencies are their conjugate mirror, so
-the cores are real by construction), the cyclic-prefixed blocks are laid
-end to end and shaped by one root-raised-cosine filter at the oversampled
-rate.  A single frame is a stack of one.
+the cores are real by construction), run a chunk of frames at a time
+straight into one buffer of cyclic-prefixed blocks laid end to end, which
+one root-raised-cosine filter shapes at the oversampled rate.  A burst
+(:func:`assemble_burst`) is the sync preamble followed by the blocks of its
+stacks, shaped into one stream with the preamble added into its head; a
+frame stack alone (:func:`assemble_frame`) is the single-stack case without
+the preamble, and a single frame is a stack of one.
 
 Both RRC filters run in polyphase form through one chunked overlap-save
 routine, so no zero of the oversampled grid is filtered and no output the
@@ -49,6 +53,7 @@ __all__ = [
     "generate_bits",
     "ofdm_core",
     "assemble_frame",
+    "assemble_burst",
     "overlap_add",
     "rrc_taps",
     "make_preamble",
@@ -273,14 +278,15 @@ def _window(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def _overlap_save(
-    x: np.ndarray, bank: np.ndarray, first: int, count: int
+    x: np.ndarray, bank: np.ndarray, first: int, out: np.ndarray
 ) -> np.ndarray:
     """A bank of multi-input FIR filters, by chunked overlap-save.
 
     ``bank`` is [n_out, n_in, K].  The input ``x`` interleaves ``n_in``
     components, ``x_r[i] = x[n_in*i + r]`` (zero outside ``x``), and the
-    result ``y`` [count, n_out] holds ``y[j, k] = sum_r (x_r * bank[k, r])
-    [first + j]``, indexing the full convolutions.  Overlap-save blocks of
+    result ``y`` [count, n_out], written into ``out`` of that shape and
+    returned, holds ``y[j, k] = sum_r (x_r * bank[k, r])[first + j]``,
+    indexing the full convolutions.  Overlap-save blocks of
     ``nfft`` samples per component give ``nfft - K + 1`` outputs each: per
     block the components are transformed once, weighted by every filter's
     spectrum, summed over the components and inverted once per output.
@@ -288,10 +294,10 @@ def _overlap_save(
     only array that grows with ``count``.
     """
     n_out, n_in, n_taps = bank.shape
+    count = len(out)
     nfft = _fft_size(n_taps)
     step = nfft - n_taps + 1
     b_spec = np.fft.rfft(bank, nfft)[:, :, None, :]
-    out = np.empty((count, n_out))
     for j in range(0, count, step * _CHUNK_BLOCKS):
         n = min(step * _CHUNK_BLOCKS, count - j)
         n_blk = -(-n // step)
@@ -305,22 +311,55 @@ def _overlap_save(
     return out
 
 
-def _shape(samples_1x: np.ndarray, config: OfdmConfig) -> np.ndarray:
-    """The RRC filter applied to the zero-stuffed oversampled stream (full
-    convolution), computed in polyphase form.
+def _shape(samples_1x: np.ndarray, config: OfdmConfig, lead: int) -> np.ndarray:
+    """``lead`` zero samples, then the RRC filter applied to the zero-stuffed
+    oversampled stream (full convolution), computed in polyphase form.
 
-    Output sample ``j*osf + p`` is the symbol-rate input convolved with tap
-    phase p, so no zero is filtered: one input, ``osf`` filters, written
-    phase-interleaved straight into the result.  Equals the full-rate
-    convolution up to rounding; an empty input gives an empty output.
+    Output sample ``j*osf + p`` after the lead is the symbol-rate input
+    convolved with tap phase p, so no zero is filtered: one input, ``osf``
+    filters, written phase-interleaved straight into the result.  Equals
+    the full-rate convolution up to rounding; an empty input gives the lead
+    alone.
     """
     if len(samples_1x) == 0:
-        return np.zeros(0)
+        return np.zeros(lead)
     osf = config.oversampling_factor
     n = len(samples_1x) * osf + len(rrc_taps(config)) - 1
     phases = _polyphase_taps_cached(osf, config.rolloff)
     count = -(-n // osf)  # outputs per phase
-    return _overlap_save(samples_1x, phases[:, None, :], 0, count).ravel()[:n]
+    out = np.empty(lead + count * osf)
+    out[:lead] = 0.0
+    _overlap_save(samples_1x, phases[:, None, :], 0, out[lead:].reshape(count, osf))
+    return out[: lead + n]
+
+
+# frames transformed per chunk by the block builder: it bounds the IFFT's
+# working memory (about 0.5 MB each of half spectrum and cores at the default
+# size) whatever the burst length
+_IFFT_ROWS = 64
+
+
+def _blocks(stacks, config: OfdmConfig) -> np.ndarray:
+    """Cyclic-prefixed blocks [n_blocks, block_length] of the frame stacks,
+    in order; each stack is [n_frames, n_carriers] or one frame.
+
+    The frames are IFFT'd ``_IFFT_ROWS`` at a time straight into the one
+    result, so their spectrum and bare cores exist a chunk at a time.  The
+    real IFFT transforms rows independently, so each block's core equals
+    :func:`ofdm_core`'s of the whole stack, bit for bit.
+    """
+    stacks = [np.atleast_2d(stack) for stack in stacks]
+    n, cp = config.fft_size, config.cp_length
+    out = np.empty((sum(len(stack) for stack in stacks), config.block_length))
+    row = 0
+    for stack in stacks:
+        for i in range(0, len(stack), _IFFT_ROWS):
+            core = ofdm_core(stack[i : i + _IFFT_ROWS], config)
+            rows = out[row : row + len(core)]
+            rows[:, cp:] = core
+            rows[:, :cp] = core[:, n - cp :]
+            row += len(core)
+    return out
 
 
 def assemble_frame(symbols, config: OfdmConfig) -> np.ndarray:
@@ -331,11 +370,26 @@ def assemble_frame(symbols, config: OfdmConfig) -> np.ndarray:
     ``config.block_length`` symbols each, so block b of the returned full
     convolution starts at sample ``b * config.block_stride``.
     """
-    core = np.atleast_2d(ofdm_core(symbols, config))
-    cp = config.cp_length
-    blocks = np.concatenate([core[:, -cp:], core], axis=1) if cp else core
-    del core  # shaping holds the stream and its result, not the bare cores
-    return _shape(blocks.ravel(), config)
+    return _shape(_blocks([symbols], config).ravel(), config, 0)
+
+
+def assemble_burst(stacks, config: OfdmConfig) -> tuple[np.ndarray, np.ndarray, int]:
+    """Shaped real sample stream of a burst: the sync preamble, then the
+    blocks of the frame stacks in order (pilot repeats, then frames).
+
+    The blocks are shaped into one stream after ``first`` leading samples,
+    the preamble's stride of ``preamble_length`` symbols, and the shaped
+    preamble is added into its head, so block b starts at sample ``first +
+    b * config.block_stride``.  The blocks' buffer, at symbol rate, is the
+    only other array of the burst's length.
+
+    Returns (stream, shaped preamble segment, first block offset).
+    """
+    _, pre_seg = make_preamble(config)
+    first = config.preamble_length * config.oversampling_factor
+    stream = _shape(_blocks(stacks, config).ravel(), config, first)
+    stream[: len(pre_seg)] += pre_seg
+    return stream, pre_seg, first
 
 
 def overlap_add(segments, stride: int) -> np.ndarray:
@@ -385,7 +439,7 @@ def make_preamble(config: OfdmConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     frame_rms = math.sqrt(2.0 * config.data_subcarriers) / config.fft_size
     core = _preamble_core_cached(config.preamble_length, frame_rms)
-    return core, _shape(core, config)
+    return core, _shape(core, config, 0)
 
 
 def synchronize(stream, reference) -> int:
@@ -408,7 +462,8 @@ def synchronize(stream, reference) -> int:
     # lag j correlates stream[j : j + n_ref]: the full convolution with the
     # reversed reference at j + n_ref - 1, over the lags inside the stream
     bank = reference[::-1].reshape(1, 1, n_ref)
-    corr = _overlap_save(stream, bank, n_ref - 1, len(stream) - n_ref + 1)[:, 0]
+    corr = np.empty((len(stream) - n_ref + 1, 1))
+    corr = _overlap_save(stream, bank, n_ref - 1, corr)[:, 0]
     mag = np.abs(corr)
     peak = int(np.argmax(mag))
     if mag[peak] == 0.0:
@@ -441,7 +496,7 @@ def matched_filter(stream, config: OfdmConfig) -> np.ndarray:
         return np.zeros(0)
     taps = rrc_taps(config) / config.oversampling_factor
     count = len(stream) + len(taps) - 1
-    return _overlap_save(stream, taps.reshape(1, 1, -1), 0, count)[:, 0]
+    return _overlap_save(stream, taps.reshape(1, 1, -1), 0, np.empty((count, 1)))[:, 0]
 
 
 def _matched_filter_phase(
@@ -463,7 +518,7 @@ def _matched_filter_phase(
     for r in range(osf):
         delay = int(r > q)
         c[0, r, delay : delay + phases.shape[1]] = phases[(q - r) % osf]
-    return _overlap_save(stream, c, first, count)[:, 0]
+    return _overlap_save(stream, c, first, np.empty((count, 1)))[:, 0]
 
 
 def receive_blocks(

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -10,15 +11,16 @@ from chain import reference_channel
 from sliptsim import link
 from sliptsim.calibrate import calibrated_receiver
 from sliptsim.link import (
+    _CHANNEL_CHUNK,
     _POLE_CHUNK,
     NoiseModel,
     TransmitterModel,
     _apply_channel,
-    _build_stream,
     _header_length,
     _one_pole,
     _run_burst,
     _std,
+    _sum_of_squares,
     channel_response,
     mismatch_study,
     run_link,
@@ -30,6 +32,7 @@ from sliptsim.ofdm import (
     OfdmConfig,
     SubcarrierSnr,
     SyncError,
+    assemble_burst,
     generate_bits,
     modulate_plan,
     synchronize,
@@ -184,6 +187,32 @@ class TestRunLink:
         assert report.ber == 0.0
         assert report.data_rate_bps > 0
 
+    def test_payload_symbols_are_freed_before_the_channel(self, monkeypatch):
+        # every symbol array run_link modulates (pilot, measurement,
+        # payload), and which of them are alive at each channel pass
+        made, alive = [], []
+        modulate, channel = link.modulate_plan, link._apply_channel
+
+        def tracked_modulate(*args):
+            symbols = modulate(*args)
+            made.append(weakref.ref(symbols))
+            return symbols
+
+        def tracked_channel(*args):
+            alive.append([ref() is not None for ref in made])
+            return channel(*args)
+
+        monkeypatch.setattr(link, "modulate_plan", tracked_modulate)
+        monkeypatch.setattr(link, "_apply_channel", tracked_channel)
+        report = run_link(
+            default_transmitter(), quiet_receiver(), FAST_CFG, seed=1,
+            n_measurement_frames=12, n_payload_frames=4,
+        )
+        assert report.total_bits_per_frame > 0
+        # the measurement symbols are the SNR estimate's reference; the
+        # payload's are carried by the stream alone
+        assert alive == [[True, True], [True, True, False]]
+
     def test_deterministic_given_seed(self):
         cfg = FAST_CFG
         kwargs = dict(n_measurement_frames=12, n_payload_frames=4)
@@ -313,19 +342,39 @@ def s2_channel_inputs(tx):
     return chain, float(fractions.mean()), op.current_a
 
 
+def unchunked_one_pole(x, f3db_hz, fs_hz):
+    """The single pole's recursive doubling over the whole stream at once,
+    into a new array: the span's taps reach every output from the same
+    samples as a chunk window does, so it equals the chunked in-place
+    filter bit for bit."""
+    a = math.exp(-2.0 * math.pi * f3db_hz / fs_hz)
+    span = 1
+    while span < len(x) and a**span >= 2.0**-60:
+        span *= 2
+    w = (1.0 - a) * x
+    step = 1
+    while step < span:
+        w[step:] = w[step:] + a**step * w[:-step]
+        step *= 2
+    return w
+
+
 class TestOnePole:
-    """The recursive-doubling pole equals ``lfilter``'s recurrence to within
-    8 eps of the output's largest sample."""
+    """The recursive-doubling pole filters its input in place and equals
+    ``lfilter``'s recurrence to within 8 eps of the output's largest sample
+    at spans of up to 8 K taps."""
 
     FS = OfdmConfig().sample_rate_hz
 
     def assert_matches_lfilter(self, x, f3db_hz):
         a = math.exp(-2.0 * math.pi * f3db_hz / self.FS)
         ref = lfilter([1.0 - a], [1.0, -a], x)
-        y = _one_pole(x, f3db_hz, self.FS)
-        assert y.shape == ref.shape
+        buf = x.copy()
+        y = _one_pole(buf, f3db_hz, self.FS)
+        assert y is buf
         err = np.abs(y - ref).max(initial=0.0)
         assert err <= 8 * np.finfo(float).eps * np.abs(ref).max(initial=0.0)
+        return y
 
     def test_calibrated_presets(self, calibration):
         # three full chunks and a partial one
@@ -352,17 +401,40 @@ class TestOnePole:
     def test_a_pole_far_above_the_sample_rate_passes_the_stream(self):
         x = np.random.default_rng(2).normal(size=1000)
         assert math.exp(-2.0 * math.pi * 1e3) == 0.0
-        assert np.array_equal(_one_pole(x, 1e3 * self.FS, self.FS), x)
+        assert np.array_equal(_one_pole(x.copy(), 1e3 * self.FS, self.FS), x)
+
+    @pytest.mark.parametrize("edge", [-1, 0, 1, 62, 63, 64])
+    @pytest.mark.parametrize(
+        "f3db_hz, chunk",
+        [
+            (0.83e9, _POLE_CHUNK),  # S2's corner: 64 taps per output
+            (1e6, 1 << 16),  # chunks of the span, each reading a chunk of history
+            (7.68, None),  # the span reaches past the stream: one chunk
+        ],
+    )
+    def test_in_place_chunks_equal_one_pass(self, f3db_hz, chunk, edge):
+        # two chunks and a few samples around the next edge, so the last
+        # chunk's saved history straddles an edge.  The two long spans round
+        # to 10-50 eps of their heavily low-passed outputs' peaks, past the
+        # lfilter bound above, so only the one-pass oracle checks them
+        x = np.random.default_rng(edge + 1).normal(size=2 * (chunk or _POLE_CHUNK) + edge)
+        if chunk == _POLE_CHUNK:
+            y = self.assert_matches_lfilter(x, f3db_hz)
+        else:
+            y = _one_pole(x.copy(), f3db_hz, self.FS)
+        assert np.array_equal(y, unchunked_one_pole(x, f3db_hz, self.FS))
 
     @pytest.mark.parametrize(
         "f3db_hz, bound",
         [
-            # S2's corner: the output plus a chunk and its doubling product
-            # (1.06x measured)
-            (0.83e9, 1.1),
-            # 2**33 taps to reach 2**-60, capped at the stream's length: the
-            # output, one stream-length chunk and its product (3.0x measured)
-            (7.68, 3.1),
+            # S2's corner: one chunk's doubling product and 63 samples of
+            # saved history (0.031x measured)
+            (0.83e9, 0.05),
+            # 2**33 taps to reach 2**-60, capped at the stream's length: one
+            # stream-length chunk filtered in place, and its doubling
+            # product (1.0001x measured; 3.0x with a new output and a copied
+            # window)
+            (7.68, 1.05),
         ],
     )
     def test_scratch_is_bounded(self, f3db_hz, bound):
@@ -373,26 +445,48 @@ class TestOnePole:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.all(np.isfinite(y))
+        assert y is x and np.all(np.isfinite(y))
         assert peak <= bound * x.nbytes
 
 
 class TestChannelOracle:
     """The in-place channel equals the step-by-step reference bit for bit."""
 
-    @pytest.mark.parametrize("n", [1, 7, 1000, 100_003])
+    @pytest.mark.parametrize(
+        "n", [1, 7, 1000, 2**16 - 1, 2**16, 2**16 + 1, 100_003, 4_249_120]
+    )
     def test_std_through_a_spent_buffer_equals_np_std(self, n):
+        # leaves of at most _CHANNEL_CHUNK samples of numpy's pairwise tree;
+        # 4,249,120 samples is the bench's 1024-frame payload burst
         samples = np.random.default_rng(n).normal(0.3, 2.0, n)
-        scratch = np.full(n, np.nan)
+        scratch = np.full(min(n, _CHANNEL_CHUNK), np.nan)
         assert _std(samples, scratch) == np.std(samples)
+
+    @pytest.mark.parametrize("n", [2**16 + 1, 100_003, 131_075, 4_249_120])
+    def test_sum_of_squares_walks_numpys_pairwise_tree(self, n):
+        # heavy tails make the rounded sum depend on the tree's shape: a
+        # split at half the length not rounded down to a multiple of 8
+        # changes it at 131,075 and 4,249,120 samples
+        samples = np.random.default_rng(n).standard_cauchy(n)
+        mean = samples.mean()
+        scratch = np.empty(_CHANNEL_CHUNK)
+        assert _sum_of_squares(samples, mean, scratch, 0, n) == np.sum((samples - mean) ** 2)
 
     SMALL_CFG = OfdmConfig(fft_size=64, cp_length=5, sample_rate_hz=7.68e9)
 
-    @pytest.mark.parametrize("case", ["nominal", "overdriven", "constant", "unclipped"])
+    @pytest.mark.parametrize(
+        "case", ["nominal", "overdriven", "constant", "unclipped", "chunked"]
+    )
     def test_matches_reference(self, case):
         tx = default_transmitter()
         config = self.SMALL_CFG
-        stream, _, _ = _build_stream(config, qpsk_frames(config, 40, 3))
+        if case == "chunked":
+            # 40 default frames: 166,095 samples, two full chunks of the
+            # std-dev leaves and the noise draw and a partial third
+            config = OfdmConfig()
+        stream, _, _ = assemble_burst([qpsk_frames(config, 40, 3)], config)
+        if case == "chunked":
+            assert 2 * _CHANNEL_CHUNK < len(stream) < 3 * _CHANNEL_CHUNK
         if case == "overdriven":
             tx = replace(tx, drive_vpp=1.5)
         elif case == "constant":
@@ -419,15 +513,17 @@ class TestChannelOracle:
         assert (clipped > 0.0) == (case in ("overdriven", "constant"))
 
     def test_channel_memory_is_bounded(self):
-        """The channel of a 1000-frame burst allocates at most 1.1x the
+        """The channel of a 1000-frame burst allocates at most 0.04x the
         stream's bytes above what is live at entry: the stream's own buffer
-        carries the drive, the optical waveform, the AC photocurrent and
-        then the received samples, and the drive's std-dev scratch and the
-        single-pole filter's output are each one stream length (about 1.0x
-        measured; a separate working buffer takes about 2.0x, a new array
-        per step about 4.0x)."""
+        carries the drive, the optical waveform, the AC photocurrent, the
+        filtered load voltage and then the received samples; both std-devs
+        and the noise draw work in one 512 KB scratch, and the single pole
+        adds a chunk's doubling product (about 0.024x, 0.75 MB, measured; a
+        full-length std-dev scratch and filter output took about 1.0x, a
+        separate working buffer about 2.0x, a new array per step about
+        4.0x)."""
         config = OfdmConfig()
-        stream, _, _ = _build_stream(config, qpsk_frames(config, 1000, 5))
+        stream, _, _ = assemble_burst([qpsk_frames(config, 1000, 5)], config)
         nbytes = stream.nbytes
         tx = default_transmitter()
         chain, mean_fraction, current = s2_channel_inputs(tx)
@@ -439,21 +535,25 @@ class TestChannelOracle:
         finally:
             tracemalloc.stop()
         assert rx is stream
-        assert peak <= 1.1 * nbytes
+        assert peak <= 0.04 * nbytes
 
     def test_burst_memory_is_bounded(self):
-        """A 1000-frame burst allocates at most 2.4x its stream's bytes
-        above what is live at entry: the stream, which the channel consumes
-        and returns as the received samples, plus one more stream length at
-        the peak (about 2.25x measured; a channel that keeps its input
-        intact reaches about 3.25x)."""
+        """A 1000-frame burst allocates at most 1.6x its stream's bytes
+        above what is live at entry: the stream, which carries the burst
+        from shaping to the received samples, plus, at the peak, the
+        receiver's matched-filter phase and the blocks' spectrum, a quarter
+        stream length each (about 1.50x measured; shaping beside the block
+        buffer and one overlap-save chunk takes about 1.46x.  With a second
+        zeroed stream for the preamble and the channel's full-length
+        std-dev scratch and filter output it took about 2.25x, and a
+        channel that keeps its input intact about 3.25x)."""
         config = OfdmConfig()
         n_pilot = 8
         frames = qpsk_frames(config, 1000 - n_pilot, 5)
         pilot = qpsk_frames(config, 1, 1)[0]
         tx = default_transmitter()
         chain, mean_fraction, current = s2_channel_inputs(tx)
-        stream, _, _ = _build_stream(config, np.vstack([np.tile(pilot, (n_pilot, 1)), frames]))
+        stream, _, _ = assemble_burst([np.tile(pilot, (n_pilot, 1)), frames], config)
         nbytes = stream.nbytes
         del stream
         rng = np.random.default_rng(3)
@@ -468,7 +568,7 @@ class TestChannelOracle:
         finally:
             tracemalloc.stop()
         assert eq.shape == frames.shape
-        assert peak <= 2.4 * nbytes
+        assert peak <= 1.6 * nbytes
 
 
 class TestHeaderSync:
@@ -480,7 +580,7 @@ class TestHeaderSync:
         chain, mean_fraction, current = s2_channel_inputs(tx)
         n_pilot = 8
         frames = np.vstack([qpsk_frames(config, n_pilot, 1), qpsk_frames(config, 100, 2)])
-        stream, pre_seg, pre_stride = _build_stream(config, frames)
+        stream, pre_seg, pre_stride = assemble_burst([frames], config)
         rx, _ = _apply_channel(
             stream, tx, chain, config, mean_fraction, current,
             np.random.default_rng(4),
@@ -507,7 +607,7 @@ class TestHeaderSync:
     @pytest.mark.parametrize("fft_size", [64, 32])
     def test_header_holds_the_preamble_with_one_pilot(self, fft_size):
         config = OfdmConfig(fft_size=fft_size, cp_length=5, sample_rate_hz=7.68e9)
-        _, pre_seg, pre_stride = _build_stream(config, qpsk_frames(config, 1, 0))
+        _, pre_seg, pre_stride = assemble_burst([qpsk_frames(config, 1, 0)], config)
         header = _header_length(config, 1, pre_stride, len(pre_seg))
         # the preamble plus lags beyond the correlation main lobe
         assert header > len(pre_seg) + len(pre_seg) // 8

@@ -8,11 +8,11 @@ from scipy.special import ndtr
 
 from chain import build_tx_stream, digital_loopback, reference_core
 from sliptsim import ofdm
-from sliptsim.link import _build_stream
 from sliptsim.loading import BitLoadingPlan, bit_power_loading
 from sliptsim.ofdm import (
     OfdmConfig,
     SyncError,
+    assemble_burst,
     assemble_frame,
     clip,
     data_rate,
@@ -412,12 +412,30 @@ class TestBatchedWaveform:
 
     def test_burst_stream_matches_per_frame_oracle(self, rng):
         frames = random_stack(rng, 20, CFG)
-        stream, pre_seg, first = _build_stream(CFG, frames)
+        stream, pre_seg, first = assemble_burst([frames], CFG)
         ref, _, ref_first = build_tx_stream(list(frames), CFG, tail_pad=0)
         assert first == ref_first
         assert np.array_equal(pre_seg, make_preamble(CFG)[1])
         assert len(stream) == len(ref)
         assert np.abs(stream - ref).max() <= BATCH_TOL * np.abs(ref).max()
+
+    def test_chunked_ifft_equals_whole_stack_core(self, rng):
+        # pilot repeats, then two full chunks of rows and a partial one
+        stacks = [
+            np.tile(random_stack(rng, 1, CFG), (3, 1)),
+            random_stack(rng, 2 * ofdm._IFFT_ROWS + 5, CFG),
+        ]
+        core = ofdm_core(np.vstack(stacks), CFG)
+        ref = np.concatenate([core[:, CFG.fft_size - CFG.cp_length :], core], axis=1)
+        assert np.array_equal(ofdm._blocks(stacks, CFG), ref)
+
+    def test_burst_adds_the_preamble_into_the_shaped_head(self, rng):
+        # the preamble and the shaped frames overlap-added into a new stream
+        stacks = [np.tile(random_stack(rng, 1, CFG), (8, 1)), random_stack(rng, 20, CFG)]
+        stream, pre_seg, first = assemble_burst(stacks, CFG)
+        ref = overlap_add([pre_seg, assemble_frame(np.vstack(stacks), CFG)], first)
+        assert first == CFG.preamble_length * CFG.oversampling_factor < len(pre_seg)
+        assert np.array_equal(stream, ref)
 
     def test_single_frame_is_a_stack_of_one(self, rng):
         frame = random_stack(rng, 1, SMALL)
@@ -443,7 +461,7 @@ class TestBatchedWaveform:
         core = reference_core(frames, n).real
         blocks = np.concatenate([core[:, n - config.cp_length :], core], axis=1)
         # odd input lengths: 1, 7, 1001 samples and the 5 * 69-symbol stack
-        cases = [(x, ofdm._shape(x, config)) for x in (rng.normal(size=k) for k in (1, 7, 1001))]
+        cases = [(x, ofdm._shape(x, config, 0)) for x in (rng.normal(size=k) for k in (1, 7, 1001))]
         cases.append((blocks.ravel(), assemble_frame(frames, config)))
         for samples, shaped in cases:
             up = np.zeros(len(samples) * osf)
@@ -475,7 +493,7 @@ class TestBatchedWaveform:
             "out_chunk": chunk - k + 1, "3chunks+rem": 3 * chunk + 123,
         }[length]
         samples = rng.normal(size=n)
-        shaped = ofdm._shape(samples, config)
+        shaped = ofdm._shape(samples, config, 0)
         up = np.zeros(n * osf)
         up[::osf] = samples
         ref = fftconvolve(up, rrc_taps(config))
