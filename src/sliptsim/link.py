@@ -470,7 +470,8 @@ def _run_burst(
     and the synchronizer's peak-to-sidelobe check is measured over that
     fixed window, whatever the payload length.  The frames are released
     once the stream carries them, so a caller that passes them without
-    keeping a reference frees them there.
+    keeping a reference frees them there, and the received stream once its
+    blocks are transformed, before the equalizer runs.
     """
     n_blocks = n_pilot_frames + len(frames)
     stream, pre_seg, pre_stride = assemble_burst(
@@ -481,9 +482,11 @@ def _run_burst(
     rx_samples, clip_fraction = _apply_channel(
         stream, tx, chain, config, mean_fraction, operating_current_a, rng
     )
+    del stream
     header = _header_length(config, n_pilot_frames, pre_stride, len(pre_seg))
     start = synchronize(rx_samples[:header], pre_seg)
     blocks = receive_blocks(rx_samples, start + pre_stride, n_blocks, config)
+    del rx_samples
     gains = estimate_channel(blocks[:n_pilot_frames], pilot)
     return equalize(blocks[n_pilot_frames:], gains), gains, clip_fraction
 

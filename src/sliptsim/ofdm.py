@@ -5,28 +5,32 @@ bookkeeping.
 The transmitter works on stacks of frames [n_frames, n_carriers]: a real
 inverse FFT of the positive-frequency bins along the last axis gives each
 block's FFT core (the negative frequencies are their conjugate mirror, so
-the cores are real by construction), run a chunk of frames at a time
-straight into one buffer of cyclic-prefixed blocks laid end to end, which
-one root-raised-cosine filter shapes at the oversampled rate.  A burst
-(:func:`assemble_burst`) is the sync preamble followed by the blocks of its
-stacks, shaped into one stream with the preamble added into its head; a
-frame stack alone (:func:`assemble_frame`) is the single-stack case without
-the preamble, and a single frame is a stack of one.
+the cores are real by construction), and the cyclic-prefixed blocks laid
+end to end form a symbol-rate stream that one root-raised-cosine filter
+shapes at the oversampled rate.  A burst (:func:`assemble_burst`) is the
+sync preamble followed by the blocks of its stacks, shaped into one stream
+with the preamble added into its head; a frame stack alone
+(:func:`assemble_frame`) is the single-stack case without the preamble, and
+a single frame is a stack of one.
 
 Both RRC filters run in polyphase form through one chunked overlap-save
 routine, so no zero of the oversampled grid is filtered and no output the
-modem does not use is computed.  TX shaping filters the symbol-rate stream
-with each of the ``osf`` tap phases and interleaves the phases into the
-result, which equals zero-stuffing and filtering at the full rate.  The
-receiver locates the preamble by cross-correlation, through the same
-routine with the reversed preamble as its one filter (the link searches
-only the burst header), then filters the ``osf`` polyphase components of the
-received stream into the one oversampling phase its FFT windows read,
-gathers every block's zero-ISI samples into one matrix and runs one FFT
-over it.  Filtering the whole stream at once equals overlap-adding
-per-block shaped segments at the block stride in exact arithmetic; in
-floating point the two differ by rounding only (about 1e-15 of the peak
-sample).
+modem does not use is computed.  The routine reads its input a window at a
+time and yields its output a chunk at a time, so the oversampled stream is
+the only array of a burst's length the modem builds beside the frames it
+is given.  TX shaping filters the symbol-rate stream with each of the
+``osf`` tap phases and interleaves the phases into the result, which equals
+zero-stuffing and filtering at the full rate; each chunk builds the blocks
+its window covers straight from the frame stacks.  The receiver locates
+the preamble by cross-correlation, through the same routine with the
+reversed preamble as its one filter (the link searches only the burst
+header), then filters the ``osf`` polyphase components of the received
+stream into the one oversampling phase its FFT windows read, and FFTs each
+chunk's complete windows into the one data-carrier result.  Filtering the
+whole stream at once equals overlap-adding per-block shaped segments at the
+block stride in exact arithmetic; in floating point the two differ by
+rounding only (about 1e-15 of the peak sample).  Every chunk size gives the
+same bits.
 
 DC bias is deliberately not applied here: biasing is a transmitter-side
 operation of the link layer, and the DC and Nyquist bins are always zero.
@@ -37,7 +41,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -254,9 +258,13 @@ def _polyphase_taps_cached(osf: int, rolloff: float) -> np.ndarray:
 
 # overlap-save blocks transformed per chunk by every filter of the modem (TX
 # shaping, the matched filter and the preamble correlator): it bounds their
-# working memory (about 2 MB for the RRC at 4x oversampling) whatever the
-# stream length
-_CHUNK_BLOCKS = 64
+# working memory whatever the stream length.  At the default config a chunk
+# spans about 14.5 OFDM blocks, and the traced working sets beside the
+# result are 2.25 MiB for TX shaping (the chunk's blocks and their IFFT
+# included) and 1.60 MiB for the receiver's filter phase and window FFTs
+# (8.8 and 6.0 MiB at 64 blocks).  The size moves no bit: overlap-save
+# blocks sit at ``first + k*step`` whatever the chunk size
+_CHUNK_BLOCKS = 16
 
 
 def _fft_size(n_taps: int) -> int:
@@ -277,24 +285,23 @@ def _window(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _overlap_save(
-    x: np.ndarray, bank: np.ndarray, first: int, out: np.ndarray
-) -> np.ndarray:
-    """A bank of multi-input FIR filters, by chunked overlap-save.
+def _overlap_save_chunks(read, bank: np.ndarray, first: int, count: int):
+    """A bank of multi-input FIR filters, by chunked overlap-save: a
+    generator of the result's consecutive chunks.
 
     ``bank`` is [n_out, n_in, K].  The input ``x`` interleaves ``n_in``
-    components, ``x_r[i] = x[n_in*i + r]`` (zero outside ``x``), and the
-    result ``y`` [count, n_out], written into ``out`` of that shape and
-    returned, holds ``y[j, k] = sum_r (x_r * bank[k, r])[first + j]``,
-    indexing the full convolutions.  Overlap-save blocks of
-    ``nfft`` samples per component give ``nfft - K + 1`` outputs each: per
-    block the components are transformed once, weighted by every filter's
-    spectrum, summed over the components and inverted once per output.
-    Blocks are transformed ``_CHUNK_BLOCKS`` at a time, so the result is the
-    only array that grows with ``count``.
+    components, ``x_r[i] = x[n_in*i + r]``, and ``read(lo, hi)`` returns
+    ``x[lo:hi]`` (zero outside ``x``).  The result ``y`` [count, n_out]
+    holds ``y[j, k] = sum_r (x_r * bank[k, r])[first + j]``, indexing the
+    full convolutions, and is yielded as consecutive [n, n_out] chunks.
+    Overlap-save blocks of ``nfft`` samples per component give
+    ``nfft - K + 1`` outputs each: per block the components are transformed
+    once, weighted by every filter's spectrum, summed over the components
+    and inverted once per output.  Blocks are transformed
+    ``_CHUNK_BLOCKS`` at a time, and each chunk reads only the input window
+    its blocks cover, so nothing here grows with ``count``.
     """
     n_out, n_in, n_taps = bank.shape
-    count = len(out)
     nfft = _fft_size(n_taps)
     step = nfft - n_taps + 1
     b_spec = np.fft.rfft(bank, nfft)[:, :, None, :]
@@ -303,63 +310,82 @@ def _overlap_save(
         n_blk = -(-n // step)
         lo = first + j - (n_taps - 1)
         hi = lo + (n_blk - 1) * step + nfft
-        comps = _window(x, n_in * lo, n_in * hi).reshape(-1, n_in).T
+        comps = read(n_in * lo, n_in * hi).reshape(-1, n_in).T
         blocks = sliding_window_view(comps, nfft, axis=-1)[:, ::step]
         spec = np.fft.rfft(blocks, axis=-1)
         y = np.fft.irfft((spec * b_spec).sum(axis=1), nfft, axis=-1)
-        out[j : j + n] = y[..., n_taps - 1 :].reshape(n_out, -1)[:, :n].T
+        yield y[..., n_taps - 1 :].reshape(n_out, -1)[:, :n].T
+
+
+def _overlap_save(read, bank: np.ndarray, first: int, out: np.ndarray) -> np.ndarray:
+    """:func:`_overlap_save_chunks` written into ``out`` [count, n_out],
+    which is returned."""
+    j = 0
+    for y in _overlap_save_chunks(read, bank, first, len(out)):
+        out[j : j + len(y)] = y
+        j += len(y)
     return out
 
 
-def _shape(samples_1x: np.ndarray, config: OfdmConfig, lead: int) -> np.ndarray:
+def _shape(read, n_samples: int, config: OfdmConfig, lead: int) -> np.ndarray:
     """``lead`` zero samples, then the RRC filter applied to the zero-stuffed
     oversampled stream (full convolution), computed in polyphase form.
 
-    Output sample ``j*osf + p`` after the lead is the symbol-rate input
-    convolved with tap phase p, so no zero is filtered: one input, ``osf``
-    filters, written phase-interleaved straight into the result.  Equals
-    the full-rate convolution up to rounding; an empty input gives the lead
-    alone.
+    The symbol-rate input has ``n_samples`` samples, read through
+    ``read(lo, hi)`` as in :func:`_overlap_save_chunks`.  Output sample
+    ``j*osf + p`` after the lead is the input convolved with tap phase p, so
+    no zero is filtered: one input, ``osf`` filters, written
+    phase-interleaved straight into the result.  Equals the full-rate
+    convolution up to rounding; an empty input gives the lead alone.
     """
-    if len(samples_1x) == 0:
+    if n_samples == 0:
         return np.zeros(lead)
     osf = config.oversampling_factor
-    n = len(samples_1x) * osf + len(rrc_taps(config)) - 1
+    n = n_samples * osf + len(rrc_taps(config)) - 1
     phases = _polyphase_taps_cached(osf, config.rolloff)
     count = -(-n // osf)  # outputs per phase
     out = np.empty(lead + count * osf)
     out[:lead] = 0.0
-    _overlap_save(samples_1x, phases[:, None, :], 0, out[lead:].reshape(count, osf))
+    _overlap_save(read, phases[:, None, :], 0, out[lead:].reshape(count, osf))
     return out[: lead + n]
 
 
-# frames transformed per chunk by the block builder: it bounds the IFFT's
-# working memory (about 0.5 MB each of half spectrum and cores at the default
-# size) whatever the burst length
-_IFFT_ROWS = 64
+def _block_reader(stacks, config: OfdmConfig):
+    """(``read``, length) of the symbol-rate stream of the frame stacks'
+    cyclic-prefixed blocks laid end to end, in order; each stack is
+    [n_frames, n_carriers] or one frame.
 
-
-def _blocks(stacks, config: OfdmConfig) -> np.ndarray:
-    """Cyclic-prefixed blocks [n_blocks, block_length] of the frame stacks,
-    in order; each stack is [n_frames, n_carriers] or one frame.
-
-    The frames are IFFT'd ``_IFFT_ROWS`` at a time straight into the one
-    result, so their spectrum and bare cores exist a chunk at a time.  The
-    real IFFT transforms rows independently, so each block's core equals
-    :func:`ofdm_core`'s of the whole stack, bit for bit.
+    ``read(lo, hi)`` returns samples lo..hi-1 of that stream, zero outside
+    it, and builds only the blocks the range covers: their frames are
+    IFFT'd by :func:`ofdm_core` and cyclic-prefixed into a buffer of those
+    blocks alone.  A frame on the edge of two ranges is transformed once for
+    each; the real IFFT transforms rows independently, so every block
+    equals the one :func:`ofdm_core` gives for the whole stack, bit for bit.
     """
     stacks = [np.atleast_2d(stack) for stack in stacks]
-    n, cp = config.fft_size, config.cp_length
-    out = np.empty((sum(len(stack) for stack in stacks), config.block_length))
-    row = 0
-    for stack in stacks:
-        for i in range(0, len(stack), _IFFT_ROWS):
-            core = ofdm_core(stack[i : i + _IFFT_ROWS], config)
-            rows = out[row : row + len(core)]
-            rows[:, cp:] = core
-            rows[:, :cp] = core[:, n - cp :]
-            row += len(core)
-    return out
+    ends = np.cumsum([len(stack) for stack in stacks])
+    n, cp, length = config.fft_size, config.cp_length, config.block_length
+    total = sum(map(len, stacks)) * length
+
+    def read(lo: int, hi: int) -> np.ndarray:
+        out = np.zeros(hi - lo)
+        a, b = max(lo, 0), min(hi, total)
+        if a >= b:
+            return out
+        first, last = a // length, -(-b // length)
+        blocks = np.empty((last - first, length))
+        for stack, end in zip(stacks, ends):
+            start = end - len(stack)
+            i, j = max(first, start), min(last, end)
+            if i < j:
+                core = ofdm_core(stack[i - start : j - start], config)
+                rows = blocks[i - first : j - first]
+                rows[:, cp:] = core
+                rows[:, :cp] = core[:, n - cp :]
+        out[a - lo : b - lo] = blocks.ravel()[a - first * length : b - first * length]
+        return out
+
+    return read, total
 
 
 def assemble_frame(symbols, config: OfdmConfig) -> np.ndarray:
@@ -370,7 +396,8 @@ def assemble_frame(symbols, config: OfdmConfig) -> np.ndarray:
     ``config.block_length`` symbols each, so block b of the returned full
     convolution starts at sample ``b * config.block_stride``.
     """
-    return _shape(_blocks([symbols], config).ravel(), config, 0)
+    read, n_samples = _block_reader([symbols], config)
+    return _shape(read, n_samples, config, 0)
 
 
 def assemble_burst(stacks, config: OfdmConfig) -> tuple[np.ndarray, np.ndarray, int]:
@@ -380,14 +407,16 @@ def assemble_burst(stacks, config: OfdmConfig) -> tuple[np.ndarray, np.ndarray, 
     The blocks are shaped into one stream after ``first`` leading samples,
     the preamble's stride of ``preamble_length`` symbols, and the shaped
     preamble is added into its head, so block b starts at sample ``first +
-    b * config.block_stride``.  The blocks' buffer, at symbol rate, is the
-    only other array of the burst's length.
+    b * config.block_stride``.  Each shaping chunk builds the blocks it
+    reads from the stacks, so the stream is the only array of the burst's
+    length made here.
 
     Returns (stream, shaped preamble segment, first block offset).
     """
     _, pre_seg = make_preamble(config)
     first = config.preamble_length * config.oversampling_factor
-    stream = _shape(_blocks(stacks, config).ravel(), config, first)
+    read, n_samples = _block_reader(stacks, config)
+    stream = _shape(read, n_samples, config, first)
     stream[: len(pre_seg)] += pre_seg
     return stream, pre_seg, first
 
@@ -439,7 +468,7 @@ def make_preamble(config: OfdmConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     frame_rms = math.sqrt(2.0 * config.data_subcarriers) / config.fft_size
     core = _preamble_core_cached(config.preamble_length, frame_rms)
-    return core, _shape(core, config, 0)
+    return core, _shape(partial(_window, core), len(core), config, 0)
 
 
 def synchronize(stream, reference) -> int:
@@ -463,7 +492,7 @@ def synchronize(stream, reference) -> int:
     # reversed reference at j + n_ref - 1, over the lags inside the stream
     bank = reference[::-1].reshape(1, 1, n_ref)
     corr = np.empty((len(stream) - n_ref + 1, 1))
-    corr = _overlap_save(stream, bank, n_ref - 1, corr)[:, 0]
+    corr = _overlap_save(partial(_window, stream), bank, n_ref - 1, corr)[:, 0]
     mag = np.abs(corr)
     peak = int(np.argmax(mag))
     if mag[peak] == 0.0:
@@ -496,14 +525,14 @@ def matched_filter(stream, config: OfdmConfig) -> np.ndarray:
         return np.zeros(0)
     taps = rrc_taps(config) / config.oversampling_factor
     count = len(stream) + len(taps) - 1
-    return _overlap_save(stream, taps.reshape(1, 1, -1), 0, np.empty((count, 1)))[:, 0]
+    out = np.empty((count, 1))
+    return _overlap_save(partial(_window, stream), taps.reshape(1, 1, -1), 0, out)[:, 0]
 
 
-def _matched_filter_phase(
-    stream: np.ndarray, start: int, count: int, config: OfdmConfig
-) -> np.ndarray:
+def _matched_filter_phase(stream: np.ndarray, start: int, count: int, config: OfdmConfig):
     """Samples ``start + k*osf``, ``k < count``, of :func:`matched_filter`'s
-    output, without computing the other phases.
+    output, without computing the other phases: a generator of consecutive
+    chunks of them.
 
     Let ``first, q = divmod(start, osf)`` and ``s_r[i] = stream[osf*i + r]``
     be the r-th polyphase component of the input.  Output sample
@@ -518,7 +547,8 @@ def _matched_filter_phase(
     for r in range(osf):
         delay = int(r > q)
         c[0, r, delay : delay + phases.shape[1]] = phases[(q - r) % osf]
-    return _overlap_save(stream, c, first, np.empty((count, 1)))[:, 0]
+    chunks = _overlap_save_chunks(partial(_window, stream), c, first, count)
+    return (y[:, 0] for y in chunks)
 
 
 def receive_blocks(
@@ -539,12 +569,16 @@ def receive_blocks(
     Every sample read lies on one phase of the oversampled grid (the block
     stride is a multiple of the oversampling factor), so only that phase of
     the matched filter is computed, over the span the windows cover; it
-    equals :func:`matched_filter` at those samples up to rounding.  Window
-    bounds are checked against the full-rate filter output, of length
-    ``len(stream) + len(taps) - 1``.
+    equals :func:`matched_filter` at those samples up to rounding.  The
+    phase is taken a filter chunk at a time, and the windows it completes
+    are transformed straight into the result, so the result is the only
+    array that grows with ``n_blocks``.  Window bounds are checked against
+    the full-rate filter output, of length ``len(stream) + len(taps) - 1``.
 
     Returns data-carrier symbols [n_blocks, data_subcarriers].
     """
+    if n_blocks < 0:
+        raise ParameterError(f"n_blocks must be non-negative, got {n_blocks}")
     stream = np.asarray(stream, dtype=float)
     osf = config.oversampling_factor
     delay = 2 * group_delay(config)
@@ -555,10 +589,17 @@ def receive_blocks(
         raise ParameterError("first FFT window starts before the stream")
     if n_blocks > 0 and last >= len(stream) + len(rrc_taps(config)) - 1:
         raise ParameterError("stream too short for the requested block count")
-    n_sym = config.block_length
-    y = _matched_filter_phase(stream, first, n_blocks * n_sym, config)
-    windows = y.reshape(n_blocks, n_sym)[:, : config.fft_size]
-    return np.fft.rfft(windows, axis=-1)[:, 1 : config.fft_size // 2]
+    n, n_sym = config.fft_size, config.block_length
+    out = np.empty((n_blocks, config.data_subcarriers), dtype=complex)
+    row, rest = 0, np.zeros(0)
+    for chunk in _matched_filter_phase(stream, first, n_blocks * n_sym, config):
+        y = np.concatenate([rest, chunk])
+        k = len(y) // n_sym
+        windows = y[: k * n_sym].reshape(k, n_sym)[:, :n]
+        out[row : row + k] = np.fft.rfft(windows, axis=-1)[:, 1 : n // 2]
+        row += k
+        rest = y[k * n_sym :]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +656,16 @@ def estimate_channel(rx_pilot_symbols, tx_pilot_symbols) -> np.ndarray:
 
 
 def equalize(symbols, gains) -> np.ndarray:
-    """One-tap division per carrier; zero-gain carriers equalize to zero."""
+    """One-tap division per carrier; zero-gain carriers equalize to zero.
+
+    ``gains`` holds one gain per carrier, the last axis of ``symbols``."""
     symbols = np.asarray(symbols, dtype=complex)
     gains = np.asarray(gains, dtype=complex)
+    if gains.shape != symbols.shape[-1:]:
+        raise ParameterError(
+            f"gains must have shape {symbols.shape[-1:]}, one per carrier, "
+            f"got {gains.shape}"
+        )
     return np.divide(symbols, gains, out=np.zeros_like(symbols), where=gains != 0)
 
 
@@ -669,12 +717,33 @@ def data_rate(plan: BitLoadingPlan, config: OfdmConfig) -> float:
 # Plan-driven modulation
 # ---------------------------------------------------------------------------
 
+# frames mapped per chunk by the plan (de)modulators: it bounds their
+# temporaries (about 0.5 MB of symbols at the default size) whatever the
+# frame count, so none of them is a burst's length
+_PLAN_ROWS = 64
+
+
+def _plan_groups(plan: BitLoadingPlan):
+    """(bit count b, carriers, frame-bit columns, amplitude scales) of each
+    loaded bit count of the plan, b increasing: a carrier's b bits are the
+    frame-bit columns from its offset on, carrier by carrier."""
+    offsets = np.concatenate([[0], np.cumsum(plan.bits)])
+    for b in np.unique(plan.bits[plan.bits > 0]):
+        carriers = np.nonzero(plan.bits == b)[0]
+        columns = (offsets[carriers, None] + np.arange(b)).ravel()
+        yield int(b), carriers, columns, np.sqrt(plan.power[carriers])
+
+
 def modulate_plan(bits, plan: BitLoadingPlan, n_frames: int) -> np.ndarray:
     """Map a bit stream onto per-carrier constellations and power scales.
 
     Bits are consumed frame-major, carrier by carrier in index order.
-    Returns frequency-domain symbols [n_frames, n_carriers].
+    Frames are mapped ``_PLAN_ROWS`` at a time, one :func:`qam_modulate`
+    call per bit count.  Returns frequency-domain symbols [n_frames,
+    n_carriers].
     """
+    if n_frames < 0:
+        raise ParameterError(f"n_frames must be non-negative, got {n_frames}")
     bits = np.asarray(bits, dtype=np.uint8)
     bpf = plan.total_bits
     if bpf == 0:
@@ -682,38 +751,40 @@ def modulate_plan(bits, plan: BitLoadingPlan, n_frames: int) -> np.ndarray:
     if bits.size != n_frames * bpf:
         raise ParameterError(f"need {n_frames * bpf} bits, got {bits.size}")
     frame_bits = bits.reshape(n_frames, bpf)
-    offsets = np.concatenate([[0], np.cumsum(plan.bits)])
+    groups = list(_plan_groups(plan))
     out = np.zeros((n_frames, plan.bits.size), dtype=complex)
-    for b in np.unique(plan.bits):
-        if b == 0:
-            continue
-        carriers = np.nonzero(plan.bits == b)[0]
-        cols = np.concatenate(
-            [np.arange(offsets[k], offsets[k] + b) for k in carriers]
-        )
-        chunk = frame_bits[:, cols].reshape(-1, b)
-        syms = qam_modulate(chunk.ravel(), 2**b).reshape(n_frames, len(carriers))
-        out[:, carriers] = syms * np.sqrt(plan.power[carriers])
+    for lo in range(0, n_frames, _PLAN_ROWS):
+        rows = frame_bits[lo : lo + _PLAN_ROWS]
+        for b, carriers, columns, scale in groups:
+            # take, not fancy indexing: its gather is C-ordered, so ravel is a view
+            syms = qam_modulate(np.take(rows, columns, axis=1).ravel(), 2**b)
+            syms = syms.reshape(len(rows), len(carriers))
+            syms *= scale
+            out[lo : lo + len(rows), carriers] = syms
     return out
 
 
 def demodulate_plan(symbols, plan: BitLoadingPlan) -> np.ndarray:
-    """Inverse of :func:`modulate_plan`: recover the frame-major bit stream."""
+    """Inverse of :func:`modulate_plan`: recover the frame-major bit stream
+    from symbols [n_frames, n_carriers] (one frame may be 1-D), demapped
+    ``_PLAN_ROWS`` frames at a time."""
     symbols = np.atleast_2d(np.asarray(symbols, dtype=complex))
+    if symbols.ndim != 2 or symbols.shape[1] != plan.bits.size:
+        raise ParameterError(
+            f"symbols must be [n_frames, {plan.bits.size}] for the plan's "
+            f"carriers, got shape {symbols.shape}"
+        )
     n_frames = symbols.shape[0]
     bpf = plan.total_bits
     if bpf == 0:
         return np.zeros(0, dtype=np.uint8)
+    groups = list(_plan_groups(plan))
     frame_bits = np.zeros((n_frames, bpf), dtype=np.uint8)
-    offsets = np.concatenate([[0], np.cumsum(plan.bits)])
-    for b in np.unique(plan.bits):
-        if b == 0:
-            continue
-        carriers = np.nonzero(plan.bits == b)[0]
-        scaled = symbols[:, carriers] / np.sqrt(plan.power[carriers])
-        rec = qam_demodulate(scaled.ravel(), 2**b).reshape(n_frames, len(carriers), b)
-        cols = np.concatenate(
-            [np.arange(offsets[k], offsets[k] + b) for k in carriers]
-        )
-        frame_bits[:, cols] = rec.reshape(n_frames, -1)
+    for lo in range(0, n_frames, _PLAN_ROWS):
+        rows = symbols[lo : lo + _PLAN_ROWS]
+        for b, carriers, columns, scale in groups:
+            scaled = np.take(rows, carriers, axis=1)
+            scaled /= scale
+            rec = qam_demodulate(scaled.ravel(), 2**b)
+            frame_bits[lo : lo + len(rows), columns] = rec.reshape(len(rows), -1)
     return frame_bits.ravel()

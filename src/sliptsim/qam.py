@@ -44,7 +44,8 @@ def _gray(n: np.ndarray | int):
 
 @lru_cache(maxsize=None)
 def _axis_tables(order: int):
-    """Per-axis metadata: level counts, amplitude scale, Gray lookup tables."""
+    """Per-axis metadata: level counts, amplitude scale, Gray lookup tables
+    (level -> uint16 label, label -> level)."""
     b = _check_order(order)
     b_i = (b + 1) // 2
     b_q = b // 2
@@ -57,7 +58,7 @@ def _axis_tables(order: int):
         gray = _gray(idx)
         inv = np.empty(l_count, dtype=np.int64)
         inv[gray] = idx
-        tables[l_count] = (gray.astype(np.int64), inv)
+        tables[l_count] = (gray.astype(np.uint16), inv)
     return b_i, b_q, l_i, l_q, float(scale), tables
 
 
@@ -80,33 +81,48 @@ def constellation(order: int) -> np.ndarray:
 
 
 def qam_modulate(bits, order: int) -> np.ndarray:
-    """Map a bit stream to Gray-labelled QAM symbols of unit average energy."""
+    """Map a bit stream to Gray-labelled QAM symbols of unit average energy.
+
+    Each symbol's ``log2(order)`` bits, MSB first, are shifted into a
+    16-bit label one column at a time, so the bits are read as uint8."""
     b = _check_order(order)
-    bits = np.asarray(bits, dtype=np.int64).ravel()
+    bits = np.asarray(bits, dtype=np.uint8).ravel()
     if bits.size % b != 0:
         raise ParameterError(f"bit count {bits.size} not divisible by log2(M)={b}")
     if bits.size == 0:
         return np.zeros(0, dtype=complex)
-    words = bits.reshape(-1, b) @ (1 << np.arange(b - 1, -1, -1, dtype=np.int64))
+    columns = bits.reshape(-1, b)
+    words = columns[:, 0].astype(np.uint16)
+    for k in range(1, b):
+        words <<= 1
+        words |= columns[:, k]
     return constellation(order)[words]
 
 
 def qam_demodulate(symbols, order: int) -> np.ndarray:
-    """Hard-decision demap: slice each PAM axis, invert the Gray labels."""
+    """Hard-decision demap: slice each PAM axis, invert the Gray labels.
+
+    Returns the uint8 bit stream, each symbol's label MSB first: the label
+    is shifted to the top of a big-endian 16-bit word whose first
+    ``log2(order)`` bits are unpacked."""
     b_i, b_q, l_i, l_q, scale, tables = _axis_tables(order)
     b = b_i + b_q
     symbols = np.asarray(symbols, dtype=complex).ravel()
 
     def slice_axis(values, l_count):
-        idx = np.rint((values / scale + (l_count - 1)) / 2.0).astype(np.int64)
-        return np.clip(idx, 0, l_count - 1)
+        x = values / scale
+        x += l_count - 1
+        x /= 2.0
+        idx = np.rint(x, out=x).astype(np.intp)
+        return np.clip(idx, 0, l_count - 1, out=idx)
 
-    w_i = tables[l_i][0][slice_axis(symbols.real, l_i)]
-    words = w_i << b_q
+    words = tables[l_i][0][slice_axis(symbols.real, l_i)]
+    words <<= b_q
     if b_q > 0:
         words |= tables[l_q][0][slice_axis(symbols.imag, l_q)]
-    shifts = np.arange(b - 1, -1, -1, dtype=np.int64)
-    return ((words[:, None] >> shifts[None, :]) & 1).ravel().astype(np.uint8)
+    words <<= 16 - b
+    top = words.astype(">u2").view(np.uint8).reshape(-1, 2)
+    return np.unpackbits(top, axis=1, count=b).ravel()
 
 
 def _axis_bit_error_count(l_count: int, scale: float, sigma: float) -> float:

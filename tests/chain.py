@@ -2,15 +2,18 @@
 (per-segment bracketed ``brentq`` solves of the implicit single-diode
 equation, the string I-V and a golden-section MPP), calibration targets
 generated from known fit parameters, the complex IFFT of a DCO-OFDM block's
-full Hermitian spectrum, a configurable digital loopback and a plain
+full Hermitian spectrum, the modem's whole-buffer transmit and receive paths
+and its integer bit mapping, a configurable digital loopback and a plain
 reference of the link's optical/electrical channel."""
 
 import math
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erfc
 
+from sliptsim import ofdm
 from sliptsim.calibrate import CalibrationTargets
 from sliptsim.link import _one_pole
 from sliptsim.loading import BitLoadingPlan
@@ -24,6 +27,7 @@ from sliptsim.ofdm import (
     make_preamble,
     measure_ber,
     modulate_plan,
+    ofdm_core,
     overlap_add,
     receive_blocks,
     synchronize,
@@ -35,6 +39,7 @@ from sliptsim.ppc import (
     sector_fractions,
 )
 from sliptsim.presets import PRESET_NAMES, default_beam, default_receiver
+from sliptsim.qam import _axis_tables, _check_order, constellation
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +359,101 @@ def reference_core(symbols, fft_size: int) -> np.ndarray:
     spectrum[..., 1 : n_data + 1] = symbols
     spectrum[..., fft_size - 1 : fft_size // 2 : -1] = np.conj(symbols)
     return np.fft.ifft(spectrum, axis=-1)
+
+
+def whole_buffer_blocks(stacks, config: OfdmConfig) -> np.ndarray:
+    """Cyclic-prefixed blocks [n_blocks, block_length] of the frame stacks
+    in order, from one IFFT of every frame at once: the symbol-rate buffer
+    the transmitter shaped before it built each chunk's blocks on demand."""
+    core = ofdm_core(np.vstack([np.atleast_2d(stack) for stack in stacks]), config)
+    return np.concatenate([core[:, config.fft_size - config.cp_length :], core], axis=1)
+
+
+def whole_buffer_burst(stacks, config: OfdmConfig):
+    """``assemble_burst`` shaping the whole block buffer at once: (stream,
+    shaped preamble, first block offset)."""
+    _, pre_seg = make_preamble(config)
+    first = config.preamble_length * config.oversampling_factor
+    samples = whole_buffer_blocks(stacks, config).ravel()
+    stream = ofdm._shape(partial(ofdm._window, samples), len(samples), config, first)
+    stream[: len(pre_seg)] += pre_seg
+    return stream, pre_seg, first
+
+
+def whole_buffer_receive(stream, first_block_start, n_blocks, config: OfdmConfig):
+    """``receive_blocks`` holding the whole matched-filter phase ``y`` and
+    one FFT of every window: [n_blocks, data_subcarriers]."""
+    osf, n, n_sym = config.oversampling_factor, config.fft_size, config.block_length
+    first = (
+        first_block_start + 2 * ofdm.group_delay(config)
+        + (config.cp_length - config.cp_length // 2) * osf
+    )
+    chunks = ofdm._matched_filter_phase(stream, first, n_blocks * n_sym, config)
+    y = np.concatenate([np.zeros(0), *chunks])
+    windows = y.reshape(n_blocks, n_sym)[:, :n]
+    return np.fft.rfft(windows, axis=-1)[:, 1 : n // 2]
+
+
+def integer_qam_modulate(bits, order: int) -> np.ndarray:
+    """Gray-QAM mapping through int64 words formed by an integer matmul."""
+    b = _check_order(order)
+    bits = np.asarray(bits, dtype=np.int64).ravel()
+    if bits.size == 0:
+        return np.zeros(0, dtype=complex)
+    words = bits.reshape(-1, b) @ (1 << np.arange(b - 1, -1, -1, dtype=np.int64))
+    return constellation(order)[words]
+
+
+def integer_qam_demodulate(symbols, order: int) -> np.ndarray:
+    """Hard-decision demap unpacked through int64 [n, b] shift arrays."""
+    b_i, b_q, l_i, l_q, scale, tables = _axis_tables(order)
+    b = b_i + b_q
+    symbols = np.asarray(symbols, dtype=complex).ravel()
+
+    def slice_axis(values, l_count):
+        idx = np.rint((values / scale + (l_count - 1)) / 2.0).astype(np.int64)
+        return np.clip(idx, 0, l_count - 1)
+
+    words = tables[l_i][0][slice_axis(symbols.real, l_i)].astype(np.int64) << b_q
+    if b_q > 0:
+        words |= tables[l_q][0][slice_axis(symbols.imag, l_q)].astype(np.int64)
+    shifts = np.arange(b - 1, -1, -1, dtype=np.int64)
+    return ((words[:, None] >> shifts[None, :]) & 1).ravel().astype(np.uint8)
+
+
+def _listed_columns(plan: BitLoadingPlan, carriers) -> np.ndarray:
+    """Frame-bit columns of ``carriers``, one ``np.arange`` per carrier."""
+    offsets = np.concatenate([[0], np.cumsum(plan.bits)])
+    return np.concatenate(
+        [np.arange(offsets[k], offsets[k] + plan.bits[k]) for k in carriers]
+    )
+
+
+def integer_modulate_plan(bits, plan: BitLoadingPlan, n_frames: int) -> np.ndarray:
+    """``modulate_plan`` through per-carrier column lists and the integer
+    mapping."""
+    frame_bits = np.asarray(bits, dtype=np.uint8).reshape(n_frames, plan.total_bits)
+    out = np.zeros((n_frames, plan.bits.size), dtype=complex)
+    for b in np.unique(plan.bits[plan.bits > 0]):
+        carriers = np.nonzero(plan.bits == b)[0]
+        chunk = frame_bits[:, _listed_columns(plan, carriers)]
+        syms = integer_qam_modulate(chunk.ravel(), 2**b).reshape(n_frames, len(carriers))
+        out[:, carriers] = syms * np.sqrt(plan.power[carriers])
+    return out
+
+
+def integer_demodulate_plan(symbols, plan: BitLoadingPlan) -> np.ndarray:
+    """``demodulate_plan`` through per-carrier column lists and the integer
+    demapping."""
+    symbols = np.atleast_2d(np.asarray(symbols, dtype=complex))
+    n_frames = symbols.shape[0]
+    frame_bits = np.zeros((n_frames, plan.total_bits), dtype=np.uint8)
+    for b in np.unique(plan.bits[plan.bits > 0]):
+        carriers = np.nonzero(plan.bits == b)[0]
+        scaled = symbols[:, carriers] / np.sqrt(plan.power[carriers])
+        rec = integer_qam_demodulate(scaled.ravel(), 2**b)
+        frame_bits[:, _listed_columns(plan, carriers)] = rec.reshape(n_frames, -1)
+    return frame_bits.ravel()
 
 
 def build_tx_stream(frames, config: OfdmConfig, lead_pad=0, tail_pad=256):

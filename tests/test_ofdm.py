@@ -1,13 +1,24 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve, lfilter, welch
 from scipy.special import ndtr
 
-from chain import build_tx_stream, digital_loopback, reference_core
+from chain import (
+    build_tx_stream,
+    digital_loopback,
+    integer_demodulate_plan,
+    integer_modulate_plan,
+    reference_core,
+    whole_buffer_blocks,
+    whole_buffer_burst,
+    whole_buffer_receive,
+)
 from sliptsim import ofdm
+from sliptsim.errors import ParameterError
 from sliptsim.loading import BitLoadingPlan, bit_power_loading
 from sliptsim.ofdm import (
     OfdmConfig,
@@ -367,6 +378,11 @@ def random_stack(rng, n_frames, config):
     return modulate_plan(bits, plan, n_frames)
 
 
+def shape_samples(samples, config):
+    """The TX shaping filter applied to a symbol-rate array."""
+    return ofdm._shape(partial(ofdm._window, samples), len(samples), config, 0)
+
+
 def reference_segment(frame, config):
     """One block built without the modem code: Hermitian IFFT, cyclic
     prefix, zero-stuffing and a direct convolution with the RRC taps."""
@@ -420,14 +436,14 @@ class TestBatchedWaveform:
         assert np.abs(stream - ref).max() <= BATCH_TOL * np.abs(ref).max()
 
     def test_chunked_ifft_equals_whole_stack_core(self, rng):
-        # pilot repeats, then two full chunks of rows and a partial one
-        stacks = [
-            np.tile(random_stack(rng, 1, CFG), (3, 1)),
-            random_stack(rng, 2 * ofdm._IFFT_ROWS + 5, CFG),
-        ]
-        core = ofdm_core(np.vstack(stacks), CFG)
-        ref = np.concatenate([core[:, CFG.fft_size - CFG.cp_length :], core], axis=1)
-        assert np.array_equal(ofdm._blocks(stacks, CFG), ref)
+        # pilot repeats, then frames: the blocks each shaping chunk builds
+        # for itself, read back to back, against one IFFT of every frame
+        stacks = [np.tile(random_stack(rng, 1, CFG), (3, 1)), random_stack(rng, 40, CFG)]
+        ref = whole_buffer_blocks(stacks, CFG)
+        read, n_samples = ofdm._block_reader(stacks, CFG)
+        assert n_samples == ref.size
+        got = np.concatenate([read(lo, lo + 1000) for lo in range(0, n_samples, 1000)])
+        assert np.array_equal(got[:n_samples], ref.ravel())
 
     def test_burst_adds_the_preamble_into_the_shaped_head(self, rng):
         # the preamble and the shaped frames overlap-added into a new stream
@@ -461,7 +477,7 @@ class TestBatchedWaveform:
         core = reference_core(frames, n).real
         blocks = np.concatenate([core[:, n - config.cp_length :], core], axis=1)
         # odd input lengths: 1, 7, 1001 samples and the 5 * 69-symbol stack
-        cases = [(x, ofdm._shape(x, config, 0)) for x in (rng.normal(size=k) for k in (1, 7, 1001))]
+        cases = [(x, shape_samples(x, config)) for x in (rng.normal(size=k) for k in (1, 7, 1001))]
         cases.append((blocks.ravel(), assemble_frame(frames, config)))
         for samples, shaped in cases:
             up = np.zeros(len(samples) * osf)
@@ -493,7 +509,7 @@ class TestBatchedWaveform:
             "out_chunk": chunk - k + 1, "3chunks+rem": 3 * chunk + 123,
         }[length]
         samples = rng.normal(size=n)
-        shaped = ofdm._shape(samples, config, 0)
+        shaped = shape_samples(samples, config)
         up = np.zeros(n * osf)
         up[::osf] = samples
         ref = fftconvolve(up, rrc_taps(config))
@@ -508,12 +524,14 @@ class TestBatchedWaveform:
         assert matched_filter(shaped, CFG).shape == (0,)
 
     def test_assemble_frame_memory_is_bounded(self, rng):
-        """Shaping a 1000-frame stack allocates at most 1.5x the shaped
-        stream's bytes above what is live at entry: the real IFFT stage and
-        the cyclic-prefixed blocks, then the result and one chunk of
-        overlap-save blocks (about 1.46x measured; with a complex IFFT and
-        the bare cores held through shaping it took 1.96x, convolving every
-        phase at once and interleaving a copy about 4.7x)."""
+        """Shaping a 1000-frame stack allocates at most 1.1x the shaped
+        stream's bytes above what is live at entry: the result and one
+        chunk's working set, the blocks it reads (built from their frames)
+        and their overlap-save transforms, about 2.2 MB (1.072x measured,
+        the bound leaves 0.03x, about 1 MB; a whole symbol-rate block
+        buffer beside the stream and 64-block chunks took 1.46x, a complex
+        IFFT with the bare cores held through shaping 1.96x, convolving
+        every phase at once and interleaving a copy about 4.7x)."""
         frames = random_stack(rng, 1000, CFG)
         tracemalloc.start()
         try:
@@ -522,7 +540,7 @@ class TestBatchedWaveform:
         finally:
             tracemalloc.stop()
         assert len(stream) == 1000 * CFG.block_stride + len(rrc_taps(CFG)) - 1
-        assert peak <= 1.5 * stream.nbytes
+        assert peak <= 1.1 * stream.nbytes
 
     def test_receive_blocks_equals_per_block_loop(self, rng):
         # 60 blocks read 61,740 phase samples: two chunks of the phase-only
@@ -539,8 +557,6 @@ class TestBatchedWaveform:
 
     @pytest.mark.parametrize("osf, q", [(osf, q) for osf in (1, 2, 3, 4) for q in range(osf)])
     def test_receive_blocks_at_every_read_phase(self, rng, monkeypatch, osf, q):
-        # one overlap-save block per chunk, so the run spans several chunks
-        monkeypatch.setattr(ofdm, "_CHUNK_BLOCKS", 1)
         config = OfdmConfig(fft_size=64, oversampling_factor=osf, sample_rate_hz=1e9)
         n_blocks = 40
         lead = first_window_lead(config)
@@ -550,7 +566,13 @@ class TestBatchedWaveform:
         )
         stream = stream + rng.normal(0.0, 0.01, len(stream))
         assert (first + lead) % osf == q  # the phase the windows read
-        got = receive_blocks(stream, first, n_blocks, config)
+        whole = whole_buffer_receive(stream, first, n_blocks, config)
+        # one or three overlap-save blocks per chunk, so the run spans
+        # several chunks; bit-equal to the whole-phase path
+        for chunk_blocks in (1, 3):
+            monkeypatch.setattr(ofdm, "_CHUNK_BLOCKS", chunk_blocks)
+            got = receive_blocks(stream, first, n_blocks, config)
+            assert np.array_equal(got, whole)
         mf = fftconvolve(stream, rrc_taps(config) / osf)
         ref = per_block_receive(mf, first, n_blocks, config)
         assert got.shape == ref.shape
@@ -578,9 +600,12 @@ class TestBatchedWaveform:
             receive_blocks(stream, 1, n_blocks, CFG)
 
     def test_receive_blocks_memory_is_bounded(self, rng):
-        # the matched filter works in chunks: its peak stays well under the
-        # stream's own size (about 0.85x at 1M samples), where one unchunked
-        # transform of every polyphase block would take about 1.9x
+        # the matched filter works in chunks and each chunk's complete
+        # windows are transformed straight into the result, a quarter of
+        # the stream's bytes: about 0.456x at 1M samples, the result and
+        # 1.6 MB of working set (the bound leaves 0.044x, about 0.35 MB).
+        # The whole matched-filter phase and full-width spectrum took
+        # 0.91x, one unchunked transform of every polyphase block 1.9x
         n_blocks = 1_000_000 // CFG.block_stride
         stream = rng.normal(size=(n_blocks + 1) * CFG.block_stride)
         tracemalloc.start()
@@ -589,4 +614,167 @@ class TestBatchedWaveform:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * stream.nbytes
+        assert peak <= 0.5 * stream.nbytes
+
+
+class TestStreamedModem:
+    """The chunk-at-a-time transmitter and receiver against their
+    whole-buffer forms (one symbol-rate block buffer, one full matched-filter
+    phase), by exact equality: overlap-save blocks sit at ``first + k*step``
+    whatever the chunk size, and the FFTs transform rows independently."""
+
+    @pytest.mark.parametrize("chunk_blocks", [1, 3, 64])
+    @pytest.mark.parametrize("osf", [1, 2, 3, 4])
+    def test_burst_equals_the_whole_buffer_path(self, rng, monkeypatch, osf, chunk_blocks):
+        config = OfdmConfig(fft_size=64, oversampling_factor=osf, sample_rate_hz=1e9)
+        # a pilot stack, a one-frame stack and a longer one: stack edges
+        # fall inside chunks and on their edges
+        stacks = [
+            np.tile(random_stack(rng, 1, config), (3, 1)),
+            random_stack(rng, 1, config)[0],
+            random_stack(rng, 150, config),
+        ]
+        ref = whole_buffer_burst(stacks, config)
+        monkeypatch.setattr(ofdm, "_CHUNK_BLOCKS", chunk_blocks)
+        stream, pre_seg, first = assemble_burst(stacks, config)
+        assert first == ref[2]
+        assert np.array_equal(pre_seg, ref[1])
+        assert np.array_equal(stream, ref[0])
+
+    @pytest.mark.parametrize("chunk_blocks", [1, 3, 64])
+    def test_default_burst_equals_the_whole_buffer_path(self, rng, monkeypatch, chunk_blocks):
+        stacks = [np.tile(random_stack(rng, 1, CFG), (8, 1)), random_stack(rng, 40, CFG)]
+        ref, _, _ = whole_buffer_burst(stacks, CFG)
+        monkeypatch.setattr(ofdm, "_CHUNK_BLOCKS", chunk_blocks)
+        assert np.array_equal(assemble_burst(stacks, CFG)[0], ref)
+        whole = whole_buffer_blocks(stacks, CFG).ravel()
+        assert np.array_equal(assemble_frame(np.vstack(stacks), CFG), shape_samples(whole, CFG))
+
+    def test_block_reader_at_frame_stack_and_chunk_edges(self, rng):
+        # stacks of 3, 1 and 4 frames: every read range that starts or ends
+        # on a block or stack edge, one sample either side, or outside the
+        # stream, against the whole block buffer zero-padded
+        stacks = [
+            np.tile(random_stack(rng, 1, SMALL), (3, 1)),
+            random_stack(rng, 1, SMALL),
+            random_stack(rng, 4, SMALL),
+        ]
+        whole = whole_buffer_blocks(stacks, SMALL).ravel()
+        read, n_samples = ofdm._block_reader(stacks, SMALL)
+        assert n_samples == len(whole) == 8 * SMALL.block_length
+        edges = [k * SMALL.block_length for k in range(9)]
+        points = sorted({e + d for e in edges for d in (-1, 0, 1)} | {-200, n_samples + 200})
+        for lo in points:
+            for hi in points:
+                if lo < hi:
+                    assert np.array_equal(read(lo, hi), ofdm._window(whole, lo, hi))
+
+    @pytest.mark.parametrize("chunk_blocks", [1, 3, 64])
+    def test_receive_equals_the_whole_buffer_path(self, rng, monkeypatch, chunk_blocks):
+        n_blocks = 60
+        frames = random_stack(rng, n_blocks, CFG)
+        stream, _, first = build_tx_stream(list(frames), CFG, lead_pad=100)
+        stream = stream + rng.normal(0.0, 0.01, len(stream))
+        ref = whole_buffer_receive(stream, first, n_blocks, CFG)
+        monkeypatch.setattr(ofdm, "_CHUNK_BLOCKS", chunk_blocks)
+        got = receive_blocks(stream, first, n_blocks, CFG)
+        assert got.flags.c_contiguous and got.base is None
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("n_blocks", [0, 1, 2])
+    def test_short_runs_receive_whole(self, rng, n_blocks):
+        # runs shorter than one chunk, and none at all
+        frames = random_stack(rng, 3, SMALL)
+        stream, _, first = build_tx_stream(list(frames), SMALL)
+        got = receive_blocks(stream, first, n_blocks, SMALL)
+        assert got.shape == (n_blocks, SMALL.data_subcarriers)
+        assert np.array_equal(got, whole_buffer_receive(stream, first, n_blocks, SMALL))
+
+
+def random_plan(rng, n_carriers):
+    """Every order from 1 to 10 bits and unloaded carriers, in random
+    carrier order, with random power scales."""
+    bits = np.concatenate([np.arange(11), rng.integers(0, 11, n_carriers - 11)])
+    rng.shuffle(bits)
+    return BitLoadingPlan(bits, np.where(bits > 0, rng.uniform(0.5, 2.0, n_carriers), 0.0))
+
+
+class TestPlanMapping:
+    """The chunked, broadcast-indexed uint8 mapping against the integer
+    oracles (a column list per carrier, int64 words, every frame at once),
+    by exact equality, with 9 frames in one chunk or across chunks of 4."""
+
+    @pytest.mark.parametrize("plan_rows", [4, 64])
+    def test_modulate_equals_the_integer_path(self, rng, monkeypatch, plan_rows):
+        monkeypatch.setattr(ofdm, "_PLAN_ROWS", plan_rows)
+        plan = random_plan(rng, CFG.data_subcarriers)
+        bits = generate_bits(4, 9 * plan.total_bits)
+        got = modulate_plan(bits, plan, 9)
+        assert np.array_equal(got, integer_modulate_plan(bits, plan, 9))
+
+    @pytest.mark.parametrize("plan_rows", [4, 64])
+    def test_demodulate_equals_the_integer_path(self, rng, monkeypatch, plan_rows):
+        monkeypatch.setattr(ofdm, "_PLAN_ROWS", plan_rows)
+        plan = random_plan(rng, CFG.data_subcarriers)
+        symbols = modulate_plan(generate_bits(5, 9 * plan.total_bits), plan, 9)
+        noise = rng.normal(size=symbols.shape) + 1j * rng.normal(size=symbols.shape)
+        symbols = symbols + 0.05 * noise
+        got = demodulate_plan(symbols, plan)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, integer_demodulate_plan(symbols, plan))
+        # one frame may be given 1-D
+        one = demodulate_plan(symbols[3], plan)
+        assert np.array_equal(one, integer_demodulate_plan(symbols[3:4], plan))
+
+    def test_plan_memory_is_bounded(self, rng):
+        """Mapping and demapping 1024 frames of a mostly-QPSK plan each
+        allocate at most their result and 1.5 MiB: one 64-frame chunk's
+        temporaries (0.69 MiB measured for the mapping beside its 8 MiB
+        result, 0.95 MiB for the demapping).  Every frame at once, with the
+        integer mapping, took about 18 MiB and 28 MiB."""
+        bits = np.full(CFG.data_subcarriers, 2)
+        bits[:68] = 3
+        plan = BitLoadingPlan(bits, np.ones(CFG.data_subcarriers))
+        payload = generate_bits(6, 1024 * plan.total_bits)
+        tracemalloc.start()
+        try:
+            symbols = modulate_plan(payload, plan, 1024)
+            mod_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rx = demodulate_plan(symbols, plan)
+            demod_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(rx, payload)
+        assert mod_peak <= symbols.nbytes + 1.5 * 2**20
+        assert demod_peak <= rx.nbytes + 1.5 * 2**20
+
+
+class TestTypedErrors:
+    """Malformed arguments at the modem entry points are package errors
+    naming the argument."""
+
+    def test_demodulate_plan_carrier_count(self):
+        plan = BitLoadingPlan(np.full(SMALL.data_subcarriers, 2), np.ones(SMALL.data_subcarriers))
+        for shape in [(4, SMALL.data_subcarriers - 1), (4, SMALL.data_subcarriers + 1),
+                      (2, 4, SMALL.data_subcarriers)]:
+            with pytest.raises(ParameterError, match="symbols"):
+                demodulate_plan(np.zeros(shape, dtype=complex), plan)
+
+    @pytest.mark.parametrize("n_gains", [SMALL.data_subcarriers - 1, SMALL.data_subcarriers + 1])
+    def test_equalize_gain_count(self, n_gains):
+        with pytest.raises(ParameterError, match="gains"):
+            equalize(np.ones((3, SMALL.data_subcarriers), dtype=complex), np.ones(n_gains))
+
+    def test_receive_blocks_negative_count(self, rng):
+        stream = rng.normal(size=10 * SMALL.block_stride)
+        with pytest.raises(ParameterError, match="n_blocks"):
+            receive_blocks(stream, 0, -1, SMALL)
+
+    @pytest.mark.parametrize("loaded", [True, False], ids=["loaded", "unloaded"])
+    def test_modulate_plan_negative_frame_count(self, loaded):
+        nd = SMALL.data_subcarriers
+        plan = BitLoadingPlan(np.full(nd, 2 if loaded else 0), np.full(nd, 1.0 if loaded else 0.0))
+        with pytest.raises(ParameterError, match="n_frames"):
+            modulate_plan(np.zeros(0, dtype=np.uint8), plan, -2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from chain import integer_qam_demodulate, integer_qam_modulate
 from sliptsim.qam import (
     VALID_ORDERS,
     constellation,
@@ -61,6 +62,37 @@ class TestMapping:
             qam_modulate([0, 1], 12)
         with pytest.raises(ValueError):
             qam_modulate([0, 1, 0], 4)
+
+
+class TestUint8Mapping:
+    """The uint8 shift-accumulate mapping and the unpacking demapper against
+    the integer oracles (int64 words by matmul, int64 shift arrays)."""
+
+    @pytest.mark.parametrize("order", VALID_ORDERS)
+    def test_modulate_equals_the_integer_mapping(self, order, rng):
+        b = int(np.log2(order))
+        # every label, then random ones
+        labels = np.array(list(itertools.product([0, 1], repeat=b)), dtype=np.uint8)
+        bits = np.concatenate([labels.ravel(), rng.integers(0, 2, 600 * b, dtype=np.uint8)])
+        got = qam_modulate(bits, order)
+        assert np.array_equal(got, integer_qam_modulate(bits, order))
+        # an int64 or bool stream maps as its uint8 bits do
+        assert np.array_equal(qam_modulate(bits.astype(np.int64), order), got)
+        assert np.array_equal(qam_modulate(bits.astype(bool), order), got)
+
+    @pytest.mark.parametrize("order", VALID_ORDERS)
+    def test_demodulate_equals_the_integer_demapping(self, order, rng):
+        # noisy symbols over and beyond the constellation, on the decision
+        # thresholds and at zero
+        points = constellation(order)
+        noisy = rng.choice(points, 2000) + 0.3 * (
+            rng.normal(size=2000) + 1j * rng.normal(size=2000)
+        )
+        edges = np.concatenate([0.5 * (points[:-1] + points[1:]), [0.0, 5.0 + 5.0j, -7.0j]])
+        symbols = np.concatenate([noisy, edges])
+        got = qam_demodulate(symbols, order)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, integer_qam_demodulate(symbols, order))
 
 
 class TestExactBer:
