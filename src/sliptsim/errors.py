@@ -2,8 +2,7 @@
 with a builtin parent too; any other exception leaving it is a bug."""
 
 import math
-
-import numpy as np
+from numbers import Integral, Real
 
 __all__ = ["SliptsimError", "ParameterError"]
 
@@ -18,9 +17,16 @@ class ParameterError(SliptsimError, ValueError):
     @staticmethod
     def require_finite(obj, may_be_inf: str = "") -> None:
         """Refuse a NaN or infinite float or tuple entry among the fields of
-        dataclass ``obj``; the field named ``may_be_inf`` may be +inf."""
+        dataclass ``obj``; the field named ``may_be_inf`` may be +inf.
+
+        A float is any non-integral ``numbers.Real`` (numpy registers its
+        floating scalars there); ints are left alone, as ``math.isfinite``
+        overflows on a huge one.  The plain ``float`` test comes first only
+        because it is ten times cheaper than the abstract ones."""
         for name, value in vars(obj).items():
-            if isinstance(value, (float, np.floating)):
+            if isinstance(value, float) or (
+                isinstance(value, Real) and not isinstance(value, Integral)
+            ):
                 if math.isfinite(value) or (name == may_be_inf and value == math.inf):
                     continue
             elif type(value) is not tuple or all(map(math.isfinite, value)):

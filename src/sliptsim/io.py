@@ -8,7 +8,6 @@ seed) instead of timestamps.
 
 from __future__ import annotations
 
-import csv
 import io as _io
 import json
 import hashlib
@@ -16,21 +15,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
 from .loading import BitLoadingPlan
 from .ppc import IVCurve
 
 __all__ = [
-    "format_value",
     "write_csv",
-    "read_csv",
     "spec_hash",
     "iv_curve_to_csv",
     "plan_to_csv",
 ]
 
 
-def format_value(v) -> str:
+def _format_value(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -49,19 +45,8 @@ def write_csv(path, columns, rows, header_comments=()) -> None:
         buf.write(f"# {line}\n")
     buf.write(",".join(columns) + "\n")
     for row in rows:
-        buf.write(",".join(format_value(v) for v in row) + "\n")
+        buf.write(",".join(_format_value(v) for v in row) + "\n")
     path.write_text(buf.getvalue(), encoding="utf-8")
-
-
-def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    """(columns, string rows), skipping comment lines."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(lines)
-    rows = [row for row in reader if row]
-    if not rows:
-        raise ParameterError(f"{path}: no header row")
-    return rows[0], rows[1:]
 
 
 def spec_hash(payload) -> str:

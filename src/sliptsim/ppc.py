@@ -270,8 +270,14 @@ class IVCurve:
     def __post_init__(self):
         self.voltages_v = np.asarray(self.voltages_v, dtype=float)
         self.currents_a = np.asarray(self.currents_a, dtype=float)
-        if self.voltages_v.shape != self.currents_a.shape:
-            raise ParameterError("voltage and current arrays must match in shape")
+        v, i = self.voltages_v, self.currents_a
+        if v.ndim != 1 or v.shape != i.shape:
+            raise ParameterError(
+                "voltages and currents must be 1-D arrays of equal length, got "
+                f"shapes {v.shape} and {i.shape}"
+            )
+        if not len(v):
+            raise ParameterError("a curve needs at least one sample, got none")
         if len(self.voltages_v) > 1:
             dv = np.diff(self.voltages_v)
             if np.any(dv <= 0):
@@ -722,10 +728,13 @@ def find_mpp(curve: IVCurve) -> OperatingPoint:
 
 def dc_operating_point(curve: IVCurve, load_ohm: float) -> OperatingPoint:
     """Intersection of an I-V curve with the resistive load line V = I*R:
-    a bracketed root of the curve's ``model`` on [0, I_sc]."""
+    a bracketed root on [0, I_sc] of the curve's ``model``, which any curve
+    but a dark one must carry."""
     i_sc = curve.short_circuit_current_a()
     if i_sc <= 0:
         return OperatingPoint(0.0, 0.0)
+    if curve.model is None:
+        raise ParameterError("curve must carry its model (the curves of string_iv do)")
 
     def mismatch(i):
         return curve.model(i)[0] - i * load_ohm

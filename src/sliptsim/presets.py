@@ -122,12 +122,12 @@ def default_transmitter() -> TransmitterModel:
 def default_beam(
     responsivity_a_w: float = 0.42,
     beam_radius_mm: float = 0.8,
-    total_power_w: float = TransmitterModel.emitted_power_w,
     center_mm: tuple[float, float] = (0.0, 0.0),
 ) -> IlluminationProfile:
-    """Focused spot at the receiver plane; values are calibration defaults."""
+    """Focused spot of the transmitter's emitted power at the receiver
+    plane; values are calibration defaults."""
     return IlluminationProfile(
-        total_power_w=total_power_w,
+        total_power_w=TransmitterModel.emitted_power_w,
         beam_radius_mm=beam_radius_mm,
         center_mm=center_mm,
         responsivity_a_w=responsivity_a_w,

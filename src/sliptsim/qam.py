@@ -102,19 +102,25 @@ def qam_modulate(bits, order: int) -> np.ndarray:
 def qam_demodulate(symbols, order: int) -> np.ndarray:
     """Hard-decision demap: slice each PAM axis, invert the Gray labels.
 
+    A component beyond the outer levels, however large or infinite,
+    decides the outer level; a NaN symbol is refused.
+
     Returns the uint8 bit stream, each symbol's label MSB first: the label
     is shifted to the top of a big-endian 16-bit word whose first
     ``log2(order)`` bits are unpacked."""
     b_i, b_q, l_i, l_q, scale, tables = _axis_tables(order)
     b = b_i + b_q
     symbols = np.asarray(symbols, dtype=complex).ravel()
+    if np.isnan(symbols).any():
+        raise ParameterError("symbols must not be NaN")
 
     def slice_axis(values, l_count):
+        # clipped before rounding, so no value overflows the conversion
         x = values / scale
         x += l_count - 1
         x /= 2.0
-        idx = np.rint(x, out=x).astype(np.intp)
-        return np.clip(idx, 0, l_count - 1, out=idx)
+        np.clip(x, 0, l_count - 1, out=x)
+        return np.rint(x, out=x).astype(np.intp)
 
     words = tables[l_i][0][slice_axis(symbols.real, l_i)]
     words <<= b_q

@@ -3,16 +3,23 @@
 equation, the string I-V and a golden-section MPP), calibration targets
 generated from known fit parameters, the complex IFFT of a DCO-OFDM block's
 full Hermitian spectrum, the modem's whole-buffer transmit and receive paths
-and its integer bit mapping, a configurable digital loopback and a plain
-reference of the link's optical/electrical channel."""
+and its integer bit mapping, a configurable digital loopback, a plain
+reference of the link's optical/electrical channel, a reader of the CSV
+artifacts and a runner of probes in a fresh interpreter."""
 
+import csv
 import math
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erfc
 
+import sliptsim
 from sliptsim import ofdm
 from sliptsim.calibrate import CalibrationTargets
 from sliptsim.link import _one_pole
@@ -545,3 +552,30 @@ def reference_channel(
     sigma_q = chain.noise.quantization_sigma(float(v_sig.std()))
     sigma_v = math.hypot(sigma_thermal, sigma_q)
     return v_sig + rng.normal(0.0, sigma_v, len(v_sig)), clipped
+
+
+# ---------------------------------------------------------------------------
+# Artifacts and fresh interpreters
+# ---------------------------------------------------------------------------
+
+
+def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """(columns, string rows) of a CSV artifact, skipping comment lines."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = [ln for ln in fh if not ln.startswith("#")]
+    rows = [row for row in csv.reader(lines) if row]
+    if not rows:
+        raise ValueError(f"{path}: no header row")
+    return rows[0], rows[1:]
+
+
+def run_fresh(probe: str, *args: str) -> str:
+    """The last line ``probe`` prints in a fresh interpreter that imports
+    the ``sliptsim`` this one does; ``args`` become its ``sys.argv[1:]``."""
+    src = Path(sliptsim.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True, capture_output=True, text=True, timeout=300,
+    )
+    return done.stdout.splitlines()[-1]

@@ -1,5 +1,6 @@
-"""The package's declared public API: every name a module exports exists,
-and every error the package raises on purpose is a ``SliptsimError``."""
+"""The package's declared public API: the root holds only the error
+contract and the version, every name a module exports exists, and every
+error the package raises on purpose is a ``SliptsimError``."""
 
 import ast
 import builtins
@@ -10,11 +11,24 @@ import pkgutil
 import pytest
 
 import sliptsim
+from chain import run_fresh
 from sliptsim import SliptsimError
 
 MODULES = ["sliptsim"] + [
     f"sliptsim.{info.name}" for info in pkgutil.iter_modules(sliptsim.__path__)
 ]
+
+
+def test_the_root_exports_the_error_contract_and_the_version():
+    assert sorted(sliptsim.__all__) == ["ParameterError", "SliptsimError", "__version__"]
+
+
+def test_importing_the_root_loads_no_model():
+    probe = "\n".join([
+        "import sys, sliptsim",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))",
+    ])
+    assert run_fresh(probe) == "[]"
 
 
 @pytest.mark.parametrize("name", MODULES)

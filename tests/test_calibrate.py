@@ -1,9 +1,6 @@
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -11,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chain import synthesize_targets
+from chain import run_fresh, synthesize_targets
 from sliptsim import calibrate as calibrate_module
 from sliptsim.calibrate import (
     CalibrationError,
@@ -24,7 +21,6 @@ from sliptsim.calibrate import (
 )
 from sliptsim.presets import MEASURED_BANDWIDTH_HZ, UnknownPresetError
 
-SRC = Path(calibrate_module.__file__).resolve().parents[1]
 FROZEN_FIT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "calibration.json"
 
 TRUE_CAPS = {"S": 12e-12, "M": 8e-12, "L": 5e-12}
@@ -265,16 +261,6 @@ class TestFullCalibration:
             calibrated_receiver(s_only, "L6")
 
 
-def _run_fresh(probe: str) -> str:
-    """The last line ``probe`` prints in a fresh interpreter."""
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        check=True, capture_output=True, text=True, timeout=300,
-    )
-    return done.stdout.splitlines()[-1]
-
-
 class TestOptimizerImport:
     # scipy.optimize costs 0.2-0.3 s CPU of a fresh process; only a fit needs it
 
@@ -293,7 +279,7 @@ class TestOptimizerImport:
             "         n_pilot_frames=1, n_measurement_frames=1, n_payload_frames=1)",
             "print('scipy.optimize' in sys.modules)",
         ])
-        assert _run_fresh(probe) == "False"
+        assert run_fresh(probe) == "False"
 
     def test_the_fit_loads_it_and_its_stages_call_the_module_global(self):
         probe = "\n".join([
@@ -314,4 +300,4 @@ class TestOptimizerImport:
         ])
         # stage A fits one capacitance and the 4-segment excess resistance,
         # stage B one responsivity, the radius and two offsets
-        assert _run_fresh(probe) == "[False, True] [2, 4]"
+        assert run_fresh(probe) == "[False, True] [2, 4]"

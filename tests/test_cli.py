@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chain import read_csv, run_fresh
 from sliptsim import ParameterError, cli, link
 from sliptsim.calibrate import CalibrationResult
 from sliptsim.cli import SpecError, load_spec, main
-from sliptsim.io import read_csv, spec_hash
+from sliptsim.io import spec_hash
 from sliptsim.ofdm import SyncError
 from sliptsim.ppc import IVCurve
 from sliptsim.presets import PRESET_NAMES
@@ -226,7 +227,6 @@ class TestCommands:
 def test_fit_and_cli_imports_leave_out_the_signal_stack(tmp_path):
     # loading scipy.signal, with the scipy.stats it pulls in, costs about
     # 0.8 s CPU of every fresh process; the modem filters with numpy alone
-    src = str(Path(cli.__file__).resolve().parents[1])
     probe = "\n".join([
         "import sys, warnings",
         "import sliptsim.calibrate, sliptsim.cli",
@@ -245,13 +245,8 @@ def test_fit_and_cli_imports_leave_out_the_signal_stack(tmp_path):
         "loaded.append(signal_stack())",
         "print(loaded)",
     ])
-    done = subprocess.run(
-        [sys.executable, "-c", probe, str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": src},
-        check=True, capture_output=True, text=True, timeout=300,
-    )
     # after the imports, after run_link and after `sliptsim link`
-    assert done.stdout.splitlines()[-1] == "[[], [], []]"
+    assert run_fresh(probe, str(tmp_path)) == "[[], [], []]"
 
 
 def test_iv_job_loads_no_optimizer(tmp_path):
@@ -261,12 +256,7 @@ def test_iv_job_loads_no_optimizer(tmp_path):
         "assert sliptsim.cli.main(['iv', '--preset', 'L6', '--out', sys.argv[1]]) == 0",
         "print('scipy.optimize' in sys.modules)",
     ])
-    done = subprocess.run(
-        [sys.executable, "-c", probe, str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
-        check=True, capture_output=True, text=True, timeout=300,
-    )
-    assert done.stdout.splitlines()[-1] == "False"
+    assert run_fresh(probe, str(tmp_path)) == "False"
     assert (tmp_path / "iv.csv").exists()
 
 

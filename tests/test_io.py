@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sliptsim.io import iv_curve_to_csv, plan_to_csv, read_csv, write_csv
+from chain import read_csv
+from sliptsim.io import iv_curve_to_csv, plan_to_csv, write_csv
 from sliptsim.loading import BitLoadingPlan
 from sliptsim.ppc import IVCurve
 

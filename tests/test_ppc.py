@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import chain as oracle
 from chain import sector_beam_power, segment_current, segment_photocurrents
-from sliptsim import ppc
+from sliptsim import ParameterError, ppc
 from sliptsim.constants import thermal_voltage
 from sliptsim.ppc import (
     BracketError,
@@ -18,6 +18,7 @@ from sliptsim.ppc import (
     OperatingPoint,
     SegmentGeometry,
     SegmentedDevice,
+    dc_operating_point,
     find_mpp,
     harvest_figures,
     imp_isc_ratio,
@@ -40,6 +41,26 @@ def ideal_diode(j0=1e-18, n=1.2, rs=0.0):
         series_resistance_ohm=rs,
         shunt_resistance_ohm=math.inf,
     )
+
+
+# non-finite numpy floating scalars, refused like the floats; only the
+# float64 one is a ``float``
+NUMPY_NON_FINITE = {
+    "float32-nan": np.float32("nan"),
+    "float64-inf": np.float64("inf"),
+    "float32-neg-inf": np.float32("-inf"),
+}
+
+
+def numpy_non_finite(*fields, may_be_inf=""):
+    """(field, value) cases of each numpy scalar for each field; the field
+    ``may_be_inf`` takes +inf."""
+    return [
+        pytest.param(field, value, id=f"{field}-{tag}")
+        for field in fields
+        for tag, value in NUMPY_NON_FINITE.items()
+        if not (field == may_be_inf and value == math.inf)
+    ]
 
 
 def segment_voltage(diode, area_mm2, photocurrent_a, current_a):
@@ -81,22 +102,30 @@ class TestGeometry:
         ("cell_diameter_mm", math.inf),
         ("junction_area_mm2", math.nan),
         ("junction_area_mm2", math.inf),
+        *numpy_non_finite("cell_diameter_mm", "junction_area_mm2"),
     ])
     def test_non_finite_values_refused(self, field, value):
         kwargs = {"cell_diameter_mm": 1.0, "n_segments": 2, field: value}
         with pytest.raises(ValueError, match=field):
             SegmentGeometry(**kwargs)
 
+    def test_finite_numpy_scalars_accepted(self):
+        g = SegmentGeometry(np.float32(1.0), np.int64(2), junction_area_mm2=np.float16(0.5))
+        assert g.segment_junction_area_mm2 == 0.5
+
+
+DIODE_FIELDS = ("saturation_current_density_a_mm2", "ideality", "series_resistance_ohm",
+                "shunt_resistance_ohm", "capacitance_density_f_mm2", "temperature_k")
+
 
 class TestDiodeParams:
     # an infinite shunt resistance is allowed: it disables the shunt
     @pytest.mark.parametrize("field, value", [
         (field, value)
-        for field in ("saturation_current_density_a_mm2", "ideality", "series_resistance_ohm",
-                      "shunt_resistance_ohm", "capacitance_density_f_mm2", "temperature_k")
+        for field in DIODE_FIELDS
         for value in (math.nan, math.inf)
         if (field, value) != ("shunt_resistance_ohm", math.inf)
-    ])
+    ] + numpy_non_finite(*DIODE_FIELDS, may_be_inf="shunt_resistance_ohm"))
     def test_non_finite_values_refused(self, field, value):
         with pytest.raises(ValueError, match=field):
             DiodeParams(**{field: value})
@@ -124,12 +153,18 @@ class TestIllumination:
         pytest.param("center_mm", (math.nan, 0.0), id="center_mm-nan"),
         pytest.param("center_mm", (0.0, -math.inf), id="center_mm-inf"),
         ("responsivity_a_w", math.nan),
+        *numpy_non_finite("total_power_w", "beam_radius_mm", "responsivity_a_w"),
     ])
     def test_non_finite_values_refused(self, field, value):
         # refused at construction, not after the quadrature runs out of panels
         kwargs = {"total_power_w": 1e-3, "beam_radius_mm": 0.5, field: value}
         with pytest.raises(ValueError, match=field):
             IlluminationProfile(**kwargs)
+
+    def test_finite_numpy_scalars_accepted(self):
+        beam = IlluminationProfile(np.float32(1e-3), np.float64(0.5),
+                                   responsivity_a_w=np.float32(0.5))
+        assert beam.beam_radius_mm == 0.5
 
     def test_plane_integral_is_total_power(self):
         beam = IlluminationProfile(2.3e-3, 0.4, center_mm=(0.2, -0.1),
@@ -437,6 +472,29 @@ class TestStringIV:
             IVCurve(np.array([0.0, 1.0, 0.5]), np.array([3.0, 2.0, 1.0]))
         with pytest.raises(ValueError):
             IVCurve(np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0, 0.0]))
+
+    @pytest.mark.parametrize("voltages, currents, problem", [
+        ([], [], "at least one sample"),
+        (np.zeros((2, 3)), np.zeros((2, 3)), r"1-D .*\(2, 3\)"),
+        (0.0, 1.0, r"1-D .*\(\)"),
+        ([0.0, 1.0], [1.0, 0.5, 0.0], r"equal length.*\(2,\) and \(3,\)"),
+    ])
+    def test_curve_shape_validated(self, voltages, currents, problem):
+        # an empty curve escaped as ValueError (find_mpp) or IndexError
+        # (dc_operating_point, imp_isc_ratio); a 2-D one as "voltages must
+        # be strictly increasing"
+        with pytest.raises(ParameterError, match=problem):
+            IVCurve(voltages, currents)
+
+    def test_load_line_needs_the_model(self):
+        # a lit curve without its model raised "'NoneType' object is not
+        # callable"; the dark one-sample curve is its own answer
+        curve = IVCurve(np.linspace(0.0, 1.0, 5), np.linspace(1e-3, 0.0, 5))
+        with pytest.raises(ParameterError, match="model"):
+            dc_operating_point(curve, 100.0)
+        dark = string_iv(SegmentedDevice(SegmentGeometry(1.0, 2)), [0.0, 0.0])
+        assert dark.model is None
+        assert dc_operating_point(dark, 100.0) == OperatingPoint(0.0, 0.0)
 
 
 class TestBatchedStringSolve:

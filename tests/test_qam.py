@@ -1,10 +1,12 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 from chain import integer_qam_demodulate, integer_qam_modulate
+from sliptsim import ParameterError
 from sliptsim.qam import (
     VALID_ORDERS,
     constellation,
@@ -93,6 +95,30 @@ class TestUint8Mapping:
         got = qam_demodulate(symbols, order)
         assert got.dtype == np.uint8
         assert np.array_equal(got, integer_qam_demodulate(symbols, order))
+
+
+class TestExtremeSymbols:
+    @pytest.mark.parametrize("order", VALID_ORDERS)
+    @pytest.mark.parametrize("magnitude", [1e300, np.inf])
+    def test_beyond_the_grid_decides_the_outer_levels(self, order, magnitude):
+        # symbols far past any int64 level index decide the corner points
+        # (BPSK has no imaginary axis)
+        imags = (0.0,) if order == 2 else (-magnitude, magnitude)
+        far = [complex(re, im) for re in (-magnitude, magnitude) for im in imags]
+        points = constellation(order)
+        corners = [
+            points[np.argmin(np.abs(points - 100.0 * complex(np.sign(f.real), np.sign(f.imag))))]
+            for f in far
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = qam_demodulate(far, order)
+        assert np.array_equal(got, qam_demodulate(corners, order))
+
+    def test_nan_symbol_refused(self):
+        for symbol in (complex(np.nan, 0.0), complex(1.0, np.nan)):
+            with pytest.raises(ParameterError, match="symbols"):
+                qam_demodulate([1.0, symbol], 4)
 
 
 class TestExactBer:

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import pytest
 
+from chain import run_fresh
+from sliptsim import cli
 from sliptsim.safety import (
     ALPHA_MAX_RAD,
     ALPHA_MIN_RAD,
@@ -162,3 +164,16 @@ class TestAssess:
     def test_scenario_refuses_non_finite_fields(self, field, value):
         with pytest.raises(ValueError, match=field):
             replace(REFERENCE_SCENARIO, **{field: value})
+
+
+def test_assessing_the_cli_default_scenario_loads_no_numpy():
+    # the check is pure math: neither numpy nor scipy may load for it
+    scenario = {field.name: field.default for field in cli._FIELDS["safety"]}
+    scenario["evaluation_distance_mm"] = scenario.pop("distance_mm")
+    probe = "\n".join([
+        "import sys",
+        "from sliptsim.safety import SafetyScenario, assess",
+        f"verdict = assess(SafetyScenario(**{scenario!r})).verdict",
+        "print(verdict, sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))",
+    ])
+    assert run_fresh(probe) == "safe []"
