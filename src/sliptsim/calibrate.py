@@ -21,8 +21,9 @@ its evaluation count, status and cost, the singular values of its Jacobian
 and the parameters that end on a bound.
 
 Both stages assume the default read-out: the ``ReceiverChain`` load,
-amplifier input and AC load, and the ``TransmitterModel`` emitted power and
-wavelength.  ``calibrated_receiver`` refuses a result fitted for any other.
+amplifier input and AC load, and the ``TransmitterModel`` emitted power.
+``calibrated_receiver`` refuses a result fitted for another AC load or
+emitted power.
 
 The fit refuses (``CalibrationError``) when any relative residual exceeds
 25%, and raises ``UnderdeterminedError`` when fewer targets than free
@@ -156,9 +157,10 @@ class CalibrationResult:
         """Read schema 2, or schema 1, which has no fit record.
 
         Raises:
-            ParameterError: a missing key, a non-object section, a series key
-                that is no count, an unknown schema version, or a non-finite
-                value (the beam radius of a fit without harvest targets is null).
+            ParameterError: a missing key, a non-object section, an empty or
+                non-count series section, an unknown schema version, or a
+                non-finite value (the beam radius of a fit without harvest
+                targets is null).
         """
         if not isinstance(data, dict):
             raise ParameterError(f"calibration must be a JSON object, got {data!r}")
@@ -170,8 +172,12 @@ class CalibrationResult:
                 raise ParameterError(f"calibration is missing {name!r}")
             if name in _FITTED_DICTS and not isinstance(data[name], dict):
                 raise ParameterError(f"calibration {name} must be an object, got {data[name]!r}")
-        if not all(str(k).isdecimal() for k in data["series_resistance_ohm"]):
-            raise ParameterError("calibration series_resistance_ohm keys must be segment counts")
+        series = data["series_resistance_ohm"]
+        if not series or not all(str(k).isdecimal() for k in series):
+            raise ParameterError(
+                f"calibration series_resistance_ohm keys must be one or more "
+                f"segment counts, got {list(series)!r}"
+            )
         numbers = {
             f"{name}.{key}": value
             for name in _FITTED_DICTS for key, value in data[name].items()

@@ -5,8 +5,8 @@ ELEMENTARY_CHARGE_C = 1.602176634e-19
 PLANCK_J_S = 6.62607015e-34
 SPEED_OF_LIGHT_M_S = 299792458.0
 
-# Default operating conditions: the VCSEL wavelength the beam, transmitter
-# and quantum limit share, and the temperature of the diodes and the load.
+# Default operating conditions: the VCSEL wavelength the beam and the
+# quantum limit share, and the temperature of the diodes and the load.
 DEFAULT_WAVELENGTH_NM = 847.0
 DEFAULT_TEMPERATURE_K = 298.15
 

@@ -31,9 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constants import (
-    BOLTZMANN_J_PER_K, DEFAULT_TEMPERATURE_K, DEFAULT_WAVELENGTH_NM, ELEMENTARY_CHARGE_C,
-)
+from .constants import BOLTZMANN_J_PER_K, DEFAULT_TEMPERATURE_K, ELEMENTARY_CHARGE_C
 from .errors import ParameterError, SliptsimError
 from .loading import BitLoadingPlan, bit_power_loading
 from .ofdm import (
@@ -91,13 +89,13 @@ class TransmitterModel:
     around it.  Swings leaving [0, 2 * emitted_power] are clipped and the
     clipped fraction is reported.  The defaults are the documented VCSEL
     operating point: biased at 1.78 V and 6 mA (1 mA threshold), driven at
-    1 Vpp, emitting 2.3 mW at 847 nm.
+    1 Vpp, emitting 2.3 mW.  The wavelength is the beam's
+    (``IlluminationProfile.wavelength_nm``).
     """
 
     drive_vpp: float = 1.0
     slope_efficiency_w_per_a: float = 0.46
     emitted_power_w: float = 2.3e-3
-    wavelength_nm: float = DEFAULT_WAVELENGTH_NM
     transconductance_a_per_v: float = 8e-3
 
     def __post_init__(self):

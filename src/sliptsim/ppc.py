@@ -13,8 +13,7 @@ subcell; the subcells are series-connected on chip.  This module models
   It has two kernels with the same bits, chosen by the type of the input:
   a vector kernel for arrays of currents (the I-V grid, the harvest scan)
   and a scalar kernel, a plain loop over the segments, for the one float
-  the root finder passes; the scalar kernel hands the rare current it cannot
-  reproduce exactly (a clamped or deep-reverse segment) to the vector one,
+  the root finder passes,
 * the composed string I-V curve, the short-circuit current (a bracketed
   root of V(I), kept as the curve's first sample), the maximum power point
   (one search: the best sample, then a bracketed root of
@@ -255,14 +254,11 @@ class IVCurve:
     ``model`` is the continuous model of the curve, a callable
     current -> (voltage, dV/dI), which :func:`find_mpp` and
     :func:`dc_operating_point` search; curves built by :func:`string_iv`
-    carry the explicit string voltage as their model.
-    ``clamped`` marks points where at least one segment hit the reverse
-    breakdown clamp.
+    carry the string's prepared V(I) (:func:`string_model`) as their model.
     """
 
     voltages_v: np.ndarray
     currents_a: np.ndarray
-    clamped: np.ndarray | None = None
     model: object = None  # callable current -> (voltage, dV/dI)
 
     MONOTONICITY_TOL = 1e-9
@@ -457,7 +453,7 @@ def _least(values) -> float:
 
 def string_model(device: SegmentedDevice, photocurrents):
     """The string voltage V(I) of ``device`` under ``photocurrents``, prepared
-    once: a callable ``currents -> (voltages, slopes, clamped)``.
+    once: a callable ``currents -> (voltages, slopes)``.
 
     Each segment obeys the single-diode equation
     ``I = I_ph - I0*(exp(Vj/a) - 1) - Vj/Rsh``, with ``Vj = V + I*Rs`` and
@@ -469,9 +465,8 @@ def string_model(device: SegmentedDevice, photocurrents):
     ``Vj = Rsh*B - a*w`` is used there.  With the shunt disabled
     ``Vj = a*ln(B/I0)``, which is -inf where ``B <= 0``: the diode cannot
     carry that current.  With the reverse clamp enabled a segment voltage
-    below -reverse_breakdown_v is clamped there, adds nothing to the slope
-    and flags its current.  The string voltage and slope are the sums over
-    the segments.
+    below -reverse_breakdown_v is clamped there and adds nothing to the
+    slope.  The string voltage and slope are the sums over the segments.
 
     The device constants are read here, once, so a bracketed search pays
     only for the arithmetic at each of its currents.  The returned callable
@@ -480,13 +475,12 @@ def string_model(device: SegmentedDevice, photocurrents):
     * the vector kernel takes any shape of currents (a grid, an array) and
       returns arrays of that shape;
     * the scalar kernel takes one float, the current the bracketed searches'
-      root finder (``roots.brent_root``) passes, and returns Python floats
-      and a bool.  It loops over the segments with
-      the vector kernel's operations in the same order and sums them
-      sequentially, as numpy sums fewer than 8 values.  A current at which a
-      segment is clamped or in deep reverse bias goes to the vector kernel,
-      and so does every current of a string with the shunt or the clamp
-      disabled or with 8 segments or more.
+      root finder (``roots.brent_root``) passes, and returns Python floats.
+      It loops over the segments with the vector kernel's operations in the
+      same order, clamp and deep reverse bias included, and sums them
+      sequentially, as numpy sums fewer than 8 values.  Every current of a
+      string with the shunt disabled or with 8 segments or more goes to the
+      vector kernel.
 
     Raises:
         ValueError: ``photocurrents`` does not hold one value per segment.
@@ -535,26 +529,28 @@ def string_model(device: SegmentedDevice, photocurrents):
         v = vj - i * rs
         slope = slope - rs
         if limit is None:
-            if _least(v) == -math.inf:
+            # only a string without a shunt has currents the diodes cannot
+            # carry; a shunted string's voltage is -inf only by overflow
+            if not shunted and _least(v) == -math.inf:
                 raise BracketError(
                     f"current {currents.max():.6g} A exceeds I_ph + I0 of the darkest "
                     f"segment ({photocurrents.min():.6g} A + I0) with shunt disabled"
                 )
-            clamped = np.zeros(currents.shape, dtype=bool)
         elif _least(v) < -limit:
             below = v < -limit
-            clamped = below.any(axis=-1)
             v = np.where(below, -limit, v)
             slope = np.where(below, 0.0, slope)
-        else:
-            clamped = np.zeros(currents.shape, dtype=bool)
-        return v.sum(axis=-1), slope.sum(axis=-1), clamped
+        return v.sum(axis=-1), slope.sum(axis=-1)
 
-    if not (shunted and limit is not None and device.n_segments < 8):
+    if not (shunted and device.n_segments < 8):
         return vector
     segment_photocurrents = photocurrents.tolist()
+    floor = -math.inf if limit is None else -limit
 
-    def scalar(i):
+    def model(currents):
+        if not isinstance(currents, float):
+            return vector(currents)
+        i = float(currents)
         # numpy's scalar log and Wright omega give the bits of its vector
         # loops (math.log does not, in the last ulp).  -0.0 + x is x, so each
         # sum starts from its first term, as numpy's does.
@@ -562,35 +558,31 @@ def string_model(device: SegmentedDevice, photocurrents):
         for i_ph in segment_photocurrents:
             b = (i_ph - i) + i0
             z = b * rsh_over_a + z_offset
-            if z < _Z_DEEP_REVERSE:
-                return None
             w = float(wrightomega(z))
-            v = a * float(np.log(w_scale * w)) - i * rs
-            if v < -limit:
-                return None
+            if z < _Z_DEEP_REVERSE:
+                v = rsh * b - a * w - i * rs
+            else:
+                v = a * float(np.log(w_scale * w)) - i * rs
+            if v < floor:
+                v, slope = floor, 0.0
+            else:
+                slope = -rsh / (1.0 + w) - rs
             v_sum += v
-            slope_sum += -rsh / (1.0 + w) - rs
-        return v_sum, slope_sum, False
-
-    def model(currents):
-        if isinstance(currents, float):
-            result = scalar(float(currents))
-            if result is not None:
-                return result
-        return vector(currents)
+            slope_sum += slope
+        return v_sum, slope_sum
 
     return model
 
 
 def string_voltage(device: SegmentedDevice, photocurrents, currents):
-    """String voltage, its slope dV/dI and the clamp flag at series currents.
+    """String voltage and its slope dV/dI at series currents.
 
     The one V(I) of this module (:func:`string_model` prepares it; see there
     for the model).  One call serves any shape of ``currents``, through the
     vector kernel.
 
     Returns:
-        (voltages, slopes, clamped), each shaped like ``currents``.
+        (voltages, slopes), each shaped like ``currents``.
 
     Raises:
         BracketError: a current exceeds I_ph + I0 of a segment while both the
@@ -656,31 +648,24 @@ def string_iv(device: SegmentedDevice, photocurrents, n_points: int = 2048) -> I
             refined toward I_sc.
 
     Returns:
-        IVCurve sorted by ascending voltage with per-point clamp flags.
+        IVCurve sorted by ascending voltage.
     """
     model = string_model(device, photocurrents)
     i_sc = _short_circuit_current(device, photocurrents, model)
     if i_sc <= 0.0:
-        return IVCurve(np.array([0.0]), np.array([0.0]), clamped=np.array([False]))
+        return IVCurve(np.array([0.0]), np.array([0.0]))
     tail = 1.0 - np.logspace(0.0, -_GRID_DECADES, n_points - 1)
     currents = np.concatenate([[i_sc], i_sc * tail])
 
-    voltages, _, clamp_flags = model(currents)
+    voltages, _ = model(currents)
 
     # a stable sort keeps I_sc ahead of any sample at the same voltage
     order = np.argsort(voltages, kind="stable")
     voltages = voltages[order]
     currents = currents[order]
-    clamp_flags = clamp_flags[order]
     # collapse numerically duplicate voltages (knee points can coincide)
     keep = np.concatenate([[True], np.diff(voltages) > 0])
-    voltages, currents, clamp_flags = voltages[keep], currents[keep], clamp_flags[keep]
-
-    return IVCurve(
-        voltages, currents,
-        clamped=clamp_flags,
-        model=lambda i: model(i)[:2],
-    )
+    return IVCurve(voltages[keep], currents[keep], model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -764,14 +749,10 @@ def harvest_figures(device: SegmentedDevice, photocurrents) -> tuple[float, floa
     97-point scan picks the knee, and the search of :func:`find_mpp` refines
     it.
     """
-    v_of_i = string_model(device, photocurrents)
-    i_sc = _short_circuit_current(device, photocurrents, v_of_i)
+    model = string_model(device, photocurrents)
+    i_sc = _short_circuit_current(device, photocurrents, model)
     if i_sc <= 0:
         return 0.0, math.nan
-
-    def model(i):
-        return v_of_i(i)[:2]
-
     grid = np.linspace(0.0, i_sc * (1.0 - 1e-12), 97)
     v_mp, i_mp = _power_maximum(model, grid, model(grid)[0])
     return v_mp * i_mp, i_mp / i_sc

@@ -1,6 +1,7 @@
 """The package's declared public API: the root holds only the error
-contract and the version, every name a module exports exists, and every
-error the package raises on purpose is a ``SliptsimError``."""
+contract and the version, every name a module exports exists, every
+error the package raises on purpose is a ``SliptsimError``, and the
+public surface of the model and CLI modules does not grow."""
 
 import ast
 import builtins
@@ -16,6 +17,12 @@ from sliptsim import SliptsimError
 
 MODULES = ["sliptsim"] + [
     f"sliptsim.{info.name}" for info in pkgutil.iter_modules(sliptsim.__path__)
+]
+
+# the modules whose surface ROADMAP aim 2 counts
+SURFACE_MODULES = [
+    f"sliptsim.{name}"
+    for name in ("ppc", "link", "ofdm", "loading", "qam", "calibrate", "presets", "io", "cli")
 ]
 
 
@@ -71,3 +78,39 @@ def test_exported_errors_are_package_errors_with_a_builtin_parent(name):
                 base is getattr(builtins, base.__name__, None) and base is not BaseException
                 for base in cls.__mro__
             ), f"{name}.{attr} has no builtin parent"
+
+
+def defaulted_parameters(function: ast.FunctionDef) -> int:
+    args = function.args
+    return len(args.defaults) + sum(default is not None for default in args.kw_defaults)
+
+
+def surface(source: str) -> tuple[int, int]:
+    """(public functions, settable values) of one module.
+
+    Public functions are the module-level ``def``s without a leading
+    underscore.  Settable values are the dataclass fields plus the defaulted
+    parameters of public functions and methods.
+    """
+    functions = settable = 0
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            functions += 1
+            settable += defaulted_parameters(node)
+        elif isinstance(node, ast.ClassDef):
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                settable += sum(isinstance(item, ast.AnnAssign) for item in node.body)
+            settable += sum(
+                defaulted_parameters(item) for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            )
+    return functions, settable
+
+
+def test_the_public_surface_does_not_grow():
+    # ceilings at the current counts: a change that adds a public function
+    # or a settable value raises them in its own diff
+    counts = [surface(inspect.getsource(importlib.import_module(n))) for n in SURFACE_MODULES]
+    functions, settable = map(sum, zip(*counts))
+    assert functions <= 60
+    assert settable <= 113

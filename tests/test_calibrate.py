@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from chain import run_fresh, synthesize_targets
+from sliptsim import ParameterError
 from sliptsim import calibrate as calibrate_module
 from sliptsim.calibrate import (
     CalibrationError,
@@ -19,9 +20,11 @@ from sliptsim.calibrate import (
     calibrated_receiver,
     measured_targets,
 )
+from sliptsim.cli import main
 from sliptsim.presets import MEASURED_BANDWIDTH_HZ, UnknownPresetError
 
 FROZEN_FIT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "calibration.json"
+BUNDLED_FIT = resources.files("sliptsim").joinpath("data/calibration.json")
 
 TRUE_CAPS = {"S": 12e-12, "M": 8e-12, "L": 5e-12}
 TRUE_RS = {2: 0.0, 4: 120.0, 6: 260.0}
@@ -122,6 +125,20 @@ class TestSchema:
         holder[key] = value
         with pytest.raises(ValueError, match=re.escape(name)):
             CalibrationResult.from_dict(data)
+
+    def test_empty_series_section_refused(self, tmp_path, capsys):
+        # accepted once; calibrated_receiver then raised IndexError inside
+        # series_resistance_for, and the CLI died with its traceback
+        data = json.loads(BUNDLED_FIT.read_text())
+        data["series_resistance_ohm"] = {}
+        with pytest.raises(ParameterError, match="series_resistance_ohm"):
+            CalibrationResult.from_dict(data)
+        path = tmp_path / "calibration.json"
+        path.write_text(json.dumps(data))
+        code = main(["bandwidth", "--calibration", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "series_resistance_ohm" in err
 
 
 class TestFullCalibration:
@@ -246,7 +263,7 @@ class TestFullCalibration:
     @pytest.mark.parametrize("name", ["XYZ", "", "L8"])
     def test_calibrated_receiver_refuses_an_unknown_preset(self, name):
         # refused before the name is parsed into a size and a segment count
-        fit = CalibrationResult.load(resources.files("sliptsim").joinpath("data/calibration.json"))
+        fit = CalibrationResult.load(BUNDLED_FIT)
         with pytest.raises(UnknownPresetError, match="unknown preset"):
             calibrated_receiver(fit, name)
 

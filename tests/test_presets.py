@@ -81,7 +81,6 @@ class TestPresets:
         tx = default_transmitter()
         assert tx.drive_vpp == 1.0
         assert tx.emitted_power_w == 2.3e-3
-        assert tx.wavelength_nm == 847.0
 
     def test_measured_pce_follows_from_pmp_and_imp_isc(self):
         """The table's PCE is a consistency check, not an independent
