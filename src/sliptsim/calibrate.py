@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import DEFAULT_EMITTED_POWER_W
 from .errors import ParameterError, SliptsimError
 from .ppc import DiodeParams, harvest_figures, sector_fractions
 from .link import ReceiverChain
@@ -47,7 +48,6 @@ from .presets import (
     MEASURED_PMP_W,
     default_beam,
     default_receiver,
-    default_transmitter,
     preset_geometry,
 )
 
@@ -139,14 +139,9 @@ class CalibrationResult:
         radius = None if math.isnan(self.beam_radius_mm) else self.beam_radius_mm
         return {
             "schema_version": SCHEMA_VERSION,
-            "capacitance_density_f_mm2": dict(self.capacitance_density_f_mm2),
+            **{name: dict(getattr(self, name)) for name in _FITTED_DICTS},
             "series_resistance_ohm": {str(k): v for k, v in self.series_resistance_ohm.items()},
-            "responsivity_a_w": dict(self.responsivity_a_w),
             "beam_radius_mm": radius,
-            "beam_offset_mm": dict(self.beam_offset_mm),
-            "bandwidth_residuals": dict(self.bandwidth_residuals),
-            "pmp_residuals": dict(self.pmp_residuals),
-            "imp_isc_residuals": dict(self.imp_isc_residuals),
             "ac_load_ohm": self.ac_load_ohm,
             "emitted_power_w": self.emitted_power_w,
             "fit_record": self.fit_record,
@@ -188,15 +183,11 @@ class CalibrationResult:
         for name, value in numbers.items():
             if type(value) not in (int, float) or not math.isfinite(value):
                 raise ParameterError(f"calibration {name} must be a finite number, got {value!r}")
+        fitted = {name: dict(data[name]) for name in _FITTED_DICTS}
+        fitted["series_resistance_ohm"] = {int(k): v for k, v in series.items()}
         return cls(
-            capacitance_density_f_mm2=dict(data["capacitance_density_f_mm2"]),
-            series_resistance_ohm={int(k): v for k, v in data["series_resistance_ohm"].items()},
-            responsivity_a_w=dict(data["responsivity_a_w"]),
+            **fitted,
             beam_radius_mm=math.nan if data["beam_radius_mm"] is None else data["beam_radius_mm"],
-            beam_offset_mm=dict(data["beam_offset_mm"]),
-            bandwidth_residuals=dict(data["bandwidth_residuals"]),
-            pmp_residuals=dict(data["pmp_residuals"]),
-            imp_isc_residuals=dict(data["imp_isc_residuals"]),
             ac_load_ohm=data["ac_load_ohm"],
             emitted_power_w=data["emitted_power_w"],
             fit_record=data.get("fit_record", {}),
@@ -233,12 +224,6 @@ class CalibrationResult:
 # Forward models
 # ---------------------------------------------------------------------------
 
-def _bandwidth_model(name: str, cap_density: float, rs: float) -> float:
-    """RC corner of one preset under the default read-out (no beam needed)."""
-    diode = DiodeParams(capacitance_density_f_mm2=cap_density)
-    return default_receiver(name, diode, effective_series_resistance_ohm=rs).f3db_hz()
-
-
 def _receiver(
     name: str,
     capacitance_density_f_mm2: float,
@@ -259,12 +244,6 @@ def _receiver(
 # ---------------------------------------------------------------------------
 # Fitting
 # ---------------------------------------------------------------------------
-
-def _parse_configs(names):
-    sizes = sorted({n[0] for n in names})
-    counts = sorted({int(n[1:]) for n in names})
-    return sizes, counts
-
 
 def _stage_record(sol, names) -> dict:
     """JSON-ready record of one ``least_squares`` stage with parameters ``names``.
@@ -344,7 +323,8 @@ def calibrate(targets: CalibrationTargets) -> CalibrationResult:
     names = targets.configs()
     if not names:
         raise UnderdeterminedError("no bandwidth targets supplied")
-    sizes, counts = _parse_configs(names)
+    sizes = sorted({n[0] for n in names})
+    counts = sorted({int(n[1:]) for n in names})
     # The RC model only pins R*C products, so the lowest segment count is the
     # gauge anchor: its lateral resistance is defined as zero and the other
     # counts fit the excess resistance.
@@ -368,8 +348,10 @@ def calibrate(targets: CalibrationTargets) -> CalibrationResult:
         caps, rss = unpack_a(x)
         out = []
         for name in names:
-            model = _bandwidth_model(name, caps[name[0]] * 1e-12, rss[int(name[1:])])
-            out.append(model / targets.bandwidth_hz[name] - 1.0)
+            # the RC corner under the default read-out
+            diode = DiodeParams(capacitance_density_f_mm2=caps[name[0]] * 1e-12)
+            rc = default_receiver(name, diode, effective_series_resistance_ohm=rss[int(name[1:])])
+            out.append(rc.f3db_hz() / targets.bandwidth_hz[name] - 1.0)
         return np.array(out)
 
     x0 = np.concatenate([np.full(len(sizes), 10.0), np.full(len(free_counts), 50.0)])
@@ -527,7 +509,7 @@ def calibrate(targets: CalibrationTargets) -> CalibrationResult:
         imp_isc_residuals=ii_resid,
         # the read-out every chain of the fit shares
         ac_load_ohm=default_receiver(names[0]).ac_load_ohm,
-        emitted_power_w=default_transmitter().emitted_power_w,
+        emitted_power_w=DEFAULT_EMITTED_POWER_W,
         fit_record=fit_record,
     )
     worst = result.max_residual()

@@ -12,6 +12,9 @@ experiment kind, a hash of the resolved fields (every field of the kind,
 defaults filled in) and the seed, so two invocations that run the same job
 produce byte-identical files.
 
+Each handler imports the model modules it runs: the module itself loads
+no numpy, so ``--help``, a malformed spec and ``safety`` run without it.
+
 Exit codes: 0 success; 2 for a malformed spec or arguments (a ``SpecError``:
 an unknown kind, field or preset, a named file that does not exist); 1 for
 any other ``SliptsimError``.  Any other exception is a bug: it propagates.
@@ -29,14 +32,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
-from .calibrate import CalibrationResult, calibrate, calibrated_receiver, measured_targets
+from .constants import BER_TARGET, DEFAULT_EMITTED_POWER_W
 from .errors import ParameterError, SliptsimError
 from .io import iv_curve_to_csv, plan_to_csv, spec_hash, write_csv
-from .link import BER_TARGET, LinkReport, ReceiverChain, mismatch_study, sweep
-from .ppc import find_mpp, harvest_figures, sector_fractions, string_iv
 from .presets import (
     JUNCTION_AREA_MM2,
     MEASURED_BANDWIDTH_HZ,
@@ -47,7 +46,6 @@ from .presets import (
     default_modem,
     default_transmitter,
 )
-from .safety import SafetyScenario, assess
 
 SCHEMA_VERSION = 1
 CONFIG_DIR_ENV = "SLIPTSIM_CONFIG_DIR"
@@ -182,7 +180,7 @@ _BER = _Field("ber_target", BER_TARGET, _number, float)
 # the offset itself, and the reproductions run the calibrated beams.
 _FIELDS = {
     "iv": (_PRESET, _FIT, _BEAM_OFFSET, _BEAM_RADIUS,
-           _Field("power_w", default_transmitter().emitted_power_w, _number, float)),
+           _Field("power_w", DEFAULT_EMITTED_POWER_W, _number, float)),
     "bandwidth-sweep": (_FIT, _PRESET_LIST),
     "link": (_PRESET, _FIT, _BEAM_OFFSET, _BEAM_RADIUS, _BER),
     "sweep": (_FIT, _PRESET_LIST, _BEAM_OFFSET, _BEAM_RADIUS, _BER),
@@ -233,9 +231,10 @@ def _header(run: dict, seed: int) -> list[str]:
     ]
 
 
-def _receivers(run: dict, names) -> list[tuple[str, ReceiverChain]]:
+def _receivers(run: dict, names) -> list[tuple]:
     """(name, chain) per preset: its chain under the run's calibration, with
     the run's beam offset and radius, where set, applied on top."""
+    from .calibrate import CalibrationResult, calibrated_receiver
     fit = run["calibration"] or resources.files("sliptsim").joinpath("data/calibration.json")
     calibration = CalibrationResult.load(fit)
     beam = {}
@@ -262,6 +261,7 @@ def _raise_failures(reports) -> None:
 # ---------------------------------------------------------------------------
 
 def _handle_iv(run: dict, out_dir: Path, seed: int) -> None:
+    from .ppc import find_mpp, sector_fractions, string_iv
     [(name, chain)] = _receivers(run, [run["preset"]])
     beam = replace(chain.beam, total_power_w=run["power_w"])
     fractions = sector_fractions(chain.device.geometry, beam)
@@ -295,7 +295,7 @@ def _handle_bandwidth(run: dict, out_dir: Path, seed: int) -> None:
 def _emit_link_artifacts(report, out_dir: Path, header, suffix: str = "") -> None:
     write_csv(
         out_dir / f"report{suffix}.csv",
-        LinkReport.CSV_COLUMNS,
+        report.CSV_COLUMNS,
         [report.csv_row()],
         header_comments=header,
     )
@@ -316,6 +316,7 @@ def _emit_link_artifacts(report, out_dir: Path, header, suffix: str = "") -> Non
 
 
 def _handle_link(run: dict, out_dir: Path, seed: int) -> None:
+    from .link import sweep
     [report] = sweep(_receivers(run, [run["preset"]]), default_transmitter(), default_modem(),
                      ber_target=run["ber_target"], seed=seed)
     _raise_failures([report])
@@ -328,6 +329,7 @@ def _handle_link(run: dict, out_dir: Path, seed: int) -> None:
 
 
 def _handle_sweep(run: dict, out_dir: Path, seed: int) -> None:
+    from .link import LinkReport, sweep
     reports = sweep(_receivers(run, run["presets"]), default_transmitter(), default_modem(),
                     ber_target=run["ber_target"], seed=seed)
     header = _header(run, seed)
@@ -346,12 +348,13 @@ def _handle_sweep(run: dict, out_dir: Path, seed: int) -> None:
 
 
 def _handle_mismatch(run: dict, out_dir: Path, seed: int) -> None:
+    import numpy as np
+    from .link import mismatch_study
     [(name, chain)] = _receivers(run, [run["preset"]])
     max_offset = run["max_offset_mm"]
     if max_offset is None:
         max_offset = 0.45 * chain.device.geometry.cell_diameter_mm
-    offsets = np.linspace(0.0, max_offset, run["points"])
-    rows = mismatch_study(chain.device, chain.beam, offsets)
+    rows = mismatch_study(chain.device, chain.beam, np.linspace(0.0, max_offset, run["points"]))
     write_csv(
         out_dir / "mismatch.csv",
         ["offset_mm", "imp_isc", "pmp_w"],
@@ -362,28 +365,17 @@ def _handle_mismatch(run: dict, out_dir: Path, seed: int) -> None:
 
 
 def _handle_safety(run: dict, out_dir: Path, seed: int) -> None:
-    scenario = SafetyScenario(
-        wavelength_nm=run["wavelength_nm"],
-        source_diameter_mm=run["source_diameter_mm"],
-        evaluation_distance_mm=run["distance_mm"],
-        exposure_time_s=run["exposure_time_s"],
-        received_power_w=run["received_power_w"],
-        pupil_radius_mm=run["pupil_radius_mm"],
-    )
-    report = assess(scenario)
+    from .safety import SafetyScenario, assess
+    # the scenario's inputs in CSV column order; distance_mm is its evaluation distance
+    inputs = [f.name for f in _FIELDS["safety"]]
+    kwargs = {name: run[name] for name in inputs}
+    report = assess(SafetyScenario(evaluation_distance_mm=kwargs.pop("distance_mm"), **kwargs))
+    outputs = ["source_class", "c4", "c6", "mpe_w_m2", "irradiance_w_m2", "safety_margin"]
     write_csv(
         out_dir / "safety.csv",
-        ["wavelength_nm", "source_diameter_mm", "distance_mm", "exposure_time_s",
-         "received_power_w", "pupil_radius_mm", "alpha_mrad", "source_class",
-         "c4", "c6", "mpe_w_m2", "irradiance_w_m2", "safety_margin", "verdict"],
-        [(
-            scenario.wavelength_nm, scenario.source_diameter_mm,
-            scenario.evaluation_distance_mm, scenario.exposure_time_s,
-            scenario.received_power_w, scenario.pupil_radius_mm,
-            report.angular_subtense_rad * 1e3, report.source_class,
-            report.c4, report.c6, report.mpe_w_m2, report.irradiance_w_m2,
-            report.safety_margin, report.verdict,
-        )],
+        [*inputs, "alpha_mrad", *outputs, "verdict"],
+        [(*(run[name] for name in inputs), report.angular_subtense_rad * 1e3,
+          *(getattr(report, name) for name in outputs), report.verdict)],
         header_comments=_header(run, seed),
     )
     print(
@@ -394,6 +386,7 @@ def _handle_safety(run: dict, out_dir: Path, seed: int) -> None:
 
 
 def _handle_calibrate(run: dict, out_dir: Path, seed: int) -> None:
+    from .calibrate import calibrate, measured_targets
     result = calibrate(measured_targets())
     result.save(out_dir / "calibration.json")
     rows = [
@@ -414,24 +407,17 @@ def _handle_calibrate(run: dict, out_dir: Path, seed: int) -> None:
 
 
 def _handle_reproduce_table1(run: dict, out_dir: Path, seed: int) -> None:
+    from .ppc import harvest_figures, sector_fractions
     rows = []
     for name, chain in _receivers(run, PRESET_NAMES):
         beam = chain.beam
-        pmp_sim, ratio_sim = harvest_figures(
-            chain.device,
-            beam.responsivity_a_w * beam.total_power_w
-            * sector_fractions(chain.device.geometry, beam),
-        )
-        pmp_measured = MEASURED_PMP_W[name]
-        ratio_measured = MEASURED_IMP_ISC[name]
-        f3_sim = chain.f3db_hz()
-        bw_measured = MEASURED_BANDWIDTH_HZ[name]
-        rows.append((
-            name, chain.device.n_segments, JUNCTION_AREA_MM2[name],
-            pmp_sim, pmp_measured, (pmp_sim - pmp_measured) / pmp_measured,
-            ratio_sim, ratio_measured, (ratio_sim - ratio_measured) / ratio_measured,
-            f3_sim, bw_measured, (f3_sim - bw_measured) / bw_measured,
-        ))
+        photocurrents = (beam.responsivity_a_w * beam.total_power_w
+                         * sector_fractions(chain.device.geometry, beam))
+        # (simulated, measured) Pmp, Imp/Isc and bandwidth
+        pairs = zip((*harvest_figures(chain.device, photocurrents), chain.f3db_hz()),
+                    (MEASURED_PMP_W[name], MEASURED_IMP_ISC[name], MEASURED_BANDWIDTH_HZ[name]))
+        rows.append((name, chain.device.n_segments, JUNCTION_AREA_MM2[name],
+                     *(v for sim, meas in pairs for v in (sim, meas, (sim - meas) / meas))))
     write_csv(
         out_dir / "table1.csv",
         ["preset", "n_segments", "junction_area_mm2",
@@ -445,6 +431,7 @@ def _handle_reproduce_table1(run: dict, out_dir: Path, seed: int) -> None:
 
 
 def _handle_reproduce_fig6(run: dict, out_dir: Path, seed: int) -> None:
+    from .link import sweep
     reports = sweep(_receivers(run, PRESET_NAMES), default_transmitter(), default_modem(),
                     ber_target=run["ber_target"], seed=seed)
     _raise_failures(reports)

@@ -10,6 +10,11 @@ SPEED_OF_LIGHT_M_S = 299792458.0
 DEFAULT_WAVELENGTH_NM = 847.0
 DEFAULT_TEMPERATURE_K = 298.15
 
+# The experimental link: the VCSEL's emitted power, and the per-carrier
+# bit-error-rate ceiling the measured data rates were recorded at.
+DEFAULT_EMITTED_POWER_W = 2.3e-3
+BER_TARGET = 4.7e-3
+
 # hc/q in eV*nm; responsivity quantum limit is wavelength_nm / this.
 EV_NM = PLANCK_J_S * SPEED_OF_LIGHT_M_S / ELEMENTARY_CHARGE_C * 1e9
 

@@ -16,19 +16,22 @@ class ParameterError(SliptsimError, ValueError):
 
     @staticmethod
     def require_finite(obj, may_be_inf: str = "") -> None:
-        """Refuse a NaN or infinite float or tuple entry among the fields of
-        dataclass ``obj``; the field named ``may_be_inf`` may be +inf.
+        """Refuse a NaN or infinite float among the fields of dataclass
+        ``obj``; the field named ``may_be_inf`` may be +inf.
 
         A float is any non-integral ``numbers.Real`` (numpy registers its
         floating scalars there); ints are left alone, as ``math.isfinite``
         overflows on a huge one.  The plain ``float`` test comes first only
         because it is ten times cheaper than the abstract ones."""
         for name, value in vars(obj).items():
-            if isinstance(value, float) or (
+            if (isinstance(value, float) or (
                 isinstance(value, Real) and not isinstance(value, Integral)
-            ):
-                if math.isfinite(value) or (name == may_be_inf and value == math.inf):
-                    continue
-            elif type(value) is not tuple or all(map(math.isfinite, value)):
-                continue
-            raise ParameterError(f"{name} must be finite, got {value!r}")
+            )) and not (math.isfinite(value) or (name == may_be_inf and value == math.inf)):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
+
+    @staticmethod
+    def require_integer(name: str, value) -> None:
+        """Refuse ``value`` unless it is a non-bool ``numbers.Integral``
+        (numpy registers its integer scalars there)."""
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")

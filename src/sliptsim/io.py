@@ -11,12 +11,13 @@ from __future__ import annotations
 import io as _io
 import json
 import hashlib
+import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .loading import BitLoadingPlan
-from .ppc import IVCurve
+if TYPE_CHECKING:  # the model modules load numpy; annotations only
+    from .loading import BitLoadingPlan
+    from .ppc import IVCurve
 
 __all__ = [
     "write_csv",
@@ -27,11 +28,13 @@ __all__ = [
 
 
 def _format_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
+    # a numpy scalar exists only once numpy is loaded: no import needed
+    np = sys.modules.get("numpy")
+    if isinstance(v, bool) or (np and isinstance(v, np.bool_)):
         return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, int) or (np and isinstance(v, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, float) or (np and isinstance(v, np.floating)):
         return repr(float(v))
     return str(v)
 

@@ -27,11 +27,17 @@ frequencies at a 950-ohm bias load.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .constants import BOLTZMANN_J_PER_K, DEFAULT_TEMPERATURE_K, ELEMENTARY_CHARGE_C
+from .constants import (
+    BER_TARGET,
+    BOLTZMANN_J_PER_K,
+    DEFAULT_EMITTED_POWER_W,
+    DEFAULT_TEMPERATURE_K,
+    ELEMENTARY_CHARGE_C,
+)
 from .errors import ParameterError, SliptsimError
 from .loading import BitLoadingPlan, bit_power_loading
 from .ofdm import (
@@ -75,10 +81,6 @@ __all__ = [
     "mismatch_study",
 ]
 
-# per-carrier bit-error-rate ceiling of the loaded plan (the measured rates
-# were recorded at this threshold)
-BER_TARGET = 4.7e-3
-
 
 @dataclass(frozen=True)
 class TransmitterModel:
@@ -95,7 +97,7 @@ class TransmitterModel:
 
     drive_vpp: float = 1.0
     slope_efficiency_w_per_a: float = 0.46
-    emitted_power_w: float = 2.3e-3
+    emitted_power_w: float = DEFAULT_EMITTED_POWER_W
     transconductance_a_per_v: float = 8e-3
 
     def __post_init__(self):
@@ -240,16 +242,14 @@ class LinkReport:
     carrier_freqs_hz: np.ndarray | None = None
     error: str = ""
 
-    CSV_COLUMNS = (
-        "device_id", "n_segments", "seed", "f3db_hz", "bandwidth_snr0_hz",
-        "data_rate_bps", "ber", "pmp_w", "pce_emitted", "pce_incident",
-        "imp_isc", "harvested_w", "operating_voltage_v", "operating_current_a",
-        "emitted_power_w", "captured_power_w", "clip_fraction",
-        "total_bits_per_frame", "n_active_carriers", "error",
-    )
-
     def csv_row(self) -> list:
         return [getattr(self, c) for c in self.CSV_COLUMNS]
+
+
+# the report.csv columns: every field but the per-carrier records
+LinkReport.CSV_COLUMNS = tuple(
+    f.name for f in fields(LinkReport) if f.name not in ("snr", "plan", "carrier_freqs_hz")
+)
 
 
 # ---------------------------------------------------------------------------
@@ -613,17 +613,13 @@ def sweep(
             report = run_link(tx, chain, config, ber_target=ber_target, seed=seed + i)
             report.device_id = label
         except SliptsimError as exc:  # recorded per row; the sweep continues
-            report = LinkReport(
-                device_id=label, n_segments=chain.device.n_segments,
-                seed=seed + i, f3db_hz=math.nan, bandwidth_snr0_hz=math.nan,
-                data_rate_bps=math.nan, ber=math.nan, pmp_w=math.nan,
-                pce_emitted=math.nan, pce_incident=math.nan, imp_isc=math.nan,
-                harvested_w=math.nan, operating_voltage_v=math.nan,
-                operating_current_a=math.nan, emitted_power_w=tx.emitted_power_w,
-                captured_power_w=math.nan, clip_fraction=math.nan,
-                total_bits_per_frame=0, n_active_carriers=0,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            report = LinkReport(**{
+                **dict.fromkeys(LinkReport.CSV_COLUMNS, math.nan),
+                "device_id": label, "n_segments": chain.device.n_segments,
+                "seed": seed + i, "emitted_power_w": tx.emitted_power_w,
+                "total_bits_per_frame": 0, "n_active_carriers": 0,
+                "error": f"{type(exc).__name__}: {exc}",
+            })
         reports.append(report)
     return reports
 

@@ -102,6 +102,8 @@ class OfdmConfig:
 
     def __post_init__(self):
         ParameterError.require_finite(self)
+        for name in ("fft_size", "cp_length", "max_qam_order", "oversampling_factor"):
+            ParameterError.require_integer(name, getattr(self, name))
         if self.fft_size < 8 or self.fft_size & (self.fft_size - 1):
             raise ParameterError("fft_size must be a power of two >= 8")
         if not 0 <= self.cp_length < self.fft_size:

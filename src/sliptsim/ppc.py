@@ -33,6 +33,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 from scipy.special import erfc, wrightomega
@@ -102,6 +103,7 @@ class SegmentGeometry:
 
     def __post_init__(self):
         ParameterError.require_finite(self)
+        ParameterError.require_integer("n_segments", self.n_segments)
         if self.cell_diameter_mm <= 0:
             raise ParameterError("cell_diameter_mm must be positive")
         if self.n_segments < 1:
@@ -185,6 +187,10 @@ class IlluminationProfile:
 
     def __post_init__(self):
         ParameterError.require_finite(self)
+        center = self.center_mm
+        if not (isinstance(center, (tuple, list)) and len(center) == 2
+                and all(isinstance(c, Real) and math.isfinite(c) for c in center)):
+            raise ParameterError(f"center_mm must be two finite numbers, got {center!r}")
         if self.total_power_w < 0:
             raise ParameterError("total_power_w must be non-negative")
         if self.beam_radius_mm <= 0:
@@ -394,10 +400,10 @@ def sector_fractions(
     alongside the fractions.
 
     Raises:
-        ValueError: if ``rel_tol`` is NaN or negative.
+        ValueError: if ``rel_tol`` is not a non-negative number.
         QuadratureError: if doubling up to 16384 panels never converges.
     """
-    if not rel_tol >= 0.0:
+    if not (isinstance(rel_tol, Real) and rel_tol >= 0.0):
         raise ParameterError(f"rel_tol must be a non-negative number, got {rel_tol!r}")
     n = geometry.n_segments
     if beam.total_power_w == 0.0:
@@ -644,12 +650,15 @@ def string_iv(device: SegmentedDevice, photocurrents, n_points: int = 2048) -> I
     Args:
         device: segment geometry, diode parameters and reverse clamp.
         photocurrents: one photocurrent (A) per segment.
-        n_points: size of the current grid on [0, I_sc], logarithmically
-            refined toward I_sc.
+        n_points: size (an integer >= 2) of the current grid on [0, I_sc],
+            logarithmically refined toward I_sc.
 
     Returns:
         IVCurve sorted by ascending voltage.
     """
+    ParameterError.require_integer("n_points", n_points)
+    if n_points < 2:
+        raise ParameterError(f"n_points must be >= 2 (both ends of [0, I_sc]), got {n_points}")
     model = string_model(device, photocurrents)
     i_sc = _short_circuit_current(device, photocurrents, model)
     if i_sc <= 0.0:
@@ -765,8 +774,8 @@ def harvest_figures(device: SegmentedDevice, photocurrents) -> tuple[float, floa
 def series_capacitance(capacitances_f) -> float:
     """Reciprocal-sum composition of series capacitances."""
     caps = np.asarray(capacitances_f, dtype=float)
-    if np.any(caps <= 0):
-        raise ParameterError("capacitances must be positive")
+    if not (caps.size and np.all(caps > 0)):
+        raise ParameterError(f"capacitances_f must be one or more positive values, got {caps!r}")
     return float(1.0 / np.sum(1.0 / caps))
 
 
@@ -782,9 +791,11 @@ def small_signal_bandwidth(
     effective_series_resistance_ohm: float = 0.0,
 ) -> float:
     """First-order RC 3-dB frequency: 1 / (2*pi*(R_load + R_s)*C)."""
-    if c_string_f <= 0 or load_resistance_ohm <= 0:
-        raise ParameterError("capacitance and load resistance must be positive")
-    if effective_series_resistance_ohm < 0:
-        raise ParameterError("series resistance must be non-negative")
+    if not (c_string_f > 0 and load_resistance_ohm > 0):
+        raise ParameterError(f"c_string_f and load_resistance_ohm must be positive, "
+                             f"got {c_string_f!r} and {load_resistance_ohm!r}")
+    if not effective_series_resistance_ohm >= 0:
+        raise ParameterError(f"effective_series_resistance_ohm must be non-negative, "
+                             f"got {effective_series_resistance_ohm!r}")
     r_total = load_resistance_ohm + effective_series_resistance_ohm
     return 1.0 / (2.0 * math.pi * r_total * c_string_f)

@@ -8,18 +8,23 @@ model still splits the circle into equal sectors.
 
 The constants are read once from ``data/presets.json``.  ``PRESET_NAMES``
 orders the configurations by cell diameter, then segment count, and every
-per-preset mapping below follows that order.
+per-preset mapping below follows that order.  Importing the module loads no
+model: each factory imports the model classes it builds when it is called.
 """
 
 from __future__ import annotations
 
 import json
 from importlib import resources
+from typing import TYPE_CHECKING
 
+from .constants import DEFAULT_EMITTED_POWER_W
 from .errors import SliptsimError
-from .link import ReceiverChain, TransmitterModel
-from .ofdm import OfdmConfig
-from .ppc import DiodeParams, IlluminationProfile, SegmentGeometry, SegmentedDevice
+
+if TYPE_CHECKING:  # the factories import these when called
+    from .link import ReceiverChain, TransmitterModel
+    from .ofdm import OfdmConfig
+    from .ppc import DiodeParams, IlluminationProfile, SegmentGeometry, SegmentedDevice
 
 __all__ = [
     "PRESET_NAMES",
@@ -69,11 +74,11 @@ MEASURED_PMP_W = _per_preset("measured_pmp_w")
 # measured MPP-current to short-circuit-current ratio
 MEASURED_IMP_ISC = _per_preset("measured_imp_isc")
 
-# recorded data rate at the 4.7e-3 BER threshold, bits/s
+# recorded data rate at the BER threshold constants.BER_TARGET, bits/s
 MEASURED_DATA_RATE_BPS = _per_preset("measured_data_rate_bps")
 
-# reported power conversion efficiency (against the 2.3 mW emitted power);
-# a consistency check, not an independent observable: PCE x 2.3 mW x Imp/Isc
+# reported power conversion efficiency (against DEFAULT_EMITTED_POWER_W);
+# a consistency check, not an independent observable: PCE x power x Imp/Isc
 # equals Pmp to within the table's rounding on every preset
 MEASURED_PCE = _per_preset("measured_pce")
 
@@ -92,6 +97,7 @@ def _split_name(name: str) -> tuple[str, int]:
 
 
 def preset_geometry(name: str) -> SegmentGeometry:
+    from .ppc import SegmentGeometry
     size, n = _split_name(name)
     return SegmentGeometry(
         cell_diameter_mm=CELL_DIAMETER_MM[size],
@@ -102,6 +108,7 @@ def preset_geometry(name: str) -> SegmentGeometry:
 
 def device_preset(name: str, diode: DiodeParams | None = None) -> SegmentedDevice:
     """Segmented device for one of the fabricated configurations."""
+    from .ppc import DiodeParams, SegmentedDevice
     return SegmentedDevice(
         geometry=preset_geometry(name),
         diode=diode if diode is not None else DiodeParams(),
@@ -111,11 +118,13 @@ def device_preset(name: str, diode: DiodeParams | None = None) -> SegmentedDevic
 
 def default_modem() -> OfdmConfig:
     """Modem constants of the experimental system."""
+    from .ofdm import OfdmConfig
     return OfdmConfig()
 
 
 def default_transmitter() -> TransmitterModel:
     """VCSEL at its documented bias and drive settings."""
+    from .link import TransmitterModel
     return TransmitterModel()
 
 
@@ -126,8 +135,9 @@ def default_beam(
 ) -> IlluminationProfile:
     """Focused spot of the transmitter's emitted power at the receiver
     plane; values are calibration defaults."""
+    from .ppc import IlluminationProfile
     return IlluminationProfile(
-        total_power_w=TransmitterModel.emitted_power_w,
+        total_power_w=DEFAULT_EMITTED_POWER_W,
         beam_radius_mm=beam_radius_mm,
         center_mm=center_mm,
         responsivity_a_w=responsivity_a_w,
@@ -141,6 +151,7 @@ def default_receiver(
     **chain_kwargs,
 ) -> ReceiverChain:
     """Receiver chain around one preset with default read-out values."""
+    from .link import ReceiverChain
     return ReceiverChain(
         device=device_preset(name, diode),
         beam=beam if beam is not None else default_beam(),

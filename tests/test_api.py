@@ -1,6 +1,7 @@
 """The package's declared public API: the root holds only the error
-contract and the version, every name a module exports exists, every
-error the package raises on purpose is a ``SliptsimError``, and the
+contract and the version, each job loads only the layers it runs, every
+name a module exports exists, every error the package raises on purpose
+is a ``SliptsimError``, each bundled link constant has one owner, and the
 public surface of the model and CLI modules does not grow."""
 
 import ast
@@ -13,7 +14,7 @@ import pytest
 
 import sliptsim
 from chain import run_fresh
-from sliptsim import SliptsimError
+from sliptsim import SliptsimError, cli, constants, link, presets
 
 MODULES = ["sliptsim"] + [
     f"sliptsim.{info.name}" for info in pkgutil.iter_modules(sliptsim.__path__)
@@ -30,12 +31,69 @@ def test_the_root_exports_the_error_contract_and_the_version():
     assert sorted(sliptsim.__all__) == ["ParameterError", "SliptsimError", "__version__"]
 
 
-def test_importing_the_root_loads_no_model():
-    probe = "\n".join([
-        "import sys, sliptsim",
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))",
-    ])
-    assert run_fresh(probe) == "[]"
+# module families a job must not load; each name covers its submodules
+NUMPY = ("numpy", "scipy")
+# scipy.optimize costs 0.2-0.3 s CPU of a fresh process; only a fit needs it
+OPTIMIZER = ("scipy.optimize",)
+# scipy.signal, with the scipy.stats it pulls in, costs about 0.8 s CPU of a
+# fresh process; the modem filters with numpy alone
+SIGNAL_STACK = ("scipy.signal", "scipy.stats")
+
+RUN_ONE_FRAME_LINK = """\
+from sliptsim.link import run_link
+from sliptsim.ofdm import OfdmConfig
+from sliptsim.presets import default_receiver, default_transmitter
+warnings.simplefilter('ignore')  # one frame is too few for the SNR estimate
+run_link(default_transmitter(), default_receiver('S2'), OfdmConfig(),
+         n_pilot_frames=1, n_measurement_frames=1, n_payload_frames=1)"""
+
+MALFORMED_SPEC = """\
+spec = pathlib.Path(sys.argv[1], 'spec.json')
+spec.write_text(json.dumps({'kind': 'iv', 'preset': 'Z9'}))
+code = run('--config', str(spec))"""
+
+# job -> (its statements, the modules it must not load, its exit code).
+# ``run(*argv)`` is the CLI's exit code with a scratch ``--out``; an import
+# or library job leaves ``code`` None.
+IMPORT_CONTRACT = {
+    "import-sliptsim": ("import sliptsim", NUMPY, None),
+    "import-io": ("import sliptsim.io", NUMPY, None),
+    "import-presets": ("import sliptsim.presets", NUMPY, None),
+    "import-cli": ("import sliptsim.cli", NUMPY, None),
+    "cli-help": ("code = run('--help')", NUMPY, 0),
+    "cli-no-job": ("code = run()", NUMPY, 2),
+    "cli-safety": ("code = run('safety')", NUMPY, 0),
+    "cli-malformed-spec": (MALFORMED_SPEC, NUMPY, 2),
+    "cli-iv-L6": ("code = run('iv', '--preset', 'L6')", OPTIMIZER, 0),
+    "import-fit-link-modem-cli": (
+        "import sliptsim.calibrate, sliptsim.cli, sliptsim.link, sliptsim.ofdm",
+        SIGNAL_STACK, None,
+    ),
+    "run-link": (RUN_ONE_FRAME_LINK, SIGNAL_STACK, None),
+    "cli-link-S2": ("code = run('link', '--preset', 'S2')", SIGNAL_STACK, 0),
+}
+
+PROBE = """\
+import json, pathlib, sys, warnings
+code = None
+
+def run(*argv):
+    from sliptsim.cli import main
+    try:
+        return main([*argv, '--out', sys.argv[1]] if argv else [])
+    except SystemExit as exc:  # --help
+        return exc.code
+
+{job}
+print(code, sorted(m for m in sys.modules
+                   if any(m == p or m.startswith(p + '.') for p in {families!r})))"""
+
+
+@pytest.mark.parametrize("job", IMPORT_CONTRACT)
+def test_a_job_loads_only_its_layers(job, tmp_path):
+    statements, families, code = IMPORT_CONTRACT[job]
+    probe = PROBE.format(job=statements, families=families)
+    assert run_fresh(probe, str(tmp_path)) == f"{code} []"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -114,3 +172,25 @@ def test_the_public_surface_does_not_grow():
     functions, settable = map(sum, zip(*counts))
     assert functions <= 60
     assert settable <= 113
+
+
+def float_literals(value: float):
+    """(module, line) of every float literal equal to ``value`` in src."""
+    for name in MODULES:
+        for node in ast.walk(ast.parse(inspect.getsource(importlib.import_module(name)))):
+            if isinstance(node, ast.Constant) and type(node.value) is float and node.value == value:
+                yield name, node.lineno
+
+
+def test_the_link_constants_have_one_owner():
+    # the BER target and the VCSEL's emitted power are written once, in
+    # constants, and every default that carries them reads them from there
+    for value in (constants.BER_TARGET, constants.DEFAULT_EMITTED_POWER_W):
+        places = list(float_literals(value))
+        assert [name for name, _ in places] == ["sliptsim.constants"], places
+    assert link.BER_TARGET is constants.BER_TARGET
+    assert presets.default_transmitter().emitted_power_w == constants.DEFAULT_EMITTED_POWER_W
+    assert presets.default_beam().total_power_w == constants.DEFAULT_EMITTED_POWER_W
+    defaults = {f.name: f.default for kind in ("iv", "link") for f in cli._FIELDS[kind]}
+    assert defaults["power_w"] == constants.DEFAULT_EMITTED_POWER_W
+    assert defaults["ber_target"] == constants.BER_TARGET

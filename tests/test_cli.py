@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chain import read_csv, run_fresh
+from chain import read_csv
 from sliptsim import ParameterError, cli, link
 from sliptsim.calibrate import CalibrationResult
 from sliptsim.cli import SpecError, load_spec, main
@@ -224,42 +224,6 @@ class TestCommands:
         ).read_bytes()
 
 
-def test_fit_and_cli_imports_leave_out_the_signal_stack(tmp_path):
-    # loading scipy.signal, with the scipy.stats it pulls in, costs about
-    # 0.8 s CPU of every fresh process; the modem filters with numpy alone
-    probe = "\n".join([
-        "import sys, warnings",
-        "import sliptsim.calibrate, sliptsim.cli",
-        "from sliptsim.link import run_link",
-        "from sliptsim.ofdm import OfdmConfig",
-        "from sliptsim.presets import default_receiver, default_transmitter",
-        "def signal_stack():",
-        "    return sorted(m for m in sys.modules",
-        "                  if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats']))",
-        "loaded = [signal_stack()]",
-        "warnings.simplefilter('ignore')  # one frame is too few for the SNR estimate",
-        "run_link(default_transmitter(), default_receiver('S2'), OfdmConfig(),",
-        "         n_pilot_frames=1, n_measurement_frames=1, n_payload_frames=1)",
-        "loaded.append(signal_stack())",
-        "assert sliptsim.cli.main(['link', '--preset', 'S2', '--out', sys.argv[1]]) == 0",
-        "loaded.append(signal_stack())",
-        "print(loaded)",
-    ])
-    # after the imports, after run_link and after `sliptsim link`
-    assert run_fresh(probe, str(tmp_path)) == "[[], [], []]"
-
-
-def test_iv_job_loads_no_optimizer(tmp_path):
-    # scipy.optimize costs 0.2-0.3 s CPU of a fresh process; only a fit needs it
-    probe = "\n".join([
-        "import sys, sliptsim.cli",
-        "assert sliptsim.cli.main(['iv', '--preset', 'L6', '--out', sys.argv[1]]) == 0",
-        "print('scipy.optimize' in sys.modules)",
-    ])
-    assert run_fresh(probe, str(tmp_path)) == "False"
-    assert (tmp_path / "iv.csv").exists()
-
-
 def test_command_table_parser_and_handlers_agree(capsys):
     parser = cli._build_parser()
     [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -382,7 +346,7 @@ class TestNonFiniteInputs:
 class TestExitCodes:
     def test_calibrate_spec_runs_through_dispatch(self, tmp_path, monkeypatch, calibration):
         # the fit itself is covered elsewhere; this checks the routing only
-        monkeypatch.setattr(cli, "calibrate", lambda targets: calibration)
+        monkeypatch.setattr("sliptsim.calibrate.calibrate", lambda targets: calibration)
         out = tmp_path / "o"
         spec = write_spec(tmp_path, {"kind": "calibrate", "out_dir": str(out)})
         assert main(["--config", spec]) == 0

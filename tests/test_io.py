@@ -17,6 +17,14 @@ class TestCsv:
         assert rows == [["1", "2.5"], ["3", "-0.125"]]
         assert path.read_text().startswith("# context line\n")
 
+    def test_numpy_scalars_format_as_their_python_values(self, tmp_path):
+        path = tmp_path / "n.csv"
+        write_csv(path, list("abcdefghij"), [(
+            np.bool_(True), np.False_, np.int64(-7), np.uint8(255), np.float64(0.1),
+            np.float32(0.5), True, 3, 2.5, "safe",
+        )])
+        assert path.read_text().splitlines()[1] == "1,0,-7,255,0.1,0.5,1,3,2.5,safe"
+
     def test_float_repr_is_lossless(self, tmp_path):
         value = 0.1 + 0.2  # not representable prettily
         path = tmp_path / "f.csv"

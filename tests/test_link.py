@@ -13,6 +13,7 @@ from sliptsim.calibrate import calibrated_receiver
 from sliptsim.link import (
     _CHANNEL_CHUNK,
     _POLE_CHUNK,
+    LinkReport,
     NoiseModel,
     TransmitterModel,
     _apply_channel,
@@ -675,6 +676,28 @@ class TestSweep:
                         default_transmitter(), FAST_CFG, seed=1)
         assert reports[0].error == ""
         assert "Sync" in reports[1].error
+
+    def test_failure_row_fills_every_report_column(self, monkeypatch):
+        def refused(tx, chain, config, **kwargs):
+            raise SyncError("no peak")
+
+        monkeypatch.setattr(link, "run_link", refused)
+        [report] = sweep([("S2", quiet_receiver("S2"))], default_transmitter(), FAST_CFG, seed=4)
+        # the report.csv header: every field but the per-carrier records
+        assert LinkReport.CSV_COLUMNS == (
+            "device_id", "n_segments", "seed", "f3db_hz", "bandwidth_snr0_hz",
+            "data_rate_bps", "ber", "pmp_w", "pce_emitted", "pce_incident",
+            "imp_isc", "harvested_w", "operating_voltage_v", "operating_current_a",
+            "emitted_power_w", "captured_power_w", "clip_fraction",
+            "total_bits_per_frame", "n_active_carriers", "error",
+        )
+        row = dict(zip(LinkReport.CSV_COLUMNS, report.csv_row()))
+        given = {"device_id": "S2", "n_segments": 2, "seed": 4, "emitted_power_w": 2.3e-3,
+                 "total_bits_per_frame": 0, "n_active_carriers": 0,
+                 "error": "SyncError: no peak"}
+        assert {k: row.pop(k) for k in given} == given
+        assert len(row) == 13 and all(math.isnan(v) for v in row.values())
+        assert (report.snr, report.plan, report.carrier_freqs_hz) == (None, None, None)
 
     def test_bug_in_a_stage_propagates(self, monkeypatch):
         # only a SliptsimError is a refused row; any other exception is a bug

@@ -76,6 +76,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             OfdmConfig(**{field: math.nan})
 
+    @pytest.mark.parametrize("field, value", [
+        ("fft_size", 1024.0),  # was a builtin TypeError from `&` on a float
+        ("fft_size", True),
+        ("cp_length", 2.5),
+        ("oversampling_factor", 2.5),
+        ("max_qam_order", 1024.0),
+    ])
+    def test_integer_fields_refuse_other_types(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+            OfdmConfig(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        config = OfdmConfig(fft_size=np.int64(64), cp_length=np.int32(4),
+                            oversampling_factor=np.int64(2))
+        assert config.block_stride == 136
+
 
 class TestBits:
     def test_empty(self):

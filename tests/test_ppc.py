@@ -113,6 +113,12 @@ class TestGeometry:
         g = SegmentGeometry(np.float32(1.0), np.int64(2), junction_area_mm2=np.float16(0.5))
         assert g.segment_junction_area_mm2 == 0.5
 
+    @pytest.mark.parametrize("n_segments", [2.5, 2.0, True])
+    def test_segment_count_must_be_an_integer(self, n_segments):
+        # was accepted, then failed in sector_fractions with a TypeError
+        with pytest.raises(ParameterError, match="n_segments must be an integer"):
+            SegmentGeometry(1.0, n_segments)
+
 
 DIODE_FIELDS = ("saturation_current_density_a_mm2", "ideality", "series_resistance_ohm",
                 "shunt_resistance_ohm", "capacitance_density_f_mm2", "temperature_k")
@@ -166,6 +172,22 @@ class TestIllumination:
                                    responsivity_a_w=np.float32(0.5))
         assert beam.beam_radius_mm == 0.5
 
+    @pytest.mark.parametrize("center", [
+        (0.1,), (0.1, 0.0, 0.0), [math.nan, 0.0], [0.0, math.inf], ("0.1", 0.0), 0.1, None,
+    ], ids=["one-entry", "three-entries", "list-nan", "list-inf", "text", "scalar", "none"])
+    def test_center_must_be_two_finite_numbers(self, center):
+        # short and long tuples failed later with an unpack ValueError, and a
+        # list escaped the finiteness check
+        with pytest.raises(ParameterError, match="center_mm must be two finite numbers"):
+            IlluminationProfile(1e-3, 0.5, center_mm=center)
+
+    def test_center_may_be_a_list_or_numpy_scalars(self):
+        g = SegmentGeometry(1.0, 2)
+        as_tuple = IlluminationProfile(1e-3, 0.5, center_mm=(0.125, -0.0625))
+        for center in ([0.125, -0.0625], (np.float64(0.125), np.float32(-0.0625))):
+            beam = IlluminationProfile(1e-3, 0.5, center_mm=center)
+            assert np.array_equal(sector_fractions(g, beam), sector_fractions(g, as_tuple))
+
     def test_plane_integral_is_total_power(self):
         beam = IlluminationProfile(2.3e-3, 0.4, center_mm=(0.2, -0.1),
                                    responsivity_a_w=0.5)
@@ -192,7 +214,7 @@ class TestSectorPhotocurrents:
         beam = IlluminationProfile(0.0, 0.3, responsivity_a_w=0.42)
         assert np.all(segment_photocurrents(g, beam) == 0.0)
 
-    @pytest.mark.parametrize("rel_tol", [math.nan, -1.0, -math.inf])
+    @pytest.mark.parametrize("rel_tol", [math.nan, -1.0, -math.inf, "x", None])
     def test_bad_rel_tol_refused(self, rel_tol):
         g = SegmentGeometry(2.08, 6)
         beam = IlluminationProfile(2.3e-3, 0.6, center_mm=(0.2, 0.1))
@@ -470,6 +492,18 @@ class TestStringIV:
         device = SegmentedDevice(SegmentGeometry(1.0, 4))
         with pytest.raises(ValueError):
             string_iv(device, [1e-4, 1e-4])
+
+    @pytest.mark.parametrize("n_points", [0, 1, -3, 16.0, True])
+    def test_grid_size_refused(self, n_points):
+        # n_points=0 let numpy's "Number of samples, -1" ValueError escape
+        device = SegmentedDevice(SegmentGeometry(1.0, 2))
+        with pytest.raises(ParameterError, match="n_points"):
+            string_iv(device, [1e-4, 1e-4], n_points=n_points)
+
+    def test_two_points_span_isc_to_voc(self):
+        device = SegmentedDevice(SegmentGeometry(1.0, 2))
+        curve = string_iv(device, [1e-4, 1e-4], n_points=np.int64(2))
+        assert curve.currents_a[-1] == 0.0 and curve.voltages_v[0] < curve.voltages_v[-1]
 
     def test_curve_monotonicity_validated(self):
         with pytest.raises(ValueError):
@@ -883,6 +917,15 @@ class TestCapacitance:
             expected = 30e-12 * g.active_area_mm2 / n**2
             assert string_capacitance(g, diode) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("caps", [[], [math.nan], [1e-12, 0.0], [-1e-12]],
+                             ids=["empty", "nan", "zero", "negative"])
+    def test_no_or_non_positive_capacitances_refused(self, caps):
+        # [] returned inf with a RuntimeWarning, [nan] returned nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="capacitances_f"):
+                series_capacitance(caps)
+
     @given(st.lists(st.floats(1e-15, 1e-9), min_size=1, max_size=8))
     @settings(max_examples=200)
     def test_reciprocal_law_bounded_by_min(self, caps):
@@ -891,6 +934,18 @@ class TestCapacitance:
 
 
 class TestBandwidth:
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 50.0), "c_string_f"),  # returned nan
+        ((0.0, 50.0), "c_string_f"),
+        ((1e-12, math.nan), "load_resistance_ohm"),
+        ((1e-12, -50.0), "load_resistance_ohm"),
+        ((1e-12, 50.0, math.nan), "effective_series_resistance_ohm"),
+        ((1e-12, 50.0, -1.0), "effective_series_resistance_ohm"),
+    ])
+    def test_bad_arguments_are_named(self, args, name):
+        with pytest.raises(ParameterError, match=name):
+            small_signal_bandwidth(*args)
+
     def test_analytic_value(self):
         f = small_signal_bandwidth(1e-12, 950.0)
         assert f == pytest.approx(1.0 / (2 * math.pi * 950.0 * 1e-12), rel=1e-12)
