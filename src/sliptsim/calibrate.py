@@ -12,9 +12,10 @@ are recovered in two stages:
   term legitimately grows with the segment count.
 * Stage B (harvest): effective responsivity (which absorbs optics losses),
   the Gaussian spot radius, and one beam offset magnitude per configuration,
-  fitted to the Pmp and Imp/Isc targets through the full string I-V model.
-  An Imp/Isc target at or above the aligned-beam ratio cannot be reached by
-  any offset; the fit holds that configuration's offset at 0.
+  fitted to the Pmp and Imp/Isc targets through the DC string model, which
+  reads only the preset's device and the beam.  An Imp/Isc target at or
+  above the aligned-beam ratio cannot be reached by any offset; the fit
+  holds that configuration's offset at 0.
 
 Every least-squares stage leaves a record on the result (``fit_record``):
 its evaluation count, status and cost, the singular values of its Jacobian
@@ -48,8 +49,10 @@ from .presets import (
     MEASURED_PMP_W,
     default_beam,
     default_receiver,
+    device_preset,
     preset_geometry,
 )
+from .roots import MIN_RTOL, brent_root
 
 __all__ = [
     "CalibrationTargets",
@@ -221,27 +224,6 @@ class CalibrationResult:
 
 
 # ---------------------------------------------------------------------------
-# Forward models
-# ---------------------------------------------------------------------------
-
-def _receiver(
-    name: str,
-    capacitance_density_f_mm2: float,
-    series_resistance_ohm: float,
-    responsivity_a_w: float,
-    beam_radius_mm: float,
-    beam_offset_mm: float,
-) -> ReceiverChain:
-    """Default read-out around one preset with the fitted parameters applied."""
-    return default_receiver(
-        name,
-        DiodeParams(capacitance_density_f_mm2=capacitance_density_f_mm2),
-        beam=default_beam(responsivity_a_w, beam_radius_mm, center_mm=(beam_offset_mm, 0.0)),
-        effective_series_resistance_ohm=series_resistance_ohm,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Fitting
 # ---------------------------------------------------------------------------
 
@@ -266,37 +248,38 @@ def _stage_record(sol, names) -> dict:
     }
 
 
+def _unreachable(target: float, aligned: float) -> bool:
+    """True when no offset reaches the Imp/Isc ``target``: it is not below
+    the aligned-beam ratio, or that ratio is undefined (NaN).  The fit holds
+    such a configuration's offset at 0."""
+    return not target < aligned
+
+
 def _solve_offset(ratio_of_offset, target: float, max_offset: float) -> float:
     """Beam offset magnitude at which the modeled Imp/Isc meets the target.
 
     The ratio starts at the aligned (matched) value and falls with offset,
     though not necessarily monotonically once the power maximum jumps
-    between knees; a scan brackets the first crossing, bisection refines it.
-    Targets above the aligned value are unreachable and map to offset 0.
+    between knees; a 33-point scan brackets the first crossing and
+    ``brent_root`` refines it.  An unreachable target maps to offset 0; a
+    target the scan never crosses maps to the grid offset with the closest
+    ratio.
+
+    Raises:
+        ParameterError: the ratio is NaN inside the bracket.
     """
     aligned = ratio_of_offset(0.0)
-    if not math.isfinite(aligned) or target >= aligned:
+    if _unreachable(target, aligned):
         return 0.0
     grid = np.linspace(0.0, max_offset, 33)
-    prev_off, prev_val = 0.0, aligned
-    for off in grid[1:]:
-        val = ratio_of_offset(off)
+    for lo, hi in zip(grid[:-1], grid[1:]):
+        val = ratio_of_offset(hi)
         if not math.isfinite(val):
             break
-        if (prev_val - target) * (val - target) <= 0.0:
-            lo, hi = prev_off, off
-            f_lo = prev_val - target
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                f_mid = ratio_of_offset(mid) - target
-                if f_lo * f_mid <= 0.0:
-                    hi = mid
-                else:
-                    lo, f_lo = mid, f_mid
-                if hi - lo < 1e-12:
-                    break
-            return 0.5 * (lo + hi)
-        prev_off, prev_val = off, val
+        if val <= target:
+            return brent_root(
+                lambda off: ratio_of_offset(off) - target, lo, hi, 1e-12, MIN_RTOL
+            )
     # no crossing found: return the offset with the closest ratio
     vals = [abs(ratio_of_offset(o) - target) for o in grid]
     return float(grid[int(np.argmin(vals))])
@@ -399,27 +382,26 @@ def calibrate(targets: CalibrationTargets) -> CalibrationResult:
             )
 
         harvest_sizes = sorted({n[0] for n in harvest_names})
-        # Finite-difference columns that move one preset's offset or one
-        # size's responsivity leave every other preset at its last arguments;
-        # those repeats are served from this fit's memo.  The sector
-        # quadrature does not depend on the responsivity, so it is shared by
-        # every responsivity step at one (preset, radius, offset).
+        # The DC model reads only the device and the beam, so nothing from
+        # stage A enters: each preset's device is built once.  Finite-
+        # difference columns that move one preset's offset or one size's
+        # responsivity leave every other preset at its last arguments; those
+        # repeats are served from this fit's memo.  The sector quadrature
+        # does not depend on the responsivity, so it is shared by every
+        # responsivity step at one (preset, radius, offset).
+        devices = {name: device_preset(name) for name in harvest_names}
         memo: dict = {}
         quadrature: dict = {}
 
         def figures(name, resp, radius, offset):
             key = (name, float(resp), float(radius), float(offset))
             if key not in memo:
-                chain = _receiver(
-                    name, caps[name[0]] * 1e-12, rss[int(name[1:])], resp, radius, offset
-                )
-                beam = chain.beam
                 where = (name, float(radius), float(offset))
                 if where not in quadrature:
-                    quadrature[where] = sector_fractions(chain.device.geometry, beam)
+                    beam = default_beam(beam_radius_mm=radius, center_mm=(offset, 0.0))
+                    quadrature[where] = sector_fractions(devices[name].geometry, beam)
                 memo[key] = harvest_figures(
-                    chain.device,
-                    beam.responsivity_a_w * beam.total_power_w * quadrature[where],
+                    devices[name], resp * DEFAULT_EMITTED_POWER_W * quadrature[where]
                 )
             return memo[key]
 
@@ -433,10 +415,8 @@ def calibrate(targets: CalibrationTargets) -> CalibrationResult:
             return resps, radius, offs
 
         def held_offset(name, resp, radius, offset):
-            # an aligned ratio that is not above the target (or undefined)
-            # leaves the target unreachable: hold the offset at 0
             target = targets.imp_isc.get(name)
-            if target is not None and not target < figures(name, resp, radius, 0.0)[1]:
+            if target is not None and _unreachable(target, figures(name, resp, radius, 0.0)[1]):
                 return 0.0
             return offset
 
@@ -538,13 +518,15 @@ def calibrated_receiver(result: CalibrationResult, name: str) -> ReceiverChain:
             f"calibration holds no bandwidth and harvest fit for cell size "
             f"{size!r} (preset {name})"
         )
-    chain = _receiver(
+    chain = default_receiver(
         name,
-        result.capacitance_density_f_mm2[size],
-        result.series_resistance_for(n),
-        result.responsivity_a_w[size],
-        result.beam_radius_mm,
-        result.beam_offset_mm.get(name, 0.0),
+        DiodeParams(capacitance_density_f_mm2=result.capacitance_density_f_mm2[size]),
+        beam=default_beam(
+            result.responsivity_a_w[size],
+            result.beam_radius_mm,
+            center_mm=(result.beam_offset_mm.get(name, 0.0), 0.0),
+        ),
+        effective_series_resistance_ohm=result.series_resistance_for(n),
     )
     if (result.ac_load_ohm, result.emitted_power_w) != (
         chain.ac_load_ohm, chain.beam.total_power_w

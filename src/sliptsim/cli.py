@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .constants import BER_TARGET, DEFAULT_EMITTED_POWER_W
 from .errors import ParameterError, SliptsimError
-from .io import iv_curve_to_csv, plan_to_csv, spec_hash, write_csv
+from .io import spec_hash, write_csv
 from .presets import (
     JUNCTION_AREA_MM2,
     MEASURED_BANDWIDTH_HZ,
@@ -267,7 +267,12 @@ def _handle_iv(run: dict, out_dir: Path, seed: int) -> None:
     fractions = sector_fractions(chain.device.geometry, beam)
     photocurrents = beam.responsivity_a_w * beam.total_power_w * fractions
     curve = string_iv(chain.device, photocurrents)
-    iv_curve_to_csv(curve, out_dir / "iv.csv", header_comments=_header(run, seed))
+    write_csv(
+        out_dir / "iv.csv",
+        ["voltage_V", "current_A"],
+        zip(curve.voltages_v, curve.currents_a),
+        header_comments=_header(run, seed),
+    )
     mpp = find_mpp(curve)
     print(
         f"{name}: Voc {curve.voltages_v[-1]:.4f} V, "
@@ -312,7 +317,12 @@ def _emit_link_artifacts(report, out_dir: Path, header, suffix: str = "") -> Non
             header_comments=header,
         )
     if report.plan is not None:
-        plan_to_csv(report.plan, out_dir / f"loading{suffix}.csv", header_comments=header)
+        write_csv(
+            out_dir / f"loading{suffix}.csv",
+            ["carrier", "bits", "power_scale"],
+            zip(range(report.plan.bits.size), report.plan.bits, report.plan.power),
+            header_comments=header,
+        )
 
 
 def _handle_link(run: dict, out_dir: Path, seed: int) -> None:

@@ -1,6 +1,7 @@
-"""Artifact serialization: the CSV exchange format.
+"""Artifact serialization: the CSV exchange format.  Each artifact's
+columns are declared by the CLI handler that writes it.
 
-All CSV emitters write deterministic bytes for identical inputs: floats are
+``write_csv`` writes deterministic bytes for identical inputs: floats are
 rendered with ``repr`` (shortest round-trip form), rows keep input order,
 and header comment lines carry the reproducibility context (spec hash and
 seed) instead of timestamps.
@@ -13,17 +14,10 @@ import json
 import hashlib
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # the model modules load numpy; annotations only
-    from .loading import BitLoadingPlan
-    from .ppc import IVCurve
 
 __all__ = [
     "write_csv",
     "spec_hash",
-    "iv_curve_to_csv",
-    "plan_to_csv",
 ]
 
 
@@ -56,26 +50,4 @@ def spec_hash(payload) -> str:
     """Short stable hash of a spec mapping (canonical JSON, sha256)."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-# ---------------------------------------------------------------------------
-# Domain objects
-# ---------------------------------------------------------------------------
-
-def iv_curve_to_csv(curve: IVCurve, path, header_comments=()) -> None:
-    write_csv(
-        path,
-        ["voltage_V", "current_A"],
-        zip(curve.voltages_v, curve.currents_a),
-        header_comments=header_comments,
-    )
-
-
-def plan_to_csv(plan: BitLoadingPlan, path, header_comments=()) -> None:
-    write_csv(
-        path,
-        ["carrier", "bits", "power_scale"],
-        zip(range(plan.bits.size), plan.bits, plan.power),
-        header_comments=header_comments,
-    )
 

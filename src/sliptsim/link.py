@@ -257,17 +257,22 @@ LinkReport.CSV_COLUMNS = tuple(
 # ---------------------------------------------------------------------------
 
 def channel_response(chain: ReceiverChain, config: OfdmConfig):
-    """Per-carrier complex gain of the first-order receive chain.
+    """Per-carrier complex gain of the first-order receive chain, as the
+    waveform path applies it.
 
-    H(f) = g / (1 + j f / f3dB) with g = responsivity * AC load resistance.
+    H(f) = g (1 - a) / (1 - a exp(-j 2 pi f / fs)): the discrete pole of
+    ``_one_pole`` at the chain's RC corner, with ``a`` from ``_pole`` and
+    g = responsivity * AC load resistance.
 
     Returns:
         (gains ndarray over the data carriers, f3dB in Hz)
     """
     f3db = chain.f3db_hz()
+    fs = config.sample_rate_hz
+    a = _pole(f3db, fs)
     g = chain.beam.responsivity_a_w * chain.ac_load_ohm
     freqs = config.carrier_frequencies_hz()
-    return g / (1.0 + 1j * freqs / f3db), f3db
+    return g * (1.0 - a) / (1.0 - a * np.exp(-2j * math.pi * freqs / fs)), f3db
 
 
 def snr_crossing_bandwidth(snr: SubcarrierSnr, freqs_hz) -> float:
@@ -302,11 +307,16 @@ _POLE_CHUNK = 1 << 15
 _CHANNEL_CHUNK = 1 << 16
 
 
+def _pole(f3db_hz: float, fs_hz: float) -> float:
+    """Pole ``a = exp(-2 pi f3db / fs)`` of the impulse-invariant discrete
+    single-pole low-pass at corner ``f3db_hz``, sampled at ``fs_hz``."""
+    return math.exp(-2.0 * math.pi * f3db_hz / fs_hz)
+
+
 def _one_pole(samples: np.ndarray, f3db_hz: float, fs_hz: float) -> np.ndarray:
     """Impulse-invariant discrete single-pole low-pass, unit DC gain, from
-    zero state: ``y[n] = sum_k (1 - a) a**k x[n - k]``, with
-    ``a = exp(-2 pi f3db / fs)``, written into ``samples``, which is
-    returned.
+    zero state: ``y[n] = sum_k (1 - a) a**k x[n - k]``, with ``a`` from
+    ``_pole``, written into ``samples``, which is returned.
 
     The recurrence is evaluated by recursive doubling (Kogge & Stone 1973):
     starting from ``w = (1 - a) x``, the step ``w[s:] += a**s * w[:-s]`` for
@@ -322,7 +332,7 @@ def _one_pole(samples: np.ndarray, f3db_hz: float, fs_hz: float) -> np.ndarray:
     corners, never more than the stream's length as the corner falls to 0.
     Equals ``lfilter([1 - a], [1, -a], samples)`` up to rounding.
     """
-    a = math.exp(-2.0 * math.pi * f3db_hz / fs_hz)
+    a = _pole(f3db_hz, fs_hz)
     n = len(samples)
     span = 1
     while span < n and a**span >= 2.0**-60:

@@ -6,7 +6,8 @@ iteration of its C ``brentq.c``, with the same float operations in the same
 order on Python floats, and its Python wrapper's NaN check and 100-iteration
 budget.  It returns the bits ``scipy.optimize.brentq`` returns at the same
 tolerances, without loading ``scipy.optimize``.  The searches of ``ppc``
-(Isc, MPP, load line) and ``qam.required_snr`` all run on it.
+(Isc, MPP, load line), ``qam.required_snr`` and the fit's beam-offset
+refine all run on it.
 """
 
 from __future__ import annotations

@@ -5,7 +5,6 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from chain import run_fresh, synthesize_targets
@@ -16,12 +15,14 @@ from sliptsim.calibrate import (
     CalibrationResult,
     CalibrationTargets,
     UnderdeterminedError,
+    _solve_offset,
     calibrate,
     calibrated_receiver,
     measured_targets,
 )
 from sliptsim.cli import main
-from sliptsim.presets import MEASURED_BANDWIDTH_HZ, UnknownPresetError
+from sliptsim.link import ReceiverChain
+from sliptsim.presets import MEASURED_BANDWIDTH_HZ, UnknownPresetError, device_preset
 
 FROZEN_FIT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "calibration.json"
 BUNDLED_FIT = resources.files("sliptsim").joinpath("data/calibration.json")
@@ -141,6 +142,35 @@ class TestSchema:
         assert err.startswith("error: ") and "series_resistance_ohm" in err
 
 
+class TestSolveOffset:
+    # closed-form ratio curves of the offset, each crossing known exactly
+
+    def test_monotone_fall_meets_its_root(self):
+        offset = _solve_offset(lambda off: math.exp(-off), math.exp(-0.3), 1.0)
+        assert abs(offset - 0.3) <= 1e-12
+
+    def test_the_first_of_two_crossings_is_returned(self):
+        # 0.25 is crossed at 1/6, 1/3, 2/3 and 5/6
+        ratio = lambda off: 0.5 + 0.5 * math.cos(4.0 * math.pi * off)
+        assert abs(_solve_offset(ratio, 0.25, 1.0) - 1.0 / 6.0) <= 1e-12
+
+    @pytest.mark.parametrize("aligned, target", [(1.0, 1.0), (1.0, 1.5), (math.nan, 0.5)])
+    def test_an_unreachable_target_holds_offset_zero(self, aligned, target):
+        assert _solve_offset(lambda off: aligned - off, target, 1.0) == 0.0
+
+    def test_no_crossing_returns_the_nearest_grid_offset(self):
+        # falls to 0.6 at 0.5 (a point of the 33-point grid), then rises
+        ratio = lambda off: 1.0 - 0.4 * math.sin(math.pi * off)
+        assert _solve_offset(ratio, 0.5, 1.0) == 0.5
+
+    def test_nan_inside_the_bracket_is_refused(self):
+        # the scan brackets the crossing at 0.3 in [0.28125, 0.3125]; the
+        # ratio is undefined around it, but at neither grid point
+        ratio = lambda off: math.nan if 0.29 < off < 0.31 else 1.0 - off
+        with pytest.raises(ParameterError, match="NaN"):
+            _solve_offset(ratio, 0.7, 1.0)
+
+
 class TestFullCalibration:
     def test_measured_fit_is_pinned(self, calibration, tmp_path):
         # the bundled default fit is the saved seven-preset fit, byte for
@@ -160,41 +190,42 @@ class TestFullCalibration:
         )
         unpatched = calibrate(targets).to_dict()
 
-        receiver = calibrate_module._receiver
         sector_fractions = calibrate_module.sector_fractions
         harvest_figures = calibrate_module.harvest_figures
-        chains, quadratures, evaluations = [], [], []
-
-        def recording_receiver(*args):
-            chains.append(receiver(*args))
-            return chains[-1]
+        quadratures, evaluations, chains = [], [], []
 
         def recording_fractions(geometry, beam):
             quadratures.append((geometry, beam.beam_radius_mm, beam.center_mm))
             return sector_fractions(geometry, beam)
 
         def recording_harvest(device, photocurrents):
-            # a shared quadrature gives the photocurrents an unshared one
-            # gives for the chain just built
-            chain = chains[-1]
-            assert device is chain.device
-            beam = chain.beam
-            unshared = beam.responsivity_a_w * beam.total_power_w * sector_fractions(
-                device.geometry, beam
-            )
-            assert np.array_equal(photocurrents, unshared)
+            # the preset's own device: nothing of the bandwidth stage enters
+            assert device == device_preset(device.device_id)
             evaluations.append((device, tuple(photocurrents)))
             return harvest_figures(device, photocurrents)
 
-        monkeypatch.setattr(calibrate_module, "_receiver", recording_receiver)
+        check_chain = ReceiverChain.__post_init__
+
+        def recording_chain(chain):
+            chains.append(chain)
+            check_chain(chain)
+
         monkeypatch.setattr(calibrate_module, "sector_fractions", recording_fractions)
         monkeypatch.setattr(calibrate_module, "harvest_figures", recording_harvest)
+        monkeypatch.setattr(ReceiverChain, "__post_init__", recording_chain)
         assert calibrate(targets).to_dict() == unpatched
         assert len(evaluations) == len(set(evaluations)) > 0
+        # each preset's device is built once
+        assert len({id(device) for device, _ in evaluations}) == len(targets.pmp_w)
         # one quadrature per (preset, radius, offset), shared across the
         # responsivity steps at that beam
         assert len(quadratures) == len(set(quadratures)) > 0
         assert len(quadratures) < len(evaluations)
+        # the harvest stage builds no receiver chain: the fit builds as many
+        # as the same fit without harvest targets
+        full = len(chains)
+        calibrate(CalibrationTargets(bandwidth_hz=targets.bandwidth_hz))
+        assert len(chains) == 2 * full > 0
 
     def test_measured_fit_quality(self, calibration):
         assert max(abs(v) for v in calibration.bandwidth_residuals.values()) <= 0.15

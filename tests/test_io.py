@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from chain import read_csv
-from sliptsim.io import iv_curve_to_csv, plan_to_csv, write_csv
-from sliptsim.loading import BitLoadingPlan
-from sliptsim.ppc import IVCurve
+from sliptsim import link, ppc
+from sliptsim.cli import main
+from sliptsim.io import write_csv
 
 
 class TestCsv:
@@ -33,24 +33,40 @@ class TestCsv:
         assert float(rows[0][0]) == value
 
 
+def recording(monkeypatch, module, name):
+    """Patch ``module.name`` to keep each result it returns; the CLI
+    handlers import it when they run, so they call the recording."""
+    results = []
+    original = getattr(module, name)
+
+    def record(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, record)
+    return results
+
+
 class TestDomainRoundTrips:
-    def test_iv_curve(self, tmp_path):
-        curve = IVCurve(np.linspace(0, 1, 32), np.linspace(1e-3, 0, 32))
-        path = tmp_path / "iv.csv"
-        iv_curve_to_csv(curve, path)
-        cols, rows = read_csv(path)
+    # the files the CLI jobs write hold every bit of the objects they report
+    def test_iv_curve(self, tmp_path, monkeypatch):
+        curves = recording(monkeypatch, ppc, "string_iv")
+        assert main(["iv", "--preset", "L6", "--out", str(tmp_path)]) == 0
+        [curve] = curves
+        cols, rows = read_csv(tmp_path / "iv.csv")
         assert cols == ["voltage_V", "current_A"]
         back = np.array(rows, dtype=float)
         assert np.array_equal(back[:, 0], curve.voltages_v)
         assert np.array_equal(back[:, 1], curve.currents_a)
 
-    def test_plan_csv(self, tmp_path):
-        plan = BitLoadingPlan(np.array([0, 2, 4]), np.array([0.0, 1.25, 0.75]))
-        path = tmp_path / "plan.csv"
-        plan_to_csv(plan, path)
-        cols, rows = read_csv(path)
+    def test_plan_csv(self, tmp_path, monkeypatch):
+        sweeps = recording(monkeypatch, link, "sweep")
+        assert main(["link", "--preset", "S2", "--seed", "3", "--out", str(tmp_path)]) == 0
+        [[report]] = sweeps
+        plan = report.plan
+        cols, rows = read_csv(tmp_path / "loading.csv")
         assert cols == ["carrier", "bits", "power_scale"]
-        assert [int(r[0]) for r in rows] == [0, 1, 2]
+        assert [int(r[0]) for r in rows] == list(range(plan.bits.size))
         assert np.array_equal([int(r[1]) for r in rows], plan.bits)
         assert np.array_equal([float(r[2]) for r in rows], plan.power)
 

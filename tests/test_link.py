@@ -138,8 +138,26 @@ class TestChannelResponse:
         k3 = np.argmin(np.abs(freqs - f3db))
         assert abs(gains[0]) == pytest.approx(g, rel=1e-3)  # first carrier ~ DC
         if freqs[0] < f3db < freqs[-1]:
-            expected = g / math.sqrt(1 + (freqs[k3] / f3db) ** 2)
+            # the discrete pole the waveform path applies
+            fs = FAST_CFG.sample_rate_hz
+            a = math.exp(-2 * math.pi * f3db / fs)
+            expected = g * (1 - a) / abs(1 - a * np.exp(-2j * math.pi * freqs[k3] / fs))
             assert abs(gains[k3]) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["S2", "L6"])
+    def test_equals_the_pole_the_waveform_applies(self, calibration, name):
+        # the rfft of the filter's impulse response over whole carrier
+        # periods, long enough for its tail to vanish, at the carrier bins
+        chain = calibrated_receiver(calibration, name)
+        config = OfdmConfig()
+        gains, f3db = channel_response(chain, config)
+        periods = 16
+        impulse = np.zeros(periods * config.fft_size * config.oversampling_factor)
+        impulse[0] = 1.0
+        spectrum = np.fft.rfft(_one_pole(impulse, f3db, config.sample_rate_hz))
+        carriers = periods * np.arange(1, config.data_subcarriers + 1)
+        expected = chain.beam.responsivity_a_w * chain.ac_load_ohm * spectrum[carriers]
+        assert np.max(np.abs(gains / expected - 1.0)) < 1e-9
 
     def test_ac_load_is_parallel_combination(self):
         chain = quiet_receiver()
