@@ -41,8 +41,7 @@ import numpy as np
 
 from .constants import DEFAULT_EMITTED_POWER_W
 from .errors import ParameterError, SliptsimError
-from .ppc import DiodeParams, harvest_figures, sector_fractions
-from .link import ReceiverChain
+from .ppc import DiodeParams, ReceiverChain, harvest_figures, sector_fractions
 from .presets import (
     MEASURED_BANDWIDTH_HZ,
     MEASURED_IMP_ISC,
@@ -263,7 +262,7 @@ def _solve_offset(ratio_of_offset, target: float, max_offset: float) -> float:
     between knees; a 33-point scan brackets the first crossing and
     ``brent_root`` refines it.  An unreachable target maps to offset 0; a
     target the scan never crosses maps to the grid offset with the closest
-    ratio.
+    finite ratio.
 
     Raises:
         ParameterError: the ratio is NaN inside the bracket.
@@ -280,9 +279,10 @@ def _solve_offset(ratio_of_offset, target: float, max_offset: float) -> float:
             return brent_root(
                 lambda off: ratio_of_offset(off) - target, lo, hi, 1e-12, MIN_RTOL
             )
-    # no crossing found: return the offset with the closest ratio
+    # no crossing found: return the offset with the closest finite ratio
+    # (grid offset 0 has one: an undefined aligned ratio returned above)
     vals = [abs(ratio_of_offset(o) - target) for o in grid]
-    return float(grid[int(np.argmin(vals))])
+    return float(grid[int(np.nanargmin(vals))])
 
 
 def calibrate(targets: CalibrationTargets) -> CalibrationResult:
@@ -407,6 +407,10 @@ def calibrate(targets: CalibrationTargets) -> CalibrationResult:
 
         ratio_weight = 3.0
         n_resp = len(harvest_sizes)
+        # the offset stays on the cell: at most 95 % of its radius
+        max_offset = {
+            name: 0.95 * preset_geometry(name).cell_diameter_mm / 2 for name in harvest_names
+        }
 
         def unpack_b(x):
             resps = dict(zip(harvest_sizes, x[:n_resp]))
@@ -435,13 +439,14 @@ def calibrate(targets: CalibrationTargets) -> CalibrationResult:
                     )
             return np.array(out)
 
-        x0 = np.concatenate(
-            [np.full(n_resp, 0.42), [0.8], np.full(len(harvest_names), 0.1)]
-        )
+        start = default_beam()
+        x0 = np.concatenate([
+            np.full(n_resp, start.responsivity_a_w), [start.beam_radius_mm],
+            np.full(len(harvest_names), 0.1),
+        ])
         lo = np.concatenate([np.full(n_resp, 0.05), [0.1], np.zeros(len(harvest_names))])
         hi = np.concatenate(
-            [np.full(n_resp, 0.68), [3.0],
-             [0.95 * preset_geometry(n).cell_diameter_mm / 2 for n in harvest_names]]
+            [np.full(n_resp, 0.68), [3.0], [max_offset[n] for n in harvest_names]]
         )
         sol_b = least_squares(
             resid_b, x0, bounds=(lo, hi), xtol=1e-14, ftol=1e-14, gtol=1e-14,
@@ -469,7 +474,7 @@ def calibrate(targets: CalibrationTargets) -> CalibrationResult:
                     nm, responsivity[nm[0]], beam_radius, off
                 )[1],
                 target_ratio,
-                0.95 * preset_geometry(name).cell_diameter_mm / 2.0,
+                max_offset[name],
             )
 
         for name in harvest_names:

@@ -298,31 +298,31 @@ def _handle_bandwidth(run: dict, out_dir: Path, seed: int) -> None:
 
 
 def _emit_link_artifacts(report, out_dir: Path, header, suffix: str = "") -> None:
+    """The report, SNR-profile and loading CSVs of one successful run
+    (a failed sweep row carries no SNR profile or plan)."""
     write_csv(
         out_dir / f"report{suffix}.csv",
         report.CSV_COLUMNS,
         [report.csv_row()],
         header_comments=header,
     )
-    if report.snr is not None:
-        write_csv(
-            out_dir / f"snr_profile{suffix}.csv",
-            ["carrier", "frequency_hz", "snr_db", "measured"],
-            zip(
-                range(len(report.snr.snr_linear)),
-                report.carrier_freqs_hz,
-                report.snr.db(),
-                report.snr.measured,
-            ),
-            header_comments=header,
-        )
-    if report.plan is not None:
-        write_csv(
-            out_dir / f"loading{suffix}.csv",
-            ["carrier", "bits", "power_scale"],
-            zip(range(report.plan.bits.size), report.plan.bits, report.plan.power),
-            header_comments=header,
-        )
+    write_csv(
+        out_dir / f"snr_profile{suffix}.csv",
+        ["carrier", "frequency_hz", "snr_db", "measured"],
+        zip(
+            range(len(report.snr.snr_linear)),
+            report.carrier_freqs_hz,
+            report.snr.db(),
+            report.snr.measured,
+        ),
+        header_comments=header,
+    )
+    write_csv(
+        out_dir / f"loading{suffix}.csv",
+        ["carrier", "bits", "power_scale"],
+        zip(range(report.plan.bits.size), report.plan.bits, report.plan.power),
+        header_comments=header,
+    )
 
 
 def _handle_link(run: dict, out_dir: Path, seed: int) -> None:
@@ -359,7 +359,7 @@ def _handle_sweep(run: dict, out_dir: Path, seed: int) -> None:
 
 def _handle_mismatch(run: dict, out_dir: Path, seed: int) -> None:
     import numpy as np
-    from .link import mismatch_study
+    from .ppc import mismatch_study
     [(name, chain)] = _receivers(run, [run["preset"]])
     max_offset = run["max_offset_mm"]
     if max_offset is None:

@@ -1,5 +1,5 @@
-"""End-to-end link composition: VCSEL transmitter, optical path, segmented
-receiver with noise, and the modem round trip.
+"""End-to-end link composition: VCSEL transmitter, optical path and channel,
+and the modem round trip, run on a receiver chain from :mod:`sliptsim.ppc`.
 
 The simulated chain, per run:
 
@@ -17,27 +17,17 @@ The simulated chain, per run:
    header (preamble, pilot blocks and one block of margin) for it; the
    synchronizer's peak-to-sidelobe check is measured over that window and
    does not depend on the payload length.
-
-The DC operating point and the small-signal model share the same load
-resistor; the AC path additionally sees the amplifier input impedance in
-parallel, which is what lets pF-scale string capacitances reach GHz corner
-frequencies at a 950-ohm bias load.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constants import (
-    BER_TARGET,
-    BOLTZMANN_J_PER_K,
-    DEFAULT_EMITTED_POWER_W,
-    DEFAULT_TEMPERATURE_K,
-    ELEMENTARY_CHARGE_C,
-)
+from .constants import BER_TARGET, DEFAULT_EMITTED_POWER_W
 from .errors import ParameterError, SliptsimError
 from .loading import BitLoadingPlan, bit_power_loading
 from .ofdm import (
@@ -56,29 +46,19 @@ from .ofdm import (
     receive_blocks,
     synchronize,
 )
-from .ppc import (
-    IlluminationProfile,
-    SegmentedDevice,
-    dc_operating_point,
-    find_mpp,
-    harvest_figures,
-    sector_fractions,
-    small_signal_bandwidth,
-    string_capacitance,
-    string_iv,
-)
+from .ppc import dc_operating_point, find_mpp, sector_fractions, string_iv
+
+if TYPE_CHECKING:  # annotations only: ppc owns the receiver chain
+    from .ppc import ReceiverChain
 
 __all__ = [
     "BER_TARGET",
     "TransmitterModel",
-    "NoiseModel",
-    "ReceiverChain",
     "LinkReport",
     "channel_response",
     "snr_crossing_bandwidth",
     "run_link",
     "sweep",
-    "mismatch_study",
 ]
 
 
@@ -131,84 +111,6 @@ class TransmitterModel:
         if n_clipped:
             np.clip(p, lo, hi, out=p)
         return p, n_clipped / p.size
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Receiver noise: load thermal + shot of the mean photocurrent, scaled
-    by the amplifier noise figure, plus a digitizer term that tracks the
-    received signal level (the oscilloscope auto-ranges, so its quantization
-    noise keeps a fixed ratio to the signal RMS).  Current PSDs are
-    input-referred densities (A^2/Hz)."""
-
-    temperature_k: float = DEFAULT_TEMPERATURE_K
-    noise_figure_db: float = 6.0
-    include_thermal: bool = True
-    include_shot: bool = True
-    extra_current_psd_a2_hz: float = 0.0
-    quantization_snr_db: float | None = 4.0
-
-    def __post_init__(self):
-        ParameterError.require_finite(self)
-        if self.temperature_k <= 0:
-            raise ParameterError("temperature must be positive")
-        if self.extra_current_psd_a2_hz < 0:
-            raise ParameterError("extra noise PSD must be non-negative")
-
-    def current_psd(self, load_ohm: float, mean_current_a: float) -> float:
-        psd = self.extra_current_psd_a2_hz
-        if self.include_thermal:
-            psd += 4.0 * BOLTZMANN_J_PER_K * self.temperature_k / load_ohm
-        if self.include_shot:
-            psd += 2.0 * ELEMENTARY_CHARGE_C * abs(mean_current_a)
-        return psd * 10.0 ** (self.noise_figure_db / 10.0)
-
-    def quantization_sigma(self, signal_rms_v: float) -> float:
-        """Std-dev of the signal-tracking digitizer noise, in volts."""
-        if self.quantization_snr_db is None:
-            return 0.0
-        return signal_rms_v * 10.0 ** (-self.quantization_snr_db / 20.0)
-
-
-@dataclass(frozen=True)
-class ReceiverChain:
-    """Segmented device, beam geometry and the electrical read-out.
-
-    The beam's power is the power at the device: optics losses are absorbed
-    in its (fitted) responsivity.
-    """
-
-    device: SegmentedDevice
-    beam: IlluminationProfile
-    load_resistance_ohm: float = 950.0
-    amplifier_input_ohm: float = 50.0
-    effective_series_resistance_ohm: float = 0.0
-    noise: NoiseModel = field(default_factory=NoiseModel)
-
-    def __post_init__(self):
-        ParameterError.require_finite(self)
-        if not 0.0 < self.load_resistance_ohm <= 10e3:
-            raise ParameterError("load resistance must lie in (0, 10 kOhm]")
-        if self.amplifier_input_ohm <= 0:
-            raise ParameterError("amplifier input impedance must be positive")
-        if self.effective_series_resistance_ohm < 0:
-            raise ParameterError("effective series resistance must be non-negative")
-
-    @property
-    def ac_load_ohm(self) -> float:
-        """Small-signal load: bias resistor in parallel with the amplifier."""
-        r1, r2 = self.load_resistance_ohm, self.amplifier_input_ohm
-        return r1 * r2 / (r1 + r2)
-
-    def string_capacitance_f(self) -> float:
-        return string_capacitance(self.device.geometry, self.device.diode)
-
-    def f3db_hz(self) -> float:
-        return small_signal_bandwidth(
-            self.string_capacitance_f(),
-            self.ac_load_ohm,
-            self.effective_series_resistance_ohm,
-        )
 
 
 @dataclass
@@ -614,9 +516,6 @@ def sweep(
     Each entry is (label, ReceiverChain).  Entry i runs with seed ``seed + i``
     so results are deterministic and order-independent.
     """
-    entries = list(entries)
-    if not entries:
-        return []
     reports = []
     for i, (label, chain) in enumerate(entries):
         try:
@@ -633,25 +532,3 @@ def sweep(
         reports.append(report)
     return reports
 
-
-def mismatch_study(
-    device: SegmentedDevice,
-    beam: IlluminationProfile,
-    offsets_mm,
-) -> list[tuple[float, float, float]]:
-    """(offset, Imp/Isc, Pmp) with the beam offset along +x.
-
-    Pmp is non-increasing in |offset| for a centered Gaussian on a symmetric
-    device; Imp/Isc degrades as the least-illuminated sector loses share.
-    At an offset that leaves the string dark (zero short-circuit current)
-    Imp/Isc is NaN and Pmp 0.
-    """
-    rows = []
-    for off in offsets_mm:
-        b = replace(beam, center_mm=(off, 0.0))
-        photocurrents = b.responsivity_a_w * b.total_power_w * sector_fractions(
-            device.geometry, b
-        )
-        pmp, ratio = harvest_figures(device, photocurrents)
-        rows.append((float(off), ratio, pmp))
-    return rows

@@ -19,8 +19,10 @@ subcell; the subcells are series-connected on chip.  This module models
   (one search: the best sample, then a bracketed root of
   dP/dI = V + I*dV/dI) and the load-line operating point; every bracketed
   root is the package's one Brent root finder, ``roots.brent_root``,
+* the beam-offset (alignment) study of Pmp and Imp/Isc,
 * the string capacitance (reciprocal sum of the subcell junction
-  capacitances) and the resulting first-order RC bandwidth.
+  capacitances) and the receiver read-out around the device: the load and
+  amplifier that set the first-order RC bandwidth, and the receiver noise.
 
 Units: lengths in mm, areas in mm^2, everything electrical in SI
 (A, V, W, F, Ohm, Hz).  Sector ``i`` spans the angle range
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from numbers import Real
 
@@ -39,7 +41,8 @@ import numpy as np
 from scipy.special import erfc, wrightomega
 
 from .constants import (
-    DEFAULT_TEMPERATURE_K, DEFAULT_WAVELENGTH_NM, responsivity_quantum_limit, thermal_voltage,
+    BOLTZMANN_J_PER_K, DEFAULT_TEMPERATURE_K, DEFAULT_WAVELENGTH_NM, ELEMENTARY_CHARGE_C,
+    responsivity_quantum_limit, thermal_voltage,
 )
 from .errors import ParameterError, SliptsimError
 from .roots import brent_root
@@ -62,9 +65,11 @@ __all__ = [
     "dc_operating_point",
     "imp_isc_ratio",
     "harvest_figures",
+    "mismatch_study",
     "series_capacitance",
     "string_capacitance",
-    "small_signal_bandwidth",
+    "NoiseModel",
+    "ReceiverChain",
 ]
 
 PREFERRED_SEGMENT_COUNTS = (1, 2, 4, 6)
@@ -204,15 +209,6 @@ class IlluminationProfile:
                 f"quantum limit {limit:.3f} A/W at {self.wavelength_nm:.0f} nm",
                 stacklevel=2,
             )
-
-    def irradiance(self, x_mm, y_mm):
-        """Irradiance (W/mm^2) at device-plane coordinates."""
-        w2 = self.beam_radius_mm**2
-        dx = np.asarray(x_mm) - self.center_mm[0]
-        dy = np.asarray(y_mm) - self.center_mm[1]
-        return (2.0 * self.total_power_w / (math.pi * w2)) * np.exp(
-            -2.0 * (dx**2 + dy**2) / w2
-        )
 
 
 @dataclass(frozen=True)
@@ -767,8 +763,31 @@ def harvest_figures(device: SegmentedDevice, photocurrents) -> tuple[float, floa
     return v_mp * i_mp, i_mp / i_sc
 
 
+def mismatch_study(
+    device: SegmentedDevice,
+    beam: IlluminationProfile,
+    offsets_mm,
+) -> list[tuple[float, float, float]]:
+    """(offset, Imp/Isc, Pmp) with the beam offset along +x.
+
+    Pmp is non-increasing in |offset| for a centered Gaussian on a symmetric
+    device; Imp/Isc degrades as the least-illuminated sector loses share.
+    At an offset that leaves the string dark (zero short-circuit current)
+    Imp/Isc is NaN and Pmp 0.
+    """
+    rows = []
+    for off in offsets_mm:
+        b = replace(beam, center_mm=(off, 0.0))
+        photocurrents = b.responsivity_a_w * b.total_power_w * sector_fractions(
+            device.geometry, b
+        )
+        pmp, ratio = harvest_figures(device, photocurrents)
+        rows.append((float(off), ratio, pmp))
+    return rows
+
+
 # ---------------------------------------------------------------------------
-# Small-signal model
+# Small-signal model and receiver read-out
 # ---------------------------------------------------------------------------
 
 def series_capacitance(capacitances_f) -> float:
@@ -785,17 +804,82 @@ def string_capacitance(geometry: SegmentGeometry, diode: DiodeParams) -> float:
     return series_capacitance([c_segment] * geometry.n_segments)
 
 
-def small_signal_bandwidth(
-    c_string_f: float,
-    load_resistance_ohm: float,
-    effective_series_resistance_ohm: float = 0.0,
-) -> float:
-    """First-order RC 3-dB frequency: 1 / (2*pi*(R_load + R_s)*C)."""
-    if not (c_string_f > 0 and load_resistance_ohm > 0):
-        raise ParameterError(f"c_string_f and load_resistance_ohm must be positive, "
-                             f"got {c_string_f!r} and {load_resistance_ohm!r}")
-    if not effective_series_resistance_ohm >= 0:
-        raise ParameterError(f"effective_series_resistance_ohm must be non-negative, "
-                             f"got {effective_series_resistance_ohm!r}")
-    r_total = load_resistance_ohm + effective_series_resistance_ohm
-    return 1.0 / (2.0 * math.pi * r_total * c_string_f)
+@dataclass(frozen=True)
+class NoiseModel:
+    """Receiver noise: load thermal + shot of the mean photocurrent, scaled
+    by the amplifier noise figure, plus a digitizer term that tracks the
+    received signal level (the oscilloscope auto-ranges, so its quantization
+    noise keeps a fixed ratio to the signal RMS).  Current PSDs are
+    input-referred densities (A^2/Hz)."""
+
+    temperature_k: float = DEFAULT_TEMPERATURE_K
+    noise_figure_db: float = 6.0
+    include_thermal: bool = True
+    include_shot: bool = True
+    extra_current_psd_a2_hz: float = 0.0
+    quantization_snr_db: float | None = 4.0
+
+    def __post_init__(self):
+        ParameterError.require_finite(self)
+        if self.temperature_k <= 0:
+            raise ParameterError("temperature must be positive")
+        if self.extra_current_psd_a2_hz < 0:
+            raise ParameterError("extra noise PSD must be non-negative")
+
+    def current_psd(self, load_ohm: float, mean_current_a: float) -> float:
+        psd = self.extra_current_psd_a2_hz
+        if self.include_thermal:
+            psd += 4.0 * BOLTZMANN_J_PER_K * self.temperature_k / load_ohm
+        if self.include_shot:
+            psd += 2.0 * ELEMENTARY_CHARGE_C * abs(mean_current_a)
+        return psd * 10.0 ** (self.noise_figure_db / 10.0)
+
+    def quantization_sigma(self, signal_rms_v: float) -> float:
+        """Std-dev of the signal-tracking digitizer noise, in volts."""
+        if self.quantization_snr_db is None:
+            return 0.0
+        return signal_rms_v * 10.0 ** (-self.quantization_snr_db / 20.0)
+
+
+@dataclass(frozen=True)
+class ReceiverChain:
+    """Segmented device, beam geometry and the electrical read-out.
+
+    The beam's power is the power at the device: optics losses are absorbed
+    in its (fitted) responsivity.
+
+    The DC operating point and the small-signal model share the same load
+    resistor; the AC path additionally sees the amplifier input impedance in
+    parallel, which is what lets pF-scale string capacitances reach GHz
+    corner frequencies at a 950-ohm bias load.
+    """
+
+    device: SegmentedDevice
+    beam: IlluminationProfile
+    load_resistance_ohm: float = 950.0
+    amplifier_input_ohm: float = 50.0
+    effective_series_resistance_ohm: float = 0.0
+    noise: NoiseModel = field(default_factory=NoiseModel)
+
+    def __post_init__(self):
+        ParameterError.require_finite(self)
+        if not 0.0 < self.load_resistance_ohm <= 10e3:
+            raise ParameterError("load resistance must lie in (0, 10 kOhm]")
+        if self.amplifier_input_ohm <= 0:
+            raise ParameterError("amplifier input impedance must be positive")
+        if self.effective_series_resistance_ohm < 0:
+            raise ParameterError("effective series resistance must be non-negative")
+
+    @property
+    def ac_load_ohm(self) -> float:
+        """Small-signal load: bias resistor in parallel with the amplifier."""
+        r1, r2 = self.load_resistance_ohm, self.amplifier_input_ohm
+        return r1 * r2 / (r1 + r2)
+
+    def string_capacitance_f(self) -> float:
+        return string_capacitance(self.device.geometry, self.device.diode)
+
+    def f3db_hz(self) -> float:
+        """First-order RC 3-dB frequency: 1 / (2*pi*(R_ac + R_s)*C)."""
+        r_total = self.ac_load_ohm + self.effective_series_resistance_ohm
+        return 1.0 / (2.0 * math.pi * r_total * self.string_capacitance_f())

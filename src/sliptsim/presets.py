@@ -22,9 +22,11 @@ from .constants import DEFAULT_EMITTED_POWER_W
 from .errors import SliptsimError
 
 if TYPE_CHECKING:  # the factories import these when called
-    from .link import ReceiverChain, TransmitterModel
+    from .link import TransmitterModel
     from .ofdm import OfdmConfig
-    from .ppc import DiodeParams, IlluminationProfile, SegmentGeometry, SegmentedDevice
+    from .ppc import (
+        DiodeParams, IlluminationProfile, ReceiverChain, SegmentGeometry, SegmentedDevice,
+    )
 
 __all__ = [
     "PRESET_NAMES",
@@ -151,7 +153,7 @@ def default_receiver(
     **chain_kwargs,
 ) -> ReceiverChain:
     """Receiver chain around one preset with default read-out values."""
-    from .link import ReceiverChain
+    from .ppc import ReceiverChain
     return ReceiverChain(
         device=device_preset(name, diode),
         beam=beam if beam is not None else default_beam(),

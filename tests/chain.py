@@ -1,6 +1,7 @@
-"""Shared helpers for tests: an independent oracle of the device solver
-(per-segment bracketed ``brentq`` solves of the implicit single-diode
-equation, the string I-V and a golden-section MPP), calibration targets
+"""Shared helpers for tests: the beam's closed-form irradiance, an
+independent oracle of the device solver (per-segment bracketed ``brentq``
+solves of the implicit single-diode equation, the string I-V and a
+golden-section MPP), calibration targets
 generated from known fit parameters, the complex IFFT of a DCO-OFDM block's
 full Hermitian spectrum, the modem's whole-buffer transmit and receive paths
 and its integer bit mapping, a configurable digital loopback, a plain
@@ -55,6 +56,15 @@ from sliptsim.qam import _axis_tables, _check_order, constellation
 
 # Exponent clamp keeping exp() finite during bracket searches.
 _EXP_MAX = 600.0
+
+
+def irradiance(beam, x_mm, y_mm):
+    """Irradiance (W/mm^2) of the Gaussian ``beam`` at device-plane
+    coordinates: 2 P / (pi w^2) exp(-2 r^2 / w^2) about its center."""
+    w2 = beam.beam_radius_mm**2
+    dx = np.asarray(x_mm) - beam.center_mm[0]
+    dy = np.asarray(y_mm) - beam.center_mm[1]
+    return (2.0 * beam.total_power_w / (math.pi * w2)) * np.exp(-2.0 * (dx**2 + dy**2) / w2)
 
 
 def segment_photocurrents(geometry, beam, rel_tol=1e-6) -> np.ndarray:

@@ -16,7 +16,7 @@ from sliptsim.calibrate import (
 )
 from sliptsim.cli import main as cli_main
 from sliptsim.constants import thermal_voltage
-from sliptsim.link import mismatch_study, run_link
+from sliptsim.link import run_link
 from sliptsim.loading import bit_power_loading, required_snr_table
 from sliptsim.ofdm import ofdm_core
 from sliptsim.ppc import (
@@ -25,6 +25,7 @@ from sliptsim.ppc import (
     SegmentGeometry,
     SegmentedDevice,
     find_mpp,
+    mismatch_study,
     series_capacitance,
     string_capacitance,
     string_iv,

@@ -21,7 +21,7 @@ from sliptsim.calibrate import (
     measured_targets,
 )
 from sliptsim.cli import main
-from sliptsim.link import ReceiverChain
+from sliptsim.ppc import ReceiverChain
 from sliptsim.presets import MEASURED_BANDWIDTH_HZ, UnknownPresetError, device_preset
 
 FROZEN_FIT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "calibration.json"
@@ -162,6 +162,16 @@ class TestSolveOffset:
         # falls to 0.6 at 0.5 (a point of the 33-point grid), then rises
         ratio = lambda off: 1.0 - 0.4 * math.sin(math.pi * off)
         assert _solve_offset(ratio, 0.5, 1.0) == 0.5
+
+    def test_a_nan_before_any_crossing_returns_the_nearest_finite_ratio(self):
+        # the scan stops at the NaN at 0.5; of the finite grid ratios,
+        # 1 - 0.1 * 0.46875 (the grid point before it) is closest to 0.5
+        ratio = lambda off: math.nan if off >= 0.5 else 1.0 - 0.1 * off
+        assert _solve_offset(ratio, 0.5, 1.0) == 0.46875
+
+    def test_a_ratio_undefined_past_alignment_holds_offset_zero(self):
+        ratio = lambda off: 1.0 if off == 0.0 else math.nan
+        assert _solve_offset(ratio, 0.5, 1.0) == 0.0
 
     def test_nan_inside_the_bracket_is_refused(self):
         # the scan brackets the crossing at 0.3 in [0.28125, 0.3125]; the

@@ -14,7 +14,6 @@ from sliptsim.link import (
     _CHANNEL_CHUNK,
     _POLE_CHUNK,
     LinkReport,
-    NoiseModel,
     TransmitterModel,
     _apply_channel,
     _header_length,
@@ -23,7 +22,6 @@ from sliptsim.link import (
     _std,
     _sum_of_squares,
     channel_response,
-    mismatch_study,
     run_link,
     snr_crossing_bandwidth,
     sweep,
@@ -42,9 +40,11 @@ from sliptsim.ofdm import (
 from sliptsim.ppc import (
     DiodeParams,
     IlluminationProfile,
+    NoiseModel,
     SegmentGeometry,
     SegmentedDevice,
     dc_operating_point,
+    mismatch_study,
     sector_fractions,
     string_iv,
 )

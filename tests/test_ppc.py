@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chain as oracle
-from chain import sector_beam_power, segment_current, segment_photocurrents
+from chain import irradiance, sector_beam_power, segment_current, segment_photocurrents
 from sliptsim import ParameterError, ppc
 from sliptsim.constants import thermal_voltage
 from sliptsim.ppc import (
@@ -16,6 +16,7 @@ from sliptsim.ppc import (
     IlluminationProfile,
     IVCurve,
     OperatingPoint,
+    ReceiverChain,
     SegmentGeometry,
     SegmentedDevice,
     dc_operating_point,
@@ -25,13 +26,14 @@ from sliptsim.ppc import (
     sector_fractions,
     series_capacitance,
     short_circuit_current,
-    small_signal_bandwidth,
     string_capacitance,
     string_iv,
     string_model,
     string_voltage,
 )
-from sliptsim.presets import PRESET_NAMES, default_beam, device_preset
+from sliptsim.presets import (
+    JUNCTION_AREA_MM2, PRESET_NAMES, default_beam, default_receiver, device_preset,
+)
 
 
 def ideal_diode(j0=1e-18, n=1.2, rs=0.0):
@@ -193,7 +195,7 @@ class TestIllumination:
                                    responsivity_a_w=0.5)
         x = np.linspace(-4, 4, 1201)
         xx, yy = np.meshgrid(x, x)
-        total = beam.irradiance(xx, yy).sum() * (x[1] - x[0]) ** 2
+        total = irradiance(beam, xx, yy).sum() * (x[1] - x[0]) ** 2
         assert total == pytest.approx(2.3e-3, rel=1e-6)
 
 
@@ -248,7 +250,7 @@ class TestSectorPhotocurrents:
 
         x = np.linspace(-1.0, 1.0, 2000)
         xx, yy = np.meshgrid(x, x)
-        irr = beam.irradiance(xx, yy)
+        irr = irradiance(beam, xx, yy)
         da = (x[1] - x[0]) ** 2
         theta = np.arctan2(yy, xx) % (2 * math.pi)
         inside = np.hypot(xx, yy) <= 1.0
@@ -934,8 +936,13 @@ class TestCapacitance:
 
 
 class TestBandwidth:
+    """The chain's RC corner 1 / (2 pi (R_ac + R_s) C), where R_ac is the
+    950-ohm bias load in parallel with the 50-ohm amplifier, 47.5 ohm."""
+
+    # (C, R_load, R_s) of the corner: a bad C is refused by the diode's
+    # capacitance density, a bad resistance by the chain that declares it
     @pytest.mark.parametrize("args, name", [
-        ((math.nan, 50.0), "c_string_f"),  # returned nan
+        ((math.nan, 50.0), "c_string_f"),
         ((0.0, 50.0), "c_string_f"),
         ((1e-12, math.nan), "load_resistance_ohm"),
         ((1e-12, -50.0), "load_resistance_ohm"),
@@ -943,29 +950,44 @@ class TestBandwidth:
         ((1e-12, 50.0, -1.0), "effective_series_resistance_ohm"),
     ])
     def test_bad_arguments_are_named(self, args, name):
-        with pytest.raises(ParameterError, match=name):
-            small_signal_bandwidth(*args)
+        density, load, series = (*args, 0.0)[:3]
+        refusal = {
+            "c_string_f": "capacitance.density",
+            "load_resistance_ohm": "load.resistance",
+            "effective_series_resistance_ohm": "effective.series.resistance",
+        }[name]
+        with pytest.raises(ParameterError, match=refusal):
+            default_receiver(
+                "L4", DiodeParams(capacitance_density_f_mm2=density),
+                load_resistance_ohm=load, effective_series_resistance_ohm=series,
+            )
 
     def test_analytic_value(self):
-        f = small_signal_bandwidth(1e-12, 950.0)
-        assert f == pytest.approx(1.0 / (2 * math.pi * 950.0 * 1e-12), rel=1e-12)
+        chain = default_receiver("L4", DiodeParams(capacitance_density_f_mm2=5e-12))
+        c_string = 5e-12 * JUNCTION_AREA_MM2["L4"] / 4
+        assert chain.f3db_hz() == pytest.approx(
+            1.0 / (2 * math.pi * 47.5 * c_string), rel=1e-12
+        )
 
     def test_halved_capacitance_doubles(self):
-        assert small_signal_bandwidth(0.5e-12, 950.0) == pytest.approx(
-            2 * small_signal_bandwidth(1e-12, 950.0), rel=1e-12
-        )
+        def f3db(density):
+            return default_receiver(
+                "L4", DiodeParams(capacitance_density_f_mm2=density)
+            ).f3db_hz()
+
+        assert f3db(2.5e-12) == pytest.approx(2 * f3db(5e-12), rel=1e-12)
 
     def test_series_resistance_lowers(self):
-        assert small_signal_bandwidth(1e-12, 950.0, 50.0) < small_signal_bandwidth(
-            1e-12, 950.0
-        )
+        def f3db(series):
+            return default_receiver("L4", effective_series_resistance_ohm=series).f3db_hz()
+
+        assert f3db(50.0) < f3db(0.0)
 
     def test_monotone_in_segments_fixed_area(self):
         diode = DiodeParams(capacitance_density_f_mm2=30e-12)
         values = [
-            small_signal_bandwidth(
-                string_capacitance(SegmentGeometry(2.0, n), diode), 47.5
-            )
+            ReceiverChain(SegmentedDevice(SegmentGeometry(2.0, n), diode), default_beam())
+            .f3db_hz()
             for n in (1, 2, 4, 6)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
