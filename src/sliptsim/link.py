@@ -33,6 +33,7 @@ from .loading import BitLoadingPlan, bit_power_loading
 from .ofdm import (
     OfdmConfig,
     SubcarrierSnr,
+    _receive_batches,
     assemble_burst,
     clip,
     data_rate,
@@ -41,7 +42,6 @@ from .ofdm import (
     equalize,
     estimate_snr,
     generate_bits,
-    measure_ber,
     modulate_plan,
     receive_blocks,
     synchronize,
@@ -361,7 +361,7 @@ def _header_length(
 
 
 def _run_burst(
-    frames: np.ndarray,
+    payload,
     pilot: np.ndarray,
     n_pilot_frames: int,
     tx: TransmitterModel,
@@ -370,35 +370,68 @@ def _run_burst(
     mean_fraction: float,
     operating_current_a: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Transmit one burst (preamble + pilots + frames) through the channel.
+) -> tuple[np.ndarray | int, np.ndarray, float]:
+    """Transmit one burst (preamble + pilots + payload) through the channel
+    and receive it.
 
-    Returns (equalized frame symbols, estimated gains, clip fraction).  Each
+    ``payload`` is frames [n_frames, n_carriers] or (bits, plan), the bits
+    mapped onto the plan's frames.  Returns (equalized frames for frames,
+    the count of bit errors for bits; estimated gains; clip fraction).  Each
     burst carries its own pilot repetitions, so the equalizer always matches
     the burst's drive scaling.  The preamble sits at the start of the burst,
     so it is searched for only in the burst header (:func:`_header_length`),
     and the synchronizer's peak-to-sidelobe check is measured over that
-    fixed window, whatever the payload length.  The frames are released
-    once the stream carries them, so a caller that passes them without
-    keeping a reference frees them there, and the received stream once its
-    blocks are transformed, before the equalizer runs.
+    fixed window, whatever the payload length.
+
+    Bits are mapped as shaping reaches them and counted as the receiver's
+    batches complete (:func:`_count_errors`), so beside the stream the burst
+    holds only its bits and chunk-sized working sets.  Frames are received
+    whole, and the stream is dropped before the equalizer runs.
     """
-    n_blocks = n_pilot_frames + len(frames)
+    is_bits = isinstance(payload, tuple)
+    n_frames = len(payload[0]) // payload[1].total_bits if is_bits else len(payload)
+    n_blocks = n_pilot_frames + n_frames
     stream, pre_seg, pre_stride = assemble_burst(
-        [np.tile(pilot, (n_pilot_frames, 1)), frames], config
+        [np.tile(pilot, (n_pilot_frames, 1)), payload], config
     )
-    del frames
     # the channel consumes the stream: its buffer returns the received samples
     rx_samples, clip_fraction = _apply_channel(
         stream, tx, chain, config, mean_fraction, operating_current_a, rng
     )
     del stream
     header = _header_length(config, n_pilot_frames, pre_stride, len(pre_seg))
-    start = synchronize(rx_samples[:header], pre_seg)
-    blocks = receive_blocks(rx_samples, start + pre_stride, n_blocks, config)
+    first = synchronize(rx_samples[:header], pre_seg) + pre_stride
+    if is_bits:
+        batches = _receive_batches(rx_samples, first, n_blocks, config)
+        return *_count_errors(batches, pilot, n_pilot_frames, *payload), clip_fraction
+    blocks = receive_blocks(rx_samples, first, n_blocks, config)
     del rx_samples
     gains = estimate_channel(blocks[:n_pilot_frames], pilot)
     return equalize(blocks[n_pilot_frames:], gains), gains, clip_fraction
+
+
+def _count_errors(
+    batches, pilot: np.ndarray, n_pilot_frames: int, bits: np.ndarray, plan: BitLoadingPlan
+) -> tuple[int, np.ndarray]:
+    """(bit errors, estimated gains) of a received payload burst, from its
+    blocks in consecutive batches: the first ``n_pilot_frames`` blocks
+    estimate the gains, and the frames of each batch are equalized,
+    demapped and compared with their bits.  Rows are equalized and demapped
+    independently, so the count equals the whole burst's, bit for bit."""
+    bpf = plan.total_bits
+    pilots = np.empty((n_pilot_frames, len(pilot)), dtype=complex)
+    gains, row, errors = None, 0, 0
+    for batch in batches:
+        k = min(max(n_pilot_frames - row, 0), len(batch))
+        pilots[row : row + k] = batch[:k]
+        if gains is None and row + k == n_pilot_frames:
+            gains = estimate_channel(pilots, pilot)
+        lo = (row + k - n_pilot_frames) * bpf
+        row += len(batch)
+        if k < len(batch):
+            rx_bits = demodulate_plan(equalize(batch[k:], gains), plan)
+            errors += int(np.count_nonzero(rx_bits != bits[lo : lo + rx_bits.size]))
+    return errors, gains
 
 
 def run_link(
@@ -416,8 +449,19 @@ def run_link(
     Deterministic for a given seed.  The measurement burst transmits known
     QPSK on every carrier so each carrier's SNR estimate averages at least
     ``n_measurement_frames`` symbols before the loading decision; the payload
-    burst then runs the loaded plan and measures the bit error rate.
+    burst then runs the loaded plan and measures the bit error rate.  Each
+    burst needs at least one pilot frame, and the SNR estimate at least one
+    measurement frame; a run with no payload frames reports a BER of 0.
     """
+    for name, value, least in (
+        ("seed", seed, 0),
+        ("n_pilot_frames", n_pilot_frames, 1),
+        ("n_measurement_frames", n_measurement_frames, 1),
+        ("n_payload_frames", n_payload_frames, 0),
+    ):
+        ParameterError.require_integer(name, value)
+        if value < least:
+            raise ParameterError(f"{name} must be at least {least}, got {value}")
     if config.oversampling_factor < 2:
         raise ParameterError(
             "oversampling_factor must be >= 2 so the shaped band fits below "
@@ -457,6 +501,7 @@ def run_link(
         mean_fraction, op.current_a, rng,
     )
     snr = estimate_snr(eq_measure, measurement)
+    del eq_measure, measurement
 
     usable = snr.measured & (np.abs(gains) > 0)
     plan = bit_power_loading(
@@ -466,14 +511,11 @@ def run_link(
     # --- payload burst ------------------------------------------------------
     if plan.total_bits > 0:
         payload_bits = generate_bits([seed, 3], n_payload_frames * plan.total_bits)
-        # handed over without a reference here, so the burst frees the
-        # symbols once its stream carries them
-        eq_payload, _, _ = _run_burst(
-            modulate_plan(payload_bits, plan, n_payload_frames), pilot,
-            n_pilot_frames, tx, chain, config, mean_fraction, op.current_a, rng,
+        errors, _, _ = _run_burst(
+            (payload_bits, plan), pilot, n_pilot_frames, tx, chain, config,
+            mean_fraction, op.current_a, rng,
         )
-        rx_bits = demodulate_plan(eq_payload, plan)
-        ber = measure_ber(payload_bits, rx_bits)
+        ber = errors / payload_bits.size if payload_bits.size else 0.0
     else:
         ber = math.nan
 

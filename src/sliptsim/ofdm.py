@@ -17,20 +17,21 @@ Both RRC filters run in polyphase form through one chunked overlap-save
 routine, so no zero of the oversampled grid is filtered and no output the
 modem does not use is computed.  The routine reads its input a window at a
 time and yields its output a chunk at a time, so the oversampled stream is
-the only array of a burst's length the modem builds beside the frames it
-is given.  TX shaping filters the symbol-rate stream with each of the
-``osf`` tap phases and interleaves the phases into the result, which equals
-zero-stuffing and filtering at the full rate; each chunk builds the blocks
-its window covers straight from the frame stacks.  The receiver locates
-the preamble by cross-correlation, through the same routine with the
-reversed preamble as its one filter (the link searches only the burst
-header), then filters the ``osf`` polyphase components of the received
-stream into the one oversampling phase its FFT windows read, and FFTs each
-chunk's complete windows into the one data-carrier result.  Filtering the
-whole stream at once equals overlap-adding per-block shaped segments at the
-block stride in exact arithmetic; in floating point the two differ by
-rounding only (about 1e-15 of the peak sample).  Every chunk size gives the
-same bits.
+the only array of a burst's length the modem builds.  TX shaping filters
+the symbol-rate stream with each of the ``osf`` tap phases and interleaves
+the phases into the result, which equals zero-stuffing and filtering at the
+full rate; each chunk builds the blocks its window covers straight from the
+frame stacks, and a payload given as bits is mapped ``_PLAN_ROWS`` frames
+at a time as the chunks reach it.  The receiver locates the preamble by
+cross-correlation, through the same routine with the reversed preamble as
+its one filter (the link searches only the burst header), then filters the
+``osf`` polyphase components of the received stream into the one
+oversampling phase its FFT windows read, and FFTs each chunk's complete
+windows into the data-carrier result, whole or in batches of ``_PLAN_ROWS``
+blocks.  Filtering the whole stream at once equals overlap-adding per-block
+shaped segments at the block stride in exact arithmetic; in floating point
+the two differ by rounding only (about 1e-15 of the peak sample).  Every
+chunk size gives the same bits.
 
 DC bias is deliberately not applied here: biasing is a transmitter-side
 operation of the link layer, and the DC and Nyquist bins are always zero.
@@ -68,7 +69,6 @@ __all__ = [
     "estimate_channel",
     "equalize",
     "estimate_snr",
-    "measure_ber",
     "data_rate",
     "modulate_plan",
     "demodulate_plan",
@@ -82,6 +82,12 @@ _SNR_CEILING_DB = 60.0
 
 # smallest preamble peak-to-sidelobe ratio the synchronizer accepts, dB
 _MIN_PSL_DB = 3.0
+
+# frames mapped per chunk by the plan (de)modulators, and per group and
+# batch by a payload burst's transmitter and receiver: it bounds their
+# temporaries (about 0.5 MB of symbols at the default size) whatever the
+# frame count, so none of them is a burst's length
+_PLAN_ROWS = 64
 
 
 class SyncError(SliptsimError, RuntimeError):
@@ -352,10 +358,50 @@ def _shape(read, n_samples: int, config: OfdmConfig, lead: int) -> np.ndarray:
     return out[: lead + n]
 
 
+def _frame_source(stack):
+    """(n_frames, ``pieces``) of one stack of a burst: frames [n_frames,
+    n_carriers], one frame, or a payload (bits, plan).
+
+    ``pieces(i, j)`` yields (first frame, symbols) pieces that cover frames
+    i..j-1 in order.  A payload is mapped by :func:`modulate_plan`
+    ``_PLAN_ROWS`` frames at a time, one call per group, and only the group
+    read last and the one before are held: shaping reads move forward and
+    overlap by fewer samples than a group's blocks, so no group is mapped
+    twice.  The mapping treats rows independently, so every frame equals
+    the one the whole bit stream maps to, bit for bit.
+    """
+    if not isinstance(stack, tuple):
+        stack = np.atleast_2d(stack)
+        return len(stack), lambda i, j: [(i, stack[i:j])]
+    bits, plan = stack
+    bits = np.asarray(bits, dtype=np.uint8)
+    bpf = plan.total_bits
+    if bpf == 0 or bits.size % bpf:
+        raise ParameterError(
+            f"a payload needs whole frames of its plan's {bpf} bits, got {bits.size} bits"
+        )
+    n_frames = bits.size // bpf
+    held = {}  # group index -> symbols, for the group read last and the one before
+
+    def pieces(i: int, j: int):
+        for g in range(i // _PLAN_ROWS, -(-j // _PLAN_ROWS)):
+            lo = g * _PLAN_ROWS
+            if g not in held:
+                for old in [k for k in held if k != g - 1]:
+                    del held[old]
+                n = min(_PLAN_ROWS, n_frames - lo)
+                held[g] = modulate_plan(bits[lo * bpf : (lo + n) * bpf], plan, n)
+            a, b = max(i, lo), min(j, lo + _PLAN_ROWS)
+            yield a, held[g][a - lo : b - lo]
+
+    return n_frames, pieces
+
+
 def _block_reader(stacks, config: OfdmConfig):
-    """(``read``, length) of the symbol-rate stream of the frame stacks'
+    """(``read``, length) of the symbol-rate stream of the stacks'
     cyclic-prefixed blocks laid end to end, in order; each stack is
-    [n_frames, n_carriers] or one frame.
+    [n_frames, n_carriers], one frame or a payload (bits, plan) (see
+    :func:`_frame_source`).
 
     ``read(lo, hi)`` returns samples lo..hi-1 of that stream, zero outside
     it, and builds only the blocks the range covers: their frames are
@@ -364,10 +410,10 @@ def _block_reader(stacks, config: OfdmConfig):
     each; the real IFFT transforms rows independently, so every block
     equals the one :func:`ofdm_core` gives for the whole stack, bit for bit.
     """
-    stacks = [np.atleast_2d(stack) for stack in stacks]
-    ends = np.cumsum([len(stack) for stack in stacks])
+    sources = [_frame_source(stack) for stack in stacks]
+    ends = np.cumsum([count for count, _ in sources])
     n, cp, length = config.fft_size, config.cp_length, config.block_length
-    total = sum(map(len, stacks)) * length
+    total = sum(count for count, _ in sources) * length
 
     def read(lo: int, hi: int) -> np.ndarray:
         out = np.zeros(hi - lo)
@@ -376,14 +422,15 @@ def _block_reader(stacks, config: OfdmConfig):
             return out
         first, last = a // length, -(-b // length)
         blocks = np.empty((last - first, length))
-        for stack, end in zip(stacks, ends):
-            start = end - len(stack)
+        for (count, pieces), end in zip(sources, ends):
+            start = end - count
             i, j = max(first, start), min(last, end)
             if i < j:
-                core = ofdm_core(stack[i - start : j - start], config)
-                rows = blocks[i - first : j - first]
-                rows[:, cp:] = core
-                rows[:, :cp] = core[:, n - cp :]
+                for k, symbols in pieces(i - start, j - start):
+                    core = ofdm_core(symbols, config)
+                    rows = blocks[start + k - first :][: len(core)]
+                    rows[:, cp:] = core
+                    rows[:, :cp] = core[:, n - cp :]
         out[a - lo : b - lo] = blocks.ravel()[a - first * length : b - first * length]
         return out
 
@@ -404,14 +451,17 @@ def assemble_frame(symbols, config: OfdmConfig) -> np.ndarray:
 
 def assemble_burst(stacks, config: OfdmConfig) -> tuple[np.ndarray, np.ndarray, int]:
     """Shaped real sample stream of a burst: the sync preamble, then the
-    blocks of the frame stacks in order (pilot repeats, then frames).
+    blocks of the stacks in order (pilot repeats, then frames).
 
+    Each stack is frames [n_frames, n_carriers], one frame, or a payload
+    (bits, plan), whose frames are the bits mapped by :func:`modulate_plan`.
     The blocks are shaped into one stream after ``first`` leading samples,
     the preamble's stride of ``preamble_length`` symbols, and the shaped
     preamble is added into its head, so block b starts at sample ``first +
     b * config.block_stride``.  Each shaping chunk builds the blocks it
-    reads from the stacks, so the stream is the only array of the burst's
-    length made here.
+    reads from the stacks, and a payload is mapped ``_PLAN_ROWS`` frames at
+    a time as the chunks reach them, so the stream is the only array of the
+    burst's length made here.
 
     Returns (stream, shaped preamble segment, first block offset).
     """
@@ -553,6 +603,45 @@ def _matched_filter_phase(stream: np.ndarray, start: int, count: int, config: Of
     return (y[:, 0] for y in chunks)
 
 
+def _receive_batches(
+    stream, first_block_start: int, n_blocks: int, config: OfdmConfig, rows: int = _PLAN_ROWS
+):
+    """:func:`receive_blocks`'s data-carrier symbols in consecutive batches
+    of ``rows`` blocks (the last one shorter): a generator of new arrays,
+    each filled as the matched filter's chunks complete its windows.  The
+    arguments are checked when the first batch is asked for."""
+    if n_blocks < 0:
+        raise ParameterError(f"n_blocks must be non-negative, got {n_blocks}")
+    stream = np.asarray(stream, dtype=float)
+    osf = config.oversampling_factor
+    delay = 2 * group_delay(config)
+    advance = config.cp_length // 2
+    first = first_block_start + delay + (config.cp_length - advance) * osf
+    last = first + (n_blocks - 1) * config.block_stride + (config.fft_size - 1) * osf
+    if n_blocks > 0 and first < 0:
+        raise ParameterError("first FFT window starts before the stream")
+    if n_blocks > 0 and last >= len(stream) + len(rrc_taps(config)) - 1:
+        raise ParameterError("stream too short for the requested block count")
+    n, n_sym = config.fft_size, config.block_length
+    batch, filled, done, rest = None, 0, 0, np.zeros(0)
+    for chunk in _matched_filter_phase(stream, first, n_blocks * n_sym, config):
+        y = np.concatenate([rest, chunk])
+        k = len(y) // n_sym
+        windows = y[: k * n_sym].reshape(k, n_sym)[:, :n]
+        spectra = np.fft.rfft(windows, axis=-1)[:, 1 : n // 2]
+        rest = y[k * n_sym :]
+        while len(spectra):
+            if batch is None:
+                batch = np.empty((min(rows, n_blocks - done), n // 2 - 1), dtype=complex)
+                filled = 0
+            m = min(len(spectra), len(batch) - filled)
+            batch[filled : filled + m] = spectra[:m]
+            spectra, filled = spectra[m:], filled + m
+            if filled == len(batch):
+                yield batch
+                batch, done = None, done + filled
+
+
 def receive_blocks(
     stream,
     first_block_start: int,
@@ -576,32 +665,13 @@ def receive_blocks(
     are transformed straight into the result, so the result is the only
     array that grows with ``n_blocks``.  Window bounds are checked against
     the full-rate filter output, of length ``len(stream) + len(taps) - 1``.
+    The result is the one batch of ``_receive_batches`` with ``n_blocks``
+    rows, the receive path the link's payload burst takes batch by batch.
 
     Returns data-carrier symbols [n_blocks, data_subcarriers].
     """
-    if n_blocks < 0:
-        raise ParameterError(f"n_blocks must be non-negative, got {n_blocks}")
-    stream = np.asarray(stream, dtype=float)
-    osf = config.oversampling_factor
-    delay = 2 * group_delay(config)
-    advance = config.cp_length // 2
-    first = first_block_start + delay + (config.cp_length - advance) * osf
-    last = first + (n_blocks - 1) * config.block_stride + (config.fft_size - 1) * osf
-    if n_blocks > 0 and first < 0:
-        raise ParameterError("first FFT window starts before the stream")
-    if n_blocks > 0 and last >= len(stream) + len(rrc_taps(config)) - 1:
-        raise ParameterError("stream too short for the requested block count")
-    n, n_sym = config.fft_size, config.block_length
-    out = np.empty((n_blocks, config.data_subcarriers), dtype=complex)
-    row, rest = 0, np.zeros(0)
-    for chunk in _matched_filter_phase(stream, first, n_blocks * n_sym, config):
-        y = np.concatenate([rest, chunk])
-        k = len(y) // n_sym
-        windows = y[: k * n_sym].reshape(k, n_sym)[:, :n]
-        out[row : row + k] = np.fft.rfft(windows, axis=-1)[:, 1 : n // 2]
-        row += k
-        rest = y[k * n_sym :]
-    return out
+    batches = _receive_batches(stream, first_block_start, n_blocks, config, max(n_blocks, 1))
+    return next(batches, np.empty((0, config.data_subcarriers), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -699,17 +769,6 @@ def estimate_snr(equalized_symbols, reference_symbols) -> SubcarrierSnr:
     return SubcarrierSnr(snr, measured)
 
 
-def measure_ber(tx_bits, rx_bits) -> float:
-    """Fraction of mismatched bits; streams must have equal length."""
-    tx = np.asarray(tx_bits).ravel()
-    rx = np.asarray(rx_bits).ravel()
-    if tx.shape != rx.shape:
-        raise ParameterError(f"bit stream lengths differ: {tx.size} vs {rx.size}")
-    if tx.size == 0:
-        return 0.0
-    return float(np.mean(tx != rx))
-
-
 def data_rate(plan: BitLoadingPlan, config: OfdmConfig) -> float:
     """Payload rate in bits/s: sum(b_k) * fs / ((fft + cp) * osf)."""
     return plan.total_bits * config.sample_rate_hz / config.block_stride
@@ -718,12 +777,6 @@ def data_rate(plan: BitLoadingPlan, config: OfdmConfig) -> float:
 # ---------------------------------------------------------------------------
 # Plan-driven modulation
 # ---------------------------------------------------------------------------
-
-# frames mapped per chunk by the plan (de)modulators: it bounds their
-# temporaries (about 0.5 MB of symbols at the default size) whatever the
-# frame count, so none of them is a burst's length
-_PLAN_ROWS = 64
-
 
 def _plan_groups(plan: BitLoadingPlan):
     """(bit count b, carriers, frame-bit columns, amplitude scales) of each

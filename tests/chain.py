@@ -23,6 +23,7 @@ from scipy.special import erfc
 import sliptsim
 from sliptsim import ofdm
 from sliptsim.calibrate import CalibrationTargets
+from sliptsim.errors import ParameterError
 from sliptsim.link import _one_pole
 from sliptsim.loading import BitLoadingPlan
 from sliptsim.ofdm import (
@@ -33,7 +34,6 @@ from sliptsim.ofdm import (
     estimate_channel,
     generate_bits,
     make_preamble,
-    measure_ber,
     modulate_plan,
     ofdm_core,
     overlap_add,
@@ -471,6 +471,18 @@ def integer_demodulate_plan(symbols, plan: BitLoadingPlan) -> np.ndarray:
         rec = integer_qam_demodulate(scaled.ravel(), 2**b)
         frame_bits[:, _listed_columns(plan, carriers)] = rec.reshape(n_frames, -1)
     return frame_bits.ravel()
+
+
+def measure_ber(tx_bits, rx_bits) -> float:
+    """Fraction of mismatched bits; streams must have equal length: the
+    whole-burst BER the link's batch-by-batch error count equals."""
+    tx = np.asarray(tx_bits).ravel()
+    rx = np.asarray(rx_bits).ravel()
+    if tx.shape != rx.shape:
+        raise ParameterError(f"bit stream lengths differ: {tx.size} vs {rx.size}")
+    if tx.size == 0:
+        return 0.0
+    return float(np.mean(tx != rx))
 
 
 def build_tx_stream(frames, config: OfdmConfig, lead_pad=0, tail_pad=256):

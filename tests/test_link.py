@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from chain import reference_channel
-from sliptsim import link
+from chain import measure_ber, reference_channel
+from sliptsim import link, ofdm
 from sliptsim.calibrate import calibrated_receiver
 from sliptsim.link import (
     _CHANNEL_CHUNK,
@@ -26,14 +26,19 @@ from sliptsim.link import (
     snr_crossing_bandwidth,
     sweep,
 )
+from sliptsim.errors import ParameterError
 from sliptsim.loading import BitLoadingPlan, bit_power_loading
 from sliptsim.ofdm import (
     OfdmConfig,
     SubcarrierSnr,
     SyncError,
     assemble_burst,
+    demodulate_plan,
+    equalize,
+    estimate_channel,
     generate_bits,
     modulate_plan,
+    receive_blocks,
     rrc_taps,
     synchronize,
 )
@@ -208,30 +213,31 @@ class TestRunLink:
         assert report.data_rate_bps > 0
 
     def test_payload_symbols_are_freed_before_the_channel(self, monkeypatch):
-        # every symbol array run_link modulates (pilot, measurement,
-        # payload), and which of them are alive at each channel pass
-        made, alive = [], []
-        modulate, channel = link.modulate_plan, link._apply_channel
+        # the payload enters the burst as bits: the transmitter maps them a
+        # group of _PLAN_ROWS frames at a time through ofdm.modulate_plan
+        # (the pilot and measurement frames come from link's binding), and
+        # no group outlives the shaping, so none is alive at a channel pass
+        groups, alive = [], []
+        modulate, channel = ofdm.modulate_plan, link._apply_channel
 
         def tracked_modulate(*args):
             symbols = modulate(*args)
-            made.append(weakref.ref(symbols))
+            groups.append((len(symbols), weakref.ref(symbols)))
             return symbols
 
         def tracked_channel(*args):
-            alive.append([ref() is not None for ref in made])
+            alive.append(any(ref() is not None for _, ref in groups))
             return channel(*args)
 
-        monkeypatch.setattr(link, "modulate_plan", tracked_modulate)
+        monkeypatch.setattr(ofdm, "modulate_plan", tracked_modulate)
         monkeypatch.setattr(link, "_apply_channel", tracked_channel)
         report = run_link(
             default_transmitter(), quiet_receiver(), FAST_CFG, seed=1,
-            n_measurement_frames=12, n_payload_frames=4,
+            n_measurement_frames=12, n_payload_frames=2 * ofdm._PLAN_ROWS + 3,
         )
         assert report.total_bits_per_frame > 0
-        # the measurement symbols are the SNR estimate's reference; the
-        # payload's are carried by the stream alone
-        assert alive == [[True, True], [True, True, False]]
+        assert [n for n, _ in groups] == [ofdm._PLAN_ROWS, ofdm._PLAN_ROWS, 3]
+        assert alive == [False, False]
 
     def test_deterministic_given_seed(self):
         cfg = FAST_CFG
@@ -293,6 +299,86 @@ class TestRunLink:
         b = profile(2 * base_psd)
         delta = a.db() - b.db()
         assert np.all(np.abs(delta - 3.0) <= 0.2)
+
+
+class TestRunLinkArguments:
+    """run_link's frame counts and seed are integers in their legal range,
+    refused with a ParameterError, which sweep records in its row."""
+
+    CONFIG = OfdmConfig(fft_size=64, cp_length=5, sample_rate_hz=7.68e9)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_payload_frames", 2.5),
+        ("n_pilot_frames", 2.0),
+        ("seed", 1.5),
+        ("n_pilot_frames", -1),
+        ("seed", -1),
+        ("n_pilot_frames", 0),
+        ("n_measurement_frames", 0),
+    ])
+    def test_counts_and_seed_are_checked(self, name, value):
+        with pytest.raises(ParameterError, match=name):
+            run_link(default_transmitter(), default_receiver("S2"), self.CONFIG, **{name: value})
+
+    def test_sweep_records_a_negative_seed(self):
+        [report] = sweep([("S2", default_receiver("S2"))], default_transmitter(),
+                         self.CONFIG, seed=-1)
+        assert report.error == "ParameterError: seed must be at least 0, got -1"
+
+
+class TestStreamedPayload:
+    """run_link maps its payload bits a group at a time and counts bit
+    errors a receive batch at a time.  The whole-burst oracle maps every
+    frame at once, then receives every block (``receive_blocks``) and
+    equalizes, demaps and measures the BER of the whole payload
+    (``equalize``, ``demodulate_plan``, ``measure_ber``); the reports must
+    be equal, field for field."""
+
+    CONFIG = OfdmConfig(fft_size=64, cp_length=5, sample_rate_hz=7.68e9)
+
+    @pytest.mark.parametrize("n_payload", [0, 1, 130])
+    @pytest.mark.parametrize("n_pilot", [8, 230])
+    def test_ber_and_report_equal_the_whole_burst_oracle(self, monkeypatch, n_pilot, n_payload):
+        config = self.CONFIG
+        # 230 pilots straddle the first receive chunk (about 215 blocks of
+        # this config) and the first receive batches
+        osf = config.oversampling_factor
+        k = ofdm._polyphase_taps_cached(osf, config.rolloff).shape[1] + 1
+        chunk_blocks = (ofdm._fft_size(k) - k + 1) * ofdm._CHUNK_BLOCKS / config.block_length
+        assert ofdm._PLAN_ROWS < chunk_blocks < 230
+        tx = replace(default_transmitter(), drive_vpp=1.5)  # overdriven: errors occur
+        kwargs = dict(seed=5, n_pilot_frames=n_pilot, n_payload_frames=n_payload)
+        report = run_link(tx, default_receiver("S2"), config, **kwargs)
+
+        run_burst, oracle_ber = link._run_burst, []
+
+        def whole_burst(payload, pilot, n_pilot_frames, *args):
+            if not isinstance(payload, tuple):  # the measurement burst
+                return run_burst(payload, pilot, n_pilot_frames, *args)
+            bits, plan = payload
+            frames = modulate_plan(bits, plan, bits.size // plan.total_bits)
+            n_blocks = n_pilot_frames + len(frames)
+            stream, pre_seg, pre_stride = assemble_burst(
+                [np.tile(pilot, (n_pilot_frames, 1)), frames], config
+            )
+            rx, clipped = link._apply_channel(stream, *args)
+            header = _header_length(config, n_pilot_frames, pre_stride, len(pre_seg))
+            first = synchronize(rx[:header], pre_seg) + pre_stride
+            blocks = receive_blocks(rx, first, n_blocks, config)
+            gains = estimate_channel(blocks[:n_pilot_frames], pilot)
+            rx_bits = demodulate_plan(equalize(blocks[n_pilot_frames:], gains), plan)
+            oracle_ber.append(measure_ber(bits, rx_bits))
+            return int(np.count_nonzero(rx_bits != bits)), gains, clipped
+
+        monkeypatch.setattr(link, "_run_burst", whole_burst)
+        oracle = run_link(tx, default_receiver("S2"), config, **kwargs)
+        assert report.total_bits_per_frame > 0
+        assert report.ber == oracle.ber == oracle_ber[0]
+        assert (report.ber > 0) == (n_payload == 130)
+        assert report.csv_row() == oracle.csv_row()
+        assert np.array_equal(report.snr.snr_linear, oracle.snr.snr_linear)
+        assert np.array_equal(report.plan.bits, oracle.plan.bits)
+        assert np.array_equal(report.plan.power, oracle.plan.power)
 
 
 class TestGoldenLink:
@@ -558,48 +644,65 @@ class TestChannelOracle:
         assert peak <= 0.04 * nbytes
 
     def test_burst_memory_is_bounded(self):
-        """A 1000-frame burst allocates at most 1.35x its stream's bytes
-        above what is live at entry: the stream, which carries the burst
-        from shaping to the received samples, plus, at the peak, the
-        receiver's data-carrier result (a quarter of the stream's bytes)
-        and one chunk's working set (1.30x measured; the bound leaves
-        0.05x, about 1.7 MB).  The stream is dropped before the equalizer
-        runs.  The receiver's whole matched-filter phase and full-width
-        spectrum took 1.50x, with a second zeroed stream for the preamble
-        and the channel's full-length std-dev scratch and filter output
-        2.25x, and a channel that keeps its input intact about 3.25x."""
+        """A 1000-frame burst allocates at most 1.15x its stream's bytes
+        above what is live at entry (its bits or frames included) when its
+        payload is bits, as run_link's is, and 1.35x when it is frames, as
+        the measurement burst's are.  Bits: the stream, which carries the
+        burst from shaping to the received samples, plus, at the peak,
+        chunk-sized working sets, two groups of mapped frames and a shaping
+        chunk or a receive batch and a filter chunk (1.106x measured; the
+        bound leaves 0.044x, about 1.5 MB).  Frames: the stream plus the
+        receiver's whole result, a quarter of the stream's bytes, and a
+        chunk's working set (1.30x measured); the stream is dropped before
+        the equalizer runs.  The receiver's whole matched-filter phase and
+        full-width spectrum took 1.50x, with a second zeroed stream for the
+        preamble and the channel's full-length std-dev scratch and filter
+        output 2.25x, and a channel that keeps its input intact about
+        3.25x."""
         config = OfdmConfig()
-        n_pilot = 8
-        frames = qpsk_frames(config, 1000 - n_pilot, 5)
+        n_pilot, n_frames = 8, 1000 - 8
+        bits = np.full(config.data_subcarriers, 2)
+        bits[:68] = 3
+        plan = BitLoadingPlan(bits, np.ones(config.data_subcarriers))
+        payload = generate_bits(5, n_frames * plan.total_bits)
+        frames = modulate_plan(payload, plan, n_frames)
         pilot = qpsk_frames(config, 1, 1)[0]
         tx = default_transmitter()
         chain, mean_fraction, current = s2_channel_inputs(tx)
-        stream, _, _ = assemble_burst([np.tile(pilot, (n_pilot, 1)), frames], config)
-        nbytes = stream.nbytes
-        del stream
-        rng = np.random.default_rng(3)
-        # the burst's lazy imports happen outside the traced window
-        _run_burst(frames[:2], pilot, n_pilot, tx, chain, config,
-                   mean_fraction, current, np.random.default_rng(0))
-        tracemalloc.start()
-        try:
-            eq, _, _ = _run_burst(frames, pilot, n_pilot, tx, chain, config,
-                                  mean_fraction, current, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert eq.shape == frames.shape
-        assert peak <= 1.35 * nbytes
+        nbytes = assemble_burst([np.tile(pilot, (n_pilot, 1)), frames], config)[0].nbytes
+        cases = [
+            ((payload, plan), (payload[: 2 * plan.total_bits], plan), 1.15),
+            (frames, frames[:2], 1.35),
+        ]
+        received = []
+        for burst, warm_up, bound in cases:
+            # the burst's lazy imports and caches fill outside the traced window
+            _run_burst(warm_up, pilot, n_pilot, tx, chain, config,
+                       mean_fraction, current, np.random.default_rng(0))
+            tracemalloc.start()
+            try:
+                received.append(_run_burst(burst, pilot, n_pilot, tx, chain, config,
+                                           mean_fraction, current, np.random.default_rng(3))[0])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * nbytes
+        # one burst, one channel draw: the count equals the frames' errors
+        errors, equalized = received
+        assert 0 < errors == np.count_nonzero(demodulate_plan(equalized, plan) != payload)
+        assert errors < payload.size // 100
 
     def test_bench_shaped_link_memory_is_bounded(self):
-        """A default-modem S2 ``run_link`` of 1024 payload frames, whose
-        caller holds no frames, allocates at most 1.45x its payload
-        stream's bytes: at the peak, TX shaping of the payload burst, with
-        the payload symbols (a quarter of the stream's bytes), its bits and
-        the measurement burst's reference beside the stream (1.404x
-        measured; the bound leaves 0.046x, about 1.6 MB; 1.79x with a
-        whole block buffer, the whole matched-filter phase and the integer
-        bit mapping)."""
+        """A default-modem S2 ``run_link`` of 1024 payload frames allocates
+        at most 1.19x its payload stream's bytes: at the peak, TX shaping
+        of the payload burst, with the payload bits, two groups of mapped
+        frames and a shaping chunk beside the stream (its receiver's
+        batches peak 0.15 MB lower); the measurement burst's frames are
+        freed once the SNR is estimated (1.140x
+        measured; the bound leaves 0.05x, about 1.7 MB; 1.404x with the
+        payload symbols mapped whole and the measurement frames kept, 1.79x
+        with a whole block buffer, the whole matched-filter phase and the
+        integer bit mapping)."""
         config = OfdmConfig()
         tx = default_transmitter()
         chain = default_receiver("S2")
@@ -618,7 +721,7 @@ class TestChannelOracle:
             config.preamble_length * config.oversampling_factor
             + n_blocks * config.block_stride + len(rrc_taps(config)) - 1
         )
-        assert peak <= 1.45 * nbytes
+        assert peak <= 1.19 * nbytes
 
 
 class TestHeaderSync:

@@ -12,6 +12,7 @@ from chain import (
     digital_loopback,
     integer_demodulate_plan,
     integer_modulate_plan,
+    measure_ber,
     reference_core,
     whole_buffer_blocks,
     whole_buffer_burst,
@@ -34,7 +35,6 @@ from sliptsim.ofdm import (
     generate_bits,
     make_preamble,
     matched_filter,
-    measure_ber,
     modulate_plan,
     ofdm_core,
     overlap_add,
@@ -765,6 +765,75 @@ class TestPlanMapping:
         assert np.array_equal(rx, payload)
         assert mod_peak <= symbols.nbytes + 1.5 * 2**20
         assert demod_peak <= rx.nbytes + 1.5 * 2**20
+
+
+class TestPayloadBits:
+    """A payload given as (bits, plan) shapes and receives as the frames its
+    bits map to, by exact equality, with groups and batches of
+    ``_PLAN_ROWS`` frames that straddle shaping chunks, receive chunks and
+    the pilot stack's edge."""
+
+    @pytest.mark.parametrize("plan_rows, chunk_blocks", [(4, 1), (4, 3), (64, 16)])
+    def test_bits_shape_as_their_frames(self, rng, monkeypatch, plan_rows, chunk_blocks):
+        monkeypatch.setattr(ofdm, "_PLAN_ROWS", plan_rows)
+        monkeypatch.setattr(ofdm, "_CHUNK_BLOCKS", chunk_blocks)
+        plan = random_plan(rng, SMALL.data_subcarriers)
+        n_frames = 2 * plan_rows + 3
+        bits = generate_bits(8, n_frames * plan.total_bits)
+        pilots = np.tile(random_stack(rng, 1, SMALL), (3, 1))
+        frames = modulate_plan(bits, plan, n_frames)
+        ref = assemble_burst([pilots, frames], SMALL)
+        groups = []
+        modulate = ofdm.modulate_plan
+
+        def tracked(*args):
+            groups.append(modulate(*args))
+            return groups[-1]
+
+        monkeypatch.setattr(ofdm, "modulate_plan", tracked)
+        got = assemble_burst([pilots, (bits, plan)], SMALL)
+        assert np.array_equal(got[0], ref[0])
+        # shaping reads move forward: each group is mapped once
+        assert [len(g) for g in groups] == [plan_rows, plan_rows, 3]
+        assert np.array_equal(np.vstack(groups), frames)
+
+    def test_reader_of_bits_at_group_and_stack_edges(self, rng, monkeypatch):
+        # every read range that starts or ends on a block, group or stack
+        # edge, one sample either side, or outside the stream, in any order
+        monkeypatch.setattr(ofdm, "_PLAN_ROWS", 2)
+        plan = random_plan(rng, SMALL.data_subcarriers)
+        bits = generate_bits(9, 5 * plan.total_bits)
+        stacks = [np.tile(random_stack(rng, 1, SMALL), (3, 1)), (bits, plan)]
+        whole = whole_buffer_blocks([stacks[0], modulate_plan(bits, plan, 5)], SMALL).ravel()
+        read, n_samples = ofdm._block_reader(stacks, SMALL)
+        assert n_samples == len(whole) == 8 * SMALL.block_length
+        edges = [k * SMALL.block_length for k in range(9)]
+        points = sorted({e + d for e in edges for d in (-1, 0, 1)} | {-200, n_samples + 200})
+        for lo in reversed(points):
+            for hi in points:
+                if lo < hi:
+                    assert np.array_equal(read(lo, hi), ofdm._window(whole, lo, hi))
+
+    @pytest.mark.parametrize("n_bits, loaded", [(7, True), (0, False)], ids=["partial", "unloaded"])
+    def test_bits_must_fill_whole_frames_of_a_loaded_plan(self, n_bits, loaded):
+        nd = SMALL.data_subcarriers
+        plan = BitLoadingPlan(np.full(nd, 2 if loaded else 0), np.full(nd, 1.0 if loaded else 0.0))
+        with pytest.raises(ParameterError, match="whole frames"):
+            assemble_burst([(np.zeros(n_bits, dtype=np.uint8), plan)], SMALL)
+
+    @pytest.mark.parametrize("rows", [1, 5, 64])
+    @pytest.mark.parametrize("n_blocks", [0, 1, 60])
+    def test_receive_batches_make_up_the_whole_result(self, rng, rows, n_blocks):
+        # 60 blocks span two receive chunks of the default config
+        frames = random_stack(rng, max(n_blocks, 1), CFG)
+        stream, _, first = build_tx_stream(list(frames), CFG, lead_pad=100)
+        stream = stream + rng.normal(0.0, 0.01, len(stream))
+        whole = receive_blocks(stream, first, n_blocks, CFG)
+        batches = list(ofdm._receive_batches(stream, first, n_blocks, CFG, rows))
+        assert [len(b) for b in batches] == [
+            min(rows, n_blocks - lo) for lo in range(0, n_blocks, rows)
+        ]
+        assert np.array_equal(np.concatenate([whole[:0], *batches]), whole)
 
 
 class TestTypedErrors:
