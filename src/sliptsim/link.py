@@ -340,13 +340,6 @@ def _apply_channel(
 # Full link run
 # ---------------------------------------------------------------------------
 
-def _pilot_symbols(config: OfdmConfig, seed) -> np.ndarray:
-    """Known QPSK reference frame used for channel estimation."""
-    nd = config.data_subcarriers
-    plan = BitLoadingPlan(np.full(nd, 2), np.ones(nd))
-    return modulate_plan(generate_bits(seed, 2 * nd), plan, 1)[0]
-
-
 def _header_length(
     config: OfdmConfig, n_pilot_frames: int, pre_stride: int, preamble_samples: int
 ) -> int:
@@ -360,9 +353,8 @@ def _header_length(
     return max(header, 2 * preamble_samples)
 
 
-def _run_burst(
-    payload,
-    pilot: np.ndarray,
+def _send_burst(
+    stacks,
     n_pilot_frames: int,
     tx: TransmitterModel,
     chain: ReceiverChain,
@@ -370,53 +362,37 @@ def _run_burst(
     mean_fraction: float,
     operating_current_a: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray | int, np.ndarray, float]:
-    """Transmit one burst (preamble + pilots + payload) through the channel
-    and receive it.
+) -> tuple[np.ndarray, int, float]:
+    """Transmit one burst (the preamble, then the blocks of ``stacks``,
+    whose first ``n_pilot_frames`` are pilots) through the channel and
+    locate it.
 
-    ``payload`` is frames [n_frames, n_carriers] or (bits, plan), the bits
-    mapped onto the plan's frames.  Returns (equalized frames for frames,
-    the count of bit errors for bits; estimated gains; clip fraction).  Each
-    burst carries its own pilot repetitions, so the equalizer always matches
-    the burst's drive scaling.  The preamble sits at the start of the burst,
-    so it is searched for only in the burst header (:func:`_header_length`),
-    and the synchronizer's peak-to-sidelobe check is measured over that
-    fixed window, whatever the payload length.
-
-    Bits are mapped as shaping reaches them and counted as the receiver's
-    batches complete (:func:`_count_errors`), so beside the stream the burst
-    holds only its bits and chunk-sized working sets.  Frames are received
-    whole, and the stream is dropped before the equalizer runs.
+    Returns (received samples, start of the first block, clip fraction).
+    The stacks are (bits, plan) pairs, mapped as shaping reaches them
+    (:func:`assemble_burst`), and the channel turns the stream's own buffer
+    into the received samples, so the burst holds one array of its length.
+    Each burst carries its own pilot repetitions, so the equalizer always
+    matches the burst's drive scaling.  The preamble sits at the start of
+    the burst, so it is searched for only in the burst header
+    (:func:`_header_length`), and the synchronizer's peak-to-sidelobe check
+    is measured over that fixed window, whatever the burst's length.
     """
-    is_bits = isinstance(payload, tuple)
-    n_frames = len(payload[0]) // payload[1].total_bits if is_bits else len(payload)
-    n_blocks = n_pilot_frames + n_frames
-    stream, pre_seg, pre_stride = assemble_burst(
-        [np.tile(pilot, (n_pilot_frames, 1)), payload], config
-    )
-    # the channel consumes the stream: its buffer returns the received samples
+    stream, pre_seg, pre_stride = assemble_burst(stacks, config)
     rx_samples, clip_fraction = _apply_channel(
         stream, tx, chain, config, mean_fraction, operating_current_a, rng
     )
-    del stream
     header = _header_length(config, n_pilot_frames, pre_stride, len(pre_seg))
     first = synchronize(rx_samples[:header], pre_seg) + pre_stride
-    if is_bits:
-        batches = _receive_batches(rx_samples, first, n_blocks, config)
-        return *_count_errors(batches, pilot, n_pilot_frames, *payload), clip_fraction
-    blocks = receive_blocks(rx_samples, first, n_blocks, config)
-    del rx_samples
-    gains = estimate_channel(blocks[:n_pilot_frames], pilot)
-    return equalize(blocks[n_pilot_frames:], gains), gains, clip_fraction
+    return rx_samples, first, clip_fraction
 
 
 def _count_errors(
     batches, pilot: np.ndarray, n_pilot_frames: int, bits: np.ndarray, plan: BitLoadingPlan
-) -> tuple[int, np.ndarray]:
-    """(bit errors, estimated gains) of a received payload burst, from its
-    blocks in consecutive batches: the first ``n_pilot_frames`` blocks
-    estimate the gains, and the frames of each batch are equalized,
-    demapped and compared with their bits.  Rows are equalized and demapped
+) -> int:
+    """Bit errors of a received payload burst, from its blocks in
+    consecutive batches: the first ``n_pilot_frames`` blocks estimate the
+    gains, and the frames of each batch are equalized, demapped and
+    compared with their bits.  Rows are equalized and demapped
     independently, so the count equals the whole burst's, bit for bit."""
     bpf = plan.total_bits
     pilots = np.empty((n_pilot_frames, len(pilot)), dtype=complex)
@@ -431,7 +407,7 @@ def _count_errors(
         if k < len(batch):
             rx_bits = demodulate_plan(equalize(batch[k:], gains), plan)
             errors += int(np.count_nonzero(rx_bits != bits[lo : lo + rx_bits.size]))
-    return errors, gains
+    return errors
 
 
 def run_link(
@@ -487,21 +463,24 @@ def run_link(
     f3db = chain.f3db_hz()
     mean_fraction = float(fractions.mean())
 
-    pilot = _pilot_symbols(config, [seed, 1])
-    measurement_bits = generate_bits(
-        [seed, 2], 2 * config.data_subcarriers * n_measurement_frames
-    )
-    qpsk_plan = BitLoadingPlan(
-        np.full(config.data_subcarriers, 2), np.ones(config.data_subcarriers)
-    )
-    measurement = modulate_plan(measurement_bits, qpsk_plan, n_measurement_frames)
+    nd = config.data_subcarriers
+    qpsk = BitLoadingPlan(np.full(nd, 2), np.ones(nd))
+    pilot_bits = generate_bits([seed, 1], 2 * nd)
+    pilot = modulate_plan(pilot_bits, qpsk, 1)[0]
+    pilots = (np.tile(pilot_bits, n_pilot_frames), qpsk)
+    channel = (tx, chain, config, mean_fraction, op.current_a, rng)
 
-    eq_measure, gains, clip_fraction = _run_burst(
-        measurement, pilot, n_pilot_frames, tx, chain, config,
-        mean_fraction, op.current_a, rng,
+    measurement_bits = generate_bits([seed, 2], 2 * nd * n_measurement_frames)
+    rx_samples, first, clip_fraction = _send_burst(
+        [pilots, (measurement_bits, qpsk)], n_pilot_frames, *channel
     )
-    snr = estimate_snr(eq_measure, measurement)
-    del eq_measure, measurement
+    blocks = receive_blocks(rx_samples, first, n_pilot_frames + n_measurement_frames, config)
+    del rx_samples
+    gains = estimate_channel(blocks[:n_pilot_frames], pilot)
+    eq_measure = equalize(blocks[n_pilot_frames:], gains)
+    del blocks
+    snr = estimate_snr(eq_measure, modulate_plan(measurement_bits, qpsk, n_measurement_frames))
+    del eq_measure
 
     usable = snr.measured & (np.abs(gains) > 0)
     plan = bit_power_loading(
@@ -511,10 +490,11 @@ def run_link(
     # --- payload burst ------------------------------------------------------
     if plan.total_bits > 0:
         payload_bits = generate_bits([seed, 3], n_payload_frames * plan.total_bits)
-        errors, _, _ = _run_burst(
-            (payload_bits, plan), pilot, n_pilot_frames, tx, chain, config,
-            mean_fraction, op.current_a, rng,
+        rx_samples, first, _ = _send_burst(
+            [pilots, (payload_bits, plan)], n_pilot_frames, *channel
         )
+        batches = _receive_batches(rx_samples, first, n_pilot_frames + n_payload_frames, config)
+        errors = _count_errors(batches, pilot, n_pilot_frames, payload_bits, plan)
         ber = errors / payload_bits.size if payload_bits.size else 0.0
     else:
         ber = math.nan

@@ -9,9 +9,11 @@ the cores are real by construction), and the cyclic-prefixed blocks laid
 end to end form a symbol-rate stream that one root-raised-cosine filter
 shapes at the oversampled rate.  A burst (:func:`assemble_burst`) is the
 sync preamble followed by the blocks of its stacks, shaped into one stream
-with the preamble added into its head; a frame stack alone
-(:func:`assemble_frame`) is the single-stack case without the preamble, and
-a single frame is a stack of one.
+with the preamble added into its head.  Every stack of a burst is bits
+mapped onto a plan, (bits, plan): the pilots, the measurement frames and
+the payload alike.  A frame stack given as symbols (:func:`assemble_frame`)
+is shaped alone, without the preamble, and a single frame is a stack of
+one.
 
 Both RRC filters run in polyphase form through one chunked overlap-save
 routine, so no zero of the oversampled grid is filtered and no output the
@@ -21,8 +23,8 @@ the only array of a burst's length the modem builds.  TX shaping filters
 the symbol-rate stream with each of the ``osf`` tap phases and interleaves
 the phases into the result, which equals zero-stuffing and filtering at the
 full rate; each chunk builds the blocks its window covers straight from the
-frame stacks, and a payload given as bits is mapped ``_PLAN_ROWS`` frames
-at a time as the chunks reach it.  The receiver locates the preamble by
+stacks, whose bits are mapped ``_PLAN_ROWS`` frames at a time as the
+chunks reach them.  The receiver locates the preamble by
 cross-correlation, through the same routine with the reversed preamble as
 its one filter (the link searches only the burst header), then filters the
 ``osf`` polyphase components of the received stream into the one
@@ -84,7 +86,7 @@ _SNR_CEILING_DB = 60.0
 _MIN_PSL_DB = 3.0
 
 # frames mapped per chunk by the plan (de)modulators, and per group and
-# batch by a payload burst's transmitter and receiver: it bounds their
+# batch by a burst's transmitter and a payload's receiver: it bounds their
 # temporaries (about 0.5 MB of symbols at the default size) whatever the
 # frame count, so none of them is a burst's length
 _PLAN_ROWS = 64
@@ -358,27 +360,23 @@ def _shape(read, n_samples: int, config: OfdmConfig, lead: int) -> np.ndarray:
     return out[: lead + n]
 
 
-def _frame_source(stack):
-    """(n_frames, ``pieces``) of one stack of a burst: frames [n_frames,
-    n_carriers], one frame, or a payload (bits, plan).
+def _frame_source(bits, plan: BitLoadingPlan):
+    """(n_frames, ``pieces``) of one stack of a burst: ``bits`` mapped onto
+    whole frames of ``plan``.
 
     ``pieces(i, j)`` yields (first frame, symbols) pieces that cover frames
-    i..j-1 in order.  A payload is mapped by :func:`modulate_plan`
+    i..j-1 in order.  The bits are mapped by :func:`modulate_plan`
     ``_PLAN_ROWS`` frames at a time, one call per group, and only the group
     read last and the one before are held: shaping reads move forward and
     overlap by fewer samples than a group's blocks, so no group is mapped
     twice.  The mapping treats rows independently, so every frame equals
     the one the whole bit stream maps to, bit for bit.
     """
-    if not isinstance(stack, tuple):
-        stack = np.atleast_2d(stack)
-        return len(stack), lambda i, j: [(i, stack[i:j])]
-    bits, plan = stack
     bits = np.asarray(bits, dtype=np.uint8)
     bpf = plan.total_bits
     if bpf == 0 or bits.size % bpf:
         raise ParameterError(
-            f"a payload needs whole frames of its plan's {bpf} bits, got {bits.size} bits"
+            f"a stack needs whole frames of its plan's {bpf} bits, got {bits.size} bits"
         )
     n_frames = bits.size // bpf
     held = {}  # group index -> symbols, for the group read last and the one before
@@ -397,11 +395,10 @@ def _frame_source(stack):
     return n_frames, pieces
 
 
-def _block_reader(stacks, config: OfdmConfig):
-    """(``read``, length) of the symbol-rate stream of the stacks'
-    cyclic-prefixed blocks laid end to end, in order; each stack is
-    [n_frames, n_carriers], one frame or a payload (bits, plan) (see
-    :func:`_frame_source`).
+def _block_reader(sources, config: OfdmConfig):
+    """(``read``, length) of the symbol-rate stream of the cyclic-prefixed
+    blocks of the sources' frames laid end to end, in order; each source is
+    (n_frames, ``pieces``), as :func:`_frame_source` gives.
 
     ``read(lo, hi)`` returns samples lo..hi-1 of that stream, zero outside
     it, and builds only the blocks the range covers: their frames are
@@ -410,7 +407,6 @@ def _block_reader(stacks, config: OfdmConfig):
     each; the real IFFT transforms rows independently, so every block
     equals the one :func:`ofdm_core` gives for the whole stack, bit for bit.
     """
-    sources = [_frame_source(stack) for stack in stacks]
     ends = np.cumsum([count for count, _ in sources])
     n, cp, length = config.fft_size, config.cp_length, config.block_length
     total = sum(count for count, _ in sources) * length
@@ -445,7 +441,8 @@ def assemble_frame(symbols, config: OfdmConfig) -> np.ndarray:
     ``config.block_length`` symbols each, so block b of the returned full
     convolution starts at sample ``b * config.block_stride``.
     """
-    read, n_samples = _block_reader([symbols], config)
+    frames = np.atleast_2d(symbols)
+    read, n_samples = _block_reader([(len(frames), lambda i, j: [(i, frames[i:j])])], config)
     return _shape(read, n_samples, config, 0)
 
 
@@ -453,21 +450,25 @@ def assemble_burst(stacks, config: OfdmConfig) -> tuple[np.ndarray, np.ndarray, 
     """Shaped real sample stream of a burst: the sync preamble, then the
     blocks of the stacks in order (pilot repeats, then frames).
 
-    Each stack is frames [n_frames, n_carriers], one frame, or a payload
-    (bits, plan), whose frames are the bits mapped by :func:`modulate_plan`.
-    The blocks are shaped into one stream after ``first`` leading samples,
-    the preamble's stride of ``preamble_length`` symbols, and the shaped
-    preamble is added into its head, so block b starts at sample ``first +
-    b * config.block_stride``.  Each shaping chunk builds the blocks it
-    reads from the stacks, and a payload is mapped ``_PLAN_ROWS`` frames at
-    a time as the chunks reach them, so the stream is the only array of the
-    burst's length made here.
+    Each stack is a (bits, :class:`BitLoadingPlan`) pair, whose frames are
+    the bits mapped by :func:`modulate_plan`; anything else raises
+    :class:`ParameterError`.  The blocks are shaped into one stream after
+    ``first`` leading samples, the preamble's stride of ``preamble_length``
+    symbols, and the shaped preamble is added into its head, so block b
+    starts at sample ``first + b * config.block_stride``.  Each shaping
+    chunk builds the blocks it reads, and the bits are mapped
+    ``_PLAN_ROWS`` frames at a time as the chunks reach them, so the stream
+    is the only array of the burst's length made here.
 
     Returns (stream, shaped preamble segment, first block offset).
     """
+    for k, stack in enumerate(stacks):
+        if not (isinstance(stack, tuple) and len(stack) == 2
+                and isinstance(stack[1], BitLoadingPlan)):
+            raise ParameterError(f"stack {k} of a burst is not a (bits, BitLoadingPlan) pair")
     _, pre_seg = make_preamble(config)
     first = config.preamble_length * config.oversampling_factor
-    read, n_samples = _block_reader(stacks, config)
+    read, n_samples = _block_reader([_frame_source(*stack) for stack in stacks], config)
     stream = _shape(read, n_samples, config, first)
     stream[: len(pre_seg)] += pre_seg
     return stream, pre_seg, first
@@ -483,11 +484,6 @@ def overlap_add(segments, stride: int) -> np.ndarray:
     for i, seg in enumerate(segments):
         out[i * stride : i * stride + len(seg)] += seg
     return out
-
-
-def group_delay(config: OfdmConfig) -> int:
-    """One-way filter delay in oversampled samples."""
-    return (len(rrc_taps(config)) - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +610,7 @@ def _receive_batches(
         raise ParameterError(f"n_blocks must be non-negative, got {n_blocks}")
     stream = np.asarray(stream, dtype=float)
     osf = config.oversampling_factor
-    delay = 2 * group_delay(config)
+    delay = len(rrc_taps(config)) - 1  # both RRC filters' group delays
     advance = config.cp_length // 2
     first = first_block_start + delay + (config.cp_length - advance) * osf
     last = first + (n_blocks - 1) * config.block_stride + (config.fft_size - 1) * osf

@@ -117,7 +117,7 @@ class SegmentGeometry:
             warnings.warn(
                 f"n_segments={self.n_segments} is outside the fabricated set "
                 f"{PREFERRED_SEGMENT_COUNTS}; proceeding anyway",
-                stacklevel=2,
+                stacklevel=3,
             )
         if self.junction_area_mm2 is not None and self.junction_area_mm2 <= 0:
             raise ParameterError("junction_area_mm2 override must be positive")
@@ -207,7 +207,7 @@ class IlluminationProfile:
             warnings.warn(
                 f"responsivity {self.responsivity_a_w:.3f} A/W exceeds the "
                 f"quantum limit {limit:.3f} A/W at {self.wavelength_nm:.0f} nm",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

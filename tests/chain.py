@@ -1,12 +1,13 @@
 """Shared helpers for tests: the beam's closed-form irradiance, an
 independent oracle of the device solver (per-segment bracketed ``brentq``
 solves of the implicit single-diode equation, the string I-V and a
-golden-section MPP), calibration targets
-generated from known fit parameters, the complex IFFT of a DCO-OFDM block's
-full Hermitian spectrum, the modem's whole-buffer transmit and receive paths
-and its integer bit mapping, a configurable digital loopback, a plain
-reference of the link's optical/electrical channel, a reader of the CSV
-artifacts and a runner of probes in a fresh interpreter."""
+golden-section MPP), calibration targets generated from known fit
+parameters, the complex IFFT of a DCO-OFDM block's full Hermitian spectrum,
+the burst of a frame stack given as symbols, the modem's whole-buffer
+transmit and receive paths and its integer bit mapping, a configurable
+digital loopback, a plain reference of the link's optical/electrical
+channel, a reader of the CSV artifacts and a runner of probes in a fresh
+interpreter."""
 
 import csv
 import math
@@ -38,6 +39,7 @@ from sliptsim.ofdm import (
     ofdm_core,
     overlap_add,
     receive_blocks,
+    rrc_taps,
     synchronize,
 )
 from sliptsim.ppc import (
@@ -386,6 +388,19 @@ def whole_buffer_blocks(stacks, config: OfdmConfig) -> np.ndarray:
     return np.concatenate([core[:, config.fft_size - config.cp_length :], core], axis=1)
 
 
+def frames_burst(frames, config: OfdmConfig):
+    """The burst of a frame stack [n_frames, n_carriers] given as symbols:
+    the preamble's stride of zeros, then the frames shaped by
+    ``assemble_frame``, with the shaped preamble added into the head.
+    (stream, shaped preamble, first block offset), as ``assemble_burst``
+    gives for the bits the frames map from."""
+    _, pre_seg = make_preamble(config)
+    first = config.preamble_length * config.oversampling_factor
+    stream = np.concatenate([np.zeros(first), assemble_frame(frames, config)])
+    stream[: len(pre_seg)] += pre_seg
+    return stream, pre_seg, first
+
+
 def whole_buffer_burst(stacks, config: OfdmConfig):
     """``assemble_burst`` shaping the whole block buffer at once: (stream,
     shaped preamble, first block offset)."""
@@ -401,8 +416,9 @@ def whole_buffer_receive(stream, first_block_start, n_blocks, config: OfdmConfig
     """``receive_blocks`` holding the whole matched-filter phase ``y`` and
     one FFT of every window: [n_blocks, data_subcarriers]."""
     osf, n, n_sym = config.oversampling_factor, config.fft_size, config.block_length
+    # both RRC filters' group delays, then the CP samples ahead of the window
     first = (
-        first_block_start + 2 * ofdm.group_delay(config)
+        first_block_start + len(rrc_taps(config)) - 1
         + (config.cp_length - config.cp_length // 2) * osf
     )
     chunks = ofdm._matched_filter_phase(stream, first, n_blocks * n_sym, config)

@@ -179,7 +179,7 @@ def test_the_public_surface_does_not_grow():
     # or a settable value raises them in its own diff
     counts = [surface(inspect.getsource(importlib.import_module(n))) for n in SURFACE_MODULES]
     functions, settable = map(sum, zip(*counts))
-    assert functions <= 56
+    assert functions <= 55
     assert settable <= 110
 
 

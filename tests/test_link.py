@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from chain import measure_ber, reference_channel
+from chain import frames_burst, measure_ber, reference_channel
 from sliptsim import link, ofdm
 from sliptsim.calibrate import calibrated_receiver
 from sliptsim.link import (
@@ -16,9 +16,10 @@ from sliptsim.link import (
     LinkReport,
     TransmitterModel,
     _apply_channel,
+    _count_errors,
     _header_length,
     _one_pole,
-    _run_burst,
+    _send_burst,
     _std,
     _sum_of_squares,
     channel_response,
@@ -32,6 +33,7 @@ from sliptsim.ofdm import (
     OfdmConfig,
     SubcarrierSnr,
     SyncError,
+    _receive_batches,
     assemble_burst,
     demodulate_plan,
     equalize,
@@ -200,23 +202,24 @@ class TestRunLink:
         # gentle drive keeps the waveform strictly inside the laser's linear
         # window, so the only impairment left is the modem's own EVM floor
         tx = replace(default_transmitter(), drive_vpp=0.4)
-        report = run_link(
-            tx,
-            quiet_receiver(cap_density=1e-15),  # corner far above the band
-            replace(FAST_CFG, clip_sigma=None),
-            seed=3,
-            n_measurement_frames=20,
-            n_payload_frames=6,
-        )
+        with pytest.warns(UserWarning, match="SNR estimated from only 20"):
+            report = run_link(
+                tx,
+                quiet_receiver(cap_density=1e-15),  # corner far above the band
+                replace(FAST_CFG, clip_sigma=None),
+                seed=3,
+                n_measurement_frames=20,
+                n_payload_frames=6,
+            )
         assert report.clip_fraction == 0.0
         assert report.ber == 0.0
         assert report.data_rate_bps > 0
 
     def test_payload_symbols_are_freed_before_the_channel(self, monkeypatch):
-        # the payload enters the burst as bits: the transmitter maps them a
+        # every stack enters its burst as bits: the transmitter maps them a
         # group of _PLAN_ROWS frames at a time through ofdm.modulate_plan
-        # (the pilot and measurement frames come from link's binding), and
-        # no group outlives the shaping, so none is alive at a channel pass
+        # (the pilot and SNR references come from link's binding), and no
+        # group outlives the shaping, so none is alive at a channel pass
         groups, alive = [], []
         modulate, channel = ofdm.modulate_plan, link._apply_channel
 
@@ -231,28 +234,33 @@ class TestRunLink:
 
         monkeypatch.setattr(ofdm, "modulate_plan", tracked_modulate)
         monkeypatch.setattr(link, "_apply_channel", tracked_channel)
-        report = run_link(
-            default_transmitter(), quiet_receiver(), FAST_CFG, seed=1,
-            n_measurement_frames=12, n_payload_frames=2 * ofdm._PLAN_ROWS + 3,
-        )
+        with pytest.warns(UserWarning, match="SNR estimated from only 12"):
+            report = run_link(
+                default_transmitter(), quiet_receiver(), FAST_CFG, seed=1,
+                n_measurement_frames=12, n_payload_frames=2 * ofdm._PLAN_ROWS + 3,
+            )
         assert report.total_bits_per_frame > 0
-        assert [n for n, _ in groups] == [ofdm._PLAN_ROWS, ofdm._PLAN_ROWS, 3]
+        # the measurement burst's 8 pilots and 12 frames, then the payload
+        # burst's 8 pilots and its three groups
+        assert [n for n, _ in groups] == [8, 12, 8, ofdm._PLAN_ROWS, ofdm._PLAN_ROWS, 3]
         assert alive == [False, False]
 
     def test_deterministic_given_seed(self):
         cfg = FAST_CFG
         kwargs = dict(n_measurement_frames=12, n_payload_frames=4)
-        a = run_link(default_transmitter(), quiet_receiver(), cfg, seed=9, **kwargs)
-        b = run_link(default_transmitter(), quiet_receiver(), cfg, seed=9, **kwargs)
+        with pytest.warns(UserWarning, match="SNR estimated from only 12"):
+            a = run_link(default_transmitter(), quiet_receiver(), cfg, seed=9, **kwargs)
+            b = run_link(default_transmitter(), quiet_receiver(), cfg, seed=9, **kwargs)
         assert a.csv_row() == b.csv_row()
         assert np.array_equal(a.snr.snr_linear, b.snr.snr_linear)
         assert np.array_equal(a.plan.bits, b.plan.bits)
 
     def test_report_fields_populated(self):
-        report = run_link(
-            default_transmitter(), quiet_receiver(), FAST_CFG, seed=1,
-            n_measurement_frames=12, n_payload_frames=4,
-        )
+        with pytest.warns(UserWarning, match="SNR estimated from only 12"):
+            report = run_link(
+                default_transmitter(), quiet_receiver(), FAST_CFG, seed=1,
+                n_measurement_frames=12, n_payload_frames=4,
+            )
         assert report.f3db_hz > 0
         assert report.pmp_w > 0
         assert 0 < report.imp_isc <= 1
@@ -266,10 +274,11 @@ class TestRunLink:
         # 15-carrier modem: the reported rate must equal the hand formula
         cfg = OfdmConfig(fft_size=32, cp_length=5, sample_rate_hz=1e9,
                          clip_sigma=None)
-        report = run_link(
-            default_transmitter(), quiet_receiver(), cfg, seed=2,
-            n_measurement_frames=30, n_payload_frames=8,
-        )
+        with pytest.warns(UserWarning, match="SNR estimated from only 30"):
+            report = run_link(
+                default_transmitter(), quiet_receiver(), cfg, seed=2,
+                n_measurement_frames=30, n_payload_frames=8,
+            )
         expected = report.plan.total_bits * 1e9 / ((32 + 5) * 4)
         assert report.data_rate_bps == pytest.approx(expected, rel=1e-12)
 
@@ -327,12 +336,13 @@ class TestRunLinkArguments:
 
 
 class TestStreamedPayload:
-    """run_link maps its payload bits a group at a time and counts bit
-    errors a receive batch at a time.  The whole-burst oracle maps every
-    frame at once, then receives every block (``receive_blocks``) and
-    equalizes, demaps and measures the BER of the whole payload
-    (``equalize``, ``demodulate_plan``, ``measure_ber``); the reports must
-    be equal, field for field."""
+    """run_link maps every stack's bits a group at a time and counts the
+    payload's bit errors a receive batch at a time.  The whole-burst oracle
+    maps every frame of a burst at once and shapes them as symbols
+    (``frames_burst``), then receives every payload block
+    (``receive_blocks``) and equalizes, demaps and measures the BER of the
+    whole payload (``equalize``, ``demodulate_plan``, ``measure_ber``); the
+    reports must be equal, field for field."""
 
     CONFIG = OfdmConfig(fft_size=64, cp_length=5, sample_rate_hz=7.68e9)
 
@@ -350,27 +360,30 @@ class TestStreamedPayload:
         kwargs = dict(seed=5, n_pilot_frames=n_pilot, n_payload_frames=n_payload)
         report = run_link(tx, default_receiver("S2"), config, **kwargs)
 
-        run_burst, oracle_ber = link._run_burst, []
+        oracle_ber = []
 
-        def whole_burst(payload, pilot, n_pilot_frames, *args):
-            if not isinstance(payload, tuple):  # the measurement burst
-                return run_burst(payload, pilot, n_pilot_frames, *args)
-            bits, plan = payload
-            frames = modulate_plan(bits, plan, bits.size // plan.total_bits)
-            n_blocks = n_pilot_frames + len(frames)
-            stream, pre_seg, pre_stride = assemble_burst(
-                [np.tile(pilot, (n_pilot_frames, 1)), frames], config
-            )
+        def whole_burst(stacks, n_pilot_frames, *args):
+            frames = np.vstack([
+                modulate_plan(bits, plan, bits.size // plan.total_bits) for bits, plan in stacks
+            ])
+            stream, pre_seg, pre_stride = frames_burst(frames, config)
             rx, clipped = link._apply_channel(stream, *args)
             header = _header_length(config, n_pilot_frames, pre_stride, len(pre_seg))
-            first = synchronize(rx[:header], pre_seg) + pre_stride
-            blocks = receive_blocks(rx, first, n_blocks, config)
+            return rx, synchronize(rx[:header], pre_seg) + pre_stride, clipped
+
+        def whole_receive(stream, first, n_blocks, config):
+            return [receive_blocks(stream, first, n_blocks, config)]
+
+        def whole_count(batches, pilot, n_pilot_frames, bits, plan):
+            [blocks] = batches
             gains = estimate_channel(blocks[:n_pilot_frames], pilot)
             rx_bits = demodulate_plan(equalize(blocks[n_pilot_frames:], gains), plan)
             oracle_ber.append(measure_ber(bits, rx_bits))
-            return int(np.count_nonzero(rx_bits != bits)), gains, clipped
+            return int(np.count_nonzero(rx_bits != bits))
 
-        monkeypatch.setattr(link, "_run_burst", whole_burst)
+        monkeypatch.setattr(link, "_send_burst", whole_burst)
+        monkeypatch.setattr(link, "_receive_batches", whole_receive)
+        monkeypatch.setattr(link, "_count_errors", whole_count)
         oracle = run_link(tx, default_receiver("S2"), config, **kwargs)
         assert report.total_bits_per_frame > 0
         assert report.ber == oracle.ber == oracle_ber[0]
@@ -433,10 +446,10 @@ class TestGoldenLink:
         assert np.all(np.abs(report.plan.power - self.POWER) <= 1e-12 * self.POWER)
 
 
-def qpsk_frames(config, n_frames, seed):
+def qpsk_stack(config, n_frames, seed):
+    """A (bits, plan) stack of n_frames QPSK frames on every carrier."""
     nd = config.data_subcarriers
-    plan = BitLoadingPlan(np.full(nd, 2), np.ones(nd))
-    return modulate_plan(generate_bits(seed, 2 * nd * n_frames), plan, n_frames)
+    return generate_bits(seed, 2 * nd * n_frames), BitLoadingPlan(np.full(nd, 2), np.ones(nd))
 
 
 def s2_channel_inputs(tx):
@@ -590,7 +603,7 @@ class TestChannelOracle:
             # 40 default frames: 166,095 samples, two full chunks of the
             # std-dev leaves and the noise draw and a partial third
             config = OfdmConfig()
-        stream, _, _ = assemble_burst([qpsk_frames(config, 40, 3)], config)
+        stream, _, _ = assemble_burst([qpsk_stack(config, 40, 3)], config)
         if case == "chunked":
             assert 2 * _CHANNEL_CHUNK < len(stream) < 3 * _CHANNEL_CHUNK
         if case == "overdriven":
@@ -629,7 +642,7 @@ class TestChannelOracle:
         separate working buffer about 2.0x, a new array per step about
         4.0x)."""
         config = OfdmConfig()
-        stream, _, _ = assemble_burst([qpsk_frames(config, 1000, 5)], config)
+        stream, _, _ = assemble_burst([qpsk_stack(config, 1000, 5)], config)
         nbytes = stream.nbytes
         tx = default_transmitter()
         chain, mean_fraction, current = s2_channel_inputs(tx)
@@ -644,45 +657,60 @@ class TestChannelOracle:
         assert peak <= 0.04 * nbytes
 
     def test_burst_memory_is_bounded(self):
-        """A 1000-frame burst allocates at most 1.15x its stream's bytes
-        above what is live at entry (its bits or frames included) when its
-        payload is bits, as run_link's is, and 1.35x when it is frames, as
-        the measurement burst's are.  Bits: the stream, which carries the
-        burst from shaping to the received samples, plus, at the peak,
-        chunk-sized working sets, two groups of mapped frames and a shaping
-        chunk or a receive batch and a filter chunk (1.106x measured; the
-        bound leaves 0.044x, about 1.5 MB).  Frames: the stream plus the
-        receiver's whole result, a quarter of the stream's bytes, and a
-        chunk's working set (1.30x measured); the stream is dropped before
-        the equalizer runs.  The receiver's whole matched-filter phase and
-        full-width spectrum took 1.50x, with a second zeroed stream for the
-        preamble and the channel's full-length std-dev scratch and filter
-        output 2.25x, and a channel that keeps its input intact about
-        3.25x."""
+        """A 1000-frame burst sent by ``_send_burst`` allocates at most
+        1.15x its stream's bytes above what is live at entry (its bits
+        included) when its errors are counted batch by batch, as run_link's
+        payload burst's are, and 1.35x when its blocks are received whole
+        and equalized, as the measurement burst's are.  Counted: the stream,
+        which carries the burst from shaping to the received samples, plus,
+        at the peak, chunk-sized working sets, two groups of mapped frames
+        and a shaping chunk or a receive batch and a filter chunk (1.105x
+        measured; the bound leaves 0.044x, about 1.5 MB).  Whole: the stream
+        plus the receiver's whole result, a quarter of the stream's bytes,
+        and a chunk's working set (1.30x measured); the stream is dropped
+        before the equalizer runs.  The receiver's whole matched-filter
+        phase and full-width spectrum took 1.50x, with a second zeroed
+        stream for the preamble and the channel's full-length std-dev
+        scratch and filter output 2.25x, and a channel that keeps its input
+        intact about 3.25x."""
         config = OfdmConfig()
         n_pilot, n_frames = 8, 1000 - 8
         bits = np.full(config.data_subcarriers, 2)
         bits[:68] = 3
         plan = BitLoadingPlan(bits, np.ones(config.data_subcarriers))
         payload = generate_bits(5, n_frames * plan.total_bits)
-        frames = modulate_plan(payload, plan, n_frames)
-        pilot = qpsk_frames(config, 1, 1)[0]
+        pilot_bits, qpsk = qpsk_stack(config, 1, 1)
+        pilot = modulate_plan(pilot_bits, qpsk, 1)[0]
+        pilots = (np.tile(pilot_bits, n_pilot), qpsk)
         tx = default_transmitter()
         chain, mean_fraction, current = s2_channel_inputs(tx)
-        nbytes = assemble_burst([np.tile(pilot, (n_pilot, 1)), frames], config)[0].nbytes
-        cases = [
-            ((payload, plan), (payload[: 2 * plan.total_bits], plan), 1.15),
-            (frames, frames[:2], 1.35),
-        ]
+        nbytes = assemble_burst([pilots, (payload, plan)], config)[0].nbytes
+
+        def send(bits, seed):
+            rx, first, _ = _send_burst(
+                [pilots, (bits, plan)], n_pilot, tx, chain, config,
+                mean_fraction, current, np.random.default_rng(seed),
+            )
+            return rx, first, n_pilot + bits.size // plan.total_bits
+
+        def counted(bits, seed):
+            rx, first, n_blocks = send(bits, seed)
+            batches = _receive_batches(rx, first, n_blocks, config)
+            return _count_errors(batches, pilot, n_pilot, bits, plan)
+
+        def received_whole(bits, seed):
+            rx, first, n_blocks = send(bits, seed)
+            blocks = receive_blocks(rx, first, n_blocks, config)
+            del rx
+            return equalize(blocks[n_pilot:], estimate_channel(blocks[:n_pilot], pilot))
+
         received = []
-        for burst, warm_up, bound in cases:
+        for receive, bound in [(counted, 1.15), (received_whole, 1.35)]:
             # the burst's lazy imports and caches fill outside the traced window
-            _run_burst(warm_up, pilot, n_pilot, tx, chain, config,
-                       mean_fraction, current, np.random.default_rng(0))
+            receive(payload[: 2 * plan.total_bits], 0)
             tracemalloc.start()
             try:
-                received.append(_run_burst(burst, pilot, n_pilot, tx, chain, config,
-                                           mean_fraction, current, np.random.default_rng(3))[0])
+                received.append(receive(payload, 3))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -732,8 +760,8 @@ class TestHeaderSync:
         tx = default_transmitter()
         chain, mean_fraction, current = s2_channel_inputs(tx)
         n_pilot = 8
-        frames = np.vstack([qpsk_frames(config, n_pilot, 1), qpsk_frames(config, 100, 2)])
-        stream, pre_seg, pre_stride = assemble_burst([frames], config)
+        stacks = [qpsk_stack(config, n_pilot, 1), qpsk_stack(config, 100, 2)]
+        stream, pre_seg, pre_stride = assemble_burst(stacks, config)
         rx, _ = _apply_channel(
             stream, tx, chain, config, mean_fraction, current,
             np.random.default_rng(4),
@@ -747,20 +775,19 @@ class TestHeaderSync:
         tx = default_transmitter()
         chain, _, current = s2_channel_inputs(tx)
         chain = replace(chain, noise=noise)
-        pilot = qpsk_frames(FAST_CFG, 1, 1)[0]
         # no light reaches the device: the burst is receiver noise only, or
         # with the noise switched off, all zeros, whose correlation has no
         # peak at any lag
         with pytest.raises(SyncError):
-            _run_burst(
-                qpsk_frames(FAST_CFG, 100, 2), pilot, 8, tx, chain, FAST_CFG,
-                0.0, current, np.random.default_rng(6),
+            _send_burst(
+                [qpsk_stack(FAST_CFG, 8, 1), qpsk_stack(FAST_CFG, 100, 2)], 8, tx, chain,
+                FAST_CFG, 0.0, current, np.random.default_rng(6),
             )
 
     @pytest.mark.parametrize("fft_size", [64, 32])
     def test_header_holds_the_preamble_with_one_pilot(self, fft_size):
         config = OfdmConfig(fft_size=fft_size, cp_length=5, sample_rate_hz=7.68e9)
-        _, pre_seg, pre_stride = assemble_burst([qpsk_frames(config, 1, 0)], config)
+        _, pre_seg, pre_stride = assemble_burst([qpsk_stack(config, 1, 0)], config)
         header = _header_length(config, 1, pre_stride, len(pre_seg))
         # the preamble plus lags beyond the correlation main lobe
         assert header > len(pre_seg) + len(pre_seg) // 8

@@ -10,6 +10,7 @@ from scipy.special import ndtr
 from chain import (
     build_tx_stream,
     digital_loopback,
+    frames_burst,
     integer_demodulate_plan,
     integer_modulate_plan,
     measure_ber,
@@ -386,12 +387,33 @@ class TestLoopback:
         assert ber == 0.0
 
 
-def random_stack(rng, n_frames, config):
-    """Unit-power QPSK frames [n_frames, data_subcarriers]."""
+def random_qpsk(rng, n_frames, config):
+    """A (bits, plan) stack of n_frames unit-power QPSK frames."""
     nd = config.data_subcarriers
     plan = BitLoadingPlan(np.full(nd, 2), np.ones(nd))
-    bits = generate_bits(int(rng.integers(2**31)), 2 * nd * n_frames)
-    return modulate_plan(bits, plan, n_frames)
+    return generate_bits(int(rng.integers(2**31)), 2 * nd * n_frames), plan
+
+
+def frames_of(stack):
+    """The frames [n_frames, n_carriers] a (bits, plan) stack maps to."""
+    bits, plan = stack
+    return modulate_plan(bits, plan, bits.size // plan.total_bits)
+
+
+def tiled(stack, n):
+    """A (bits, plan) stack repeated n times: pilot repeats."""
+    bits, plan = stack
+    return np.tile(bits, n), plan
+
+
+def sources(stacks):
+    """The block reader's (n_frames, pieces) sources of (bits, plan) stacks."""
+    return [ofdm._frame_source(*stack) for stack in stacks]
+
+
+def random_stack(rng, n_frames, config):
+    """Unit-power QPSK frames [n_frames, data_subcarriers]."""
+    return frames_of(random_qpsk(rng, n_frames, config))
 
 
 def shape_samples(samples, config):
@@ -443,9 +465,9 @@ class TestBatchedWaveform:
             assert np.abs(stream - ref).max() <= BATCH_TOL * np.abs(ref).max()
 
     def test_burst_stream_matches_per_frame_oracle(self, rng):
-        frames = random_stack(rng, 20, CFG)
-        stream, pre_seg, first = assemble_burst([frames], CFG)
-        ref, _, ref_first = build_tx_stream(list(frames), CFG, tail_pad=0)
+        stack = random_qpsk(rng, 20, CFG)
+        stream, pre_seg, first = assemble_burst([stack], CFG)
+        ref, _, ref_first = build_tx_stream(list(frames_of(stack)), CFG, tail_pad=0)
         assert first == ref_first
         assert np.array_equal(pre_seg, make_preamble(CFG)[1])
         assert len(stream) == len(ref)
@@ -454,20 +476,23 @@ class TestBatchedWaveform:
     def test_chunked_ifft_equals_whole_stack_core(self, rng):
         # pilot repeats, then frames: the blocks each shaping chunk builds
         # for itself, read back to back, against one IFFT of every frame
-        stacks = [np.tile(random_stack(rng, 1, CFG), (3, 1)), random_stack(rng, 40, CFG)]
-        ref = whole_buffer_blocks(stacks, CFG)
-        read, n_samples = ofdm._block_reader(stacks, CFG)
+        stacks = [tiled(random_qpsk(rng, 1, CFG), 3), random_qpsk(rng, 40, CFG)]
+        ref = whole_buffer_blocks([frames_of(stack) for stack in stacks], CFG)
+        read, n_samples = ofdm._block_reader(sources(stacks), CFG)
         assert n_samples == ref.size
         got = np.concatenate([read(lo, lo + 1000) for lo in range(0, n_samples, 1000)])
         assert np.array_equal(got[:n_samples], ref.ravel())
 
     def test_burst_adds_the_preamble_into_the_shaped_head(self, rng):
-        # the preamble and the shaped frames overlap-added into a new stream
-        stacks = [np.tile(random_stack(rng, 1, CFG), (8, 1)), random_stack(rng, 20, CFG)]
+        # the preamble and the shaped frames overlap-added into a new stream,
+        # and the burst of the frames given as symbols
+        stacks = [tiled(random_qpsk(rng, 1, CFG), 8), random_qpsk(rng, 20, CFG)]
         stream, pre_seg, first = assemble_burst(stacks, CFG)
-        ref = overlap_add([pre_seg, assemble_frame(np.vstack(stacks), CFG)], first)
+        frames = np.vstack([frames_of(stack) for stack in stacks])
+        ref = overlap_add([pre_seg, assemble_frame(frames, CFG)], first)
         assert first == CFG.preamble_length * CFG.oversampling_factor < len(pre_seg)
         assert np.array_equal(stream, ref)
+        assert np.array_equal(frames_burst(frames, CFG)[0], ref)
 
     def test_single_frame_is_a_stack_of_one(self, rng):
         frame = random_stack(rng, 1, SMALL)
@@ -646,11 +671,11 @@ class TestStreamedModem:
         # a pilot stack, a one-frame stack and a longer one: stack edges
         # fall inside chunks and on their edges
         stacks = [
-            np.tile(random_stack(rng, 1, config), (3, 1)),
-            random_stack(rng, 1, config)[0],
-            random_stack(rng, 150, config),
+            tiled(random_qpsk(rng, 1, config), 3),
+            random_qpsk(rng, 1, config),
+            random_qpsk(rng, 150, config),
         ]
-        ref = whole_buffer_burst(stacks, config)
+        ref = whole_buffer_burst([frames_of(stack) for stack in stacks], config)
         monkeypatch.setattr(ofdm, "_CHUNK_BLOCKS", chunk_blocks)
         stream, pre_seg, first = assemble_burst(stacks, config)
         assert first == ref[2]
@@ -659,24 +684,25 @@ class TestStreamedModem:
 
     @pytest.mark.parametrize("chunk_blocks", [1, 3, 64])
     def test_default_burst_equals_the_whole_buffer_path(self, rng, monkeypatch, chunk_blocks):
-        stacks = [np.tile(random_stack(rng, 1, CFG), (8, 1)), random_stack(rng, 40, CFG)]
-        ref, _, _ = whole_buffer_burst(stacks, CFG)
+        stacks = [tiled(random_qpsk(rng, 1, CFG), 8), random_qpsk(rng, 40, CFG)]
+        frames = [frames_of(stack) for stack in stacks]
+        ref, _, _ = whole_buffer_burst(frames, CFG)
         monkeypatch.setattr(ofdm, "_CHUNK_BLOCKS", chunk_blocks)
         assert np.array_equal(assemble_burst(stacks, CFG)[0], ref)
-        whole = whole_buffer_blocks(stacks, CFG).ravel()
-        assert np.array_equal(assemble_frame(np.vstack(stacks), CFG), shape_samples(whole, CFG))
+        whole = whole_buffer_blocks(frames, CFG).ravel()
+        assert np.array_equal(assemble_frame(np.vstack(frames), CFG), shape_samples(whole, CFG))
 
     def test_block_reader_at_frame_stack_and_chunk_edges(self, rng):
         # stacks of 3, 1 and 4 frames: every read range that starts or ends
         # on a block or stack edge, one sample either side, or outside the
         # stream, against the whole block buffer zero-padded
         stacks = [
-            np.tile(random_stack(rng, 1, SMALL), (3, 1)),
-            random_stack(rng, 1, SMALL),
-            random_stack(rng, 4, SMALL),
+            tiled(random_qpsk(rng, 1, SMALL), 3),
+            random_qpsk(rng, 1, SMALL),
+            random_qpsk(rng, 4, SMALL),
         ]
-        whole = whole_buffer_blocks(stacks, SMALL).ravel()
-        read, n_samples = ofdm._block_reader(stacks, SMALL)
+        whole = whole_buffer_blocks([frames_of(stack) for stack in stacks], SMALL).ravel()
+        read, n_samples = ofdm._block_reader(sources(stacks), SMALL)
         assert n_samples == len(whole) == 8 * SMALL.block_length
         edges = [k * SMALL.block_length for k in range(9)]
         points = sorted({e + d for e in edges for d in (-1, 0, 1)} | {-200, n_samples + 200})
@@ -768,10 +794,10 @@ class TestPlanMapping:
 
 
 class TestPayloadBits:
-    """A payload given as (bits, plan) shapes and receives as the frames its
-    bits map to, by exact equality, with groups and batches of
-    ``_PLAN_ROWS`` frames that straddle shaping chunks, receive chunks and
-    the pilot stack's edge."""
+    """A burst's stacks are (bits, plan) pairs, and a payload shapes and
+    receives as the frames its bits map to, by exact equality, with groups
+    and batches of ``_PLAN_ROWS`` frames that straddle shaping chunks,
+    receive chunks and the pilot stack's edge."""
 
     @pytest.mark.parametrize("plan_rows, chunk_blocks", [(4, 1), (4, 3), (64, 16)])
     def test_bits_shape_as_their_frames(self, rng, monkeypatch, plan_rows, chunk_blocks):
@@ -780,9 +806,9 @@ class TestPayloadBits:
         plan = random_plan(rng, SMALL.data_subcarriers)
         n_frames = 2 * plan_rows + 3
         bits = generate_bits(8, n_frames * plan.total_bits)
-        pilots = np.tile(random_stack(rng, 1, SMALL), (3, 1))
+        pilots = tiled(random_qpsk(rng, 1, SMALL), 3)
         frames = modulate_plan(bits, plan, n_frames)
-        ref = assemble_burst([pilots, frames], SMALL)
+        ref = frames_burst(np.vstack([frames_of(pilots), frames]), SMALL)
         groups = []
         modulate = ofdm.modulate_plan
 
@@ -793,9 +819,10 @@ class TestPayloadBits:
         monkeypatch.setattr(ofdm, "modulate_plan", tracked)
         got = assemble_burst([pilots, (bits, plan)], SMALL)
         assert np.array_equal(got[0], ref[0])
-        # shaping reads move forward: each group is mapped once
-        assert [len(g) for g in groups] == [plan_rows, plan_rows, 3]
-        assert np.array_equal(np.vstack(groups), frames)
+        # shaping reads move forward: each group is mapped once, the
+        # pilots' one and then the payload's
+        assert [len(g) for g in groups] == [3, plan_rows, plan_rows, 3]
+        assert np.array_equal(np.vstack(groups[1:]), frames)
 
     def test_reader_of_bits_at_group_and_stack_edges(self, rng, monkeypatch):
         # every read range that starts or ends on a block, group or stack
@@ -803,9 +830,9 @@ class TestPayloadBits:
         monkeypatch.setattr(ofdm, "_PLAN_ROWS", 2)
         plan = random_plan(rng, SMALL.data_subcarriers)
         bits = generate_bits(9, 5 * plan.total_bits)
-        stacks = [np.tile(random_stack(rng, 1, SMALL), (3, 1)), (bits, plan)]
-        whole = whole_buffer_blocks([stacks[0], modulate_plan(bits, plan, 5)], SMALL).ravel()
-        read, n_samples = ofdm._block_reader(stacks, SMALL)
+        stacks = [tiled(random_qpsk(rng, 1, SMALL), 3), (bits, plan)]
+        whole = whole_buffer_blocks([frames_of(stack) for stack in stacks], SMALL).ravel()
+        read, n_samples = ofdm._block_reader(sources(stacks), SMALL)
         assert n_samples == len(whole) == 8 * SMALL.block_length
         edges = [k * SMALL.block_length for k in range(9)]
         points = sorted({e + d for e in edges for d in (-1, 0, 1)} | {-200, n_samples + 200})
@@ -820,6 +847,20 @@ class TestPayloadBits:
         plan = BitLoadingPlan(np.full(nd, 2 if loaded else 0), np.full(nd, 1.0 if loaded else 0.0))
         with pytest.raises(ParameterError, match="whole frames"):
             assemble_burst([(np.zeros(n_bits, dtype=np.uint8), plan)], SMALL)
+
+    @pytest.mark.parametrize("case", ["frames", "3-tuple", "not a plan"])
+    def test_a_stack_is_bits_and_a_plan(self, rng, case):
+        # a frames array, a third element, or a second element that is not
+        # a plan: the second stack is refused by its position
+        bits, plan = random_qpsk(rng, 2, SMALL)
+        stack = {
+            "frames": frames_of((bits, plan)),
+            "3-tuple": (bits, plan, 2),
+            "not a plan": (bits, plan.bits),
+        }[case]
+        refusal = r"stack 1 of a burst is not a \(bits, BitLoadingPlan\) pair"
+        with pytest.raises(ParameterError, match=refusal):
+            assemble_burst([(bits, plan), stack], SMALL)
 
     @pytest.mark.parametrize("rows", [1, 5, 64])
     @pytest.mark.parametrize("n_blocks", [0, 1, 60])

@@ -88,8 +88,10 @@ class TestGeometry:
         assert 2 * 1.92 > g.active_area_mm2
 
     def test_unusual_segment_count_warns(self):
-        with pytest.warns(UserWarning):
+        # the warning names the caller, not the dataclass's generated __init__
+        with pytest.warns(UserWarning, match="fabricated set") as seen:
             SegmentGeometry(1.0, 5)
+        assert [w.filename for w in seen] == [__file__]
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
@@ -150,8 +152,10 @@ class TestDiodeParams:
 
 class TestIllumination:
     def test_upper_responsivity_warns(self):
-        with pytest.warns(UserWarning):
+        # the warning names the caller, not the dataclass's generated __init__
+        with pytest.warns(UserWarning, match="quantum limit") as seen:
             IlluminationProfile(1e-3, 0.5, responsivity_a_w=0.70, wavelength_nm=847)
+        assert [w.filename for w in seen] == [__file__]
 
     @pytest.mark.parametrize("field, value", [
         ("total_power_w", math.nan),
