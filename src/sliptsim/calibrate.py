@@ -205,6 +205,8 @@ class CalibrationResult:
         try:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
+        except OSError as exc:  # missing, a directory, or unreadable
+            raise ParameterError(f"{path}: cannot read the calibration: {exc.strerror}") from exc
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ParameterError(f"{path}: not a calibration JSON file: {exc}") from exc
         return cls.from_dict(data)

@@ -15,6 +15,11 @@ DEFAULT_TEMPERATURE_K = 298.15
 DEFAULT_EMITTED_POWER_W = 2.3e-3
 BER_TARGET = 4.7e-3
 
+# The read-out's fixed amplifier: its input impedance, which the AC path
+# sees in parallel with the bias load, and its noise figure.
+AMPLIFIER_INPUT_OHM = 50.0
+AMPLIFIER_NOISE_FIGURE_DB = 6.0
+
 # hc/q in eV*nm; responsivity quantum limit is wavelength_nm / this.
 EV_NM = PLANCK_J_S * SPEED_OF_LIGHT_M_S / ELEMENTARY_CHARGE_C * 1e9
 

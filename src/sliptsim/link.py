@@ -35,7 +35,6 @@ from .ofdm import (
     SubcarrierSnr,
     _receive_batches,
     assemble_burst,
-    clip,
     data_rate,
     demodulate_plan,
     estimate_channel,
@@ -69,7 +68,9 @@ class TransmitterModel:
     The emitted power is authoritative for the bias point; slope efficiency
     and transconductance convert the drive voltage into an optical swing
     around it.  Swings leaving [0, 2 * emitted_power] are clipped and the
-    clipped fraction is reported.  The defaults are the documented VCSEL
+    clipped fraction is reported as ``LinkReport.clip_fraction``; the
+    channel's digital clip at ``OfdmConfig.clip_sigma`` std-devs acts
+    before it and is not counted.  The defaults are the documented VCSEL
     operating point: biased at 1.78 V and 6 mA (1 mA threshold), driven at
     1 Vpp, emitting 2.3 mW.  The wavelength is the beam's
     (``IlluminationProfile.wavelength_nm``).
@@ -118,6 +119,9 @@ class LinkReport:
     """Per-run record of the communication and harvesting figures.
 
     ``imp_isc`` is NaN for a dark string (zero short-circuit current).
+    ``clip_fraction`` is the fraction of samples the VCSEL's [0, 2P] optical
+    window clips, not the digital clip at ``OfdmConfig.clip_sigma``
+    std-devs, which keeps the drive inside that window at the defaults.
     """
 
     device_id: str
@@ -299,25 +303,27 @@ def _apply_channel(
 ) -> tuple[np.ndarray, float]:
     """Waveform -> optics -> photocurrent -> RC -> load voltage + noise.
 
-    The stream is clipped at ``config.clip_sigma`` std-devs (not at all
-    when it is None).  The stream is consumed: each physical step is one
-    pass in its buffer, which carries the clipped drive, the optical
-    waveform, the AC photocurrent, the filtered load voltage and then the
-    received samples that are returned.  Both std-devs and the noise draw
-    work through one scratch of ``_CHANNEL_CHUNK`` samples, so no other
-    array of the stream's length exists.  The noise is drawn a chunk at a
-    time and added in place: the generator values of
+    The stream is clipped in place at +/- ``config.clip_sigma`` std-devs,
+    the transmitter's digital clip, at the std-dev the drive scaling reads.
+    It is not clipped when ``clip_sigma`` is None, nor when it is
+    numerically constant (std-dev 0, or at most 1e-12 of its rms), which
+    leaves no scale to clip against.  The stream is consumed: each physical
+    step is one pass in its buffer, which carries the clipped drive, the
+    optical waveform, the AC photocurrent, the filtered load voltage and
+    then the received samples that are returned.  Both std-devs and the
+    noise draw work through one scratch of ``_CHANNEL_CHUNK`` samples, so
+    no other array of the stream's length exists.  The noise is drawn a
+    chunk at a time and added in place: the generator values of
     ``rng.normal(0, sigma_v, n)``, in the same order.
     """
     scratch = np.empty(min(len(stream), _CHANNEL_CHUNK))
     sigma_x = _std(stream, scratch)
-    clip_sigma = config.clip_sigma
-    if clip_sigma is None:
+    scale_sigma = config.clip_sigma
+    if scale_sigma is None:
         # unclipped: the drive is scaled as the default clip level would scale it
         scale_sigma = OfdmConfig.clip_sigma
-    else:
-        clip(stream, clip_sigma, sigma=sigma_x, out=stream)
-        scale_sigma = clip_sigma
+    elif sigma_x > 1e-12 * math.sqrt(np.dot(stream, stream) / stream.size):
+        np.clip(stream, -scale_sigma * sigma_x, scale_sigma * sigma_x, out=stream)
     stream *= tx.drive_vpp / (2.0 * scale_sigma * max(sigma_x, 1e-300))
     _, clipped = tx.optical_waveform(stream, out=stream)
     stream -= stream.mean()

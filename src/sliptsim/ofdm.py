@@ -1,4 +1,4 @@
-"""DCO-OFDM modem: Hermitian-symmetric frames, pulse shaping, clipping,
+"""DCO-OFDM modem: Hermitian-symmetric frames, pulse shaping,
 synchronization, channel estimation, one-tap equalization and SNR/BER/rate
 bookkeeping.
 
@@ -35,8 +35,10 @@ shaped segments at the block stride in exact arithmetic; in floating point
 the two differ by rounding only (about 1e-15 of the peak sample).  Every
 chunk size gives the same bits.
 
-DC bias is deliberately not applied here: biasing is a transmitter-side
-operation of the link layer, and the DC and Nyquist bins are always zero.
+Neither the DC bias nor the clip is applied here: the link's channel clips
+the shaped stream at ``OfdmConfig.clip_sigma`` std-devs and scales and
+biases it into the VCSEL drive in the same pass, at one std-dev.  The DC
+and Nyquist bins are always zero.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ __all__ = [
     "overlap_add",
     "rrc_taps",
     "make_preamble",
-    "clip",
     "synchronize",
     "matched_filter",
     "receive_blocks",
@@ -668,40 +669,6 @@ def receive_blocks(
     """
     batches = _receive_batches(stream, first_block_start, n_blocks, config, max(n_blocks, 1))
     return next(batches, np.empty((0, config.data_subcarriers), dtype=complex))
-
-
-# ---------------------------------------------------------------------------
-# Clipping
-# ---------------------------------------------------------------------------
-
-def clip(
-    samples,
-    sigma_multiple: float,
-    sigma: float | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Symmetric clipping at +/- sigma_multiple times the stream's std-dev.
-
-    ``sigma`` is the stream's std-dev when the caller has already computed
-    it.  A constant (zero-variance) stream is returned unchanged: there is
-    no scale to clip against.  The result is written into ``out`` (a float
-    array of the stream's length) when given, else into a new array; the
-    input is never modified unless it is ``out``.
-    """
-    if sigma_multiple <= 0:
-        raise ParameterError("sigma_multiple must be positive")
-    samples = np.asarray(samples, dtype=float)
-    if sigma is None:
-        sigma = samples.std()
-    if out is None:
-        out = np.empty_like(samples)
-    rms = math.sqrt(np.dot(samples, samples) / samples.size) if samples.size else 0.0
-    # a (numerically) constant stream has no scale to clip against
-    if sigma == 0.0 or sigma <= 1e-12 * rms:
-        out[...] = samples
-        return out
-    limit = sigma_multiple * sigma
-    return np.clip(samples, -limit, limit, out=out)
 
 
 # ---------------------------------------------------------------------------

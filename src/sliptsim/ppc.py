@@ -41,8 +41,8 @@ import numpy as np
 from scipy.special import erfc, wrightomega
 
 from .constants import (
-    BOLTZMANN_J_PER_K, DEFAULT_TEMPERATURE_K, DEFAULT_WAVELENGTH_NM, ELEMENTARY_CHARGE_C,
-    responsivity_quantum_limit, thermal_voltage,
+    AMPLIFIER_INPUT_OHM, AMPLIFIER_NOISE_FIGURE_DB, BOLTZMANN_J_PER_K, DEFAULT_TEMPERATURE_K,
+    DEFAULT_WAVELENGTH_NM, ELEMENTARY_CHARGE_C, responsivity_quantum_limit, thermal_voltage,
 )
 from .errors import ParameterError, SliptsimError
 from .roots import brent_root
@@ -807,13 +807,13 @@ def string_capacitance(geometry: SegmentGeometry, diode: DiodeParams) -> float:
 @dataclass(frozen=True)
 class NoiseModel:
     """Receiver noise: load thermal + shot of the mean photocurrent, scaled
-    by the amplifier noise figure, plus a digitizer term that tracks the
-    received signal level (the oscilloscope auto-ranges, so its quantization
-    noise keeps a fixed ratio to the signal RMS).  Current PSDs are
-    input-referred densities (A^2/Hz)."""
+    by the amplifier's fixed noise figure (``AMPLIFIER_NOISE_FIGURE_DB``),
+    plus a digitizer term that tracks the received signal level (the
+    oscilloscope auto-ranges, so its quantization noise keeps a fixed ratio
+    to the signal RMS).  Current PSDs are input-referred densities
+    (A^2/Hz)."""
 
     temperature_k: float = DEFAULT_TEMPERATURE_K
-    noise_figure_db: float = 6.0
     include_thermal: bool = True
     include_shot: bool = True
     extra_current_psd_a2_hz: float = 0.0
@@ -832,7 +832,7 @@ class NoiseModel:
             psd += 4.0 * BOLTZMANN_J_PER_K * self.temperature_k / load_ohm
         if self.include_shot:
             psd += 2.0 * ELEMENTARY_CHARGE_C * abs(mean_current_a)
-        return psd * 10.0 ** (self.noise_figure_db / 10.0)
+        return psd * 10.0 ** (AMPLIFIER_NOISE_FIGURE_DB / 10.0)
 
     def quantization_sigma(self, signal_rms_v: float) -> float:
         """Std-dev of the signal-tracking digitizer noise, in volts."""
@@ -849,15 +849,15 @@ class ReceiverChain:
     in its (fitted) responsivity.
 
     The DC operating point and the small-signal model share the same load
-    resistor; the AC path additionally sees the amplifier input impedance in
-    parallel, which is what lets pF-scale string capacitances reach GHz
-    corner frequencies at a 950-ohm bias load.
+    resistor; the AC path additionally sees the fixed amplifier input
+    impedance (``AMPLIFIER_INPUT_OHM``) in parallel, which is what lets
+    pF-scale string capacitances reach GHz corner frequencies at a 950-ohm
+    bias load.
     """
 
     device: SegmentedDevice
     beam: IlluminationProfile
     load_resistance_ohm: float = 950.0
-    amplifier_input_ohm: float = 50.0
     effective_series_resistance_ohm: float = 0.0
     noise: NoiseModel = field(default_factory=NoiseModel)
 
@@ -865,15 +865,13 @@ class ReceiverChain:
         ParameterError.require_finite(self)
         if not 0.0 < self.load_resistance_ohm <= 10e3:
             raise ParameterError("load resistance must lie in (0, 10 kOhm]")
-        if self.amplifier_input_ohm <= 0:
-            raise ParameterError("amplifier input impedance must be positive")
         if self.effective_series_resistance_ohm < 0:
             raise ParameterError("effective series resistance must be non-negative")
 
     @property
     def ac_load_ohm(self) -> float:
         """Small-signal load: bias resistor in parallel with the amplifier."""
-        r1, r2 = self.load_resistance_ohm, self.amplifier_input_ohm
+        r1, r2 = self.load_resistance_ohm, AMPLIFIER_INPUT_OHM
         return r1 * r2 / (r1 + r2)
 
     def string_capacitance_f(self) -> float:

@@ -1,9 +1,10 @@
 """The package's declared public API: the root holds only the error
 contract and the version, each job loads only the layers it runs, every
 name a module exports exists, every error the package raises on purpose
-is a ``SliptsimError``, each bundled link constant has one owner, the
-public surface of the model and CLI modules does not grow, and no public
-function or method of theirs exists for the tests alone."""
+is a ``SliptsimError``, no module reads another's private names, each
+bundled link constant has one owner, the public surface of the model and
+CLI modules does not grow, and no public function or method of theirs
+exists for the tests alone."""
 
 import ast
 import builtins
@@ -179,8 +180,8 @@ def test_the_public_surface_does_not_grow():
     # or a settable value raises them in its own diff
     counts = [surface(inspect.getsource(importlib.import_module(n))) for n in SURFACE_MODULES]
     functions, settable = map(sum, zip(*counts))
-    assert functions <= 55
-    assert settable <= 110
+    assert functions <= 54
+    assert settable <= 106
 
 
 # public functions and methods no src code calls, each with the reason it
@@ -258,6 +259,97 @@ def test_every_public_function_has_a_src_caller_or_a_stated_reason():
     for name, reason in TEST_ONLY_API.items():
         if reason.startswith("item 6"):
             assert f'"{name}"' in bench_source, f"the bench no longer binds {name}"
+
+
+# single-underscore names a src module imports or reads from another one,
+# each with its reason (ROADMAP aim 2: no private imports across modules)
+PRIVATE_IMPORTS = {
+    ("sliptsim.link", "sliptsim.ofdm", "_receive_batches"): (
+        "aim 2: the payload burst's receive batches; a public name would add a "
+        "function for one caller, and receive_blocks per batch restarts the "
+        "overlap-save grid"
+    ),
+}
+
+
+def is_private(name: str) -> bool:
+    """A single-underscore name; dunder names such as ``__version__`` are public."""
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(source: str):
+    """(module, name) of each private package name ``source`` imports with
+    ``from`` or reads as an attribute of a package module it imports.
+    Relative imports resolve within the flat ``sliptsim`` package."""
+    modules = {}  # local name -> the package module it binds
+    found = set()
+
+    def module_of(node):
+        if isinstance(node, ast.Name):
+            return modules.get(node.id)
+        if isinstance(node, ast.Attribute):
+            parent = module_of(node.value)
+            if parent and f"{parent}.{node.attr}" in MODULES:
+                return f"{parent}.{node.attr}"
+        return None
+
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            owner = node.module or ""
+            if node.level:
+                owner = "sliptsim" + (f".{owner}" if owner else "")
+            if owner not in MODULES:
+                continue
+            for alias in node.names:
+                if f"{owner}.{alias.name}" in MODULES:
+                    modules[alias.asname or alias.name] = f"{owner}.{alias.name}"
+                elif is_private(alias.name):
+                    found.add((owner, alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in MODULES:
+                    if alias.asname:
+                        modules[alias.asname] = alias.name
+                    else:
+                        modules["sliptsim"] = "sliptsim"
+    for node in ast.walk(tree):  # attributes, once every import has bound its name
+        if isinstance(node, ast.Attribute) and is_private(node.attr):
+            owner = module_of(node.value)
+            if owner:
+                found.add((owner, node.attr))
+    return found
+
+
+def test_private_reads_resolve_imports_and_attributes():
+    found = private_reads(
+        "from . import ofdm, __version__\n"
+        "from .ofdm import _receive_batches, receive_blocks\n"
+        "from sliptsim.link import _apply_channel as channel\n"
+        "import sliptsim.ppc as p\n"
+        "import sliptsim.qam\n"
+        "def f(x):\n"
+        "    from .calibrate import _unreachable\n"
+        "    return ofdm._PLAN_ROWS, ofdm.__all__, p._golden, sliptsim.qam._gray, x._local\n"
+    )
+    assert found == {
+        ("sliptsim.ofdm", "_receive_batches"),
+        ("sliptsim.link", "_apply_channel"),
+        ("sliptsim.calibrate", "_unreachable"),
+        ("sliptsim.ofdm", "_PLAN_ROWS"),
+        ("sliptsim.ppc", "_golden"),
+        ("sliptsim.qam", "_gray"),
+    }
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = {
+        (name, owner, private)
+        for name in MODULES
+        for owner, private in private_reads(inspect.getsource(importlib.import_module(name)))
+        if owner != name
+    }
+    assert found == set(PRIVATE_IMPORTS)
 
 
 def float_literals(value: float):

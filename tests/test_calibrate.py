@@ -101,6 +101,13 @@ class TestSchema:
         data.pop("schema_version")
         assert rewritten == data
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_path_is_a_parameter_error(self, tmp_path, kind):
+        # a builtin FileNotFoundError or IsADirectoryError escaped once
+        path = tmp_path / "absent.json" if kind == "missing" else tmp_path
+        with pytest.raises(ParameterError, match=re.escape(f"{path}: cannot read")):
+            CalibrationResult.load(path)
+
     def test_unknown_schema_refused(self):
         data = json.loads(FROZEN_FIT.read_text())
         data["schema_version"] = 3

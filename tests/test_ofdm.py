@@ -5,7 +5,6 @@ from functools import partial
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve, lfilter, welch
-from scipy.special import ndtr
 
 from chain import (
     build_tx_stream,
@@ -27,7 +26,6 @@ from sliptsim.ofdm import (
     SyncError,
     assemble_burst,
     assemble_frame,
-    clip,
     data_rate,
     demodulate_plan,
     equalize,
@@ -71,6 +69,11 @@ class TestConfig:
             OfdmConfig(max_qam_order=48)
         with pytest.raises(ValueError):
             OfdmConfig(rolloff=1.5)
+
+    @pytest.mark.parametrize("clip_sigma", [0.0, -1.0])
+    def test_nonpositive_clip_level_refused(self, clip_sigma):
+        with pytest.raises(ParameterError, match="clip_sigma must be positive"):
+            OfdmConfig(clip_sigma=clip_sigma)
 
     @pytest.mark.parametrize("field", ["sample_rate_hz", "clip_sigma"])
     def test_non_finite_values_refused(self, field):
@@ -178,37 +181,6 @@ class TestSpectrum:
         edge = CFG.sample_rate_hz / (2 * CFG.oversampling_factor) * (1 + CFG.rolloff)
         leakage = p[f > edge].sum() / p[f <= edge].sum()
         assert 10 * math.log10(leakage) < -60.0
-
-
-class TestClip:
-    def test_gaussian_clip_fraction(self, rng):
-        samples = rng.normal(0.0, 2.5, 1_000_000)
-        clipped = clip(samples, 3.2)
-        fraction = np.mean(clipped != samples)
-        expected = 2 * (1 - ndtr(3.2))
-        se = math.sqrt(expected * (1 - expected) / samples.size)
-        assert abs(fraction - expected) <= 3 * se
-
-    def test_within_range_identity(self, rng):
-        samples = np.clip(rng.normal(size=1000), -0.9, 0.9)
-        assert np.array_equal(clip(samples, 3.2), samples)
-
-    def test_constant_stream_identity(self):
-        samples = np.full(100, 1.7)
-        assert np.array_equal(clip(samples, 3.2), samples)
-
-    @pytest.mark.parametrize("kind", ["gaussian", "constant"])
-    def test_out_buffer_receives_the_same_samples(self, rng, kind):
-        x = rng.normal(size=10_000) if kind == "gaussian" else np.full(10_000, 0.3)
-        sent = x.copy()
-        out = np.full_like(x, np.nan)
-        assert clip(x, 2.0, out=out) is out
-        assert np.array_equal(out, clip(x, 2.0))
-        assert np.array_equal(x, sent)
-
-    def test_rejects_nonpositive_threshold(self):
-        with pytest.raises(ValueError):
-            clip(np.zeros(4), 0.0)
 
 
 class TestSync:
