@@ -196,9 +196,12 @@ class CalibrationResult:
         )
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(self.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
+                fh.write("\n")
+        except OSError as exc:  # a directory, or unwritable
+            raise ParameterError(f"{path}: cannot write the calibration: {exc.strerror}") from exc
 
     @classmethod
     def load(cls, path) -> "CalibrationResult":

@@ -2,10 +2,13 @@
 eye-safety checks and table/figure reproduction, all emitting deterministic
 CSV artifacts.
 
-One table, ``_FIELDS``, declares each experiment kind's spec fields: name,
-default, converter and flag type. A spec key that is neither a field of its
-kind nor a global one (``kind``, ``schema_version``, ``seed``, ``out_dir``)
-is refused, and each subcommand's flags are its kinds' fields.
+One table, ``_KINDS``, declares each experiment kind: its handler and its
+spec fields (name, default, converter and flag type).  A kind's subcommand
+is its name up to the first ``-``; a subcommand that runs several kinds
+takes the rest of the name as its positional target (``reproduce fig6``
+runs ``reproduce-fig6``).  A spec key that is neither a field of its kind
+nor a global one (``kind``, ``schema_version``, ``seed``, ``out_dir``) is
+refused, and each subcommand's flags are its kinds' fields.
 
 Every artifact starts with a comment line carrying the schema version, the
 experiment kind, a hash of the resolved fields (every field of the kind,
@@ -80,10 +83,9 @@ def load_spec(path_str: str) -> dict:
         raise SpecError(f"{path}: spec must be a JSON object")
     if "kind" not in spec:
         raise SpecError(f"{path}: missing required field 'kind'")
-    if spec["kind"] not in EXPERIMENT_KINDS:
+    if spec["kind"] not in _KINDS:
         raise SpecError(
-            f"{path}: unknown kind {spec['kind']!r}; expected one of "
-            f"{', '.join(EXPERIMENT_KINDS)}"
+            f"{path}: unknown kind {spec['kind']!r}; expected one of {', '.join(_KINDS)}"
         )
     version = spec.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
@@ -163,6 +165,13 @@ class _Field(NamedTuple):
     help: str | None = None
 
 
+class _Kind(NamedTuple):
+    """One experiment kind: the handler that runs it and its spec fields."""
+
+    handler: Callable
+    fields: tuple
+
+
 _PRESET = _Field("preset", "L6", _preset_name, None)
 _PRESET_LIST = _Field("presets", list(PRESET_NAMES), _preset_list, str,
                       "comma-separated preset list (default: all)")
@@ -175,36 +184,6 @@ _BEAM_OFFSET = _Field("beam_offset_mm", None, _number, float)
 _BEAM_RADIUS = _Field("beam_radius_mm", None, _number, float)
 _BER = _Field("ber_target", BER_TARGET, _number, float)
 
-# experiment kind -> its spec fields.  Only iv, link and mismatch run a
-# single preset; the bandwidth sweep reads no beam, the mismatch study scans
-# the offset itself, and the reproductions run the calibrated beams.
-_FIELDS = {
-    "iv": (_PRESET, _FIT, _BEAM_OFFSET, _BEAM_RADIUS,
-           _Field("power_w", DEFAULT_EMITTED_POWER_W, _number, float)),
-    "bandwidth-sweep": (_FIT, _PRESET_LIST),
-    "link": (_PRESET, _FIT, _BEAM_OFFSET, _BEAM_RADIUS, _BER),
-    "sweep": (_FIT, _PRESET_LIST, _BEAM_OFFSET, _BEAM_RADIUS, _BER),
-    "mismatch": (_PRESET, _FIT, _BEAM_RADIUS,
-                 # None scans to 0.45 of the preset's cell diameter
-                 _Field("max_offset_mm", None, _number, float),
-                 _Field("points", 20, _count, int)),
-    "safety": (
-        # 850 nm, not the link's 847 nm (constants.DEFAULT_WAVELENGTH_NM):
-        # the documented eye-safety scenario and its margin are at 850 nm
-        _Field("wavelength_nm", 850.0, _number, float),
-        _Field("source_diameter_mm", 35.0, _number, float),
-        _Field("distance_mm", 100.0, _number, float),
-        _Field("exposure_time_s", 30000.0, _number, float),
-        _Field("received_power_w", 80e-6, _number, float),
-        _Field("pupil_radius_mm", 3.5, _number, float),
-    ),
-    "calibrate": (),
-    "reproduce-table1": (_FIT,),
-    "reproduce-fig6": (_FIT, _BER),
-}
-
-EXPERIMENT_KINDS = tuple(_FIELDS)
-
 # spec keys every kind accepts; none of them enters the spec hash (the
 # header carries the seed, and the output directory does not change the job)
 _GLOBAL_KEYS = ("kind", "schema_version", "seed", "out_dir")
@@ -214,7 +193,7 @@ def _resolve(spec: dict) -> dict:
     """The kind and every field of the spec's kind, converted or defaulted;
     a key that is neither a field of the kind nor a global one is refused."""
     kind = spec["kind"]
-    fields = _FIELDS[kind]
+    fields = _KINDS[kind].fields
     names = [f.name for f in fields]
     for key in spec:
         if key not in names and key not in _GLOBAL_KEYS:
@@ -247,6 +226,14 @@ def _receivers(run: dict, names) -> list[tuple]:
         chain = calibrated_receiver(calibration, name)
         chains.append((name, replace(chain, beam=replace(chain.beam, **beam))))
     return chains
+
+
+def _run_links(run: dict, names, seed: int) -> list:
+    """``link.sweep``'s report per preset: the default transmitter and modem
+    into each preset's chain, at the run's BER target."""
+    from .link import sweep
+    return sweep(_receivers(run, names), default_transmitter(), default_modem(),
+                 ber_target=run["ber_target"], seed=seed)
 
 
 def _raise_failures(reports) -> None:
@@ -326,9 +313,7 @@ def _emit_link_artifacts(report, out_dir: Path, header, suffix: str = "") -> Non
 
 
 def _handle_link(run: dict, out_dir: Path, seed: int) -> None:
-    from .link import sweep
-    [report] = sweep(_receivers(run, [run["preset"]]), default_transmitter(), default_modem(),
-                     ber_target=run["ber_target"], seed=seed)
+    [report] = _run_links(run, [run["preset"]], seed)
     _raise_failures([report])
     _emit_link_artifacts(report, out_dir, _header(run, seed))
     print(
@@ -339,9 +324,8 @@ def _handle_link(run: dict, out_dir: Path, seed: int) -> None:
 
 
 def _handle_sweep(run: dict, out_dir: Path, seed: int) -> None:
-    from .link import LinkReport, sweep
-    reports = sweep(_receivers(run, run["presets"]), default_transmitter(), default_modem(),
-                    ber_target=run["ber_target"], seed=seed)
+    from .link import LinkReport
+    reports = _run_links(run, run["presets"], seed)
     header = _header(run, seed)
     write_csv(
         out_dir / "report.csv",
@@ -377,7 +361,7 @@ def _handle_mismatch(run: dict, out_dir: Path, seed: int) -> None:
 def _handle_safety(run: dict, out_dir: Path, seed: int) -> None:
     from .safety import SafetyScenario, assess
     # the scenario's inputs in CSV column order; distance_mm is its evaluation distance
-    inputs = [f.name for f in _FIELDS["safety"]]
+    inputs = [f.name for f in _KINDS["safety"].fields]
     kwargs = {name: run[name] for name in inputs}
     report = assess(SafetyScenario(evaluation_distance_mm=kwargs.pop("distance_mm"), **kwargs))
     outputs = ["source_class", "c4", "c6", "mpe_w_m2", "irradiance_w_m2", "safety_margin"]
@@ -441,9 +425,7 @@ def _handle_reproduce_table1(run: dict, out_dir: Path, seed: int) -> None:
 
 
 def _handle_reproduce_fig6(run: dict, out_dir: Path, seed: int) -> None:
-    from .link import sweep
-    reports = sweep(_receivers(run, PRESET_NAMES), default_transmitter(), default_modem(),
-                    ber_target=run["ber_target"], seed=seed)
+    reports = _run_links(run, PRESET_NAMES, seed)
     _raise_failures(reports)
     rows = [
         (r.device_id, JUNCTION_AREA_MM2[r.device_id], r.data_rate_bps,
@@ -459,17 +441,44 @@ def _handle_reproduce_fig6(run: dict, out_dir: Path, seed: int) -> None:
     print(f"{len(rows)} points -> {out_dir / 'fig6.csv'}")
 
 
-_HANDLERS = {
-    "iv": _handle_iv,
-    "bandwidth-sweep": _handle_bandwidth,
-    "link": _handle_link,
-    "sweep": _handle_sweep,
-    "mismatch": _handle_mismatch,
-    "safety": _handle_safety,
-    "calibrate": _handle_calibrate,
-    "reproduce-table1": _handle_reproduce_table1,
-    "reproduce-fig6": _handle_reproduce_fig6,
+# experiment kind -> its handler and spec fields, in the order ``--help``
+# lists the subcommands.  Only iv, link and mismatch run a single preset;
+# the bandwidth sweep reads no beam, the mismatch study scans the offset
+# itself, and the reproductions run the calibrated beams.
+_KINDS = {
+    "iv": _Kind(_handle_iv, (_PRESET, _FIT, _BEAM_OFFSET, _BEAM_RADIUS,
+                             _Field("power_w", DEFAULT_EMITTED_POWER_W, _number, float))),
+    "link": _Kind(_handle_link, (_PRESET, _FIT, _BEAM_OFFSET, _BEAM_RADIUS, _BER)),
+    "mismatch": _Kind(_handle_mismatch, (
+        _PRESET, _FIT, _BEAM_RADIUS,
+        # None scans to 0.45 of the preset's cell diameter
+        _Field("max_offset_mm", None, _number, float),
+        _Field("points", 20, _count, int),
+    )),
+    "bandwidth-sweep": _Kind(_handle_bandwidth, (_FIT, _PRESET_LIST)),
+    "sweep": _Kind(_handle_sweep, (_FIT, _PRESET_LIST, _BEAM_OFFSET, _BEAM_RADIUS, _BER)),
+    "safety": _Kind(_handle_safety, (
+        # 850 nm, not the link's 847 nm (constants.DEFAULT_WAVELENGTH_NM):
+        # the documented eye-safety scenario and its margin are at 850 nm
+        _Field("wavelength_nm", 850.0, _number, float),
+        _Field("source_diameter_mm", 35.0, _number, float),
+        _Field("distance_mm", 100.0, _number, float),
+        _Field("exposure_time_s", 30000.0, _number, float),
+        _Field("received_power_w", 80e-6, _number, float),
+        _Field("pupil_radius_mm", 3.5, _number, float),
+    )),
+    "calibrate": _Kind(_handle_calibrate, ()),
+    "reproduce-table1": _Kind(_handle_reproduce_table1, (_FIT,)),
+    "reproduce-fig6": _Kind(_handle_reproduce_fig6, (_FIT, _BER)),
 }
+
+
+def _subcommands() -> dict[str, list[str]]:
+    """Subcommand -> the kinds it runs: each kind's name up to its first "-"."""
+    commands = {}
+    for kind in _KINDS:
+        commands.setdefault(kind.partition("-")[0], []).append(kind)
+    return commands
 
 
 def _dispatch(flags: dict) -> int:
@@ -479,7 +488,7 @@ def _dispatch(flags: dict) -> int:
     try:
         spec = load_spec(config) if config else {}
         if command is not None:
-            kind = f"{command}-{target}" if target else _COMMANDS[command][0]
+            kind = f"{command}-{target}" if target else _subcommands()[command][0]
             if spec.get("kind", kind) != kind:
                 raise SpecError(
                     f"config kind {spec['kind']!r} does not match subcommand {command!r}"
@@ -494,7 +503,7 @@ def _dispatch(flags: dict) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # a file in the way, or no permission
             raise SpecError(f"out_dir {str(out)!r}: {exc.strerror}") from exc
-        _HANDLERS[run["kind"]](run, out, seed)
+        _KINDS[run["kind"]].handler(run, out, seed)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
@@ -507,20 +516,6 @@ def _dispatch(flags: dict) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
-
-# subcommand -> the experiment kinds it runs; `reproduce <target>` runs the
-# kind "reproduce-<target>".  A subcommand's flags are its kinds' fields.
-_COMMANDS = {
-    "iv": ("iv",),
-    "link": ("link",),
-    "mismatch": ("mismatch",),
-    "bandwidth": ("bandwidth-sweep",),
-    "sweep": ("sweep",),
-    "safety": ("safety",),
-    "calibrate": ("calibrate",),
-    "reproduce": ("reproduce-table1", "reproduce-fig6"),
-}
-
 
 def _add_global_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="experiment spec file (JSON)")
@@ -542,11 +537,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     _add_global_flags(common)
     sub = parser.add_subparsers(dest="command")
-    for command, kinds in _COMMANDS.items():
+    for command, kinds in _subcommands().items():
         p = sub.add_parser(command, parents=[common])
         if len(kinds) > 1:
             p.add_argument("target", choices=[k.removeprefix(f"{command}-") for k in kinds])
-        fields = {f.name: f for kind in kinds for f in _FIELDS[kind] if f.flag_type}
+        fields = {f.name: f for kind in kinds for f in _KINDS[kind].fields if f.flag_type}
         for f in fields.values():
             p.add_argument(f"--{f.name.replace('_', '-')}", type=f.flag_type, help=f.help)
     return parser

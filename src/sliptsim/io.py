@@ -15,6 +15,8 @@ import hashlib
 import sys
 from pathlib import Path
 
+from .errors import ParameterError
+
 __all__ = [
     "write_csv",
     "spec_hash",
@@ -36,14 +38,17 @@ def _format_value(v) -> str:
 def write_csv(path, columns, rows, header_comments=()) -> None:
     """Write rows with one comment line per entry and a column header."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     buf = _io.StringIO()
     for line in header_comments:
         buf.write(f"# {line}\n")
     buf.write(",".join(columns) + "\n")
     for row in rows:
         buf.write(",".join(_format_value(v) for v in row) + "\n")
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(buf.getvalue(), encoding="utf-8")
+    except OSError as exc:  # a directory in the way, or no permission
+        raise ParameterError(f"{path}: cannot write the artifact: {exc.strerror}") from exc
 
 
 def spec_hash(payload) -> str:

@@ -22,6 +22,7 @@ The simulated chain, per run:
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
@@ -485,6 +486,12 @@ def run_link(
     gains = estimate_channel(blocks[:n_pilot_frames], pilot)
     eq_measure = equalize(blocks[n_pilot_frames:], gains)
     del blocks
+    if n_measurement_frames < 100:
+        warnings.warn(
+            f"SNR estimated from only {n_measurement_frames} symbols per carrier; "
+            "accuracy needs on the order of 100",
+            stacklevel=2,
+        )
     snr = estimate_snr(eq_measure, modulate_plan(measurement_bits, qpsk, n_measurement_frames))
     del eq_measure
 

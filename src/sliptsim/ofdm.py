@@ -44,7 +44,6 @@ and Nyquist bins are always zero.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -715,12 +714,6 @@ def estimate_snr(equalized_symbols, reference_symbols) -> SubcarrierSnr:
     ref = np.atleast_2d(np.asarray(reference_symbols, dtype=complex))
     if eq.shape != ref.shape:
         raise ParameterError("equalized and reference symbol shapes differ")
-    if eq.shape[0] < 100:
-        warnings.warn(
-            f"SNR estimated from only {eq.shape[0]} symbols per carrier; "
-            "accuracy needs on the order of 100",
-            stacklevel=2,
-        )
     sig = np.mean(np.abs(ref) ** 2, axis=0)
     err = np.mean(np.abs(eq - ref) ** 2, axis=0)
     ceiling = 10.0 ** (_SNR_CEILING_DB / 10.0)

@@ -200,6 +200,13 @@ class IlluminationProfile:
             raise ParameterError("total_power_w must be non-negative")
         if self.beam_radius_mm <= 0:
             raise ParameterError("beam_radius_mm must be positive")
+        # the radial quadrature reads r^2 and 2/r^2
+        w2 = self.beam_radius_mm * self.beam_radius_mm
+        if not (0.0 < w2 < math.inf and 2.0 / w2 < math.inf):
+            raise ParameterError(
+                f"beam_radius_mm {self.beam_radius_mm!r} is out of range: "
+                "r^2 and 2/r^2 must be finite and positive"
+            )
         if self.responsivity_a_w <= 0:
             raise ParameterError("responsivity must be positive")
         limit = responsivity_quantum_limit(self.wavelength_nm)
@@ -276,6 +283,11 @@ class IVCurve:
             )
         if not len(v):
             raise ParameterError("a curve needs at least one sample, got none")
+        bad = np.count_nonzero(~(np.isfinite(v) & np.isfinite(i)))
+        if bad:
+            raise ParameterError(
+                f"voltages and currents must be finite, got {bad} non-finite samples"
+            )
         if len(self.voltages_v) > 1:
             dv = np.diff(self.voltages_v)
             if np.any(dv <= 0):

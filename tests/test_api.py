@@ -369,6 +369,6 @@ def test_the_link_constants_have_one_owner():
     assert link.BER_TARGET is constants.BER_TARGET
     assert presets.default_transmitter().emitted_power_w == constants.DEFAULT_EMITTED_POWER_W
     assert presets.default_beam().total_power_w == constants.DEFAULT_EMITTED_POWER_W
-    defaults = {f.name: f.default for kind in ("iv", "link") for f in cli._FIELDS[kind]}
+    defaults = {f.name: f.default for kind in ("iv", "link") for f in cli._KINDS[kind].fields}
     assert defaults["power_w"] == constants.DEFAULT_EMITTED_POWER_W
     assert defaults["ber_target"] == constants.BER_TARGET

@@ -108,6 +108,11 @@ class TestSchema:
         with pytest.raises(ParameterError, match=re.escape(f"{path}: cannot read")):
             CalibrationResult.load(path)
 
+    def test_save_onto_a_directory_is_a_parameter_error(self, tmp_path):
+        # like load: a builtin IsADirectoryError escaped save once
+        with pytest.raises(ParameterError, match=re.escape(f"{tmp_path}: cannot write")):
+            CalibrationResult.load(FROZEN_FIT).save(tmp_path)
+
     def test_unknown_schema_refused(self):
         data = json.loads(FROZEN_FIT.read_text())
         data["schema_version"] = 3

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -224,26 +225,55 @@ class TestCommands:
         ).read_bytes()
 
 
-def test_command_table_parser_and_handlers_agree(capsys):
+def subcommand_of(kind: str) -> str:
+    """The command line that runs ``kind``: its subcommand, then its target
+    where the subcommand runs several kinds."""
+    command, _, target = kind.partition("-")
+    return f"{command} {target}" if len(cli._subcommands()[command]) > 1 else command
+
+
+def test_the_kind_table_builds_the_parser(capsys):
     parser = cli._build_parser()
     [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert list(commands.choices) == list(cli._COMMANDS)
-    [target] = [a for a in commands.choices["reproduce"]._actions if a.dest == "target"]
-    assert [f"reproduce-{t}" for t in target.choices] == list(cli._COMMANDS["reproduce"])
-    kinds = [kind for kinds in cli._COMMANDS.values() for kind in kinds]
-    assert sorted(kinds) == sorted(cli._HANDLERS) == sorted(cli._FIELDS)
-    assert sorted(kinds) == sorted(cli.EXPERIMENT_KINDS)
-    for command, kinds in cli._COMMANDS.items():
+    assert list(commands.choices) == [
+        "iv", "link", "mismatch", "bandwidth", "sweep", "safety", "calibrate", "reproduce",
+    ]
+    assert [subcommand_of(kind) for kind in cli._KINDS] == [
+        "iv", "link", "mismatch", "bandwidth", "sweep", "safety", "calibrate",
+        "reproduce table1", "reproduce fig6",
+    ]
+    for command, kinds in cli._subcommands().items():
+        targets = [a for a in commands.choices[command]._actions if a.dest == "target"]
+        assert [t.choices for t in targets] == (
+            [[k.removeprefix(f"{command}-") for k in kinds]] if len(kinds) > 1 else []
+        )
         with pytest.raises(SystemExit) as done:
             main([command, "--help"])
         assert done.value.code == 0
         usage = capsys.readouterr().out
-        for field in (f for kind in kinds for f in cli._FIELDS[kind]):
+        for field in (f for kind in kinds for f in cli._KINDS[kind].fields):
             assert f"--{field.name.replace('_', '-')} " in usage
-    for field in (f for fields in cli._FIELDS.values() for f in fields):
+    for field in (f for kind in cli._KINDS.values() for f in kind.fields):
         # a None default marks an optional field; its handler or the
         # calibration supplies the value
         assert field.default is None or field.convert(field.default) == field.default
+
+
+def test_readme_kind_table_matches_the_cli():
+    # README's "kind (subcommand) | fields" table lists each kind of the CLI
+    # table, in order, with its command line and its field names
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| kind (subcommand) | fields (default) |\n|---|---|\n")[1]
+    rows = []
+    for line in table.split("\n\n")[0].splitlines():
+        kind_cell, fields_cell = line.strip("|").split(" | ")
+        kind, subcommand = re.fullmatch(r" ?`([\w-]+)` \(`([\w ]+)`\)", kind_cell).groups()
+        # a field is a backquoted name, then its default in parentheses if any
+        rows.append((kind, subcommand, re.findall(r"`(\w+)`(?: \([^)]*\))?", fields_cell)))
+    assert rows == [
+        (kind, subcommand_of(kind), [f.name for f in spec.fields])
+        for kind, spec in cli._KINDS.items()
+    ]
 
 
 class TestGlobalFlags:
@@ -335,6 +365,27 @@ class TestNonFiniteInputs:
         spec = write_spec(tmp_path, {"kind": "iv", "beam_radius_mm": math.nan})
         assert main(["--config", spec, "--out", str(tmp_path)]) == 1
         assert "beam_radius_mm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["iv", "--preset", "S2"], ["link", "--preset", "S2"],
+        ["sweep", "--presets", "S2"], ["mismatch", "--preset", "S2"],
+    ], ids=["iv", "link", "sweep", "mismatch"])
+    @pytest.mark.parametrize("radius", ["1e-300", "1e300"])
+    def test_beam_radius_whose_square_leaves_the_float_range(
+        self, tmp_path, capsys, command, radius
+    ):
+        # r^2 underflowed to 0 (a ZeroDivisionError) or overflowed (an OverflowError)
+        assert main([*command, "--beam-radius-mm", radius, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "beam_radius_mm" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_power_whose_string_voltage_overflows(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            assert main(["iv", "--power-w", "1e300", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert not (tmp_path / "iv.csv").exists()
 
     def test_nan_max_offset_flag(self, tmp_path, capsys):
         code = main(["mismatch", "--preset", "S2", "--max-offset-mm", "nan",
@@ -487,6 +538,22 @@ class TestExitCodes:
         assert err.startswith("spec error:") and "'seed'" in err
         assert not (tmp_path / "o").exists()
 
+    def test_artifact_onto_a_directory_is_run_error(self, tmp_path, capsys):
+        (tmp_path / "iv.csv").mkdir()
+        assert main(["iv", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path / "iv.csv") in err
+
+    def test_calibration_onto_a_directory_is_run_error(
+        self, tmp_path, monkeypatch, capsys, calibration
+    ):
+        monkeypatch.setattr("sliptsim.calibrate.calibrate", lambda targets: calibration)
+        (tmp_path / "calibration.json").mkdir()
+        assert main(["calibrate", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path / "calibration.json") in err
+        assert not (tmp_path / "calibration_residuals.csv").exists()
+
     def test_out_that_is_an_existing_file_is_spec_error(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("keep")
@@ -526,6 +593,6 @@ class TestExitCodes:
         def broken(spec, out_dir, seed):
             raise KeyError("internal")
 
-        monkeypatch.setitem(cli._HANDLERS, "safety", broken)
+        monkeypatch.setitem(cli._KINDS, "safety", cli._KINDS["safety"]._replace(handler=broken))
         with pytest.raises(KeyError):
             main(["safety", "--out", str(tmp_path)])

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from chain import read_csv
-from sliptsim import link, ppc
+from sliptsim import ParameterError, link, ppc
 from sliptsim.cli import main
 from sliptsim.io import write_csv
 
@@ -31,6 +33,18 @@ class TestCsv:
         write_csv(path, ["x"], [(value,)])
         _, rows = read_csv(path)
         assert float(rows[0][0]) == value
+
+    @pytest.mark.parametrize("blocker", ["directory", "file-as-parent"])
+    def test_unwritable_path_is_a_parameter_error(self, tmp_path, blocker):
+        # a builtin IsADirectoryError or FileExistsError escaped once
+        if blocker == "directory":
+            path = tmp_path / "t.csv"
+            path.mkdir()
+        else:
+            (tmp_path / "f").write_text("keep")
+            path = tmp_path / "f" / "t.csv"
+        with pytest.raises(ParameterError, match=re.escape(f"{path}: cannot write")):
+            write_csv(path, ["x"], [(1.0,)])
 
 
 def recording(monkeypatch, module, name):

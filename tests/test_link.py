@@ -255,6 +255,13 @@ class TestRunLink:
         assert np.array_equal(a.snr.snr_linear, b.snr.snr_linear)
         assert np.array_equal(a.plan.bits, b.plan.bits)
 
+    def test_short_snr_estimate_warning_names_the_caller(self):
+        # the caller of run_link chose the frame count, so the warning names it
+        with pytest.warns(UserWarning, match="SNR estimated from only 12") as record:
+            run_link(default_transmitter(), quiet_receiver(), FAST_CFG, seed=1,
+                     n_measurement_frames=12, n_payload_frames=0)
+        assert len(record) == 1 and record[0].filename == __file__
+
     def test_report_fields_populated(self):
         with pytest.warns(UserWarning, match="SNR estimated from only 12"):
             report = run_link(

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -305,9 +306,12 @@ class TestSnrEstimator:
             snr = estimate_snr(ref + noise, ref)
             assert np.all(np.abs(snr.db() - target_db) <= 0.5)
 
-    def test_few_symbols_warns(self):
+    def test_few_symbols_do_not_warn(self):
+        # run_link, which chooses the symbol count, warns about a short
+        # estimate; the estimator itself does not
         ref = np.ones((8, 4), dtype=complex)
-        with pytest.warns(UserWarning, match="symbols per carrier"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             estimate_snr(ref, ref)
 
     def test_unused_carrier_flagged(self):

@@ -173,6 +173,13 @@ class TestIllumination:
         with pytest.raises(ValueError, match=field):
             IlluminationProfile(**kwargs)
 
+    @pytest.mark.parametrize("radius", [1e-300, 1e-160, 1e300])
+    def test_radius_whose_square_leaves_the_float_range_refused(self, radius):
+        # r^2 underflowed to 0 (a ZeroDivisionError in the quadrature's 2/r^2)
+        # or overflowed (an OverflowError)
+        with pytest.raises(ParameterError, match="beam_radius_mm"):
+            IlluminationProfile(1e-3, radius)
+
     def test_finite_numpy_scalars_accepted(self):
         beam = IlluminationProfile(np.float32(1e-3), np.float64(0.5),
                                    responsivity_a_w=np.float32(0.5))
@@ -529,6 +536,20 @@ class TestStringIV:
         # be strictly increasing"
         with pytest.raises(ParameterError, match=problem):
             IVCurve(voltages, currents)
+
+    @pytest.mark.parametrize("voltages, currents", [
+        ([0.0, math.inf], [1.0, 0.0]),
+        ([0.0, 1.0], [math.nan, 0.0]),
+    ])
+    def test_curve_refuses_non_finite_samples(self, voltages, currents):
+        with pytest.raises(ParameterError, match="finite"):
+            IVCurve(voltages, currents)
+
+    def test_string_whose_voltage_overflows_raises(self):
+        # a V(I) past the float range wrote Voc inf and a negative Pmp
+        device = SegmentedDevice(SegmentGeometry(1.0, 2))
+        with np.errstate(all="ignore"), pytest.raises(ParameterError, match="finite"):
+            string_iv(device, [1e299, 1e299])
 
     def test_load_line_needs_the_model(self):
         # a lit curve without its model raised "'NoneType' object is not

@@ -168,7 +168,7 @@ class TestAssess:
 
 def test_assessing_the_cli_default_scenario_loads_no_numpy():
     # the check is pure math: neither numpy nor scipy may load for it
-    scenario = {field.name: field.default for field in cli._FIELDS["safety"]}
+    scenario = {field.name: field.default for field in cli._KINDS["safety"].fields}
     scenario["evaluation_distance_mm"] = scenario.pop("distance_mm")
     probe = "\n".join([
         "import sys",
