@@ -434,7 +434,8 @@ def run_link(
     ``n_measurement_frames`` symbols before the loading decision; the payload
     burst then runs the loaded plan and measures the bit error rate.  Each
     burst needs at least one pilot frame, and the SNR estimate at least one
-    measurement frame; a run with no payload frames reports a BER of 0.
+    measurement frame.  A run with no payload frames, or whose plan loads no
+    bits (no carrier meets the BER target), reports a BER of 0.
     """
     for name, value, least in (
         ("seed", seed, 0),
@@ -510,7 +511,7 @@ def run_link(
         errors = _count_errors(batches, pilot, n_pilot_frames, payload_bits, plan)
         ber = errors / payload_bits.size if payload_bits.size else 0.0
     else:
-        ber = math.nan
+        ber = 0.0
 
     return LinkReport(
         device_id=device.device_id or "custom",

@@ -27,18 +27,22 @@ subcell; the subcells are series-connected on chip.  This module models
 Units: lengths in mm, areas in mm^2, everything electrical in SI
 (A, V, W, F, Ohm, Hz).  Sector ``i`` spans the angle range
 ``[2*pi*i/n, 2*pi*(i+1)/n)`` measured counter-clockwise from the +x axis.
+
+``scipy.special`` is imported by the two bodies that evaluate it, the
+radial profile and :func:`string_model`, so importing this module loads
+numpy alone and a job that only reads the read-out never loads scipy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from numbers import Real
 
 import numpy as np
-from scipy.special import erfc, wrightomega
 
 from .constants import (
     AMPLIFIER_INPUT_OHM, AMPLIFIER_NOISE_FIGURE_DB, BOLTZMANN_J_PER_K, DEFAULT_TEMPERATURE_K,
@@ -198,6 +202,12 @@ class IlluminationProfile:
             raise ParameterError(f"center_mm must be two finite numbers, got {center!r}")
         if self.total_power_w < 0:
             raise ParameterError("total_power_w must be non-negative")
+        # a subnormal power leaves the quadrature too few digits to converge
+        if 0.0 < self.total_power_w < sys.float_info.min:
+            raise ParameterError(
+                f"total_power_w {self.total_power_w!r} is out of range: a positive "
+                f"power must be at least {sys.float_info.min:.4g} W"
+            )
         if self.beam_radius_mm <= 0:
             raise ParameterError("beam_radius_mm must be positive")
         # the radial quadrature reads r^2 and 2/r^2
@@ -329,6 +339,8 @@ def _radial_profile(cos_t, sin_t, beam: IlluminationProfile, radius_mm: float):
     For a fixed angle theta (given by its cosine and sine), integrates
     irradiance * r for r in [0, R].  Vectorized over theta.
     """
+    from scipy.special import erfc
+
     w2 = beam.beam_radius_mm**2
     a = 2.0 / w2
     x0, y0 = beam.center_mm
@@ -408,7 +420,8 @@ def sector_fractions(
     alongside the fractions.
 
     Raises:
-        ValueError: if ``rel_tol`` is not a non-negative number.
+        ValueError: if ``rel_tol`` is not a non-negative number, or the beam
+            center lies so far out that the radial closed form overflows.
         QuadratureError: if doubling up to 16384 panels never converges.
     """
     if not (isinstance(rel_tol, Real) and rel_tol >= 0.0):
@@ -418,6 +431,16 @@ def sector_fractions(
         zeros = np.zeros(n)
         return (zeros, np.zeros(n, dtype=int)) if return_panels else zeros
     radius = geometry.cell_diameter_mm / 2.0
+    # the radial closed form squares distances of up to |center| + R and
+    # scales them by 2/r^2
+    x0, y0 = beam.center_mm
+    reach = math.hypot(x0, y0) + radius
+    if not 2.0 / beam.beam_radius_mm**2 * (reach * reach) < math.inf:
+        raise ParameterError(
+            f"center_mm ({x0:g}, {y0:g}) is out of range for beam_radius_mm "
+            f"{beam.beam_radius_mm:g} on a {geometry.cell_diameter_mm:g} mm cell: "
+            "2*(|center| + R)^2/r^2 must be finite"
+        )
     floor = 1e-12 * beam.total_power_w
     live = np.arange(n)
     prev = _sector_powers(beam, radius, n, live, 4)
@@ -502,6 +525,8 @@ def string_model(device: SegmentedDevice, photocurrents):
             segment while both the shunt and the clamp are disabled; the
             diode has no solution.
     """
+    from scipy.special import wrightomega
+
     photocurrents = np.asarray(photocurrents, dtype=float)
     if photocurrents.shape != (device.n_segments,):
         raise ParameterError(

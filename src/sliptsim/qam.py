@@ -7,7 +7,9 @@ than a nearest-neighbour approximation; cross-shaped constellations cannot
 be Gray-labelled exactly and are deliberately not used.
 
 All constellations are normalized to unit average symbol energy.  SNR is the
-ratio of symbol energy to total complex noise variance.
+ratio of symbol energy to total complex noise variance.  The exact BER
+imports ``scipy.special`` at its first evaluation, so importing this module
+loads numpy alone.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ParameterError
 from .roots import MIN_RTOL, brent_root
@@ -138,6 +139,8 @@ def _axis_bit_error_count(l_count: int, scale: float, sigma: float) -> float:
     is a difference of Gaussian CDFs, so the result is exact for hard-decision
     slicing.
     """
+    from scipy.special import ndtr
+
     if l_count == 1:
         return 0.0
     amps = _axis_amplitudes(l_count, scale)

@@ -35,7 +35,10 @@ def test_the_root_exports_the_error_contract_and_the_version():
 
 
 # module families a job must not load; each name covers its submodules
-NUMPY = ("numpy", "scipy")
+# scipy.special costs about 0.3 s CPU of a fresh process; it loads at the
+# first sector quadrature, string V(I) or exact BER, never at an import
+SCIPY = ("scipy",)
+NUMPY = ("numpy",) + SCIPY
 # scipy.optimize costs 0.2-0.3 s CPU of a fresh process; only a fit needs it
 OPTIMIZER = ("scipy.optimize",)
 # scipy.signal, with the scipy.stats it pulls in, costs about 0.8 s CPU of a
@@ -71,16 +74,16 @@ IMPORT_CONTRACT = {
     "cli-safety": ("code = run('safety')", NUMPY, 0),
     "cli-malformed-spec": (MALFORMED_SPEC, NUMPY, 2),
     "cli-iv-L6": ("code = run('iv', '--preset', 'L6')", OPTIMIZER + MODEM, 0),
-    "cli-bandwidth": ("code = run('bandwidth')", OPTIMIZER + MODEM, 0),
+    "cli-bandwidth": ("code = run('bandwidth')", SCIPY + MODEM, 0),
     "cli-mismatch-L6": ("code = run('mismatch', '--preset', 'L6')", OPTIMIZER + MODEM, 0),
     "cli-reproduce-table1": ("code = run('reproduce', 'table1')", OPTIMIZER + MODEM, 0),
     "cli-calibrate": ("code = run('calibrate')", MODEM, 0),
     "import-fit-link-modem-cli": (
         "import sliptsim.calibrate, sliptsim.cli, sliptsim.link, sliptsim.ofdm",
-        SIGNAL_STACK, None,
+        SCIPY, None,
     ),
-    "run-link": (RUN_ONE_FRAME_LINK, SIGNAL_STACK, None),
-    "cli-link-S2": ("code = run('link', '--preset', 'S2')", SIGNAL_STACK, 0),
+    "run-link": (RUN_ONE_FRAME_LINK, SIGNAL_STACK + OPTIMIZER, None),
+    "cli-link-S2": ("code = run('link', '--preset', 'S2')", SIGNAL_STACK + OPTIMIZER, 0),
 }
 
 PROBE = """\

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -89,6 +90,13 @@ class TestCommands:
         cols, rows = read_csv(tmp_path / "report.csv")
         assert cols[0] == "device_id"
         assert rows == []
+
+    def test_link_whose_plan_loads_no_bits_writes_zero_ber(self, tmp_path):
+        # the payload held no bits, and report.csv read ber nan
+        assert main(["link", "--ber-target", "1e-300", "--out", str(tmp_path)]) == 0
+        cols, rows = read_csv(tmp_path / "report.csv")
+        row = dict(zip(cols, rows[0]))
+        assert (row["total_bits_per_frame"], row["ber"]) == ("0", "0.0")
 
     def test_unknown_preset_is_spec_error(self, tmp_path):
         assert main(["iv", "--preset", "Q9", "--out", str(tmp_path)]) == 2
@@ -386,6 +394,21 @@ class TestNonFiniteInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err
         assert not (tmp_path / "iv.csv").exists()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["iv", "--beam-offset-mm", "1e300"], "center_mm"),
+        (["mismatch", "--max-offset-mm", "1e300"], "center_mm"),
+        (["iv", "--power-w", "1e-320"], "total_power_w"),
+    ], ids=["iv-offset", "mismatch-offset", "iv-subnormal-power"])
+    def test_extreme_beam_is_refused_by_name(self, tmp_path, capsys, argv, field):
+        # each used to spend the quadrature's whole panel budget, after
+        # overflow warnings, and raise a QuadratureError "(achieved nan)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} ") and "out of range" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_nan_max_offset_flag(self, tmp_path, capsys):
         code = main(["mismatch", "--preset", "S2", "--max-offset-mm", "nan",

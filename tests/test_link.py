@@ -262,6 +262,16 @@ class TestRunLink:
                      n_measurement_frames=12, n_payload_frames=0)
         assert len(record) == 1 and record[0].filename == __file__
 
+    def test_a_plan_that_loads_no_bits_reports_zero_ber(self):
+        # no carrier of this chain reaches the SNR a 1e-300 target needs, so
+        # no payload is sent; the BER read 0/0 = NaN
+        with pytest.warns(UserWarning, match="SNR estimated from only 12"):
+            report = run_link(default_transmitter(), default_receiver("S2"), FAST_CFG,
+                              ber_target=1e-300, seed=1,
+                              n_measurement_frames=12, n_payload_frames=4)
+        assert report.total_bits_per_frame == 0 and report.data_rate_bps == 0.0
+        assert report.ber == 0.0
+
     def test_report_fields_populated(self):
         with pytest.warns(UserWarning, match="SNR estimated from only 12"):
             report = run_link(

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chain as oracle
-from chain import irradiance, sector_beam_power, segment_current, segment_photocurrents
+from chain import (
+    irradiance, run_fresh, sector_beam_power, segment_current, segment_photocurrents,
+)
 from sliptsim import ParameterError, ppc
 from sliptsim.constants import thermal_voltage
 from sliptsim.ppc import (
@@ -180,6 +183,16 @@ class TestIllumination:
         with pytest.raises(ParameterError, match="beam_radius_mm"):
             IlluminationProfile(1e-3, radius)
 
+    def test_subnormal_power_refused(self):
+        # the quadrature's sums kept too few digits to converge, and it ran
+        # out of panels with "achieved nan"
+        with pytest.raises(ParameterError, match="total_power_w 1e-320 is out of range"):
+            IlluminationProfile(1e-320, 0.5)
+        beam = IlluminationProfile(sys.float_info.min, 0.5)
+        reference = IlluminationProfile(1e-3, 0.5)
+        g = SegmentGeometry(2.08, 6)
+        assert sector_fractions(g, beam) == pytest.approx(sector_fractions(g, reference))
+
     def test_finite_numpy_scalars_accepted(self):
         beam = IlluminationProfile(np.float32(1e-3), np.float64(0.5),
                                    responsivity_a_w=np.float32(0.5))
@@ -233,6 +246,24 @@ class TestSectorPhotocurrents:
         beam = IlluminationProfile(2.3e-3, 0.6, center_mm=(0.2, 0.1))
         with pytest.raises(ValueError, match="rel_tol"):
             sector_fractions(g, beam, rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("offset", [1e154, 1e300])
+    def test_center_whose_distances_overflow_refused(self, offset):
+        # the radial closed form squared the distance to the beam center with
+        # overflow warnings and ran out of panels with "achieved nan"
+        g = SegmentGeometry(2.08, 6)
+        beam = IlluminationProfile(2.3e-3, 0.6, center_mm=(0.0, -offset))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"center_mm \(0, -1e\+\d+\) is out of range"):
+                sector_fractions(g, beam)
+
+    def test_far_center_in_range_is_dark(self):
+        g = SegmentGeometry(2.08, 6)
+        beam = IlluminationProfile(2.3e-3, 0.6, center_mm=(1e150, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(sector_fractions(g, beam), np.zeros(6))
 
     def test_zero_rel_tol_converges(self):
         # agreement to the last bit between two resolutions is reachable
@@ -310,6 +341,23 @@ class TestSectorPhotocurrents:
             assert fractions[i] * beam.total_power_w == pytest.approx(
                 at_2n, abs=4 * tol * scale
             )
+
+
+class TestSpecialFunctionImport:
+    # scipy.special costs about 0.3 s CPU of a fresh process; a job that
+    # evaluates no special function (sliptsim bandwidth) does not load it
+
+    def test_the_import_loads_none_and_the_first_quadrature_loads_it(self):
+        probe = "\n".join([
+            "import sys",
+            "import sliptsim.ppc as ppc, sliptsim.qam",
+            "loaded = ['scipy.special' in sys.modules]",
+            "ppc.sector_fractions(ppc.SegmentGeometry(2.08, 6),",
+            "                     ppc.IlluminationProfile(2.3e-3, 0.6))",
+            "loaded.append('scipy.special' in sys.modules)",
+            "print(loaded)",
+        ])
+        assert run_fresh(probe) == "[False, True]"
 
 
 # ---------------------------------------------------------------------------
