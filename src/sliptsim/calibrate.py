@@ -36,11 +36,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from .constants import DEFAULT_EMITTED_POWER_W
 from .errors import ParameterError, SliptsimError
+from .lsq import least_squares  # stages A and B call it through this module global
 from .ppc import DiodeParams, ReceiverChain, harvest_figures, sector_fractions
 from .presets import (
     MEASURED_BANDWIDTH_HZ,
@@ -74,15 +76,6 @@ _FITTED_DICTS = (
 )
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported by the first fit, so that
-    no other job loads ``scipy.optimize``.  Stages A and B call it through
-    this module global."""
-    from scipy.optimize import least_squares as scipy_least_squares
-
-    return scipy_least_squares(*args, **kwargs)
-
-
 class CalibrationError(SliptsimError, RuntimeError):
     """A residual exceeded the refusal bound; the fit is not trustworthy."""
 
@@ -98,6 +91,17 @@ class CalibrationTargets:
     bandwidth_hz: dict
     pmp_w: dict = field(default_factory=dict)
     imp_isc: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        """Refuse a target that is not a finite number above 0, or an
+        Imp/Isc above 1, by field and preset (``ParameterError``)."""
+        for name, top in (("bandwidth_hz", math.inf), ("pmp_w", math.inf), ("imp_isc", 1.0)):
+            for preset, value in getattr(self, name).items():
+                if not (isinstance(value, Real) and 0.0 < value <= top and value < math.inf):
+                    raise ParameterError(
+                        f"{name} target of preset {preset!r} must be a finite number "
+                        f"above 0{' and at most 1' if top == 1.0 else ''}, got {value!r}"
+                    )
 
     def configs(self):
         return sorted(self.bandwidth_hz)

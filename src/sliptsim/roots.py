@@ -7,7 +7,8 @@ order on Python floats, and its Python wrapper's NaN check and 100-iteration
 budget.  It returns the bits ``scipy.optimize.brentq`` returns at the same
 tolerances, without loading ``scipy.optimize``.  The searches of ``ppc``
 (Isc, MPP, load line), ``qam.required_snr`` and the fit's beam-offset
-refine all run on it.
+refine all run on it; the fit's least squares runs on ``sliptsim.lsq``, a
+port of scipy's in the same manner, so no job loads ``scipy.optimize``.
 """
 
 from __future__ import annotations

@@ -80,6 +80,19 @@ class TestBandwidthStage:
         assert math.isnan(loaded.beam_radius_mm)
         assert loaded.to_dict() == result.to_dict()
 
+    @pytest.mark.parametrize("name", ["bandwidth_hz", "pmp_w", "imp_isc"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, "1e9"])
+    def test_a_target_that_is_not_a_positive_finite_number_is_refused(self, name, value):
+        targets = {"bandwidth_hz": {"S2": 1e9}, "pmp_w": {"S2": 1e-3}, "imp_isc": {"S2": 0.9}}
+        targets[name]["S4"] = value
+        with pytest.raises(ParameterError, match=rf"{name} target of preset 'S4'"):
+            CalibrationTargets(**targets)
+
+    def test_an_imp_isc_above_1_is_refused(self):
+        assert CalibrationTargets({"S2": 1e9}, imp_isc={"S2": 1.0}).imp_isc == {"S2": 1.0}
+        with pytest.raises(ParameterError, match="imp_isc target of preset 'S2'.*at most 1"):
+            CalibrationTargets({"S2": 1e9}, imp_isc={"S2": 1.0000001})
+
     def test_inconsistent_targets_refused(self):
         bad = dict(MEASURED_BANDWIDTH_HZ)
         bad["L6"] = 40e9  # physically impossible alongside the L2/L4 values
@@ -332,7 +345,8 @@ class TestFullCalibration:
 
 
 class TestOptimizerImport:
-    # scipy.optimize costs 0.2-0.3 s CPU of a fresh process; only a fit needs it
+    # scipy.optimize costs 0.2-0.3 s CPU of a fresh process; the fit runs
+    # sliptsim.lsq, its port, so no job needs it
 
     def test_calibrated_chain_and_link_load_no_optimizer(self):
         probe = "\n".join([
@@ -368,6 +382,7 @@ class TestOptimizerImport:
             "loaded.append('scipy.optimize' in sys.modules)",
             "print(loaded, stages)",
         ])
-        # stage A fits one capacitance and the 4-segment excess resistance,
-        # stage B one responsivity, the radius and two offsets
-        assert run_fresh(probe) == "[False, True] [2, 4]"
+        # scipy.optimize is loaded neither before nor after the fit; stage A
+        # fits one capacitance and the 4-segment excess resistance, stage B
+        # one responsivity, the radius and two offsets
+        assert run_fresh(probe) == "[False, False] [2, 4]"
